@@ -16,13 +16,11 @@ from .fit import (LOSS_HUBER_QUANTILE, LOSS_L2_QUANTILE, FitConfig, FitResult,
 from .io import (LesionSpec, MixtureComponent, ScannerEffect, SynthSpec,
                  emit_cdf_plot, emit_lut_plot, generate_synthetic, load_lut,
                  read_cdf_csv, read_volume, save_lut, write_cdf_csv,
-                 write_volume)
+                 write_lut_csv, write_volume)
 from .pipeline import (ALL_METHODS, METHOD_CDF_MATCH,
                        METHOD_PERCENTILE_STRETCH, METHOD_ZSCORE,
-                       ChannelReport, HarmonizeJob, HarmonizeOptions,
-                       HarmonizeReport, MethodMetrics, evaluate_cohort,
-                       harmonize, harmonize_batch, harmonize_exam,
-                       percentile_stretch)
+                       ChannelReport, HarmonizeOptions, MethodMetrics,
+                       evaluate_cohort, harmonize, percentile_stretch)
 from .template import (DEFAULT_CLIP, DEFAULT_CONTROLS, ControlPoints,
                        TemplateCdf, build_template, load_template,
                        save_template)
@@ -42,13 +40,12 @@ __all__ = [
     "LOSS_L2_QUANTILE", "LOSS_HUBER_QUANTILE",
     "ControlPoints", "TemplateCdf", "build_template", "save_template",
     "load_template", "DEFAULT_CONTROLS", "DEFAULT_CLIP",
-    "HarmonizeOptions", "HarmonizeJob", "HarmonizeReport", "ChannelReport",
-    "MethodMetrics", "harmonize", "harmonize_exam", "harmonize_batch",
+    "HarmonizeOptions", "ChannelReport", "MethodMetrics", "harmonize",
     "evaluate_cohort", "percentile_stretch",
     "METHOD_PERCENTILE_STRETCH", "METHOD_ZSCORE", "METHOD_CDF_MATCH",
     "ALL_METHODS",
     "SynthSpec", "MixtureComponent", "ScannerEffect", "LesionSpec",
     "generate_synthetic", "read_volume", "write_volume",
     "emit_cdf_plot", "emit_lut_plot", "write_cdf_csv", "read_cdf_csv",
-    "save_lut", "load_lut",
+    "write_lut_csv", "save_lut", "load_lut",
 ]

@@ -17,14 +17,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .cdf import build_cdf
 from .errors import CdfMatchError, UsageError
 from .fit import FitConfig
 from .io import (SynthSpec, emit_cdf_plot, emit_lut_plot, generate_synthetic,
-                 load_lut, read_volume, save_lut, write_cdf_csv, write_volume)
+                 load_lut, read_volume, save_lut, write_cdf_csv, write_lut_csv,
+                 write_volume)
 from .pipeline import (ALL_METHODS, METHOD_CDF_MATCH, METHOD_PERCENTILE_STRETCH,
                        METHOD_ZSCORE, HarmonizeOptions, evaluate_cohort,
                        harmonize)
@@ -144,10 +143,14 @@ def _resolve_config(args) -> AppConfig:
         cfg = replace(cfg, controls=_load_controls_file(args.controls))
     if getattr(args, "clip", None):
         cfg = replace(cfg, clip=_parse_clip(args.clip))
-    if getattr(args, "grid_size", None):
+    if getattr(args, "grid_size", None) is not None:
         cfg = replace(cfg, grid_size=args.grid_size)
-    if getattr(args, "workers", None):
+    if getattr(args, "workers", None) is not None:
         cfg = replace(cfg, workers=args.workers)
+    if cfg.grid_size < 2:
+        raise UsageError(f"grid_size must be at least 2, got {cfg.grid_size}")
+    if cfg.workers < 1:
+        raise UsageError(f"workers must be at least 1, got {cfg.workers}")
     if getattr(args, "log_level", None):
         cfg = replace(cfg, log_level=args.log_level)
     # the config file may lower or raise verbosity; flags already applied
@@ -215,13 +218,9 @@ def _cmd_harmonize(args) -> int:
         return item
 
     items, failures = [], []
-    # results are merged in input order regardless of completion order
-    if cfg.workers > 1 and len(inputs) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            futures = [pool.submit(_capture, process, p) for p in inputs]
-            outcomes = [f.result() for f in futures]
-    else:
-        outcomes = [_capture(process, p) for p in inputs]
+    # one worker is the serial case; results merge in input order
+    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+        outcomes = list(pool.map(lambda p: _capture(process, p), inputs))
 
     for path, (item, error) in zip(inputs, outcomes):
         if item is not None:
@@ -270,12 +269,10 @@ def _cmd_inspect(args) -> int:
             emit_cdf_plot([(label, cdf)], args.plot,
                           style={"title": f"CDF of {Path(args.cdf).name}"})
     else:
+        if args.points < 2:
+            raise UsageError(f"--points must be at least 2, got {args.points}")
         lut = load_lut(args.lut)
-        xs = np.linspace(lut.domain[0], lut.domain[1], args.points)
-        ys = np.asarray(lut.apply(xs))
-        lines = ["input,output"]
-        lines.extend(f"{float(x)!r},{float(y)!r}" for x, y in zip(xs, ys))
-        Path(args.out).write_text("\n".join(lines) + "\n")
+        write_lut_csv(lut, args.out, args.points)
         if args.plot:
             emit_lut_plot(lut, args.plot, points=args.points,
                           style={"title": f"Mapping {Path(args.lut).name}"})
@@ -319,8 +316,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_config_flags(parser):
     parser.add_argument("--config", help="JSON config file with shared defaults")
-    parser.add_argument("--grid-size", type=int, help="CDF grid size")
-    parser.add_argument("--workers", type=int, help="worker threads for batches")
+    parser.add_argument("--grid-size", type=int, help="CDF grid size (at least 2)")
+    parser.add_argument("--workers", type=int, help="worker threads for batches (at least 1)")
     parser.add_argument("--log-level", choices=["debug", "info", "warning", "error"],
                         help="diagnostic verbosity (stderr)")
 

@@ -41,10 +41,6 @@ class Infeasible(CdfMatchError):
     """Control intensities are not achievable within the scale-factor bounds."""
 
 
-class ChannelMismatch(CdfMatchError):
-    """An input channel has no matching template channel."""
-
-
 class BadSpec(CdfMatchError):
     """Synthetic-volume specification violates its invariants."""
 

@@ -18,8 +18,7 @@ from scipy.optimize import lsq_linear, minimize
 
 from .cdf import EmpiricalCdf, quantile
 from .errors import DegenerateCdf, Infeasible
-from .transform import (DualScaleParams, PivotTriple, TailSpec, blend,
-                        lut_bottom_tail, lut_top_tail)
+from .transform import DualScaleParams, PivotTriple, TailSpec, blend
 
 if TYPE_CHECKING:  # pragma: no cover
     from .template import ControlPoints, TemplateCdf
@@ -115,11 +114,6 @@ class FitResult:
         return {"params": self.params.to_dict(), "residual": self.residual,
                 "iterations": self.iterations, "converged": self.converged}
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "FitResult":
-        return cls(DualScaleParams.from_dict(doc["params"]), doc["residual"],
-                   doc["iterations"], doc["converged"])
-
 
 def _control_percentiles(controls: "ControlPoints") -> np.ndarray:
     return np.array([controls.p_B, controls.p_M, controls.p_T], dtype=np.float64)
@@ -173,13 +167,7 @@ def fit_cdf(image_cdf: EmpiricalCdf, template: "TemplateCdf",
         s_t = sigma_ref * np.exp(theta[1])
         gamma = anchors[1] + theta[2] * span
         y = dq * (s_t + b * (s_b - s_t)) + gamma
-        if tails is not None:
-            if tails.enabled_top:
-                y = np.asarray(lut_top_tail(y, tails.v_T, tails.v_max, tails.v_clipT))
-            if tails.enabled_bottom:
-                y = np.asarray(lut_bottom_tail(y, tails.v_B, tails.v_min,
-                                               tails.v_clipB, tails.v_max))
-        return y
+        return y if tails is None else tails.apply(y)
 
     def objective(theta: np.ndarray) -> float:
         r = (predicted(theta) - qt) / span

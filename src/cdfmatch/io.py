@@ -349,6 +349,27 @@ def load_lut(path) -> IntensityLut:
     return IntensityLut.from_dict(doc)
 
 
+def _sample_lut(lut: IntensityLut, points: int) -> tuple[np.ndarray, np.ndarray]:
+    if points < 2:
+        raise ValueError("need at least two sample points")
+    xs = np.linspace(lut.domain[0], lut.domain[1], points)
+    return xs, np.asarray(lut.apply(xs))
+
+
+def write_lut_csv(lut: IntensityLut, path, points: int = 512) -> Path:
+    """Write a mapping at ``points`` evenly spaced inputs across its domain
+    as two-column CSV (input, output)."""
+    xs, ys = _sample_lut(lut, points)
+    path = Path(path)
+    lines = ["input,output"]
+    lines.extend(f"{float(x)!r},{float(y)!r}" for x, y in zip(xs, ys))
+    try:
+        path.write_text("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise IoError(f"cannot write LUT CSV to {path}: {exc}") from exc
+    return path
+
+
 # ---------------------------------------------------------------------------
 # SVG emission
 
@@ -474,20 +495,14 @@ def emit_cdf_plot(cdfs, path, style: dict | None = None, markers=()) -> Path:
 def emit_lut_plot(lut: IntensityLut, path, points: int = 512,
                   style: dict | None = None) -> Path:
     """Write a LUT mapping as an SVG line plot plus an (input, output) CSV."""
-    if points < 2:
-        raise ValueError("need at least two sample points")
-    xs = np.linspace(lut.domain[0], lut.domain[1], points)
-    ys = np.asarray(lut.apply(xs))
+    xs, ys = _sample_lut(lut, points)
     s = {"y_label": "mapped intensity", "x_label": "input intensity"}
     s.update(style or {})
     svg = _render_line_svg([("mapping", xs, ys)], s)
     path = Path(path)
-    csv_path = _companion_csv_path(path)
     try:
         path.write_text(svg)
-        lines = ["input,output"]
-        lines.extend(f"{float(x)!r},{float(y)!r}" for x, y in zip(xs, ys))
-        csv_path.write_text("\n".join(lines) + "\n")
     except OSError as exc:
         raise IoError(f"cannot write LUT plot to {path}: {exc}") from exc
+    write_lut_csv(lut, _companion_csv_path(path), points)
     return path

@@ -1,5 +1,4 @@
-"""Harmonization orchestration: single volumes, multi-channel exams, batches,
-and the baseline comparison harness.
+"""Single-volume harmonization and the baseline comparison harness.
 
 The per-volume recipe is: estimate the image CDF, fit the dual-scaling
 parameters against the template, compose the monotone mapping (with tail
@@ -13,14 +12,13 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cdf import (DEFAULT_GRID_SIZE, Volume, build_cdf, ks_distance, quantile,
                   zscore_standardize)
-from .errors import ChannelMismatch, DegenerateConstant, EmptyInput
+from .errors import DegenerateConstant, EmptyInput
 from .fit import FitConfig, FitResult, fit_cdf
 from .template import TemplateCdf
 from .transform import (DualScaleParams, IntensityLut, TailSpec, apply_lut,
@@ -78,37 +76,6 @@ class ChannelReport:
         if include_timing:
             doc["wall_time_s"] = self.wall_time_s
         return doc
-
-
-@dataclass(frozen=True)
-class HarmonizeJob:
-    """A multi-channel exam: one input volume per channel plus its templates."""
-
-    inputs: tuple
-    templates: tuple
-    options: HarmonizeOptions = field(default_factory=HarmonizeOptions)
-
-    def __post_init__(self):
-        object.__setattr__(self, "inputs", tuple(self.inputs))
-        object.__setattr__(self, "templates", tuple(self.templates))
-        available = {t.channel for t in self.templates}
-        for vol in self.inputs:
-            if vol.channel not in available:
-                raise ChannelMismatch(
-                    f"no template for channel {vol.channel!r} "
-                    f"(have {sorted(available)})")
-
-
-@dataclass(frozen=True)
-class HarmonizeReport:
-    """Aggregated per-channel reports plus the configuration hash."""
-
-    entries: tuple
-    config_hash: str
-
-    def to_dict(self, include_timing: bool = False) -> dict:
-        return {"config_hash": self.config_hash,
-                "entries": [e.to_dict(include_timing) for e in self.entries]}
 
 
 def _frozen_fit(image_cdf, template, params: DualScaleParams,
@@ -203,32 +170,6 @@ def harmonize(vol: Volume, template: TemplateCdf,
     entry = ChannelReport(vol.channel, fit, pre_ks, post_ks, lut,
                           wall_time_s=time.perf_counter() - started)
     return out, entry
-
-
-def harmonize_exam(job: HarmonizeJob) -> tuple[list[Volume], HarmonizeReport]:
-    """Harmonize every channel of an exam against its own template."""
-    by_channel = {t.channel: t for t in job.templates}
-    outputs, entries = [], []
-    for vol in job.inputs:
-        out, entry = harmonize(vol, by_channel[vol.channel], job.options)
-        outputs.append(out)
-        entries.append(entry)
-    return outputs, HarmonizeReport(tuple(entries), job.options.hash())
-
-
-def harmonize_batch(volumes, template: TemplateCdf,
-                    options: HarmonizeOptions | None = None,
-                    workers: int = 1) -> list[tuple[Volume, ChannelReport]]:
-    """Harmonize independent volumes, optionally across a thread pool.
-
-    Results come back in input order regardless of completion order.
-    """
-    volumes = list(volumes)
-    options = options or HarmonizeOptions()
-    if workers <= 1 or len(volumes) <= 1:
-        return [harmonize(v, template, options) for v in volumes]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda v: harmonize(v, template, options), volumes))
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,15 @@ class TailSpec:
     def from_dict(cls, doc: dict) -> "TailSpec":
         return cls(**doc)
 
+    def apply(self, y: np.ndarray) -> np.ndarray:
+        """Squeeze the enabled tails of dual-scaled intensities: top, then bottom."""
+        if self.enabled_top:
+            y = np.asarray(lut_top_tail(y, self.v_T, self.v_max, self.v_clipT))
+        if self.enabled_bottom:
+            y = np.asarray(lut_bottom_tail(y, self.v_B, self.v_min, self.v_clipB,
+                                           self.v_max))
+        return y
+
 
 def blend(x, pivots: PivotTriple) -> "float | np.ndarray":
     """Sigmoidal blending weight: near 1 at the bottom pivot, near 0 at the top.
@@ -240,12 +249,7 @@ class IntensityLut:
     def apply(self, x) -> "float | np.ndarray":
         """Map intensities through the composed transform (scalar or array)."""
         xv = np.clip(np.asarray(x, dtype=np.float64), self.domain[0], self.domain[1])
-        y = np.asarray(lut_ds(xv, self.params))
-        t = self.tails
-        if t.enabled_top:
-            y = np.asarray(lut_top_tail(y, t.v_T, t.v_max, t.v_clipT))
-        if t.enabled_bottom:
-            y = np.asarray(lut_bottom_tail(y, t.v_B, t.v_min, t.v_clipB, t.v_max))
+        y = self.tails.apply(np.asarray(lut_ds(xv, self.params)))
         if self.clip is not None:
             y = np.clip(y, self.clip[0], self.clip[1])
         return _match_scalar(y, x)
@@ -281,7 +285,7 @@ def apply_lut(vol: Volume, lut: IntensityLut, preserve_background: bool = True) 
     Values outside the LUT domain clamp to the domain ends before mapping;
     background voxels are copied through untouched when requested.
     """
-    out = np.asarray(lut.apply(vol.voxels), dtype=np.float64).copy()
+    out = np.asarray(lut.apply(vol.voxels), dtype=np.float64)
     if preserve_background:
         mask = vol.voxels == vol.background_value
         out[mask] = vol.background_value

@@ -142,14 +142,23 @@ class TestHarmonizeCommand:
             assert p1.read_bytes() == p2.read_bytes(), p1.name
 
     def test_workers_do_not_change_outputs(self, workspace, tmp_path):
-        base, multi = tmp_path / "w1", tmp_path / "w4"
         tpl = str(workspace / "t2.template.json")
-        assert run(["harmonize", "--template", tpl, "--in", str(workspace / "raw"),
-                    "--out", str(base)]) == 0
-        assert run(["harmonize", "--template", tpl, "--in", str(workspace / "raw"),
-                    "--out", str(multi), "--workers", "4"]) == 0
-        for p1 in sorted(base.glob("*.raw")):
-            assert p1.read_bytes() == (multi / p1.name).read_bytes()
+        for workers in ("1", "4"):
+            assert run(["harmonize", "--template", tpl, "--in", str(workspace / "raw"),
+                        "--out", str(tmp_path / f"w{workers}"),
+                        "--report", str(tmp_path / f"r{workers}.json"),
+                        "--workers", workers]) == 0
+        base, multi = tmp_path / "w1", tmp_path / "w4"
+        names = sorted(p.name for p in base.iterdir())
+        assert names == sorted(p.name for p in multi.iterdir())
+        assert len(names) == 9 * 4  # payload, header, LUT and meta per item
+        for name in names:
+            assert (base / name).read_bytes() == (multi / name).read_bytes(), name
+        # the report echoes the worker count and is otherwise identical
+        rep1 = (tmp_path / "r1.json").read_text()
+        rep4 = (tmp_path / "r4.json").read_text()
+        assert rep4.count('"workers": 4') == 1
+        assert rep4.replace('"workers": 4', '"workers": 1') == rep1
 
     def test_best_effort_continues_past_bad_volume(self, workspace, tmp_path):
         raw = tmp_path / "mixed"
@@ -176,6 +185,49 @@ class TestHarmonizeCommand:
         assert len(doc["items"]) == 1
         assert len(doc["failures"]) == 1
         assert doc["failures"][0]["input"] == "bad.raw"
+
+    def test_best_effort_pool_keeps_input_order(self, workspace, tmp_path):
+        raw = tmp_path / "mixed"
+        raw.mkdir()
+        header = json.dumps({"dims": [16, 16, 16], "dtype": "f32", "channel": "T2",
+                             "background_value": 0.0, "endianness": "little"})
+        for name in ("a", "c"):
+            (raw / f"{name}.raw").write_bytes(b"\x00" * 10)
+            (raw / f"{name}.raw.json").write_text(header)
+        for i, name in enumerate(("b", "d", "e")):
+            for suffix in (".raw", ".raw.json"):
+                src = workspace / "raw" / f"vol{i}{suffix}"
+                (raw / f"{name}{suffix}").write_bytes(src.read_bytes())
+        report = tmp_path / "rep.json"
+        code = run(["harmonize", "--template", str(workspace / "t2.template.json"),
+                    "--in", str(raw), "--out", str(tmp_path / "out"),
+                    "--report", str(report), "--best-effort", "--workers", "2"])
+        assert code == 2
+        doc = json.loads(report.read_text())
+        assert [item["input"] for item in doc["items"]] == ["b.raw", "d.raw", "e.raw"]
+        assert [f["input"] for f in doc["failures"]] == ["a.raw", "c.raw"]
+
+    @pytest.mark.parametrize("flags, config", [
+        (["--workers", "0"], None),
+        (["--workers", "-3"], None),
+        (["--grid-size", "0"], None),
+        (["--grid-size", "1"], None),
+        (["--grid-size", "1", "--best-effort"], None),
+        ([], {"workers": 0}),
+        ([], {"grid_size": 1}),
+    ])
+    def test_out_of_range_workers_and_grid_size(self, workspace, tmp_path, capsys,
+                                                flags, config):
+        if config is not None:
+            cfg = tmp_path / "config.json"
+            cfg.write_text(json.dumps(config))
+            flags = flags + ["--config", str(cfg)]
+        out_dir = tmp_path / "out"
+        assert run(["harmonize", "--template", str(workspace / "t2.template.json"),
+                    "--in", str(workspace / "raw"), "--out", str(out_dir)]
+                   + flags) == 64
+        assert "must be at least" in capsys.readouterr().err
+        assert not out_dir.exists()
 
 
 class TestInspect:
@@ -213,6 +265,9 @@ class TestInspect:
         assert len(rows) == 65
         outputs = [float(r.split(",")[1]) for r in rows[1:]]
         assert outputs == sorted(outputs)
+        assert out.read_bytes() == (tmp_path / "map.svg.csv").read_bytes()
+        assert run(["inspect", "--lut", str(lut_path), "--out", str(out),
+                    "--points", "1"]) == 64
 
     def test_inspection_is_deterministic(self, workspace, tmp_path):
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"

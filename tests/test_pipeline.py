@@ -1,14 +1,13 @@
-"""Tests for the harmonization pipeline, exams, and the baseline harness."""
+"""Tests for the harmonization pipeline and the baseline harness."""
 
 import numpy as np
 import pytest
 
 from cdfmatch import (METHOD_CDF_MATCH, METHOD_PERCENTILE_STRETCH,
-                      METHOD_ZSCORE, HarmonizeJob, HarmonizeOptions,
-                      build_cdf, evaluate_cohort, generate_synthetic,
-                      harmonize, harmonize_batch, harmonize_exam,
+                      METHOD_ZSCORE, HarmonizeOptions, build_cdf,
+                      evaluate_cohort, generate_synthetic, harmonize,
                       percentile_stretch, quantile, zscore_standardize)
-from cdfmatch.errors import ChannelMismatch, EmptyInput
+from cdfmatch.errors import EmptyInput
 
 from conftest import (sample_from_cdf, scanner_cohort, scanner_effect,
                       t2_spec, volume_from_values)
@@ -156,69 +155,6 @@ class TestInvariances:
             out, _ = harmonize(perturbed, template_12bit)
             q = np.asarray(quantile(build_cdf(out), grid))
             assert np.abs(q - q0).max() < 0.01 * clip_span
-
-
-@pytest.fixture(scope="module")
-def channel_templates():
-    from cdfmatch import build_template
-    templates = []
-    for offset, channel in ((0, "FLAIR"), (20, "T2"), (40, "T1ce")):
-        cohort = [generate_synthetic(t2_spec(700 + offset + i, channel=channel,
-                                             scanner=scanner_effect(i)))
-                  for i in range(3)]
-        templates.append(build_template(cohort, channel=channel))
-    return templates
-
-
-class TestHarmonizeExam:
-
-    def test_three_channel_job_shares_the_clip_range(self, channel_templates):
-        inputs = []
-        for i, channel in enumerate(("FLAIR", "T2", "T1ce")):
-            vol = generate_synthetic(t2_spec(800 + i, channel=channel,
-                                             scanner=scanner_effect(i)))
-            inputs.append(vol)
-        job = HarmonizeJob(inputs, channel_templates)
-        outputs, report = harmonize_exam(job)
-        assert len(outputs) == 3 and len(report.entries) == 3
-        for out in outputs:
-            fg = out.foreground()
-            assert fg.min() >= 1.0 and fg.max() <= 4095.0
-
-    def test_single_channel_job_equals_harmonize(self, channel_templates):
-        vol = generate_synthetic(t2_spec(810, channel="T2"))
-        template = next(t for t in channel_templates if t.channel == "T2")
-        job = HarmonizeJob([vol], channel_templates)
-        outputs, report = harmonize_exam(job)
-        direct, entry = harmonize(vol, template)
-        assert np.array_equal(outputs[0].voxels, direct.voxels)
-        assert report.entries[0].fit.params == entry.fit.params
-
-    def test_missing_template_channel(self, channel_templates):
-        vol = generate_synthetic(t2_spec(811, channel="DTI"))
-        with pytest.raises(ChannelMismatch):
-            HarmonizeJob([vol], channel_templates)
-
-    def test_report_serializes_without_timing(self, channel_templates):
-        vol = generate_synthetic(t2_spec(812, channel="T2"))
-        job = HarmonizeJob([vol], channel_templates)
-        _, report = harmonize_exam(job)
-        doc = report.to_dict()
-        assert set(doc) == {"config_hash", "entries"}
-        assert "wall_time_s" not in doc["entries"][0]
-        assert doc["config_hash"] == job.options.hash()
-        timed = report.to_dict(include_timing=True)
-        assert timed["entries"][0]["wall_time_s"] > 0.0
-
-
-class TestBatch:
-    def test_worker_pool_matches_sequential(self, template_12bit):
-        volumes = scanner_cohort(4, seed0=900)
-        seq = harmonize_batch(volumes, template_12bit, workers=1)
-        par = harmonize_batch(volumes, template_12bit, workers=3)
-        for (v_a, e_a), (v_b, e_b) in zip(seq, par):
-            assert np.array_equal(v_a.voxels, v_b.voxels)
-            assert e_a.fit.params == e_b.fit.params
 
 
 class TestBaselines:
