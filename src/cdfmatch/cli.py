@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import __version__
 from .cdf import build_cdf
-from .errors import CdfMatchError, UsageError
+from .errors import CdfMatchError, IoError, UsageError
 from .fit import FitConfig
 from .io import (SynthSpec, emit_cdf_plot, emit_lut_plot, generate_synthetic,
                  load_lut, read_volume, save_lut, write_cdf_csv, write_lut_csv,
@@ -190,10 +190,11 @@ def _cmd_template(args) -> int:
 
 def _cmd_harmonize(args) -> int:
     cfg = _resolve_config(args)
+    report_path = Path(args.report) if args.report else None
+    if report_path is not None and not report_path.parent.is_dir():
+        raise UsageError(f"report directory {report_path.parent} does not exist")
     template = load_template(args.template)
-    options = HarmonizeOptions(fit=cfg.fit, grid_size=cfg.grid_size,
-                               preserve_background=args.preserve_background,
-                               bits=args.bits)
+    options = HarmonizeOptions(fit=cfg.fit, grid_size=cfg.grid_size, bits=args.bits)
     inputs = _discover_inputs(args.input)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -232,11 +233,14 @@ def _cmd_harmonize(args) -> int:
                 return EXIT_FAILURE
             log.warning("continuing past %s: %s", path.name, error)
 
-    if args.report:
+    if report_path is not None:
         report = {"version": 1, "config": cfg.to_dict(),
                   "config_hash": options.hash(), "items": items,
                   "failures": failures}
-        Path(args.report).write_text(json.dumps(report, sort_keys=True, indent=1) + "\n")
+        try:
+            report_path.write_text(json.dumps(report, sort_keys=True, indent=1) + "\n")
+        except OSError as exc:
+            raise IoError(f"cannot write report to {report_path}: {exc}") from exc
     return EXIT_PARTIAL if failures else EXIT_OK
 
 
@@ -350,8 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_harm.add_argument("--out", required=True, help="output directory")
     p_harm.add_argument("--report", help="write a JSON report here")
     p_harm.add_argument("--bits", type=int, help="quantize outputs to this bit depth")
-    p_harm.add_argument("--preserve-background", action=argparse.BooleanOptionalAction,
-                        default=True, help="copy background voxels through unchanged")
     p_harm.add_argument("--best-effort", action="store_true",
                         help="continue past per-item failures (exit 2)")
     p_harm.add_argument("--dtype", choices=["u8", "u16", "i16", "f32"],

@@ -12,7 +12,6 @@ import csv
 import json
 import math
 import os
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from xml.sax.saxutils import escape
@@ -40,12 +39,11 @@ def _header_path(path) -> Path:
     return Path(str(path) + ".json")
 
 
-def write_volume(vol: Volume, path, dtype: str = "f32", clamp: bool = False) -> Path:
+def write_volume(vol: Volume, path, dtype: str = "f32") -> Path:
     """Write voxels as a little-endian raw payload plus a JSON header sidecar.
 
     Integer dtypes round to the nearest integer first.  Values outside the
-    target dtype raise Overflow unless ``clamp`` is set, in which case they
-    are clamped with a warning.
+    target dtype raise Overflow.
     """
     if dtype not in _DTYPES:
         raise ValueError(f"unknown dtype {dtype!r}, expected one of {sorted(_DTYPES)}")
@@ -55,20 +53,13 @@ def write_volume(vol: Volume, path, dtype: str = "f32", clamp: bool = False) -> 
         info = np.iinfo(dt)
         data = np.rint(vox)
         if data.min() < info.min or data.max() > info.max:
-            if not clamp:
-                raise Overflow(
-                    f"values [{vox.min():.6g}, {vox.max():.6g}] do not fit {dtype}")
-            warnings.warn(f"clamping voxels into the {dtype} range "
-                          f"[{info.min}, {info.max}]", stacklevel=2)
-            data = np.clip(data, info.min, info.max)
+            raise Overflow(
+                f"values [{vox.min():.6g}, {vox.max():.6g}] do not fit {dtype}")
     else:
         limit = float(np.finfo(dt).max)
         data = vox
         if np.abs(vox).max() > limit:
-            if not clamp:
-                raise Overflow(f"values exceed the {dtype} range (+/-{limit:.4g})")
-            warnings.warn(f"clamping voxels into the {dtype} range", stacklevel=2)
-            data = np.clip(vox, -limit, limit)
+            raise Overflow(f"values exceed the {dtype} range (+/-{limit:.4g})")
     payload = data.astype(dt)
     header = {"dims": list(vol.dims), "dtype": dtype, "channel": vol.channel,
               "background_value": vol.background_value, "endianness": "little"}

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cdf import (DEFAULT_GRID_SIZE, Volume, build_cdf, ks_distance, quantile,
+from .cdf import (DEFAULT_GRID_SIZE, Volume, build_cdf, ks_distance,
                   zscore_standardize)
 from .errors import DegenerateConstant, EmptyInput
 from .fit import FitConfig, FitResult, fit_cdf
@@ -36,21 +36,12 @@ class HarmonizeOptions:
 
     fit: FitConfig = field(default_factory=FitConfig)
     grid_size: int = DEFAULT_GRID_SIZE
-    exclude_background: bool = True
-    preserve_background: bool = True
-    clip_outputs: bool = True
     bits: int | None = None
-    frozen_params: DualScaleParams | None = None
 
     def to_dict(self) -> dict:
         return {"fit": self.fit.to_dict(),
                 "grid_size": int(self.grid_size),
-                "exclude_background": self.exclude_background,
-                "preserve_background": self.preserve_background,
-                "clip_outputs": self.clip_outputs,
-                "bits": self.bits,
-                "frozen_params": (self.frozen_params.to_dict()
-                                  if self.frozen_params is not None else None)}
+                "bits": self.bits}
 
     def hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
@@ -76,15 +67,6 @@ class ChannelReport:
         if include_timing:
             doc["wall_time_s"] = self.wall_time_s
         return doc
-
-
-def _frozen_fit(image_cdf, template, params: DualScaleParams,
-                config: FitConfig) -> FitResult:
-    grid = config.percentile_grid
-    qi = np.asarray(quantile(image_cdf, grid))
-    qt = np.asarray(quantile(template.cdf, grid))
-    residual = float(np.sqrt(np.mean((np.asarray(lut_ds(qi, params)) - qt) ** 2)))
-    return FitResult(params, residual, iterations=0, converged=True)
 
 
 # erf tail shrinking is built for long overshoots; below this fraction of
@@ -125,9 +107,12 @@ def _quantize(vol: Volume, template: TemplateCdf, bits: int) -> Volume:
         lo, hi = template.clip
     else:
         lo, hi = 0.0, float(2 ** bits - 1)
+    bg = vol.background_value
     vox = np.rint(np.clip(vol.voxels, lo, hi))  # ties round to even
-    mask = vol.voxels == vol.background_value
-    vox[mask] = vol.background_value
+    # a foreground voxel rounded onto the background value would become
+    # background; the next level away keeps the output non-decreasing
+    vox[vox == bg] = bg + 1.0 if bg + 1.0 <= hi else bg - 1.0
+    vox[vol.voxels == bg] = bg
     return vol.with_voxels(vox)
 
 
@@ -135,37 +120,28 @@ def harmonize(vol: Volume, template: TemplateCdf,
               options: HarmonizeOptions | None = None) -> tuple[Volume, ChannelReport]:
     """Harmonize one volume against a template.
 
-    Steps: image CDF -> parameter fit -> composed monotone LUT (tails toward
-    the template clip range) -> voxel-wise mapping -> optional integer
-    quantization.  Never emits a non-monotone mapping: composition fails
-    loudly instead.
+    Steps: foreground CDF -> parameter fit -> composed monotone LUT (tails
+    toward the template clip range, when it has one) -> voxel-wise mapping
+    with background copied through -> optional integer quantization.  Never
+    emits a non-monotone mapping: composition fails loudly instead.
     """
     options = options or HarmonizeOptions()
     started = time.perf_counter()
-    image_cdf = build_cdf(vol, exclude_background=options.exclude_background,
-                          grid_size=options.grid_size)
+    image_cdf = build_cdf(vol, grid_size=options.grid_size)
     pre_ks = ks_distance(image_cdf, template.cdf)
-    if options.frozen_params is not None:
-        fit = _frozen_fit(image_cdf, template, options.frozen_params, options.fit)
-    else:
-        fit = fit_cdf(image_cdf, template, options.fit)
+    fit = fit_cdf(image_cdf, template, options.fit)
     domain = image_cdf.support
-    if options.clip_outputs and template.clip is not None:
-        tails = _template_tails(fit.params, template, domain)
-        if ((tails.enabled_top or tails.enabled_bottom)
-                and options.frozen_params is None):
-            # refine against the composed map so the squeeze does not push
-            # already-matched quantiles away from the template
-            fit = fit_cdf(image_cdf, template, options.fit, tails=tails,
-                          initial=fit.params)
-        lut = compose_lut(fit.params, tails, domain, clip=template.clip)
-    else:
-        lut = compose_lut(fit.params, TailSpec.disabled(), domain)
-    out = apply_lut(vol, lut, preserve_background=options.preserve_background)
+    tails = _template_tails(fit.params, template, domain)
+    if tails.enabled_top or tails.enabled_bottom:
+        # refine against the composed map so the squeeze does not push
+        # already-matched quantiles away from the template
+        fit = fit_cdf(image_cdf, template, options.fit, tails=tails,
+                      initial=fit.params)
+    lut = compose_lut(fit.params, tails, domain, clip=template.clip)
+    out = apply_lut(vol, lut)
     if options.bits is not None:
         out = _quantize(out, template, options.bits)
-    post_cdf = build_cdf(out, exclude_background=options.exclude_background,
-                         grid_size=options.grid_size)
+    post_cdf = build_cdf(out, grid_size=options.grid_size)
     post_ks = ks_distance(post_cdf, template.cdf)
     entry = ChannelReport(vol.channel, fit, pre_ks, post_ks, lut,
                           wall_time_s=time.perf_counter() - started)
@@ -251,8 +227,7 @@ def evaluate_cohort(volumes, template: TemplateCdf, methods=ALL_METHODS,
     rows = []
     for method in methods:
         outs = [_apply_method(v, method, template, options) for v in volumes]
-        cdfs = [build_cdf(o, exclude_background=options.exclude_background,
-                          grid_size=options.grid_size) for o in outs]
+        cdfs = [build_cdf(o, grid_size=options.grid_size) for o in outs]
         pairs = [ks_distance(cdfs[i], cdfs[j])
                  for i in range(len(cdfs)) for j in range(i + 1, len(cdfs))]
         ks_to_template = None

@@ -17,7 +17,8 @@ import numpy as np
 
 from .cdf import (DEFAULT_GRID_SIZE, EmpiricalCdf, average_cdfs, build_cdf,
                   quantile, zscore_standardize)
-from .errors import BadTailSpec, EmptyCohort, IoError, NonMonotone, SchemaMismatch
+from .errors import (BadTailSpec, EmptyCohort, Infeasible, IoError, NonMonotone,
+                     SchemaMismatch)
 from .fit import FitConfig, fit_template_to_controls
 from .transform import lut_bottom_tail, lut_ds, lut_top_tail
 
@@ -197,7 +198,10 @@ def build_template(cohort, controls: ControlPoints = DEFAULT_CONTROLS,
     if channel is None:
         channel = cohort[0].channel
     template_cdf = EmpiricalCdf(xs, avg.ps, n_samples=avg.n_samples)
-    return TemplateCdf(template_cdf, controls, clip, channel, provenance)
+    try:
+        return TemplateCdf(template_cdf, controls, clip, channel, provenance)
+    except ValueError as exc:
+        raise Infeasible(f"cannot build a template from this cohort: {exc}") from exc
 
 
 def save_template(template: TemplateCdf, path) -> Path:

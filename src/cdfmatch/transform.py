@@ -279,14 +279,12 @@ def compose_lut(params: DualScaleParams, tails: TailSpec,
     return IntensityLut(params, tails, domain, clip=clip)
 
 
-def apply_lut(vol: Volume, lut: IntensityLut, preserve_background: bool = True) -> Volume:
+def apply_lut(vol: Volume, lut: IntensityLut) -> Volume:
     """Voxel-wise application of a composed mapping.
 
     Values outside the LUT domain clamp to the domain ends before mapping;
-    background voxels are copied through untouched when requested.
+    background voxels are copied through untouched.
     """
     out = np.asarray(lut.apply(vol.voxels), dtype=np.float64)
-    if preserve_background:
-        mask = vol.voxels == vol.background_value
-        out[mask] = vol.background_value
+    out[vol.voxels == vol.background_value] = vol.background_value
     return vol.with_voxels(out)

@@ -62,3 +62,9 @@ def template_12bit():
     """Template from 9 heterogeneous T2-like volumes, published 12-bit config."""
     cohort = scanner_cohort(9)
     return build_template(cohort)
+
+
+@pytest.fixture(scope="session")
+def template_unclipped():
+    """Template from 3 heterogeneous T2-like volumes with no clip range."""
+    return build_template(scanner_cohort(3, seed0=960), clip=None)

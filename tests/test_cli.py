@@ -5,10 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from cdfmatch import read_volume
+from cdfmatch import generate_synthetic, read_volume, write_volume
 from cdfmatch.cli import run
 
-from conftest import T2_COMPONENTS, scanner_effect
+from conftest import T2_COMPONENTS, scanner_effect, t2_spec
 
 
 def synth_spec_doc(seed: int, effect=None) -> dict:
@@ -64,6 +64,25 @@ class TestUsage:
     def test_missing_input_file(self, tmp_path):
         assert run(["harmonize", "--template", str(tmp_path / "no.json"),
                     "--in", str(tmp_path), "--out", str(tmp_path / "o")]) in (1, 64)
+
+
+class TestTemplateCommand:
+    def test_unreachable_controls_fail_without_traceback(self, tmp_path, capsys):
+        # one hot pixel per volume stretches the CDF grid past the controls
+        inputs = []
+        for i in range(3):
+            vol = generate_synthetic(t2_spec(440 + i))
+            voxels = np.rint(vol.voxels)
+            voxels[0] = 65535.0
+            path = tmp_path / f"hot{i}.raw"
+            write_volume(vol.with_voxels(voxels), path, dtype="u16")
+            inputs.append(str(path))
+        out = tmp_path / "t.json"
+        assert run(["template", "build", "--out", str(out)] + inputs) == 1
+        err = capsys.readouterr().err
+        assert "cdfmatch: cannot build a template" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestSynth:
@@ -206,6 +225,25 @@ class TestHarmonizeCommand:
         doc = json.loads(report.read_text())
         assert [item["input"] for item in doc["items"]] == ["b.raw", "d.raw", "e.raw"]
         assert [f["input"] for f in doc["failures"]] == ["a.raw", "c.raw"]
+
+    def test_missing_report_directory_is_usage_error(self, workspace, tmp_path,
+                                                     capsys):
+        out_dir = tmp_path / "out"
+        assert run(["harmonize", "--template", str(workspace / "t2.template.json"),
+                    "--in", str(workspace / "raw"), "--out", str(out_dir),
+                    "--report", str(tmp_path / "nodir" / "r.json")]) == 64
+        assert "does not exist" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_unwritable_report_is_io_error(self, workspace, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        report.mkdir()  # a directory where the report file should go
+        assert run(["harmonize", "--template", str(workspace / "t2.template.json"),
+                    "--in", str(workspace / "raw"), "--out", str(tmp_path / "out"),
+                    "--report", str(report)]) == 1
+        err = capsys.readouterr().err
+        assert "cdfmatch: cannot write report" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("flags, config", [
         (["--workers", "0"], None),

@@ -82,13 +82,6 @@ class TestVolumeFiles:
         with pytest.raises(Overflow):
             write_volume(vol, tmp_path / "vol.raw", dtype="u16")
 
-    def test_clamp_mode_warns_and_clips(self, tmp_path):
-        vol = volume_from_values([10.0, 70_000.0])
-        path = tmp_path / "vol.raw"
-        with pytest.warns(UserWarning):
-            write_volume(vol, path, dtype="u16", clamp=True)
-        assert read_volume(path).voxels.tolist() == [10.0, 65_535.0]
-
     def test_unknown_dtype_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_volume(volume_from_values([1.0, 2.0]), tmp_path / "v.raw",
@@ -98,8 +91,6 @@ class TestVolumeFiles:
         vol = volume_from_values([1.0, 1e300])
         with pytest.raises(Overflow):
             write_volume(vol, tmp_path / "v.raw", dtype="f32")
-        with pytest.warns(UserWarning):
-            write_volume(vol, tmp_path / "v.raw", dtype="f32", clamp=True)
 
 
 class TestSynthSpec:

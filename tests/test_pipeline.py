@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdfmatch import (METHOD_CDF_MATCH, METHOD_PERCENTILE_STRETCH,
                       METHOD_ZSCORE, HarmonizeOptions, build_cdf,
@@ -63,14 +65,6 @@ class TestHarmonize:
         assert np.array_equal(fg, np.rint(fg))
         assert fg.min() >= 1.0 and fg.max() <= 4095.0
 
-    def test_frozen_parameters_skip_the_fit(self, template_12bit):
-        vol = generate_synthetic(t2_spec(604))
-        _, fitted = harmonize(vol, template_12bit)
-        opts = HarmonizeOptions(frozen_params=fitted.fit.params)
-        out, entry = harmonize(vol, template_12bit, opts)
-        assert entry.fit.iterations == 0
-        assert entry.fit.params == fitted.fit.params
-
     def test_report_entry_is_serializable_and_stable(self, template_12bit):
         vol = generate_synthetic(t2_spec(605))
         _, a = harmonize(vol, template_12bit)
@@ -80,34 +74,45 @@ class TestHarmonize:
 
 
 class TestClipModes:
-    def test_unclipped_template_skips_tails(self):
-        from cdfmatch import build_template
-        cohort = scanner_cohort(3, seed0=960)
-        template = build_template(cohort, clip=None)
+    def test_unclipped_template_skips_tails(self, template_unclipped):
         vol = generate_synthetic(t2_spec(961, scanner=scanner_effect(4)))
-        out, entry = harmonize(vol, template)
+        out, entry = harmonize(vol, template_unclipped)
         assert not entry.lut.tails.enabled_top
         assert not entry.lut.tails.enabled_bottom
         assert entry.lut.clip is None
         assert entry.post_ks < 0.05
 
-    def test_clip_outputs_false_leaves_range_free(self, template_12bit):
-        vol = generate_synthetic(t2_spec(962, scanner=scanner_effect(6)))
-        out, entry = harmonize(vol, template_12bit,
-                               HarmonizeOptions(clip_outputs=False))
-        assert entry.lut.clip is None
-        # the dual-scaled extremes overshoot the 12-bit range without tails
-        fg = out.foreground()
-        assert fg.max() > 4095.0 or fg.min() < 1.0
+    def test_quantized_foreground_never_becomes_background(self, template_unclipped):
+        # the unclipped 12-bit range starts at the background value, and the
+        # template's low tail maps the darkest voxels below 0.5
+        from dataclasses import replace
+        spec = replace(t2_spec(964, scanner=scanner_effect(1)), background_fraction=0.2)
+        vol = generate_synthetic(spec)
+        out, entry = harmonize(vol, template_unclipped, HarmonizeOptions(bits=12))
+        assert entry.lut.apply(entry.lut.domain[0]) < 0.5
+        assert int((out.voxels == 0.0).sum()) == int((vol.voxels == 0.0).sum())
+        assert out.foreground().min() == 1.0
 
-    def test_non_monotone_frozen_parameters_fail_loudly(self, template_12bit):
-        from cdfmatch import DualScaleParams, PivotTriple
-        from cdfmatch.errors import NonMonotone
-        bad = DualScaleParams(20.0, 0.05, 0.0, PivotTriple(0.0, 50.0, 100.0),
-                              ratio_cap=500.0)
-        vol = generate_synthetic(t2_spec(963))
-        with pytest.raises(NonMonotone):
-            harmonize(vol, template_12bit, HarmonizeOptions(frozen_params=bad))
+
+class TestBackgroundProperties:
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(gain=st.floats(0.25, 4.0), offset=st.floats(-200.0, 200.0),
+           background_fraction=st.floats(0.0, 0.6), clipped=st.booleans())
+    def test_quantized_background_untouched_and_monotone(
+            self, template_12bit, template_unclipped, gain, offset,
+            background_fraction, clipped):
+        template = template_12bit if clipped else template_unclipped
+        base = generate_synthetic(t2_spec(970, dims=(16, 16, 16))).voxels
+        values = gain * base + offset
+        values[:int(background_fraction * values.size)] = 0.0
+        vol = volume_from_values(values, channel="T2")
+        out, _ = harmonize(vol, template, HarmonizeOptions(bits=12))
+        background = vol.voxels == 0.0
+        assert int((out.voxels == 0.0).sum()) == int(background.sum())
+        fg_in, fg_out = vol.voxels[~background], out.voxels[~background]
+        assert (fg_out != 0.0).all()
+        order = np.argsort(fg_in, kind="stable")
+        assert np.diff(fg_out[order]).min() >= 0.0
 
 
 class TestRealisticRegimes:

@@ -8,7 +8,7 @@ import pytest
 from cdfmatch import (ControlPoints, TemplateCdf, build_template,
                       generate_synthetic, harmonize, load_template, quantile,
                       save_template)
-from cdfmatch.errors import BadTailSpec, EmptyCohort, SchemaMismatch
+from cdfmatch.errors import BadTailSpec, EmptyCohort, Infeasible, SchemaMismatch
 from cdfmatch.template import DEFAULT_CONTROLS
 
 from conftest import scanner_cohort, t2_spec
@@ -89,6 +89,16 @@ class TestBuildTemplate:
         t = build_template(cohort, clip=None)
         assert t.clip is None
         assert "tail_source_max" not in t.provenance
+
+    def test_hot_pixel_cohort_fails_as_infeasible(self):
+        cohort = []
+        for i in range(3):
+            vol = generate_synthetic(t2_spec(440 + i))
+            voxels = np.rint(vol.voxels)
+            voxels[0] = 65535.0
+            cohort.append(vol.with_voxels(voxels))
+        with pytest.raises(Infeasible, match="misses control point"):
+            build_template(cohort)
 
     def test_channel_label_priority(self):
         vol = generate_synthetic(t2_spec(403, channel="FLAIR"))

@@ -281,7 +281,7 @@ class TestApplyLut:
                                             v_max=float(values.max())),
                           (float(values[100:].min()), float(values.max())),
                           clip=(1.0, 4095.0))
-        out = apply_lut(vol, lut, preserve_background=True)
+        out = apply_lut(vol, lut)
         fg = out.voxels[vol.voxels != 0.0]
         assert fg.min() >= 1.0 - 1e-9 and fg.max() <= 4095.0
         assert (out.voxels[vol.voxels == 0.0] == 0.0).all()
@@ -290,6 +290,6 @@ class TestApplyLut:
     def test_out_of_domain_values_clamp(self):
         vol = volume_from_values([100.0, 5000.0])
         lut = compose_lut(_identity_params(), TailSpec.disabled(), (500.0, 3300.0))
-        out = apply_lut(vol, lut, preserve_background=False)
+        out = apply_lut(vol, lut)
         assert out.voxels[0] == lut.apply(500.0)
         assert out.voxels[1] == lut.apply(3300.0)
