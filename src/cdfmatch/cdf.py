@@ -8,7 +8,7 @@ closed-form, monotone, and mutually inverse on the grid nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,10 +43,24 @@ class Volume:
     background_value: float = 0.0
 
     def __post_init__(self):
+        self._store(_readonly(self.voxels))
+
+    @classmethod
+    def _owning(cls, dims, voxels: np.ndarray, channel: str,
+                background_value: float) -> "Volume":
+        """Volume around a new float64 array that no caller holds: no copy."""
+        vol = object.__new__(cls)
+        object.__setattr__(vol, "dims", dims)
+        object.__setattr__(vol, "channel", channel)
+        object.__setattr__(vol, "background_value", background_value)
+        voxels.flags.writeable = False
+        vol._store(voxels.ravel())
+        return vol
+
+    def _store(self, vox: np.ndarray) -> None:
         dims = tuple(int(d) for d in self.dims)
         if len(dims) != 3 or any(d < 1 for d in dims):
             raise ValueError(f"dims must be three positive integers, got {self.dims!r}")
-        vox = _readonly(self.voxels)
         n = dims[0] * dims[1] * dims[2]
         if vox.size != n:
             raise ValueError(f"expected {n} voxels for dims {dims}, got {vox.size}")
@@ -67,6 +81,105 @@ class Volume:
     def with_voxels(self, voxels) -> "Volume":
         """Copy of this volume with the same geometry but new voxel values."""
         return Volume(self.dims, voxels, self.channel, self.background_value)
+
+
+# floats hold every integer up to 2**53 exactly
+_EXACT_INTEGER = 2.0 ** 53
+# voxels sampled before the full integer check, so float volumes fail fast
+_INTEGER_PROBE = 4096
+# voxels converted per step of the dense count: small enough to stay in cache
+_COUNT_BLOCK = 1 << 16
+
+
+def _integer_levels(vox: np.ndarray):
+    """Levels, their voxel counts and each voxel's row, for integer-valued
+    voxels; None for any other volume.
+
+    A value range smaller than the voxel count gets a dense table, one level
+    per integer from the minimum to the maximum, some of them unused, counted
+    block by block.  A wider range (a hot pixel in a small volume) sorts
+    instead, so the table never outgrows the volume.
+    """
+    probe = vox[::max(1, vox.size // _INTEGER_PROBE)]
+    if (np.rint(probe) != probe).any():
+        return None
+    lo, hi = float(vox.min()), float(vox.max())
+    if lo < -_EXACT_INTEGER or hi > _EXACT_INTEGER:
+        return None
+    if hi - lo >= vox.size:
+        levels, counts = np.unique(vox, return_counts=True)
+        if (np.rint(levels) != levels).any():
+            return None
+        rows = np.searchsorted(levels, vox)
+        return levels, counts, rows.astype(np.min_scalar_type(levels.size - 1))
+    size = int(hi - lo) + 1
+    counts = np.zeros(size, dtype=np.int64)
+    rows = np.empty(vox.size, dtype=np.min_scalar_type(size - 1))
+    step = max(_COUNT_BLOCK, size)  # a block's bincount costs step + size
+    for start in range(0, vox.size, step):
+        block = vox[start:start + step]
+        ints = block.astype(np.int64)
+        if not np.array_equal(ints, block):
+            return None
+        ints -= int(lo)
+        counts += np.bincount(ints, minlength=size)
+        rows[start:start + step] = ints
+    return lo + np.arange(size, dtype=np.float64), counts, rows
+
+
+@dataclass(frozen=True)
+class IntensityIndex:
+    """A volume's intensities as a table of levels plus each voxel's row in it.
+
+    For an integer-valued volume ``levels`` holds each intensity once,
+    ``counts`` how many voxels have it (a level may be unused) and
+    ``inverse`` every voxel's row, in the narrowest unsigned dtype that fits.
+    Any other volume keeps one level per voxel, with ``counts`` and
+    ``inverse`` None.  Intensity maps are element-wise, so a stage maps
+    ``levels`` alone and :meth:`to_volume` gathers once at the end.
+    """
+
+    dims: tuple[int, int, int]
+    levels: np.ndarray
+    counts: np.ndarray | None
+    inverse: np.ndarray | None
+    channel: str = ""
+    background_value: float = 0.0
+
+    @classmethod
+    def of(cls, vol: "Volume | IntensityIndex") -> "IntensityIndex":
+        """Index of a volume; an index is returned as it is."""
+        if isinstance(vol, IntensityIndex):
+            return vol
+        levels, counts, inverse = _integer_levels(vol.voxels) or (vol.voxels, None, None)
+        return cls(vol.dims, levels, counts, inverse, vol.channel, vol.background_value)
+
+    @property
+    def n_voxels(self) -> int:
+        return (self.levels if self.inverse is None else self.inverse).size
+
+    def with_levels(self, levels: np.ndarray) -> "IntensityIndex":
+        """The same voxels with every level replaced, row for row."""
+        return replace(self, levels=levels)
+
+    def histogram(self, exclude_background: bool = True) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted distinct intensities and how many voxels hold each."""
+        levels, counts = self.levels, self.counts
+        if counts is None:
+            if exclude_background:
+                levels = levels[levels != self.background_value]
+            return np.unique(levels, return_counts=True)
+        keep = counts > 0
+        if exclude_background:
+            keep &= levels != self.background_value
+        # mapped levels may merge, so count by distinct value, not by row
+        distinct, rows = np.unique(levels[keep], return_inverse=True)
+        return distinct, np.bincount(rows, weights=counts[keep]).astype(np.int64)
+
+    def to_volume(self) -> Volume:
+        """The volume these levels describe, built by one gather."""
+        voxels = self.levels if self.inverse is None else self.levels[self.inverse]
+        return Volume._owning(self.dims, voxels, self.channel, self.background_value)
 
 
 @dataclass(frozen=True)
@@ -106,7 +219,7 @@ class EmpiricalCdf:
         return float(self.xs[0]), float(self.xs[-1])
 
 
-def build_cdf(vol: Volume, exclude_background: bool = True,
+def build_cdf(vol: "Volume | IntensityIndex", exclude_background: bool = True,
               grid_size: int = DEFAULT_GRID_SIZE) -> EmpiricalCdf:
     """Estimate the empirical CDF of a volume by sorted-rank interpolation.
 
@@ -114,19 +227,20 @@ def build_cdf(vol: Volume, exclude_background: bool = True,
     heavily quantized inputs; the probability at the maximum is pinned to 1.
     The curve is sampled on a uniform grid of ``grid_size`` points spanning
     the included intensity range.  Deterministic for identical input.
+    ``vol`` is a Volume or its IntensityIndex; an integer-valued volume is
+    counted per level rather than sorted voxel by voxel.
 
     Raises AllBackground when exclusion empties the volume and
     DegenerateConstant when fewer than two distinct intensities remain.
     """
     if grid_size < 2:
         raise ValueError(f"grid_size must be at least 2, got {grid_size}")
-    values = vol.foreground() if exclude_background else vol.voxels
-    if values.size == 0:
+    distinct, counts = IntensityIndex.of(vol).histogram(exclude_background)
+    if distinct.size == 0:
         raise AllBackground("every voxel equals the background value")
-    distinct, counts = np.unique(values, return_counts=True)
     if distinct.size < 2:
         raise DegenerateConstant(f"single distinct intensity {distinct[0]!r}")
-    n = values.size
+    n = int(counts.sum())
     cum = np.cumsum(counts)
     p = (cum - (counts - 1) / 2.0) / n
     p[-1] = 1.0

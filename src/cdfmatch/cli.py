@@ -23,7 +23,7 @@ from .errors import CdfMatchError, IoError, UsageError
 from .fit import FitConfig
 from .io import (SynthSpec, emit_cdf_plot, emit_lut_plot, generate_synthetic,
                  load_lut, read_volume, save_lut, write_cdf_csv, write_lut_csv,
-                 write_volume)
+                 write_text_atomic, write_volume)
 from .pipeline import (ALL_METHODS, METHOD_CDF_MATCH, METHOD_PERCENTILE_STRETCH,
                        METHOD_ZSCORE, HarmonizeOptions, evaluate_cohort,
                        harmonize)
@@ -213,7 +213,7 @@ def _cmd_harmonize(args) -> int:
                 "lut_file": lut_path.name}
         item.update(entry.to_dict())
         meta_path = out_dir / (path.stem + ".meta.json")
-        meta_path.write_text(json.dumps(item, sort_keys=True, indent=1) + "\n")
+        write_text_atomic(meta_path, json.dumps(item, sort_keys=True, indent=1) + "\n")
         if not entry.fit.converged:
             raise NoConvergence(f"fit did not converge for {path.name}", item)
         return item
@@ -238,7 +238,7 @@ def _cmd_harmonize(args) -> int:
                   "config_hash": options.hash(), "items": items,
                   "failures": failures}
         try:
-            report_path.write_text(json.dumps(report, sort_keys=True, indent=1) + "\n")
+            write_text_atomic(report_path, json.dumps(report, sort_keys=True, indent=1) + "\n")
         except OSError as exc:
             raise IoError(f"cannot write report to {report_path}: {exc}") from exc
     return EXIT_PARTIAL if failures else EXIT_OK

@@ -8,10 +8,12 @@ bit-exact and dependency-free.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
 import os
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from xml.sax.saxutils import escape
@@ -37,6 +39,28 @@ _CDF_CSV_HEADER = "intensity,cumulative_probability"
 
 def _header_path(path) -> Path:
     return Path(str(path) + ".json")
+
+
+@contextlib.contextmanager
+def _staged(path: Path):
+    """Yield a temporary path beside ``path``, moved onto ``path`` when the
+    block succeeds; on failure it is removed and ``path`` keeps its old bytes.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def write_text_atomic(path, text: str) -> Path:
+    """Write ``text`` to a temporary file, then move it onto ``path``, so a
+    reader never sees a half-written artifact."""
+    path = Path(path)
+    with _staged(path) as tmp:
+        tmp.write_text(text)
+    return path
 
 
 def write_volume(vol: Volume, path, dtype: str = "f32") -> Path:
@@ -65,8 +89,11 @@ def write_volume(vol: Volume, path, dtype: str = "f32") -> Path:
               "background_value": vol.background_value, "endianness": "little"}
     path = Path(path)
     try:
-        _header_path(path).write_text(json.dumps(header, sort_keys=True) + "\n")
-        payload.tofile(path)
+        # both files are staged first and then moved in back to back, so an
+        # interrupted write leaves the previous pair in place
+        with _staged(path) as tmp_payload, _staged(_header_path(path)) as tmp_header:
+            tmp_payload.write_bytes(memoryview(payload))
+            tmp_header.write_text(json.dumps(header, sort_keys=True) + "\n")
     except OSError as exc:
         raise IoError(f"cannot write volume to {path}: {exc}") from exc
     return path
@@ -116,7 +143,7 @@ def read_volume(path) -> Volume:
         raise HeaderMismatch(
             f"payload is {actual} bytes but the header implies {expected}")
     data = np.fromfile(path, dtype=dt).astype(np.float64)
-    return Volume(tuple(dims), data, channel=channel, background_value=float(background))
+    return Volume._owning(tuple(dims), data, channel, float(background))
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +347,7 @@ def save_lut(lut: IntensityLut, path) -> Path:
     path = Path(path)
     doc = {"version": LUT_SCHEMA_VERSION, **lut.to_dict()}
     try:
-        path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+        write_text_atomic(path, json.dumps(doc, sort_keys=True, indent=1) + "\n")
     except OSError as exc:
         raise IoError(f"cannot write LUT to {path}: {exc}") from exc
     return path

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cdf import (DEFAULT_GRID_SIZE, Volume, build_cdf, ks_distance,
-                  zscore_standardize)
+from .cdf import (DEFAULT_GRID_SIZE, IntensityIndex, Volume, build_cdf,
+                  ks_distance, zscore_standardize)
 from .errors import DegenerateConstant, EmptyInput
 from .fit import FitConfig, FitResult, fit_cdf
 from .template import TemplateCdf
@@ -102,18 +102,18 @@ def _template_tails(params: DualScaleParams, template: TemplateCdf,
                     enabled_top=top, enabled_bottom=bottom)
 
 
-def _quantize(vol: Volume, template: TemplateCdf, bits: int) -> Volume:
+def _quantize(index: IntensityIndex, template: TemplateCdf, bits: int) -> IntensityIndex:
     if template.clip is not None:
         lo, hi = template.clip
     else:
         lo, hi = 0.0, float(2 ** bits - 1)
-    bg = vol.background_value
-    vox = np.rint(np.clip(vol.voxels, lo, hi))  # ties round to even
-    # a foreground voxel rounded onto the background value would become
+    bg = index.background_value
+    levels = np.rint(np.clip(index.levels, lo, hi))  # ties round to even
+    # a foreground level rounded onto the background value would become
     # background; the next level away keeps the output non-decreasing
-    vox[vox == bg] = bg + 1.0 if bg + 1.0 <= hi else bg - 1.0
-    vox[vol.voxels == bg] = bg
-    return vol.with_voxels(vox)
+    levels[levels == bg] = bg + 1.0 if bg + 1.0 <= hi else bg - 1.0
+    levels[index.levels == bg] = bg
+    return index.with_levels(levels)
 
 
 def harmonize(vol: Volume, template: TemplateCdf,
@@ -122,12 +122,15 @@ def harmonize(vol: Volume, template: TemplateCdf,
 
     Steps: foreground CDF -> parameter fit -> composed monotone LUT (tails
     toward the template clip range, when it has one) -> voxel-wise mapping
-    with background copied through -> optional integer quantization.  Never
-    emits a non-monotone mapping: composition fails loudly instead.
+    with background copied through -> optional integer quantization.  Every
+    stage works on the volume's intensity index, so an integer-valued volume
+    is mapped once per intensity level and gathered into voxels at the end.
+    Never emits a non-monotone mapping: composition fails loudly instead.
     """
     options = options or HarmonizeOptions()
     started = time.perf_counter()
-    image_cdf = build_cdf(vol, grid_size=options.grid_size)
+    index = IntensityIndex.of(vol)
+    image_cdf = build_cdf(index, grid_size=options.grid_size)
     pre_ks = ks_distance(image_cdf, template.cdf)
     fit = fit_cdf(image_cdf, template, options.fit)
     domain = image_cdf.support
@@ -138,11 +141,12 @@ def harmonize(vol: Volume, template: TemplateCdf,
         fit = fit_cdf(image_cdf, template, options.fit, tails=tails,
                       initial=fit.params)
     lut = compose_lut(fit.params, tails, domain, clip=template.clip)
-    out = apply_lut(vol, lut)
+    mapped = apply_lut(index, lut)
     if options.bits is not None:
-        out = _quantize(out, template, options.bits)
-    post_cdf = build_cdf(out, grid_size=options.grid_size)
+        mapped = _quantize(mapped, template, options.bits)
+    post_cdf = build_cdf(mapped, grid_size=options.grid_size)
     post_ks = ks_distance(post_cdf, template.cdf)
+    out = mapped.to_volume()
     entry = ChannelReport(vol.channel, fit, pre_ks, post_ks, lut,
                           wall_time_s=time.perf_counter() - started)
     return out, entry

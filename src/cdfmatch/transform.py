@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf
 
-from .cdf import Volume, _match_scalar
+from .cdf import IntensityIndex, Volume, _match_scalar
 from .errors import BadTailSpec, NonMonotone
 
 DEFAULT_RATIO_CAP = 20.0
@@ -279,12 +279,18 @@ def compose_lut(params: DualScaleParams, tails: TailSpec,
     return IntensityLut(params, tails, domain, clip=clip)
 
 
-def apply_lut(vol: Volume, lut: IntensityLut) -> Volume:
+def apply_lut(vol: "Volume | IntensityIndex", lut: IntensityLut) -> "Volume | IntensityIndex":
     """Voxel-wise application of a composed mapping.
 
     Values outside the LUT domain clamp to the domain ends before mapping;
-    background voxels are copied through untouched.
+    background voxels are copied through untouched.  The mapping runs once
+    per level of the volume's :class:`IntensityIndex` (once per distinct
+    intensity of an integer-valued volume), then one gather builds the
+    output volume.  Given an index, returns the mapped index ungathered.
     """
-    out = np.asarray(lut.apply(vol.voxels), dtype=np.float64)
-    out[vol.voxels == vol.background_value] = vol.background_value
-    return vol.with_voxels(out)
+    index = IntensityIndex.of(vol)
+    bg = index.background_value
+    mapped = np.asarray(lut.apply(index.levels), dtype=np.float64)
+    mapped[index.levels == bg] = bg
+    out = index.with_levels(mapped)
+    return out if isinstance(vol, IntensityIndex) else out.to_volume()

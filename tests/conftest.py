@@ -2,12 +2,29 @@
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from cdfmatch import (EmpiricalCdf, LesionSpec, MixtureComponent,
                       ScannerEffect, SynthSpec, Volume, build_cdf,
                       build_template, generate_synthetic, quantile)
+
+# property tests draw the same examples on every run and keep no example
+# database, so tier-1 results repeat and no .hypothesis/ directory appears
+settings.register_profile("cdfmatch", derandomize=True, deadline=None, database=None)
+settings.load_profile("cdfmatch")
+
+
+def pytest_configure(config):
+    # hypothesis also caches the constants it reads from source files under
+    # its home directory when it collects tests, with or without a database:
+    # keep that cache in the system's temporary directory, out of the checkout
+    set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "cdfmatch-hypothesis")
 
 # a T2-like base distribution: two tissue modes plus a heavy bright tail
 T2_COMPONENTS = (

@@ -5,6 +5,7 @@ import pytest
 
 from cdfmatch import (EmpiricalCdf, Volume, average_cdfs, build_cdf,
                       cdf_value, ks_distance, quantile, zscore_standardize)
+from cdfmatch.cdf import IntensityIndex
 from cdfmatch.errors import (AllBackground, DegenerateConstant, EmptyInput,
                              OutOfRange)
 
@@ -28,6 +29,38 @@ class TestVolume:
     def test_foreground_excludes_background(self):
         vol = volume_from_values([0.0, 1.0, 0.0, 2.0])
         assert vol.foreground().tolist() == [1.0, 2.0]
+
+
+class TestIntensityIndex:
+    # three blocks of the dense count plus a partial one
+    N = 3 * 65536 + 5
+
+    @pytest.mark.parametrize("hot_pixel", [False, True])
+    def test_integer_volume_gathers_back_exactly(self, hot_pixel):
+        values = np.random.default_rng(3).integers(-300, 700, self.N).astype(np.float64)
+        values[::7] = 5.0  # background
+        if hot_pixel:
+            values[12345] = 2.0 ** 40  # range past the voxel count: sorted
+        vol = volume_from_values(values, background=5.0)
+        index = IntensityIndex.of(vol)
+        assert index.inverse.dtype == np.uint16 and index.levels.size <= vol.n_voxels
+        assert index.to_volume().voxels.tobytes() == vol.voxels.tobytes()
+        for exclude in (True, False):
+            kept = vol.foreground() if exclude else vol.voxels
+            expected = np.unique(kept, return_counts=True)
+            got = index.histogram(exclude)
+            assert all(np.array_equal(g, e) for g, e in zip(got, expected))
+
+    @pytest.mark.parametrize("hot_pixel", [False, True])
+    def test_non_integer_voxel_past_the_probe_keeps_one_level_per_voxel(self, hot_pixel):
+        values = np.random.default_rng(4).integers(0, 4000, self.N).astype(np.float64)
+        values[2 * 65536 + 1] += 0.5  # off the probe's stride, in a later block
+        if hot_pixel:
+            values[12345] = 2.0 ** 40
+        vol = volume_from_values(values)
+        index = IntensityIndex.of(vol)
+        assert index.inverse is None and index.counts is None
+        assert index.to_volume().voxels.tobytes() == vol.voxels.tobytes()
 
 
 class TestEmpiricalCdfValidation:

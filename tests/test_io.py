@@ -1,7 +1,9 @@
 """Tests for volume files, synthetic generation, CSV/JSON artifacts, SVG plots."""
 
+import errno
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,6 +78,24 @@ class TestVolumeFiles:
         (tmp_path / "vol.raw.json").write_text(json.dumps(header))
         with pytest.raises(HeaderMismatch):
             read_volume(path)
+
+    def test_interrupted_payload_write_keeps_previous_pair(self, tmp_path, monkeypatch):
+        path = tmp_path / "vol.raw"
+        write_volume(volume_from_values(np.arange(1.0, 61.0), channel="T2"),
+                     path, dtype="u16")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        original = Path.write_bytes
+
+        def fail_partway(self, data):
+            original(self, bytes(memoryview(data))[:7])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_bytes", fail_partway)
+        with pytest.raises(IoError):
+            write_volume(Volume((5, 4, 2), np.arange(40.0), channel="T1"),
+                         path, dtype="u16")
+        # the old payload and header are intact and no temporary file is left
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_overflow_raises_without_clamp(self, tmp_path):
         vol = volume_from_values([10.0, 70_000.0])
@@ -228,6 +248,23 @@ class TestLutJson:
         grid = np.linspace(-400.0, 6100.0, 1000)
         assert np.array_equal(np.asarray(lut.apply(grid)),
                               np.asarray(back.apply(grid)))
+
+    def test_interrupted_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "map.lut.json"
+        save_lut(self._lut(), path)
+        before = path.read_bytes()
+        original = Path.write_text
+
+        def fail_partway(self, text):
+            original(self, text[:10])
+            raise OSError(errno.EIO, "Input/output error")
+
+        monkeypatch.setattr(Path, "write_text", fail_partway)
+        params = DualScaleParams(1.0, 1.0, 1650.0, PivotTriple(500.0, 1650.0, 3300.0))
+        with pytest.raises(IoError):
+            save_lut(compose_lut(params, TailSpec.disabled(), (0.0, 4000.0)), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
     def test_version_check(self, tmp_path):
         path = tmp_path / "map.lut.json"

@@ -6,10 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdfmatch import (METHOD_CDF_MATCH, METHOD_PERCENTILE_STRETCH,
-                      METHOD_ZSCORE, HarmonizeOptions, build_cdf,
+                      METHOD_ZSCORE, HarmonizeOptions, apply_lut, build_cdf,
                       evaluate_cohort, generate_synthetic, harmonize,
-                      percentile_stretch, quantile, zscore_standardize)
-from cdfmatch.errors import EmptyInput
+                      ks_distance, percentile_stretch, quantile,
+                      zscore_standardize)
+from cdfmatch.cdf import IntensityIndex
+from cdfmatch.errors import (AllBackground, DegenerateCdf, DegenerateConstant,
+                             EmptyInput)
 
 from conftest import (sample_from_cdf, scanner_cohort, scanner_effect,
                       t2_spec, volume_from_values)
@@ -95,7 +98,7 @@ class TestClipModes:
 
 
 class TestBackgroundProperties:
-    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=30)
     @given(gain=st.floats(0.25, 4.0), offset=st.floats(-200.0, 200.0),
            background_fraction=st.floats(0.0, 0.6), clipped=st.booleans())
     def test_quantized_background_untouched_and_monotone(
@@ -113,6 +116,118 @@ class TestBackgroundProperties:
         assert (fg_out != 0.0).all()
         order = np.argsort(fg_in, kind="stable")
         assert np.diff(fg_out[order]).min() >= 0.0
+
+
+def _per_voxel_reference(vol, lut, template, bits):
+    """harmonize's mapping evaluated voxel by voxel: the LUT on every voxel,
+    background copied, then the quantize rule."""
+    bg = vol.background_value
+    out = np.asarray(lut.apply(vol.voxels), dtype=np.float64)
+    out[vol.voxels == bg] = bg
+    if bits is None:
+        return out
+    lo, hi = template.clip if template.clip is not None else (0.0, 2.0 ** bits - 1)
+    q = np.rint(np.clip(out, lo, hi))
+    q[q == bg] = bg + 1.0 if bg + 1.0 <= hi else bg - 1.0
+    q[out == bg] = bg
+    return q
+
+
+_INDEX_BASE = generate_synthetic(t2_spec(975, dims=(32, 16, 16))).voxels
+_INTEGER_KINDS = ("integer", "hot_pixel", "two_voxels", "integer_float")
+
+
+@st.composite
+def _indexed_volumes(draw, kind):
+    """Volumes on each side of the intensity index: integer-valued (i16-like
+    negative ranges, a hot pixel past the voxel count, 2-voxel foregrounds,
+    integer values stored as f32) and not integer-valued."""
+    gain = draw(st.floats(0.25, 8.0))
+    offset = draw(st.floats(-3000.0, 3000.0))
+    background = float(draw(st.integers(-50, 50)))
+    n_bg = int(draw(st.floats(0.0, 0.5)) * _INDEX_BASE.size)
+    values = gain * _INDEX_BASE + offset
+    if kind != "float":
+        values = np.rint(values)
+    if kind == "integer_float":
+        values = values.astype(np.float32).astype(np.float64)
+    if kind == "hot_pixel":
+        values[draw(st.integers(n_bg, values.size - 1))] = values.max() + 40000.0
+    if kind == "nearly_integer":
+        # an odd position: the strided probe passes, the full check fails
+        values[2 * draw(st.integers(n_bg // 2, values.size // 2 - 1)) + 1] += 0.5
+    values[:n_bg] = background
+    if kind == "two_voxels":
+        values[:] = background
+        values[[3, 4001]] = background + np.array([draw(st.integers(1, 900)),
+                                                   draw(st.integers(-900, -1))])
+    return volume_from_values(values, channel="T2", background=background)
+
+
+class TestIntensityIndexIsExact:
+    @pytest.mark.parametrize("kind", _INTEGER_KINDS + ("float", "nearly_integer"))
+    @settings(max_examples=12)
+    @given(data=st.data(), bits=st.sampled_from((None, 12)), clipped=st.booleans())
+    def test_harmonize_matches_per_voxel_reference(
+            self, template_12bit, template_unclipped, kind, data, bits, clipped):
+        vol = data.draw(_indexed_volumes(kind))
+        template = template_12bit if clipped else template_unclipped
+        index = IntensityIndex.of(vol)
+        assert (index.inverse is not None) == (kind in _INTEGER_KINDS)
+        if kind == "hot_pixel":
+            assert np.ptp(vol.voxels) >= vol.n_voxels  # the sort-based index
+        options = HarmonizeOptions(bits=bits)
+        if kind == "two_voxels":
+            # two levels collapse the control quantiles; the mapping stage
+            # alone is still checked, with another volume's LUT
+            with pytest.raises(DegenerateCdf):
+                harmonize(vol, template, options)
+            lut = harmonize(volume_from_values(_INDEX_BASE), template)[1].lut
+            assert (apply_lut(vol, lut).voxels.tobytes()
+                    == _per_voxel_reference(vol, lut, template, None).tobytes())
+            return
+        out, entry = harmonize(vol, template, options)
+        expected = _per_voxel_reference(vol, entry.lut, template, bits)
+        assert out.voxels.tobytes() == expected.tobytes()
+        post_cdf = build_cdf(out, grid_size=options.grid_size)
+        assert entry.post_ks == ks_distance(post_cdf, template.cdf)
+
+    @pytest.mark.parametrize("values, error", [
+        ([3.0] * 40, AllBackground),
+        ([3.0] * 20 + [-7.0] * 20, DegenerateConstant),
+        ([3.0] * 20 + [-7.5] * 20, DegenerateConstant),
+        ([3.0] * 39 + [65535.0], DegenerateConstant),
+    ])
+    def test_empty_and_single_level_foregrounds_raise(self, template_12bit,
+                                                      values, error):
+        vol = volume_from_values(values, background=3.0)
+        with pytest.raises(error):
+            harmonize(vol, template_12bit, HarmonizeOptions(bits=12))
+
+
+class TestStagesStayVisible:
+    @pytest.mark.parametrize("integer", [True, False])
+    def test_harmonize_calls_each_stage_by_its_pipeline_name(
+            self, template_12bit, monkeypatch, integer):
+        import cdfmatch.pipeline as pipeline
+        calls = {"build_cdf": 0, "apply_lut": 0}
+
+        def counting(name):
+            original = getattr(pipeline, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(pipeline, name, counting(name))
+        vol = generate_synthetic(t2_spec(980))
+        if integer:
+            vol = vol.with_voxels(np.rint(vol.voxels))
+        assert (IntensityIndex.of(vol).inverse is not None) == integer
+        harmonize(vol, template_12bit, HarmonizeOptions(bits=12))
+        assert calls == {"build_cdf": 2, "apply_lut": 1}
 
 
 class TestRealisticRegimes:
