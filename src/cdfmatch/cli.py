@@ -19,11 +19,11 @@ from pathlib import Path
 
 from . import __version__
 from .cdf import build_cdf
-from .errors import CdfMatchError, IoError, UsageError
+from .errors import CdfMatchError, UsageError
 from .fit import FitConfig
 from .io import (SynthSpec, emit_cdf_plot, emit_lut_plot, generate_synthetic,
-                 load_lut, read_volume, save_lut, write_cdf_csv, write_lut_csv,
-                 write_text_atomic, write_volume)
+                 load_lut, read_volume, save_lut, write_cdf_csv, write_files,
+                 write_lut_csv, write_volume)
 from .pipeline import (ALL_METHODS, METHOD_CDF_MATCH, METHOD_PERCENTILE_STRETCH,
                        METHOD_ZSCORE, HarmonizeOptions, evaluate_cohort,
                        harmonize)
@@ -170,6 +170,14 @@ def _discover_inputs(spec: str) -> list[Path]:
     raise UsageError(f"input {spec!r} is neither a file nor a directory")
 
 
+def _check_output_files(*paths) -> None:
+    """Reject an output file whose directory is missing before any work
+    starts, rather than failing at the write once the work is done."""
+    for path in paths:
+        if path is not None and not Path(path).parent.is_dir():
+            raise UsageError(f"directory {Path(path).parent} for {path} does not exist")
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -177,6 +185,7 @@ def _discover_inputs(spec: str) -> list[Path]:
 def _cmd_template(args) -> int:
     if args.template_cmd != "build":
         raise UsageError("usage: cdfmatch template build ...")
+    _check_output_files(args.out)
     cfg = _resolve_config(args)
     cohort = [read_volume(p) for p in args.inputs]
     template = build_template(cohort, controls=cfg.controls, clip=cfg.clip,
@@ -189,10 +198,8 @@ def _cmd_template(args) -> int:
 
 
 def _cmd_harmonize(args) -> int:
+    _check_output_files(args.report)
     cfg = _resolve_config(args)
-    report_path = Path(args.report) if args.report else None
-    if report_path is not None and not report_path.parent.is_dir():
-        raise UsageError(f"report directory {report_path.parent} does not exist")
     template = load_template(args.template)
     options = HarmonizeOptions(fit=cfg.fit, grid_size=cfg.grid_size, bits=args.bits)
     inputs = _discover_inputs(args.input)
@@ -212,8 +219,8 @@ def _cmd_harmonize(args) -> int:
         item = {"input": path.name, "output": out_path.name,
                 "lut_file": lut_path.name}
         item.update(entry.to_dict())
-        meta_path = out_dir / (path.stem + ".meta.json")
-        write_text_atomic(meta_path, json.dumps(item, sort_keys=True, indent=1) + "\n")
+        write_files("metadata", (out_dir / (path.stem + ".meta.json"),
+                                 json.dumps(item, sort_keys=True, indent=1) + "\n"))
         if not entry.fit.converged:
             raise NoConvergence(f"fit did not converge for {path.name}", item)
         return item
@@ -233,18 +240,16 @@ def _cmd_harmonize(args) -> int:
                 return EXIT_FAILURE
             log.warning("continuing past %s: %s", path.name, error)
 
-    if report_path is not None:
+    if args.report:
         report = {"version": 1, "config": cfg.to_dict(),
                   "config_hash": options.hash(), "items": items,
                   "failures": failures}
-        try:
-            write_text_atomic(report_path, json.dumps(report, sort_keys=True, indent=1) + "\n")
-        except OSError as exc:
-            raise IoError(f"cannot write report to {report_path}: {exc}") from exc
+        write_files("report", (args.report, json.dumps(report, sort_keys=True, indent=1) + "\n"))
     return EXIT_PARTIAL if failures else EXIT_OK
 
 
 def _cmd_synth(args) -> int:
+    _check_output_files(args.out)
     try:
         doc = json.loads(Path(args.spec).read_text())
     except OSError as exc:
@@ -262,6 +267,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
+    _check_output_files(args.out, args.plot)
     cfg = _resolve_config(args)
     if args.cdf:
         vol = read_volume(args.cdf)
@@ -284,6 +290,7 @@ def _cmd_inspect(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    _check_output_files(args.out)
     cfg = _resolve_config(args)
     template = load_template(args.template)
     options = HarmonizeOptions(fit=cfg.fit, grid_size=cfg.grid_size)
@@ -301,7 +308,7 @@ def _cmd_eval(args) -> int:
         tpl = "" if row.mean_ks_to_template is None else repr(row.mean_ks_to_template)
         lines.append(f"{row.method},{row.mean_pairwise_ks!r},{tpl},"
                      f"{row.mean_range_utilization!r}")
-    Path(args.out).write_text("\n".join(lines) + "\n")
+    write_files("metrics CSV", (args.out, "\n".join(lines) + "\n"))
     log.info("wrote metrics for %d methods to %s", len(rows), args.out)
     return EXIT_OK
 

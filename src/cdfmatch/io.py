@@ -8,13 +8,13 @@ bit-exact and dependency-free.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import json
 import math
 import os
 import threading
 from dataclasses import dataclass, field
+from io import StringIO
 from pathlib import Path
 from xml.sax.saxutils import escape
 
@@ -41,26 +41,33 @@ def _header_path(path) -> Path:
     return Path(str(path) + ".json")
 
 
-@contextlib.contextmanager
-def _staged(path: Path):
-    """Yield a temporary path beside ``path``, moved onto ``path`` when the
-    block succeeds; on failure it is removed and ``path`` keeps its old bytes.
+def write_files(label: str, *files) -> Path:
+    """Write each ``(path, data)`` pair, ``data`` being text or bytes, as one
+    artifact and return the first path.
+
+    Every file is staged beside its target and then all are moved in back to
+    back with ``os.replace``, so an interrupted write leaves the previous
+    files in place and no temporary file behind.  An ``OSError`` becomes
+    ``IoError`` naming ``label`` and the file that failed.
     """
-    tmp = path.with_name(f".{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+    staged = []
     try:
-        yield tmp
-        os.replace(tmp, path)
+        for path, data in files:
+            path = Path(path)
+            tmp = path.with_name(f".{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+            staged.append((tmp, path))
+            if isinstance(data, str):
+                tmp.write_text(data)
+            else:
+                tmp.write_bytes(data)
+        for tmp, path in staged:
+            os.replace(tmp, path)
+    except OSError as exc:
+        raise IoError(f"cannot write {label} to {path}: {exc}") from exc
     finally:
-        tmp.unlink(missing_ok=True)
-
-
-def write_text_atomic(path, text: str) -> Path:
-    """Write ``text`` to a temporary file, then move it onto ``path``, so a
-    reader never sees a half-written artifact."""
-    path = Path(path)
-    with _staged(path) as tmp:
-        tmp.write_text(text)
-    return path
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
+    return Path(files[0][0])
 
 
 def write_volume(vol: Volume, path, dtype: str = "f32") -> Path:
@@ -73,30 +80,23 @@ def write_volume(vol: Volume, path, dtype: str = "f32") -> Path:
         raise ValueError(f"unknown dtype {dtype!r}, expected one of {sorted(_DTYPES)}")
     dt = _DTYPES[dtype]
     vox = vol.voxels
+    lo, hi = vox.min(), vox.max()
     if dt.kind in "ui":
+        # rint is monotone, so rounding the extremes decides the range
         info = np.iinfo(dt)
-        data = np.rint(vox)
-        if data.min() < info.min or data.max() > info.max:
-            raise Overflow(
-                f"values [{vox.min():.6g}, {vox.max():.6g}] do not fit {dtype}")
+        if np.rint(lo) < info.min or np.rint(hi) > info.max:
+            raise Overflow(f"values [{lo:.6g}, {hi:.6g}] do not fit {dtype}")
+        payload = np.empty(vox.shape, dtype=dt)
+        np.rint(vox, out=payload, casting="unsafe")
     else:
         limit = float(np.finfo(dt).max)
-        data = vox
-        if np.abs(vox).max() > limit:
+        if max(-lo, hi) > limit:
             raise Overflow(f"values exceed the {dtype} range (+/-{limit:.4g})")
-    payload = data.astype(dt)
+        payload = vox.astype(dt)
     header = {"dims": list(vol.dims), "dtype": dtype, "channel": vol.channel,
               "background_value": vol.background_value, "endianness": "little"}
-    path = Path(path)
-    try:
-        # both files are staged first and then moved in back to back, so an
-        # interrupted write leaves the previous pair in place
-        with _staged(path) as tmp_payload, _staged(_header_path(path)) as tmp_header:
-            tmp_payload.write_bytes(memoryview(payload))
-            tmp_header.write_text(json.dumps(header, sort_keys=True) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write volume to {path}: {exc}") from exc
-    return path
+    return write_files("volume", (path, memoryview(payload)),
+                       (_header_path(path), json.dumps(header, sort_keys=True) + "\n"))
 
 
 def read_volume(path) -> Volume:
@@ -313,14 +313,9 @@ def generate_synthetic(spec: SynthSpec) -> Volume:
 
 def write_cdf_csv(cdf: EmpiricalCdf, path) -> Path:
     """Write a CDF as two-column CSV (intensity, cumulative_probability)."""
-    path = Path(path)
     lines = [_CDF_CSV_HEADER]
     lines.extend(f"{float(x)!r},{float(p)!r}" for x, p in zip(cdf.xs, cdf.ps))
-    try:
-        path.write_text("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write CDF CSV to {path}: {exc}") from exc
-    return path
+    return write_files("CDF CSV", (path, "\n".join(lines) + "\n"))
 
 
 def read_cdf_csv(path) -> EmpiricalCdf:
@@ -344,13 +339,8 @@ def read_cdf_csv(path) -> EmpiricalCdf:
 
 def save_lut(lut: IntensityLut, path) -> Path:
     """Write a composed mapping as JSON for audit and later inspection."""
-    path = Path(path)
     doc = {"version": LUT_SCHEMA_VERSION, **lut.to_dict()}
-    try:
-        write_text_atomic(path, json.dumps(doc, sort_keys=True, indent=1) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write LUT to {path}: {exc}") from exc
-    return path
+    return write_files("LUT", (path, json.dumps(doc, sort_keys=True, indent=1) + "\n"))
 
 
 def load_lut(path) -> IntensityLut:
@@ -374,18 +364,16 @@ def _sample_lut(lut: IntensityLut, points: int) -> tuple[np.ndarray, np.ndarray]
     return xs, np.asarray(lut.apply(xs))
 
 
+def _lut_csv(xs: np.ndarray, ys: np.ndarray) -> str:
+    lines = ["input,output"]
+    lines.extend(f"{float(x)!r},{float(y)!r}" for x, y in zip(xs, ys))
+    return "\n".join(lines) + "\n"
+
+
 def write_lut_csv(lut: IntensityLut, path, points: int = 512) -> Path:
     """Write a mapping at ``points`` evenly spaced inputs across its domain
     as two-column CSV (input, output)."""
-    xs, ys = _sample_lut(lut, points)
-    path = Path(path)
-    lines = ["input,output"]
-    lines.extend(f"{float(x)!r},{float(y)!r}" for x, y in zip(xs, ys))
-    try:
-        path.write_text("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write LUT CSV to {path}: {exc}") from exc
-    return path
+    return write_files("LUT CSV", (path, _lut_csv(*_sample_lut(lut, points))))
 
 
 # ---------------------------------------------------------------------------
@@ -495,19 +483,13 @@ def emit_cdf_plot(cdfs, path, style: dict | None = None, markers=()) -> Path:
         raise EmptyInput("no curves to plot")
     series = [(label, cdf.xs, cdf.ps) for label, cdf in cdfs]
     svg = _render_line_svg(series, style or {}, markers=markers)
-    path = Path(path)
-    csv_path = _companion_csv_path(path)
-    try:
-        path.write_text(svg)
-        with open(csv_path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["label", "intensity", "cumulative_probability"])
-            for label, cdf in cdfs:
-                for x, p in zip(cdf.xs, cdf.ps):
-                    writer.writerow([label, repr(float(x)), repr(float(p))])
-    except OSError as exc:
-        raise IoError(f"cannot write plot to {path}: {exc}") from exc
-    return path
+    table = StringIO()
+    writer = csv.writer(table, lineterminator="\n")
+    writer.writerow(["label", "intensity", "cumulative_probability"])
+    for label, cdf in cdfs:
+        for x, p in zip(cdf.xs, cdf.ps):
+            writer.writerow([label, repr(float(x)), repr(float(p))])
+    return write_files("plot", (path, svg), (_companion_csv_path(path), table.getvalue()))
 
 
 def emit_lut_plot(lut: IntensityLut, path, points: int = 512,
@@ -517,10 +499,4 @@ def emit_lut_plot(lut: IntensityLut, path, points: int = 512,
     s = {"y_label": "mapped intensity", "x_label": "input intensity"}
     s.update(style or {})
     svg = _render_line_svg([("mapping", xs, ys)], s)
-    path = Path(path)
-    try:
-        path.write_text(svg)
-    except OSError as exc:
-        raise IoError(f"cannot write LUT plot to {path}: {exc}") from exc
-    write_lut_csv(lut, _companion_csv_path(path), points)
-    return path
+    return write_files("LUT plot", (path, svg), (_companion_csv_path(path), _lut_csv(xs, ys)))

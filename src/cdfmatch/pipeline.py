@@ -9,8 +9,6 @@ reports omit wall time so identical runs stay bitwise identical.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import time
 from dataclasses import dataclass, field
 
@@ -20,7 +18,7 @@ from .cdf import (DEFAULT_GRID_SIZE, IntensityIndex, Volume, build_cdf,
                   ks_distance, zscore_standardize)
 from .errors import DegenerateConstant, EmptyInput
 from .fit import FitConfig, FitResult, fit_cdf
-from .template import TemplateCdf
+from .template import TemplateCdf, config_hash
 from .transform import (DualScaleParams, IntensityLut, TailSpec, apply_lut,
                         compose_lut, lut_ds)
 
@@ -44,8 +42,7 @@ class HarmonizeOptions:
                 "bits": self.bits}
 
     def hash(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
+        return config_hash(self.to_dict())
 
 
 @dataclass(frozen=True)

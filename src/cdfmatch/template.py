@@ -20,6 +20,7 @@ from .cdf import (DEFAULT_GRID_SIZE, EmpiricalCdf, average_cdfs, build_cdf,
 from .errors import (BadTailSpec, EmptyCohort, Infeasible, IoError, NonMonotone,
                      SchemaMismatch)
 from .fit import FitConfig, fit_template_to_controls
+from .io import write_files
 from .transform import lut_bottom_tail, lut_ds, lut_top_tail
 
 TEMPLATE_SCHEMA_VERSION = 1
@@ -139,7 +140,8 @@ class TemplateCdf:
                    doc.get("channel", ""), doc.get("provenance", {}))
 
 
-def _config_hash(payload: dict) -> str:
+def config_hash(payload: dict) -> str:
+    """Short stable digest of a JSON-able configuration, for provenance."""
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
@@ -178,10 +180,10 @@ def build_template(cohort, controls: ControlPoints = DEFAULT_CONTROLS,
         raise NonMonotone("fitted template parameters are not monotone over the grid")
     provenance = {
         "cohort_size": len(cohort),
-        "config_hash": _config_hash({"controls": controls.to_dict(),
-                                     "clip": list(clip) if clip else None,
-                                     "grid_size": grid_size,
-                                     "fit": config.to_dict()}),
+        "config_hash": config_hash({"controls": controls.to_dict(),
+                                    "clip": list(clip) if clip else None,
+                                    "grid_size": grid_size,
+                                    "fit": config.to_dict()}),
     }
     if clip is not None:
         # squeeze a tail only when the fitted support overshoots its bound;
@@ -206,12 +208,8 @@ def build_template(cohort, controls: ControlPoints = DEFAULT_CONTROLS,
 
 def save_template(template: TemplateCdf, path) -> Path:
     """Write a template as schema-v1 JSON; floats round-trip exactly."""
-    path = Path(path)
-    try:
-        path.write_text(json.dumps(template.to_dict(), sort_keys=True, indent=1) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write template to {path}: {exc}") from exc
-    return path
+    return write_files("template",
+                       (path, json.dumps(template.to_dict(), sort_keys=True, indent=1) + "\n"))
 
 
 def load_template(path) -> TemplateCdf:

@@ -337,6 +337,28 @@ class TestEval:
                     "--out", str(tmp_path / "m.csv")]) == 64
 
 
+class TestOutputPaths:
+    @pytest.mark.parametrize("command", [
+        ["template", "build", "--out", "{missing}/t.json", "{raw}/vol0.raw", "{raw}/vol1.raw"],
+        ["eval", "--template", "{template}", "--in", "{raw}", "--out", "{missing}/m.csv"],
+        ["inspect", "--cdf", "{raw}/vol0.raw", "--out", "{missing}/cdf.csv"],
+        ["inspect", "--cdf", "{raw}/vol0.raw", "--out", "{tmp}/cdf.csv",
+         "--plot", "{missing}/cdf.svg"],
+        ["synth", "--spec", "{tmp}/spec.json", "--out", "{missing}/v.raw"],
+    ], ids=["template", "eval", "inspect-out", "inspect-plot", "synth"])
+    def test_missing_output_directory_is_usage_error(self, workspace, tmp_path, capsys,
+                                                     command):
+        (tmp_path / "spec.json").write_text(json.dumps(synth_spec_doc(7)))
+        names = {"missing": tmp_path / "nodir", "raw": workspace / "raw",
+                 "template": workspace / "t2.template.json", "tmp": tmp_path}
+        before = sorted(p.name for p in tmp_path.iterdir())
+        assert run([arg.format(**names) for arg in command]) == 64
+        err = capsys.readouterr().err
+        assert "does not exist" in err
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
 class TestConfigPrecedence:
     def test_flags_beat_file_beats_defaults(self, workspace, tmp_path):
         cfg = tmp_path / "config.json"

@@ -3,6 +3,7 @@
 import errno
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,8 @@ import pytest
 from cdfmatch import (LesionSpec, MixtureComponent, ScannerEffect, SynthSpec,
                       Volume, build_cdf, emit_cdf_plot, emit_lut_plot,
                       generate_synthetic, ks_distance, load_lut, read_cdf_csv,
-                      read_volume, save_lut, write_cdf_csv, write_volume)
+                      read_volume, save_lut, save_template, write_cdf_csv,
+                      write_lut_csv, write_volume)
 from cdfmatch.errors import (BadSpec, EmptyInput, HeaderMismatch, IoError,
                              Overflow, SchemaMismatch)
 from cdfmatch.transform import DualScaleParams, PivotTriple, TailSpec, compose_lut
@@ -350,3 +352,62 @@ class TestPlots:
         emit_cdf_plot([("a<b&c", cdf)], path)
         text = path.read_text()
         assert "a&lt;b&amp;c" in text
+
+    def test_companion_csv_quotes_labels(self, tmp_path):
+        cdf = cdf_from_samples(np.random.default_rng(9).normal(0, 1, 500),
+                               grid_size=4)
+        path = tmp_path / "q.svg"
+        emit_cdf_plot([('a,"b"', cdf)], path)
+        rows = (tmp_path / "q.svg.csv").read_text().splitlines()
+        assert rows[1] == f'"a,""b""",{float(cdf.xs[0])!r},{float(cdf.ps[0])!r}'
+
+
+def _lut_k(k):
+    params = DualScaleParams(1.0 + k, 1.0, 1650.0, PivotTriple(500.0, 1650.0, 3300.0))
+    return compose_lut(params, TailSpec.disabled(), (0.0, 4000.0))
+
+
+def _cdf_k(k):
+    return cdf_from_samples(np.random.default_rng(k).normal(k, 1, 500), grid_size=50)
+
+
+# (label in the error, files per artifact, writer of version k of the artifact)
+WRITERS = {
+    "volume": ("volume", 2, lambda path, k, tpl: write_volume(
+        volume_from_values(np.arange(1.0, 61.0) + k, channel="T2"), path, dtype="u16")),
+    "lut": ("LUT", 1, lambda path, k, tpl: save_lut(_lut_k(k), path)),
+    "template": ("template", 1, lambda path, k, tpl: save_template(
+        replace(tpl, channel=f"T{k}"), path)),
+    "cdf_csv": ("CDF CSV", 1, lambda path, k, tpl: write_cdf_csv(_cdf_k(k), path)),
+    "lut_csv": ("LUT CSV", 1, lambda path, k, tpl: write_lut_csv(_lut_k(k), path)),
+    "cdf_plot": ("plot", 2, lambda path, k, tpl: emit_cdf_plot([("c", _cdf_k(k))], path)),
+    "lut_plot": ("LUT plot", 2, lambda path, k, tpl: emit_lut_plot(_lut_k(k), path)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(WRITERS))
+def test_interrupted_write_keeps_previous_files(kind, tmp_path, monkeypatch,
+                                                template_12bit):
+    label, n_files, write = WRITERS[kind]
+    path = tmp_path / "artifact"
+    write(path, 0, template_12bit)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert len(before) == n_files
+    calls = []
+
+    def fail_on_last_file(original):
+        def write_partly(self, data):
+            calls.append(self)
+            if len(calls) < n_files:
+                return original(self, data)
+            original(self, data[:7])
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return write_partly
+
+    monkeypatch.setattr(Path, "write_text", fail_on_last_file(Path.write_text))
+    monkeypatch.setattr(Path, "write_bytes", fail_on_last_file(Path.write_bytes))
+    with pytest.raises(IoError, match=f"cannot write {label} to "):
+        write(path, 1, template_12bit)
+    assert len(calls) == n_files
+    # the previous files are intact and no temporary file is left
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
