@@ -29,12 +29,24 @@ def _match_scalar(out: np.ndarray, like) -> "float | np.ndarray":
     return out
 
 
+def _foreground_mask(values: np.ndarray, background: float) -> np.ndarray:
+    """Mask of ``values`` that differ from ``background``, compared in float64.
+
+    NumPy compares a Python float with float32 data in float32, where a
+    background of 0.1 would swallow every voxel stored as 0.1f; a float64
+    scalar keeps the comparison in float64 for every stored dtype.
+    """
+    return values != np.float64(background)
+
+
 @dataclass(frozen=True)
 class Volume:
     """Scalar 2D/3D image with a reserved background value.
 
     Voxels are stored flat in x-fastest order; ``dims`` is (nx, ny, nz)
-    with nz = 1 for 2D images.  Instances are immutable and safe to share.
+    with nz = 1 for 2D images.  The constructor stores float64; a volume
+    read from a file keeps the file's dtype.  Instances are immutable and
+    safe to share.
     """
 
     dims: tuple[int, int, int]
@@ -48,7 +60,8 @@ class Volume:
     @classmethod
     def _owning(cls, dims, voxels: np.ndarray, channel: str,
                 background_value: float) -> "Volume":
-        """Volume around a new float64 array that no caller holds: no copy."""
+        """Volume around a new array that no caller holds, in its own dtype
+        (u8, u16, i16, f32 or float64): no copy, no conversion."""
         vol = object.__new__(cls)
         object.__setattr__(vol, "dims", dims)
         object.__setattr__(vol, "channel", channel)
@@ -64,7 +77,7 @@ class Volume:
         n = dims[0] * dims[1] * dims[2]
         if vox.size != n:
             raise ValueError(f"expected {n} voxels for dims {dims}, got {vox.size}")
-        if not np.isfinite(vox).all():
+        if vox.dtype.kind == "f" and not np.isfinite(vox).all():
             raise ValueError("voxels must be finite (no NaN/Inf)")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "voxels", vox)
@@ -75,8 +88,9 @@ class Volume:
         return self.voxels.size
 
     def foreground(self) -> np.ndarray:
-        """Voxel values that differ from the background value."""
-        return self.voxels[self.voxels != self.background_value]
+        """Voxel values that differ from the background value, as float64."""
+        fg = self.voxels[_foreground_mask(self.voxels, self.background_value)]
+        return fg.astype(np.float64, copy=False)
 
     def with_voxels(self, voxels) -> "Volume":
         """Copy of this volume with the same geometry but new voxel values."""
@@ -87,8 +101,9 @@ class Volume:
 _EXACT_INTEGER = 2.0 ** 53
 # voxels sampled before the full integer check, so float volumes fail fast
 _INTEGER_PROBE = 4096
-# voxels converted per step of the dense count: small enough to stay in cache
-_COUNT_BLOCK = 1 << 16
+# voxels per step of a blocked pass (the dense count, the LUT): small
+# enough that each step's temporaries stay in cache
+_BLOCK = 1 << 16
 
 
 def _integer_levels(vox: np.ndarray):
@@ -110,12 +125,14 @@ def _integer_levels(vox: np.ndarray):
         levels, counts = np.unique(vox, return_counts=True)
         if (np.rint(levels) != levels).any():
             return None
+        # search in the stored dtype: float64 levels would convert every voxel
         rows = np.searchsorted(levels, vox)
-        return levels, counts, rows.astype(np.min_scalar_type(levels.size - 1))
+        return (levels.astype(np.float64), counts,
+                rows.astype(np.min_scalar_type(levels.size - 1)))
     size = int(hi - lo) + 1
     counts = np.zeros(size, dtype=np.int64)
     rows = np.empty(vox.size, dtype=np.min_scalar_type(size - 1))
-    step = max(_COUNT_BLOCK, size)  # a block's bincount costs step + size
+    step = max(_BLOCK, size)  # a block's bincount costs step + size
     for start in range(0, vox.size, step):
         block = vox[start:start + step]
         ints = block.astype(np.int64)
@@ -131,12 +148,12 @@ def _integer_levels(vox: np.ndarray):
 class IntensityIndex:
     """A volume's intensities as a table of levels plus each voxel's row in it.
 
-    For an integer-valued volume ``levels`` holds each intensity once,
-    ``counts`` how many voxels have it (a level may be unused) and
+    For an integer-valued volume ``levels`` holds each intensity once, as
+    float64, ``counts`` how many voxels have it (a level may be unused) and
     ``inverse`` every voxel's row, in the narrowest unsigned dtype that fits.
-    Any other volume keeps one level per voxel, with ``counts`` and
-    ``inverse`` None.  Intensity maps are element-wise, so a stage maps
-    ``levels`` alone and :meth:`to_volume` gathers once at the end.
+    Any other volume keeps one level per voxel, in the stored dtype, with
+    ``counts`` and ``inverse`` None.  Intensity maps are element-wise, so a
+    stage maps ``levels`` alone and :meth:`to_volume` gathers once at the end.
     """
 
     dims: tuple[int, int, int]
@@ -161,20 +178,6 @@ class IntensityIndex:
     def with_levels(self, levels: np.ndarray) -> "IntensityIndex":
         """The same voxels with every level replaced, row for row."""
         return replace(self, levels=levels)
-
-    def histogram(self, exclude_background: bool = True) -> tuple[np.ndarray, np.ndarray]:
-        """Sorted distinct intensities and how many voxels hold each."""
-        levels, counts = self.levels, self.counts
-        if counts is None:
-            if exclude_background:
-                levels = levels[levels != self.background_value]
-            return np.unique(levels, return_counts=True)
-        keep = counts > 0
-        if exclude_background:
-            keep &= levels != self.background_value
-        # mapped levels may merge, so count by distinct value, not by row
-        distinct, rows = np.unique(levels[keep], return_inverse=True)
-        return distinct, np.bincount(rows, weights=counts[keep]).astype(np.int64)
 
     def to_volume(self) -> Volume:
         """The volume these levels describe, built by one gather."""
@@ -228,27 +231,79 @@ def build_cdf(vol: "Volume | IntensityIndex", exclude_background: bool = True,
     The curve is sampled on a uniform grid of ``grid_size`` points spanning
     the included intensity range.  Deterministic for identical input.
     ``vol`` is a Volume or its IntensityIndex; an integer-valued volume is
-    counted per level rather than sorted voxel by voxel.
+    counted per level, any other is sorted voxel by voxel in its stored dtype.
 
     Raises AllBackground when exclusion empties the volume and
     DegenerateConstant when fewer than two distinct intensities remain.
     """
     if grid_size < 2:
         raise ValueError(f"grid_size must be at least 2, got {grid_size}")
-    distinct, counts = IntensityIndex.of(vol).histogram(exclude_background)
-    if distinct.size == 0:
+    index = IntensityIndex.of(vol)
+    levels, counts, bg = index.levels, index.counts, index.background_value
+    if counts is None:
+        values = levels[_foreground_mask(levels, bg)] if exclude_background else levels.copy()
+        values.sort()
+        cum = None
+    else:
+        keep = counts > 0
+        if exclude_background:
+            keep &= _foreground_mask(levels, bg)
+        # mapped levels may merge or fall out of order: sorting keeps
+        # equal ones side by side
+        levels, counts = levels[keep], counts[keep]
+        order = np.argsort(levels)
+        values = levels[order]
+        cum = np.concatenate(([0], np.cumsum(counts[order])))
+    if values.size == 0:
         raise AllBackground("every voxel equals the background value")
-    if distinct.size < 2:
-        raise DegenerateConstant(f"single distinct intensity {distinct[0]!r}")
-    n = int(counts.sum())
-    cum = np.cumsum(counts)
-    p = (cum - (counts - 1) / 2.0) / n
+    if values[0] == values[-1]:
+        raise DegenerateConstant(f"single distinct intensity {float(values[0])!r}")
+    return _sampled_cdf(values, cum, grid_size)
+
+
+def _sampled_cdf(values: np.ndarray, cum: np.ndarray | None,
+                 grid_size: int) -> EmpiricalCdf:
+    """The averaged-rank CDF of sorted float ``values``, read on the grid.
+
+    ``cum[k]`` is the number of samples in ``values[:k]``; None means one
+    sample per entry.  Linear interpolation reads only the two distinct
+    values that bracket each grid point, so ranks are taken at those
+    (at most ``2 * grid_size``) values alone; the curve equals the one
+    interpolated over every distinct value, bit for bit.
+    """
+    xs = np.linspace(float(values[0]), float(values[-1]), grid_size)
+    if values.size <= 2 * grid_size:
+        # no more values than brackets: picking them would cost more
+        brackets = np.unique(values)
+    else:
+        after = np.searchsorted(values, _round_down(xs, values.dtype), "right")
+        brackets = np.unique(np.concatenate(
+            (values[after - 1], values[np.minimum(after, values.size - 1)])))
+    through = np.searchsorted(values, brackets, "right")
+    before = np.searchsorted(values, brackets, "left")
+    if cum is not None:
+        through, before = cum[through], cum[before]
+    n = values.size if cum is None else int(cum[-1])
+    counts = through - before
+    p = (through - (counts - 1) / 2.0) / n
     p[-1] = 1.0
-    xs = np.linspace(distinct[0], distinct[-1], grid_size)
-    ps = np.interp(xs, distinct, p)
+    ps = np.interp(xs, brackets.astype(np.float64), p)
     ps = np.maximum.accumulate(ps)
     ps = ps / ps[-1]
-    return EmpiricalCdf(xs, ps, n_samples=int(n))
+    return EmpiricalCdf(xs, ps, n_samples=n)
+
+
+def _round_down(xs: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """Each of ``xs`` rounded down to the float ``dtype``.
+
+    Data of that dtype lies at or below x exactly when it lies at or below
+    the rounded key, so searching with the key counts the same samples
+    without converting the whole array to float64.
+    """
+    keys = xs.astype(dtype)
+    above = keys > xs
+    keys[above] = np.nextafter(keys[above], dtype.type(-np.inf))
+    return keys
 
 
 def quantile(cdf: EmpiricalCdf, p) -> "float | np.ndarray":
@@ -280,20 +335,21 @@ def cdf_value(cdf: EmpiricalCdf, x) -> "float | np.ndarray":
 def zscore_standardize(vol: Volume) -> Volume:
     """Standardize foreground to mean 0 and population std 1.
 
-    Statistics are computed over foreground voxels only; background voxels
-    keep the background value.  Idempotent up to floating-point rounding.
+    Statistics are computed in float64 over foreground voxels only;
+    background voxels keep the background value.  Idempotent up to
+    floating-point rounding.
     """
-    mask = vol.voxels != vol.background_value
-    fg = vol.voxels[mask]
+    mask = _foreground_mask(vol.voxels, vol.background_value)
+    fg = vol.voxels[mask].astype(np.float64, copy=False)
     if fg.size == 0:
         raise AllBackground("no foreground voxels to standardize")
     mean = float(fg.mean())
     std = float(fg.std())
     if std == 0.0:
         raise DegenerateConstant("foreground standard deviation is zero")
-    out = vol.voxels.copy()
+    out = vol.voxels.astype(np.float64)
     out[mask] = (fg - mean) / std
-    return vol.with_voxels(out)
+    return Volume._owning(vol.dims, out, vol.channel, vol.background_value)
 
 
 def average_cdfs(cdfs, grid_size: int = DEFAULT_GRID_SIZE) -> EmpiricalCdf:

@@ -201,11 +201,14 @@ def _cmd_harmonize(args) -> int:
     _check_output_files(args.report)
     cfg = _resolve_config(args)
     template = load_template(args.template)
-    options = HarmonizeOptions(fit=cfg.fit, grid_size=cfg.grid_size, bits=args.bits)
+    try:
+        options = HarmonizeOptions(fit=cfg.fit, grid_size=cfg.grid_size, bits=args.bits)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     inputs = _discover_inputs(args.input)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    dtype = args.dtype or ("u16" if args.bits else "f32")
+    dtype = args.dtype or ("u16" if args.bits is not None else "f32")
 
     def process(path: Path) -> dict:
         vol = read_volume(path)
@@ -360,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="input volume or directory of .raw volumes")
     p_harm.add_argument("--out", required=True, help="output directory")
     p_harm.add_argument("--report", help="write a JSON report here")
-    p_harm.add_argument("--bits", type=int, help="quantize outputs to this bit depth")
+    p_harm.add_argument("--bits", type=int, help="quantize outputs to this bit depth (1-16)")
     p_harm.add_argument("--best-effort", action="store_true",
                         help="continue past per-item failures (exit 2)")
     p_harm.add_argument("--dtype", choices=["u8", "u16", "i16", "f32"],

@@ -80,7 +80,7 @@ def write_volume(vol: Volume, path, dtype: str = "f32") -> Path:
         raise ValueError(f"unknown dtype {dtype!r}, expected one of {sorted(_DTYPES)}")
     dt = _DTYPES[dtype]
     vox = vol.voxels
-    lo, hi = vox.min(), vox.max()
+    lo, hi = float(vox.min()), float(vox.max())
     if dt.kind in "ui":
         # rint is monotone, so rounding the extremes decides the range
         info = np.iinfo(dt)
@@ -102,8 +102,9 @@ def write_volume(vol: Volume, path, dtype: str = "f32") -> Path:
 def read_volume(path) -> Volume:
     """Read a volume written by :func:`write_volume`.
 
-    The header is validated before any payload byte is interpreted; a payload
-    whose length disagrees with the header raises HeaderMismatch.
+    The voxels keep the stored dtype (u8, u16, i16 or f32).  The header is
+    validated before any payload byte is interpreted; a payload whose length
+    disagrees with the header raises HeaderMismatch.
     """
     path = Path(path)
     try:
@@ -142,7 +143,7 @@ def read_volume(path) -> Volume:
     if actual != expected:
         raise HeaderMismatch(
             f"payload is {actual} bytes but the header implies {expected}")
-    data = np.fromfile(path, dtype=dt).astype(np.float64)
+    data = np.fromfile(path, dtype=dt)
     return Volume._owning(tuple(dims), data, channel, float(background))
 
 

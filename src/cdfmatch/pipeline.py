@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cdf import (DEFAULT_GRID_SIZE, IntensityIndex, Volume, build_cdf,
-                  ks_distance, zscore_standardize)
+from .cdf import (DEFAULT_GRID_SIZE, IntensityIndex, Volume, _foreground_mask,
+                  build_cdf, ks_distance, zscore_standardize)
 from .errors import DegenerateConstant, EmptyInput
 from .fit import FitConfig, FitResult, fit_cdf
 from .template import TemplateCdf, config_hash
@@ -35,6 +35,11 @@ class HarmonizeOptions:
     fit: FitConfig = field(default_factory=FitConfig)
     grid_size: int = DEFAULT_GRID_SIZE
     bits: int | None = None
+
+    def __post_init__(self):
+        # the integer output dtypes are at most 16 bits wide
+        if self.bits is not None and not 1 <= self.bits <= 16:
+            raise ValueError(f"bits must lie in 1..16, got {self.bits}")
 
     def to_dict(self) -> dict:
         return {"fit": self.fit.to_dict(),
@@ -160,16 +165,16 @@ def percentile_stretch(vol: Volume, target: tuple[float, float],
     Values beyond the anchor percentiles clamp to the target ends; background
     voxels pass through unchanged.
     """
-    mask = vol.voxels != vol.background_value
-    fg = vol.voxels[mask]
+    mask = _foreground_mask(vol.voxels, vol.background_value)
+    fg = vol.voxels[mask].astype(np.float64, copy=False)
     q_lo, q_hi = np.quantile(fg, [lo_p, hi_p])
     if q_hi <= q_lo:
         raise DegenerateConstant("percentile anchors collapse")
     t_lo, t_hi = (float(target[0]), float(target[1]))
     scale = (t_hi - t_lo) / (q_hi - q_lo)
-    out = vol.voxels.copy()
+    out = vol.voxels.astype(np.float64)
     out[mask] = np.clip(t_lo + (fg - q_lo) * scale, t_lo, t_hi)
-    return vol.with_voxels(out)
+    return Volume._owning(vol.dims, out, vol.channel, vol.background_value)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf
 
-from .cdf import IntensityIndex, Volume, _match_scalar
+from .cdf import _BLOCK, IntensityIndex, Volume, _foreground_mask, _match_scalar
 from .errors import BadTailSpec, NonMonotone
 
 DEFAULT_RATIO_CAP = 20.0
@@ -285,12 +285,17 @@ def apply_lut(vol: "Volume | IntensityIndex", lut: IntensityLut) -> "Volume | In
     Values outside the LUT domain clamp to the domain ends before mapping;
     background voxels are copied through untouched.  The mapping runs once
     per level of the volume's :class:`IntensityIndex` (once per distinct
-    intensity of an integer-valued volume), then one gather builds the
-    output volume.  Given an index, returns the mapped index ungathered.
+    intensity of an integer-valued volume), block by block into one float64
+    array, then one gather builds the output volume.  Given an index,
+    returns the mapped index ungathered.
     """
     index = IntensityIndex.of(vol)
     bg = index.background_value
-    mapped = np.asarray(lut.apply(index.levels), dtype=np.float64)
-    mapped[index.levels == bg] = bg
+    mapped = np.empty(index.levels.size, dtype=np.float64)
+    for start in range(0, mapped.size, _BLOCK):
+        levels = index.levels[start:start + _BLOCK]
+        block = mapped[start:start + _BLOCK]
+        block[:] = lut.apply(levels)
+        np.copyto(block, bg, where=~_foreground_mask(levels, bg))
     out = index.with_levels(mapped)
     return out if isinstance(vol, IntensityIndex) else out.to_volume()

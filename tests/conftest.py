@@ -62,6 +62,13 @@ def volume_from_values(values, channel: str = "", background: float = 0.0) -> Vo
                   background_value=background)
 
 
+def stored_volume(values, dtype, background: float = 0.0) -> Volume:
+    """Volume holding ``values`` in ``dtype``, the way read_volume returns a
+    file stored in that dtype."""
+    values = np.asarray(values).astype(dtype).ravel()
+    return Volume._owning((values.size, 1, 1), values, "", float(background))
+
+
 def cdf_from_samples(samples, grid_size: int = 1024) -> EmpiricalCdf:
     return build_cdf(volume_from_values(samples), exclude_background=False,
                      grid_size=grid_size)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdfmatch import (EmpiricalCdf, Volume, average_cdfs, build_cdf,
                       cdf_value, ks_distance, quantile, zscore_standardize)
@@ -9,7 +11,7 @@ from cdfmatch.cdf import IntensityIndex
 from cdfmatch.errors import (AllBackground, DegenerateConstant, EmptyInput,
                              OutOfRange)
 
-from conftest import cdf_from_samples, volume_from_values
+from conftest import cdf_from_samples, stored_volume, volume_from_values
 
 
 class TestVolume:
@@ -31,6 +33,28 @@ class TestVolume:
         assert vol.foreground().tolist() == [1.0, 2.0]
 
 
+def reference_cdf(values, background, exclude_background, grid_size):
+    """build_cdf's arithmetic over every distinct value: (xs, ps, n)."""
+    values = np.asarray(values, dtype=np.float64)
+    if exclude_background:
+        values = values[values != np.float64(background)]
+    distinct, counts = np.unique(values, return_counts=True)
+    n = int(counts.sum())
+    cum = np.cumsum(counts)
+    p = (cum - (counts - 1) / 2.0) / n
+    p[-1] = 1.0
+    xs = np.linspace(distinct[0], distinct[-1], grid_size)
+    ps = np.maximum.accumulate(np.interp(xs, distinct, p))
+    return xs, ps / ps[-1], n
+
+
+def assert_cdf_is_reference(cdf, values, background, exclude_background, grid_size):
+    xs, ps, n = reference_cdf(values, background, exclude_background, grid_size)
+    assert cdf.xs.tobytes() == xs.tobytes()
+    assert cdf.ps.tobytes() == ps.tobytes()
+    assert cdf.n_samples == n
+
+
 class TestIntensityIndex:
     # three blocks of the dense count plus a partial one
     N = 3 * 65536 + 5
@@ -45,11 +69,21 @@ class TestIntensityIndex:
         index = IntensityIndex.of(vol)
         assert index.inverse.dtype == np.uint16 and index.levels.size <= vol.n_voxels
         assert index.to_volume().voxels.tobytes() == vol.voxels.tobytes()
+        used = index.counts > 0
+        expected = np.unique(vol.voxels, return_counts=True)
+        assert np.array_equal(index.levels[used], expected[0])
+        assert np.array_equal(index.counts[used], expected[1])
         for exclude in (True, False):
-            kept = vol.foreground() if exclude else vol.voxels
-            expected = np.unique(kept, return_counts=True)
-            got = index.histogram(exclude)
-            assert all(np.array_equal(g, e) for g, e in zip(got, expected))
+            assert_cdf_is_reference(build_cdf(index, exclude, grid_size=257),
+                                    vol.voxels, 5.0, exclude, grid_size=257)
+
+    @pytest.mark.parametrize("exclude", [True, False])
+    def test_levels_mapped_out_of_order_still_give_the_reference_cdf(self, exclude):
+        values = np.random.default_rng(5).integers(-300, 700, self.N).astype(np.float64)
+        index = IntensityIndex.of(volume_from_values(values, background=4.0))
+        mapped = index.with_levels(np.abs(index.levels) % 37)  # unsorted, merged
+        assert_cdf_is_reference(build_cdf(mapped, exclude, grid_size=100),
+                                mapped.to_volume().voxels, 4.0, exclude, grid_size=100)
 
     @pytest.mark.parametrize("hot_pixel", [False, True])
     def test_non_integer_voxel_past_the_probe_keeps_one_level_per_voxel(self, hot_pixel):
@@ -61,6 +95,69 @@ class TestIntensityIndex:
         index = IntensityIndex.of(vol)
         assert index.inverse is None and index.counts is None
         assert index.to_volume().voxels.tobytes() == vol.voxels.tobytes()
+
+
+@st.composite
+def _cdf_inputs(draw):
+    """(values, background): float32 or float64 values covering ties,
+    two-level images, spread values, integer levels (dense and sorted
+    tables) and negative ranges, with the background on a voxel, one float64
+    step above one, or anywhere."""
+    dtype = draw(st.sampled_from((np.float32, np.float64)))
+    # signed zeros compare equal, and which one a sort puts first is not
+    # specified, so a volume holding both may start its grid at either
+    floats = st.floats(-1e6, 1e6, width=32 if dtype is np.float32 else 64).map(
+        lambda x: x + 0.0)
+    kind = draw(st.sampled_from(("spread", "ties", "two_levels", "integers")))
+    if kind == "spread":
+        values = draw(st.lists(floats, min_size=1, max_size=300))
+    else:
+        levels = st.integers(-3000, 3000).map(float) if kind == "integers" else floats
+        size = 2 if kind == "two_levels" else draw(st.integers(1, 8))
+        pool = draw(st.lists(levels, min_size=size, max_size=size, unique=True))
+        values = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=300))
+    on_voxel = draw(st.sampled_from(values))
+    background = draw(st.sampled_from((on_voxel, float(np.nextafter(on_voxel, np.inf)),
+                                       draw(floats))))
+    return np.array(values, dtype=dtype), background
+
+
+class TestBracketSampledCdf:
+    @settings(max_examples=300)
+    @given(inputs=_cdf_inputs(), exclude=st.booleans(),
+           grid_size=st.sampled_from((2, 3, 1024)) | st.integers(2, 600))
+    def test_equals_the_full_histogram_reference(self, inputs, exclude, grid_size):
+        values, background = inputs
+        vol = stored_volume(values, values.dtype, background)
+        kept = vol.voxels.astype(np.float64)
+        if exclude:
+            kept = kept[kept != np.float64(background)]
+        if kept.size == 0:
+            with pytest.raises(AllBackground):
+                build_cdf(vol, exclude, grid_size)
+        elif np.unique(kept).size == 1:
+            with pytest.raises(DegenerateConstant):
+                build_cdf(vol, exclude, grid_size)
+        else:
+            assert_cdf_is_reference(build_cdf(vol, exclude, grid_size),
+                                    vol.voxels, background, exclude, grid_size)
+
+    def test_grid_point_just_below_a_float32_voxel(self):
+        # 1/3 rounds up to float32: searching with that key would count the
+        # voxels stored at float32(1/3) as lying at or below the grid point
+        # and miss its lower bracket, 0.32
+        third = np.float32(1 / 3)
+        assert float(third) > 1 / 3
+        values = np.array([0.0, 0.1, 0.32] + [third] * 6 + [1.0], dtype=np.float32)
+        vol = stored_volume(values, np.float32, background=-1.0)
+        assert_cdf_is_reference(build_cdf(vol, grid_size=4), values, -1.0, True, 4)
+
+    def test_float32_background_compares_in_float64(self):
+        # 0.1 is not a float32: voxels stored as 0.1f are foreground
+        vol = stored_volume([0.1] * 8 + [1.0, 2.0], np.float32, background=0.1)
+        assert build_cdf(vol).n_samples == 10
+        assert vol.foreground().size == 10
+        assert vol.foreground().dtype == np.float64
 
 
 class TestEmpiricalCdfValidation:

@@ -268,6 +268,16 @@ class TestHarmonizeCommand:
         assert not out_dir.exists()
 
 
+    @pytest.mark.parametrize("bits", ["0", "-3", "17"])
+    def test_bits_outside_1_to_16_is_usage_error(self, workspace, tmp_path, capsys, bits):
+        out_dir, report = tmp_path / "out", tmp_path / "report.json"
+        assert run(["harmonize", "--template", str(workspace / "t2.template.json"),
+                    "--in", str(workspace / "raw"), "--out", str(out_dir),
+                    "--report", str(report), "--bits", bits]) == 64
+        assert "bits must lie in 1..16" in capsys.readouterr().err
+        assert not out_dir.exists() and not report.exists()
+
+
 class TestInspect:
     def test_cdf_csv_and_plot(self, workspace, tmp_path):
         out = tmp_path / "cdf.csv"

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdfmatch import (METHOD_CDF_MATCH, METHOD_PERCENTILE_STRETCH,
-                      METHOD_ZSCORE, HarmonizeOptions, apply_lut, build_cdf,
-                      evaluate_cohort, generate_synthetic, harmonize,
-                      ks_distance, percentile_stretch, quantile,
-                      zscore_standardize)
+                      METHOD_ZSCORE, HarmonizeOptions, Volume, apply_lut,
+                      build_cdf, evaluate_cohort, generate_synthetic, harmonize,
+                      ks_distance, percentile_stretch, quantile, read_volume,
+                      write_volume, zscore_standardize)
 from cdfmatch.cdf import IntensityIndex
 from cdfmatch.errors import (AllBackground, DegenerateCdf, DegenerateConstant,
                              EmptyInput)
@@ -74,6 +74,60 @@ class TestHarmonize:
         _, b = harmonize(vol, template_12bit)
         assert a.to_dict() == b.to_dict()  # timing excluded by default
         assert "wall_time_s" in a.to_dict(include_timing=True)
+
+
+class TestStoredDtypes:
+    """A volume read in its stored dtype harmonizes exactly like its float64 copy."""
+
+    # (file dtype, stored values from T2-like voxels v, header background)
+    CASES = {
+        "u8": (lambda v: np.clip(np.rint(0.4 * v), 1, 255), 0.0),
+        "u16": (lambda v: np.rint(v), 0.0),
+        "i16": (lambda v: np.rint(v) - 600.0, -1024.0),
+        "f32": (lambda v: v, 0.0),
+        # 0.1 is not a float32: the voxels stored as 0.1f are foreground
+        "f32_background_0.1": (lambda v: np.where(np.arange(v.size) % 5 == 0, 0.1, v), 0.1),
+    }
+
+    @staticmethod
+    def _stored_and_copy(tmp_path, case, seed):
+        stored, background = TestStoredDtypes.CASES[case]
+        dtype = case.split("_")[0]
+        base = generate_synthetic(t2_spec(seed, dims=(20, 20, 20)))
+        values = np.array(stored(base.voxels))
+        values[:values.size // 6] = background
+        path = tmp_path / f"{case}-{seed}.raw"
+        write_volume(Volume(base.dims, values, "T2", background), path, dtype=dtype)
+        vol = read_volume(path)
+        copy = Volume(vol.dims, vol.voxels, vol.channel, vol.background_value)
+        assert vol.voxels.dtype.name == {"u8": "uint8", "u16": "uint16", "i16": "int16",
+                                         "f32": "float32"}[dtype]
+        assert copy.voxels.dtype == np.float64
+        return vol, copy
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_every_stage_equals_the_float64_copy(self, template_12bit, tmp_path, case):
+        vol, copy = self._stored_and_copy(tmp_path, case, 1201)
+        if case == "f32_background_0.1":
+            assert build_cdf(vol).n_samples == vol.n_voxels
+        for exclude in (True, False):
+            a, b = build_cdf(vol, exclude), build_cdf(copy, exclude)
+            assert (a.xs.tobytes(), a.ps.tobytes(), a.n_samples) == \
+                (b.xs.tobytes(), b.ps.tobytes(), b.n_samples)
+        for bits in (None, 12):
+            out_a, entry_a = harmonize(vol, template_12bit, HarmonizeOptions(bits=bits))
+            out_b, entry_b = harmonize(copy, template_12bit, HarmonizeOptions(bits=bits))
+            assert out_a.voxels.tobytes() == out_b.voxels.tobytes()
+            assert entry_a.to_dict() == entry_b.to_dict()
+        for baseline in (zscore_standardize,
+                         lambda v: percentile_stretch(v, (1.0, 4095.0))):
+            out_a, out_b = baseline(vol), baseline(copy)
+            assert out_a.voxels.dtype == np.float64
+            assert out_a.voxels.tobytes() == out_b.voxels.tobytes()
+        other, other_copy = self._stored_and_copy(tmp_path, case, 1202)
+        rows_a = evaluate_cohort([vol, other], template_12bit)
+        rows_b = evaluate_cohort([copy, other_copy], template_12bit)
+        assert [r.to_dict() for r in rows_a] == [r.to_dict() for r in rows_b]
 
 
 class TestClipModes:
@@ -228,6 +282,12 @@ class TestStagesStayVisible:
         assert (IntensityIndex.of(vol).inverse is not None) == integer
         harmonize(vol, template_12bit, HarmonizeOptions(bits=12))
         assert calls == {"build_cdf": 2, "apply_lut": 1}
+
+
+@pytest.mark.parametrize("bits", [0, -3, 17])
+def test_bits_outside_1_to_16_rejected(bits):
+    with pytest.raises(ValueError, match="bits"):
+        HarmonizeOptions(bits=bits)
 
 
 class TestRealisticRegimes:

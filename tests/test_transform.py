@@ -8,9 +8,10 @@ import pytest
 from cdfmatch import (DualScaleParams, PivotTriple, TailSpec, apply_lut,
                       blend, compose_lut, lut_bottom_tail, lut_ds,
                       lut_top_tail, sigma_blend)
+from cdfmatch.cdf import IntensityIndex
 from cdfmatch.errors import BadTailSpec, NonMonotone
 
-from conftest import volume_from_values
+from conftest import stored_volume, volume_from_values
 
 PIVOTS = PivotTriple(0.0, 50.0, 100.0)
 
@@ -293,3 +294,25 @@ class TestApplyLut:
         out = apply_lut(vol, lut)
         assert out.voxels[0] == lut.apply(500.0)
         assert out.voxels[1] == lut.apply(3300.0)
+
+    # one level, a block short of full, exactly full, one over, two blocks plus
+    @pytest.mark.parametrize("n_levels", [1, 65535, 65536, 65537, 2 * 65536 + 3])
+    @pytest.mark.parametrize("kind", ["integer", "float64", "float32"])
+    def test_blocks_equal_one_pass_over_the_whole_array(self, n_levels, kind):
+        values = np.random.default_rng(n_levels).permutation(n_levels).astype(np.float64)
+        if kind != "integer":
+            values += 0.5
+        background = float(values[n_levels // 2])
+        dtype = np.float32 if kind == "float32" else np.float64
+        vol = stored_volume(values, dtype, background)
+        assert IntensityIndex.of(vol).levels.size == n_levels
+        lo, w = -1.0, n_levels + 2.0
+        pivots = PivotTriple(lo + 0.2 * w, lo + 0.5 * w, lo + 0.8 * w)
+        tails = TailSpec(v_T=lo + 0.8 * w, v_max=lo + w, v_clipT=lo + 0.9 * w,
+                         v_B=lo + 0.2 * w, v_min=lo, v_clipB=lo + 0.1 * w,
+                         enabled_top=True, enabled_bottom=True)
+        lut = compose_lut(DualScaleParams(1.2, 0.9, pivots.v_M, pivots), tails,
+                          (lo, lo + w), clip=(lo + 0.1 * w, lo + 0.9 * w))
+        expected = np.asarray(lut.apply(vol.voxels.astype(np.float64)))
+        expected[vol.voxels == background] = background
+        assert apply_lut(vol, lut).voxels.tobytes() == expected.tobytes()
