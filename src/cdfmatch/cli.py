@@ -19,14 +19,14 @@ from pathlib import Path
 
 from . import __version__
 from .cdf import build_cdf
-from .errors import CdfMatchError, UsageError
+from .errors import CdfMatchError, Overflow, UsageError
 from .fit import FitConfig
-from .io import (SynthSpec, emit_cdf_plot, emit_lut_plot, generate_synthetic,
-                 load_lut, read_volume, save_lut, write_cdf_csv, write_files,
-                 write_lut_csv, write_volume)
+from .io import (SynthSpec, check_fits, emit_cdf_plot, emit_lut_plot,
+                 generate_synthetic, load_lut, read_volume, save_lut,
+                 write_cdf_csv, write_files, write_lut_csv, write_volume)
 from .pipeline import (ALL_METHODS, METHOD_CDF_MATCH, METHOD_PERCENTILE_STRETCH,
                        METHOD_ZSCORE, HarmonizeOptions, evaluate_cohort,
-                       harmonize)
+                       harmonize, quantization_range)
 from .template import (DEFAULT_CLIP, DEFAULT_CONTROLS, ControlPoints,
                        build_template, load_template, save_template)
 
@@ -201,14 +201,16 @@ def _cmd_harmonize(args) -> int:
     _check_output_files(args.report)
     cfg = _resolve_config(args)
     template = load_template(args.template)
+    dtype = args.dtype or ("u16" if args.bits is not None else "f32")
     try:
         options = HarmonizeOptions(fit=cfg.fit, grid_size=cfg.grid_size, bits=args.bits)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        if args.bits is not None:
+            check_fits(dtype, *quantization_range(template, args.bits))
+    except (ValueError, Overflow) as exc:
+        raise UsageError(f"--bits {args.bits} --dtype {dtype}: {exc}") from exc
     inputs = _discover_inputs(args.input)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    dtype = args.dtype or ("u16" if args.bits is not None else "f32")
 
     def process(path: Path) -> dict:
         vol = read_volume(path)

@@ -70,6 +70,21 @@ def write_files(label: str, *files) -> Path:
     return Path(files[0][0])
 
 
+def check_fits(dtype: str, lo: float, hi: float) -> None:
+    """Raise Overflow unless values in [lo, hi] fit ``dtype``; integer
+    dtypes hold the values rounded to the nearest integer."""
+    dt = _DTYPES[dtype]
+    if dt.kind in "ui":
+        # rint is monotone, so rounding the extremes decides the range
+        info = np.iinfo(dt)
+        if np.rint(lo) < info.min or np.rint(hi) > info.max:
+            raise Overflow(f"values [{lo:.6g}, {hi:.6g}] do not fit {dtype}")
+    else:
+        limit = float(np.finfo(dt).max)
+        if max(-lo, hi) > limit:
+            raise Overflow(f"values exceed the {dtype} range (+/-{limit:.4g})")
+
+
 def write_volume(vol: Volume, path, dtype: str = "f32") -> Path:
     """Write voxels as a little-endian raw payload plus a JSON header sidecar.
 
@@ -80,18 +95,11 @@ def write_volume(vol: Volume, path, dtype: str = "f32") -> Path:
         raise ValueError(f"unknown dtype {dtype!r}, expected one of {sorted(_DTYPES)}")
     dt = _DTYPES[dtype]
     vox = vol.voxels
-    lo, hi = float(vox.min()), float(vox.max())
+    check_fits(dtype, float(vox.min()), float(vox.max()))
     if dt.kind in "ui":
-        # rint is monotone, so rounding the extremes decides the range
-        info = np.iinfo(dt)
-        if np.rint(lo) < info.min or np.rint(hi) > info.max:
-            raise Overflow(f"values [{lo:.6g}, {hi:.6g}] do not fit {dtype}")
         payload = np.empty(vox.shape, dtype=dt)
         np.rint(vox, out=payload, casting="unsafe")
     else:
-        limit = float(np.finfo(dt).max)
-        if max(-lo, hi) > limit:
-            raise Overflow(f"values exceed the {dtype} range (+/-{limit:.4g})")
         payload = vox.astype(dt)
     header = {"dims": list(vol.dims), "dtype": dtype, "channel": vol.channel,
               "background_value": vol.background_value, "endianness": "little"}

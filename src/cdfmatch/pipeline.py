@@ -104,11 +104,18 @@ def _template_tails(params: DualScaleParams, template: TemplateCdf,
                     enabled_top=top, enabled_bottom=bottom)
 
 
-def _quantize(index: IntensityIndex, template: TemplateCdf, bits: int) -> IntensityIndex:
-    if template.clip is not None:
-        lo, hi = template.clip
-    else:
-        lo, hi = 0.0, float(2 ** bits - 1)
+def quantization_range(template: TemplateCdf, bits: int) -> tuple[float, float]:
+    """The interval ``bits``-deep output is rounded into: the template clip
+    range when it has one, else 0..2^bits-1.  Raises ValueError when the
+    interval holds more than 2^bits integers."""
+    lo, hi = template.clip if template.clip is not None else (0.0, float(2 ** bits - 1))
+    if np.rint(hi) - np.rint(lo) > 2 ** bits - 1:
+        raise ValueError(f"cannot quantize the clip range [{lo:g}, {hi:g}] to "
+                         f"{bits} bits: it holds more than {2 ** bits} levels")
+    return lo, hi
+
+
+def _quantize(index: IntensityIndex, lo: float, hi: float) -> IntensityIndex:
     bg = index.background_value
     levels = np.rint(np.clip(index.levels, lo, hi))  # ties round to even
     # a foreground level rounded onto the background value would become
@@ -131,6 +138,8 @@ def harmonize(vol: Volume, template: TemplateCdf,
     """
     options = options or HarmonizeOptions()
     started = time.perf_counter()
+    if options.bits is not None:
+        q_range = quantization_range(template, options.bits)
     index = IntensityIndex.of(vol)
     image_cdf = build_cdf(index, grid_size=options.grid_size)
     pre_ks = ks_distance(image_cdf, template.cdf)
@@ -145,7 +154,7 @@ def harmonize(vol: Volume, template: TemplateCdf,
     lut = compose_lut(fit.params, tails, domain, clip=template.clip)
     mapped = apply_lut(index, lut)
     if options.bits is not None:
-        mapped = _quantize(mapped, template, options.bits)
+        mapped = _quantize(mapped, *q_range)
     post_cdf = build_cdf(mapped, grid_size=options.grid_size)
     post_ks = ks_distance(post_cdf, template.cdf)
     out = mapped.to_volume()

@@ -150,9 +150,8 @@ def blend(x, pivots: PivotTriple) -> "float | np.ndarray":
     xv = np.asarray(x, dtype=np.float64)
     lo_span = pivots.v_M - pivots.v_B
     hi_span = pivots.v_T - pivots.v_M
-    xbar = np.where(xv <= pivots.v_M,
-                    2.0 * (xv - pivots.v_M) / lo_span,
-                    2.0 * (xv - pivots.v_M) / hi_span)
+    xbar = 2.0 * (xv - pivots.v_M)
+    xbar /= np.where(xv <= pivots.v_M, lo_span, hi_span)
     out = 1.0 - 0.5 * (erf(xbar) + 1.0)
     return _match_scalar(out, x)
 
@@ -190,8 +189,10 @@ def lut_top_tail(x, v_T: float, v_max: float, v_clipT: float) -> "float | np.nda
     xv = np.asarray(x, dtype=np.float64)
     r_S = v_max - v_T
     r_T = v_clipT - v_T
-    shrunk = v_T + r_T * erf(2.0 * (xv - v_T) / r_S)
-    out = np.where(xv < v_T, xv, shrunk)
+    # only values past v_T (and NaN, as in the formula) pay for the erf
+    out = np.array(xv, dtype=np.float64)
+    tail = ~(xv < v_T)
+    out[tail] = v_T + r_T * erf(2.0 * (xv[tail] - v_T) / r_S)
     return _match_scalar(out, x)
 
 
@@ -284,10 +285,10 @@ def apply_lut(vol: "Volume | IntensityIndex", lut: IntensityLut) -> "Volume | In
 
     Values outside the LUT domain clamp to the domain ends before mapping;
     background voxels are copied through untouched.  The mapping runs once
-    per level of the volume's :class:`IntensityIndex` (once per distinct
-    intensity of an integer-valued volume), block by block into one float64
-    array, then one gather builds the output volume.  Given an index,
-    returns the mapped index ungathered.
+    per foreground level of the volume's :class:`IntensityIndex` (once per
+    distinct intensity of an integer-valued volume), block by block into one
+    float64 array filled with the background value, then one gather builds
+    the output volume.  Given an index, returns the mapped index ungathered.
     """
     index = IntensityIndex.of(vol)
     bg = index.background_value
@@ -295,7 +296,8 @@ def apply_lut(vol: "Volume | IntensityIndex", lut: IntensityLut) -> "Volume | In
     for start in range(0, mapped.size, _BLOCK):
         levels = index.levels[start:start + _BLOCK]
         block = mapped[start:start + _BLOCK]
-        block[:] = lut.apply(levels)
-        np.copyto(block, bg, where=~_foreground_mask(levels, bg))
+        fg = _foreground_mask(levels, bg)
+        block.fill(bg)
+        block[fg] = lut.apply(levels[fg])
     out = index.with_levels(mapped)
     return out if isinstance(vol, IntensityIndex) else out.to_volume()

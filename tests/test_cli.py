@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from cdfmatch import generate_synthetic, read_volume, write_volume
+from cdfmatch import cli, generate_synthetic, read_volume, write_volume
 from cdfmatch.cli import run
 
 from conftest import T2_COMPONENTS, scanner_effect, t2_spec
@@ -275,6 +275,23 @@ class TestHarmonizeCommand:
                     "--in", str(workspace / "raw"), "--out", str(out_dir),
                     "--report", str(report), "--bits", bits]) == 64
         assert "bits must lie in 1..16" in capsys.readouterr().err
+        assert not out_dir.exists() and not report.exists()
+
+    # the 12-bit template clips to [1, 4095]: 8 bits cannot hold that range
+    # and u8 cannot hold its top end, so both fail before any item runs
+    @pytest.mark.parametrize("flags, message", [
+        (["--bits", "8"], "more than 256 levels"),
+        (["--bits", "12", "--dtype", "u8"], "values [1, 4095] do not fit u8"),
+    ])
+    def test_bits_that_cannot_hold_the_clip_range_is_usage_error(
+            self, workspace, tmp_path, capsys, monkeypatch, flags, message):
+        monkeypatch.setattr(cli, "harmonize", None)  # any item run would fail
+        out_dir, report = tmp_path / "out", tmp_path / "report.json"
+        assert run(["harmonize", "--template", str(workspace / "t2.template.json"),
+                    "--in", str(workspace / "raw"), "--out", str(out_dir),
+                    "--report", str(report)] + flags) == 64
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
         assert not out_dir.exists() and not report.exists()
 
 

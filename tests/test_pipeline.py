@@ -13,6 +13,7 @@ from cdfmatch import (METHOD_CDF_MATCH, METHOD_PERCENTILE_STRETCH,
 from cdfmatch.cdf import IntensityIndex
 from cdfmatch.errors import (AllBackground, DegenerateCdf, DegenerateConstant,
                              EmptyInput)
+from cdfmatch.pipeline import quantization_range
 
 from conftest import (sample_from_cdf, scanner_cohort, scanner_effect,
                       t2_spec, volume_from_values)
@@ -288,6 +289,17 @@ class TestStagesStayVisible:
 def test_bits_outside_1_to_16_rejected(bits):
     with pytest.raises(ValueError, match="bits"):
         HarmonizeOptions(bits=bits)
+
+
+def test_quantization_range_must_fit_the_bit_depth(template_12bit, template_unclipped):
+    assert quantization_range(template_12bit, 12) == (1.0, 4095.0)
+    assert quantization_range(template_unclipped, 8) == (0.0, 255.0)
+    with pytest.raises(ValueError, match="more than 256 levels"):
+        quantization_range(template_12bit, 8)
+    # harmonize applies the same rule before it maps anything
+    vol = generate_synthetic(t2_spec(610, dims=(8, 8, 8)))
+    with pytest.raises(ValueError, match="more than 2048 levels"):
+        harmonize(vol, template_12bit, HarmonizeOptions(bits=11))
 
 
 class TestRealisticRegimes:

@@ -4,12 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import erf
 
 from cdfmatch import (DualScaleParams, PivotTriple, TailSpec, apply_lut,
                       blend, compose_lut, lut_bottom_tail, lut_ds,
                       lut_top_tail, sigma_blend)
 from cdfmatch.cdf import IntensityIndex
 from cdfmatch.errors import BadTailSpec, NonMonotone
+from cdfmatch.transform import IntensityLut
 
 from conftest import stored_volume, volume_from_values
 
@@ -316,3 +320,133 @@ class TestApplyLut:
         expected = np.asarray(lut.apply(vol.voxels.astype(np.float64)))
         expected[vol.voxels == background] = background
         assert apply_lut(vol, lut).voxels.tobytes() == expected.tobytes()
+
+    # a dense integer table over several blocks, and an f32 volume whose
+    # levels are its voxels; both with tails that fire on each side
+    @pytest.mark.parametrize("kind", ["integer", "float32"])
+    def test_background_levels_are_never_mapped(self, monkeypatch, kind):
+        rng = np.random.default_rng(43)
+        n = 3 * 65536 + 11
+        if kind == "integer":
+            values, dtype = rng.integers(0, 2 * 65536, n), np.float64
+        else:
+            values, dtype = rng.uniform(-500.0, 6000.0, n), np.float32
+        values[rng.random(n) < 0.2] = 0.0
+        vol = stored_volume(values, dtype, background=0.0)
+        assert (IntensityIndex.of(vol).inverse is not None) == (kind == "integer")
+        lut = compose_lut(_identity_params(), _twelve_bit_tails(-500.0, 2.0 * 65536),
+                          (-500.0, 2.0 * 65536), clip=(1.0, 4095.0))
+        seen = []
+        mapping = IntensityLut.apply
+
+        def spy(self, x):
+            seen.append(np.array(x))
+            return mapping(self, x)
+
+        monkeypatch.setattr(IntensityLut, "apply", spy)
+        apply_lut(vol, lut)
+        levels = IntensityIndex.of(vol).levels
+        assert len(seen) > 1
+        assert np.concatenate(seen).tobytes() == levels[levels != 0.0].tobytes()
+
+
+# Reference forms of the transforms: every branch evaluated on every value
+# and one picked by np.where.  The library evaluates each erf only where its
+# result is kept; these references pin that to the same bits.
+
+def _ref_blend(x, p):
+    xv = np.asarray(x, dtype=np.float64)
+    xbar = np.where(xv <= p.v_M,
+                    2.0 * (xv - p.v_M) / (p.v_M - p.v_B),
+                    2.0 * (xv - p.v_M) / (p.v_T - p.v_M))
+    return 1.0 - 0.5 * (erf(xbar) + 1.0)
+
+
+def _ref_top_tail(x, v_T, v_max, v_clipT):
+    xv = np.asarray(x, dtype=np.float64)
+    shrunk = v_T + (v_clipT - v_T) * erf(2.0 * (xv - v_T) / (v_max - v_T))
+    return np.where(xv < v_T, xv, shrunk)
+
+
+def _ref_bottom_tail(x, v_B, v_min, v_clipB, v_max):
+    xv = np.asarray(x, dtype=np.float64)
+    return v_max - _ref_top_tail(v_max - xv, v_max - v_B, v_max - v_min, v_max - v_clipB)
+
+
+def _ref_lut_apply(lut, x):
+    xv = np.clip(np.asarray(x, dtype=np.float64), lut.domain[0], lut.domain[1])
+    p, t = lut.params, lut.tails
+    sigma = p.sigma_T + _ref_blend(xv, p.pivots) * (p.sigma_B - p.sigma_T)
+    y = (xv - p.pivots.v_M) * sigma + p.gamma
+    if t.enabled_top:
+        y = _ref_top_tail(y, t.v_T, t.v_max, t.v_clipT)
+    if t.enabled_bottom:
+        y = _ref_bottom_tail(y, t.v_B, t.v_min, t.v_clipB, t.v_max)
+    return y if lut.clip is None else np.clip(y, lut.clip[0], lut.clip[1])
+
+
+def _same_bits(got, ref, x):
+    if np.ndim(x) == 0:
+        assert type(got) is float
+    assert np.asarray(got, dtype=np.float64).tobytes() == np.asarray(ref).tobytes()
+
+
+_coords = st.floats(-5000.0, 5000.0)
+_gaps = st.floats(0.01, 3000.0)
+
+
+@st.composite
+def _inputs(draw, anchors, width):
+    """A scalar, a 0-d array, an empty array, or a float64 or float32 array
+    of each anchor, its float neighbours and 500 random values spread over
+    ``width`` either side of the anchors."""
+    near = [v for a in anchors for v in (np.nextafter(a, -np.inf), a, np.nextafter(a, np.inf))]
+    shape = draw(st.sampled_from(["scalar", "0-d", "empty", "float64", "float32"]))
+    if shape == "scalar":
+        return float(draw(st.sampled_from(near)))
+    if shape == "0-d":
+        return np.array(draw(st.sampled_from(near)))
+    if shape == "empty":
+        return np.empty(0)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    spread = rng.uniform(min(anchors) - width, max(anchors) + width, 500)
+    values = np.concatenate([near, spread])
+    return values.astype(np.float32) if shape == "float32" else values
+
+
+class TestBitwiseReference:
+    @given(data=st.data(), v_B=_coords, gap_lo=_gaps, gap_hi=_gaps)
+    @settings(max_examples=200)
+    def test_blend(self, data, v_B, gap_lo, gap_hi):
+        pivots = PivotTriple(v_B, v_B + gap_lo, v_B + gap_lo + gap_hi)
+        x = data.draw(_inputs((pivots.v_B, pivots.v_M, pivots.v_T), gap_lo + gap_hi))
+        _same_bits(blend(x, pivots), _ref_blend(x, pivots), x)
+
+    @given(data=st.data(), start=_coords, source=_gaps, target=_gaps, reflect=_coords)
+    @settings(max_examples=200)
+    def test_tails(self, data, start, source, target, reflect):
+        x = data.draw(_inputs((start,), source))
+        top = (start, start + source, start + target)
+        _same_bits(lut_top_tail(x, *top), _ref_top_tail(x, *top), x)
+        bottom = (start, start - source, start - target, reflect)
+        _same_bits(lut_bottom_tail(x, *bottom), _ref_bottom_tail(x, *bottom), x)
+
+    @given(data=st.data(), v_B=_coords, gap_lo=_gaps, gap_hi=_gaps,
+           sigma_B=st.floats(0.5, 1.0), sigma_T=st.floats(0.5, 1.0),
+           top=st.booleans(), bottom=st.booleans(), clipped=st.booleans())
+    @settings(max_examples=200)
+    def test_intensity_lut_apply(self, data, v_B, gap_lo, gap_hi, sigma_B, sigma_T,
+                                 top, bottom, clipped):
+        # a scale ratio of at most 2 keeps the dual scaling monotone
+        pivots = PivotTriple(v_B, v_B + gap_lo, v_B + gap_lo + gap_hi)
+        params = DualScaleParams(sigma_B, sigma_T, pivots.v_M, pivots)
+        lo, hi = pivots.v_B - gap_lo, pivots.v_T + gap_hi
+        v_min, v_max = float(lut_ds(lo, params)), float(lut_ds(hi, params))
+        t_B, t_T = float(lut_ds(pivots.v_B, params)), float(lut_ds(pivots.v_T, params))
+        tails = TailSpec(v_T=t_T, v_max=v_max, v_clipT=(t_T + v_max) / 2,
+                         v_B=t_B, v_min=v_min, v_clipB=(t_B + v_min) / 2,
+                         enabled_top=top, enabled_bottom=bottom)
+        lut = compose_lut(params, tails, (lo, hi),
+                          clip=(tails.v_clipB, tails.v_clipT) if clipped else None)
+        x = data.draw(_inputs((lo, pivots.v_B, pivots.v_M, pivots.v_T, hi), gap_lo + gap_hi))
+        _same_bits(lut.apply(x), _ref_lut_apply(lut, x), x)
