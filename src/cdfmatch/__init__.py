@@ -11,8 +11,7 @@ from . import errors
 from .cdf import (DEFAULT_GRID_SIZE, EmpiricalCdf, Volume, average_cdfs,
                   build_cdf, cdf_value, ks_distance, quantile,
                   zscore_standardize)
-from .fit import (LOSS_HUBER_QUANTILE, LOSS_L2_QUANTILE, FitConfig, FitResult,
-                  fit_cdf, fit_template_to_controls)
+from .fit import FitConfig, FitResult, fit_cdf, fit_template_to_controls
 from .io import (LesionSpec, MixtureComponent, ScannerEffect, SynthSpec,
                  emit_cdf_plot, emit_lut_plot, generate_synthetic, load_lut,
                  read_cdf_csv, read_volume, save_lut, write_cdf_csv,
@@ -37,7 +36,6 @@ __all__ = [
     "blend", "sigma_blend", "lut_ds", "lut_top_tail", "lut_bottom_tail",
     "compose_lut", "apply_lut",
     "FitConfig", "FitResult", "fit_cdf", "fit_template_to_controls",
-    "LOSS_L2_QUANTILE", "LOSS_HUBER_QUANTILE",
     "ControlPoints", "TemplateCdf", "build_template", "save_template",
     "load_template", "DEFAULT_CONTROLS", "DEFAULT_CLIP",
     "HarmonizeOptions", "ChannelReport", "MethodMetrics", "harmonize",

@@ -1,11 +1,12 @@
 """Constrained curve fitting that aligns an image CDF with a template CDF.
 
 Residuals live in the quantile domain: intensities at matched percentiles
-are compared, which keeps the objective smooth in the three parameters
-(two scale factors and a shift).  Scale-factor bounds and the ratio cap act
-on normalized factors (sigma divided by the overall control-span slope), so
-the same defaults work for inputs of any intensity range and the fit stays
-equivariant under input gain.
+are compared, so the prediction is linear in the three parameters (two
+scale factors and a shift) and the fit is a bounded linear least-squares
+solve, refined by Gauss-Newton when tails bend it.  Scale-factor bounds
+and the ratio cap act on normalized factors (sigma divided by the overall
+control-span slope), so the same defaults work for inputs of any intensity
+range and the fit stays equivariant under input gain.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.optimize import lsq_linear, minimize
+from scipy.optimize import lsq_linear
 
 from .cdf import EmpiricalCdf, quantile
 from .errors import DegenerateCdf, Infeasible
@@ -23,11 +24,12 @@ from .transform import DualScaleParams, PivotTriple, TailSpec, blend
 if TYPE_CHECKING:  # pragma: no cover
     from .template import ControlPoints, TemplateCdf
 
-LOSS_L2_QUANTILE = "l2_quantile"
-LOSS_HUBER_QUANTILE = "huber_quantile"
-_LOSSES = (LOSS_L2_QUANTILE, LOSS_HUBER_QUANTILE)
-
-_RATIO_PENALTY = 1e6
+# Gauss-Newton refinement of the tailed fit: at most _REFINE_STEPS steps,
+# each halved at most _HALVINGS times; it settles once a step lowers the
+# squared residual by no more than _REFINE_RTOL of it
+_REFINE_STEPS = 500
+_HALVINGS = 40
+_REFINE_RTOL = 1e-12
 
 
 def _default_percentile_grid() -> np.ndarray:
@@ -38,21 +40,13 @@ def _default_percentile_grid() -> np.ndarray:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Knobs for the quantile-domain fit.
-
-    ``tol`` is the relative convergence tolerance of the simplex search
-    (xatol on the normalized parameters, tol**2 as fatol on the normalized
-    objective).  ``huber_delta`` is the Huber corner in units of the template
-    control span and only matters for the huber loss.
-    """
+    """Knobs for the quantile-domain fit: the percentile grid the quantiles
+    are compared on, bounds on the normalized scale factors, and the cap on
+    their ratio."""
 
     percentile_grid: np.ndarray = field(default_factory=_default_percentile_grid)
     sigma_bounds: tuple[float, float] = (0.05, 20.0)
     ratio_cap: float = 20.0
-    max_iters: int = 500
-    tol: float = 1e-6
-    loss: str = LOSS_L2_QUANTILE
-    huber_delta: float = 0.05
 
     def __post_init__(self):
         grid = np.array(self.percentile_grid, dtype=np.float64)
@@ -68,30 +62,16 @@ class FitConfig:
         object.__setattr__(self, "sigma_bounds", (lo, hi))
         if self.ratio_cap <= 1.0:
             raise ValueError("ratio_cap must exceed 1")
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
-        if self.loss not in _LOSSES:
-            raise ValueError(f"unknown loss {self.loss!r}, expected one of {_LOSSES}")
 
     def to_dict(self) -> dict:
         return {"percentile_grid": [float(p) for p in self.percentile_grid],
                 "sigma_bounds": list(self.sigma_bounds),
-                "ratio_cap": float(self.ratio_cap),
-                "max_iters": int(self.max_iters),
-                "tol": float(self.tol),
-                "loss": self.loss,
-                "huber_delta": float(self.huber_delta)}
+                "ratio_cap": float(self.ratio_cap)}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "FitConfig":
-        kwargs = dict(doc)
-        if "percentile_grid" in kwargs:
-            kwargs["percentile_grid"] = np.array(kwargs["percentile_grid"], dtype=np.float64)
-        if "sigma_bounds" in kwargs:
-            kwargs["sigma_bounds"] = tuple(kwargs["sigma_bounds"])
-        return cls(**kwargs)
+        # __post_init__ turns the JSON lists into the array and the tuple
+        return cls(**doc)
 
 
 @dataclass(frozen=True)
@@ -129,20 +109,75 @@ def _image_pivots(image_cdf: EmpiricalCdf, ctrl_ps: np.ndarray) -> PivotTriple:
     return PivotTriple(v[0], v[1], v[2])
 
 
+def _solve(m: np.ndarray, rhs: np.ndarray, config: FitConfig) -> np.ndarray:
+    """Least-squares ``m @ (u_B, u_T, g) ~ rhs`` with both u inside
+    ``config.sigma_bounds`` and their ratio at most ``config.ratio_cap``.
+
+    The problem is convex, so when the box optimum breaks the cap the
+    optimum lies on a cap face, u_B = cap * u_T or u_T = cap * u_B; each face
+    is a 2-variable bounded solve in (u on the small side, g).
+    """
+    (lo, hi), cap = config.sigma_bounds, config.ratio_cap
+    x = lsq_linear(m, rhs, bounds=([lo, lo, -np.inf], [hi, hi, np.inf]),
+                   method="bvls").x
+    if max(x[0], x[1]) <= cap * min(x[0], x[1]):
+        return x
+    points = []
+    for big, small in ((0, 1), (1, 0)):
+        face = np.column_stack([cap * m[:, big] + m[:, small], m[:, 2]])
+        z = lsq_linear(face, rhs, bounds=([lo, -np.inf], [hi / cap, np.inf]),
+                       method="bvls").x
+        point = np.empty(3)
+        point[[big, small, 2]] = min(cap * z[0], hi), z[0], z[1]
+        points.append(point)
+    return min(points, key=lambda p: float(np.sum((m @ p - rhs) ** 2)))
+
+
+def _refine(x: np.ndarray, m: np.ndarray, target: np.ndarray, squeeze,
+            config: FitConfig) -> tuple[np.ndarray, int, bool]:
+    """Gauss-Newton from ``x`` on ``squeeze(m @ x)[0] ~ target``, where
+    ``squeeze`` returns the tailed values and their slope.  Each step is
+    :func:`_solve` on the slope-scaled rows of ``m``, halved until it lowers
+    the residual and then for as long as halving lowers it further.
+    Returns the point, the steps taken and whether they settled within
+    ``_REFINE_STEPS``."""
+    def trial(x):
+        z, dz = squeeze(m @ x)
+        return float(np.sum((z - target) ** 2)), x, z - target, dz
+
+    cost, x, r, dz = trial(x)
+    for taken in range(_REFINE_STEPS):
+        jac = dz[:, None] * m
+        step = _solve(jac, jac @ x - r, config) - x
+        best = trial(x + step)
+        for _ in range(_HALVINGS):
+            # halving while it helps also damps the zigzag the tails' kinks cause
+            step *= 0.5
+            half = trial(x + step)
+            if best[0] < cost and half[0] >= best[0]:
+                break
+            best = half
+        if best[0] >= cost:
+            return x, taken, True  # no step along this direction lowers the residual
+        settled = cost - best[0] <= _REFINE_RTOL * cost
+        cost, x, r, dz = best
+        if settled:
+            return x, taken + 1, True
+    return x, _REFINE_STEPS, False
+
+
 def fit_cdf(image_cdf: EmpiricalCdf, template: "TemplateCdf",
-            config: FitConfig | None = None, tails: TailSpec | None = None,
-            initial: DualScaleParams | None = None) -> FitResult:
+            config: FitConfig | None = None,
+            tails: TailSpec | None = None) -> FitResult:
     """Find (sigma_B, sigma_T, gamma) aligning image quantiles with the template.
 
-    Minimizes the configured loss of ``lut_ds(Q_image(p)) - Q_template(p)``
-    over the percentile grid with a bounded Nelder-Mead simplex over
-    (log sigma_B, log sigma_T, gamma).  Deterministic for identical inputs;
-    when the iteration cap is hit the best parameters are still returned
-    with ``converged`` set to False.
-
-    When ``tails`` is given the prediction runs through the tail-shrinking
-    maps, so the optimum accounts for the squeeze the pipeline will apply;
-    ``initial`` adds a warm-start candidate (used by that refinement pass).
+    Least squares on ``lut_ds(Q_image(p)) - Q_template(p)`` over the
+    percentile grid, which is linear in the parameters: one bounded solve
+    gives the exact optimum and ``iterations`` is 0.  With ``tails`` the
+    prediction runs through the tail-shrinking maps, as the pipeline will
+    apply them; Gauss-Newton steps from the untailed optimum refine it,
+    ``iterations`` counts them, and ``converged`` is False only when they
+    hit their cap.
     """
     config = config or FitConfig()
     ctrl_ps = _control_percentiles(template.controls)
@@ -154,81 +189,29 @@ def fit_cdf(image_cdf: EmpiricalCdf, template: "TemplateCdf",
 
     grid = config.percentile_grid
     qi = np.asarray(quantile(image_cdf, grid))
-    qt = np.asarray(quantile(template.cdf, grid))
+    target = (np.asarray(quantile(template.cdf, grid)) - anchors[1]) / span
     b = np.asarray(blend(qi, pivots))
-    dq = qi - pivots.v_M
+    # with sigma = sigma_ref * u and gamma = anchors[1] + g * span, the
+    # prediction is anchors[1] + span * m @ (u_B, u_T, g), and m is free of
+    # the input's gain and offset
+    dq = (qi - pivots.v_M) / (pivots.v_T - pivots.v_B)
+    m = np.column_stack([dq * b, dq * (1.0 - b), np.ones_like(dq)])
+    x = _solve(m, target, config)
+    fitted, steps, converged = m @ x, 0, True
+    if tails is not None:
+        def squeeze(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            y = anchors[1] + span * z
+            return (tails.apply(y) - anchors[1]) / span, tails.slope(y)
+
+        x, steps, converged = _refine(x, m, target, squeeze, config)
+        fitted = squeeze(m @ x)[0]
+
     sigma_ref = span / (pivots.v_T - pivots.v_B)
-    lo, hi = config.sigma_bounds
-    log_lo, log_hi = np.log(lo), np.log(hi)
-    log_cap = np.log(config.ratio_cap)
-
-    def predicted(theta: np.ndarray) -> np.ndarray:
-        s_b = sigma_ref * np.exp(theta[0])
-        s_t = sigma_ref * np.exp(theta[1])
-        gamma = anchors[1] + theta[2] * span
-        y = dq * (s_t + b * (s_b - s_t)) + gamma
-        return y if tails is None else tails.apply(y)
-
-    def objective(theta: np.ndarray) -> float:
-        r = (predicted(theta) - qt) / span
-        if config.loss == LOSS_L2_QUANTILE:
-            val = float(np.mean(r * r))
-        else:
-            d = config.huber_delta
-            a = np.abs(r)
-            val = float(np.mean(np.where(a <= d, 0.5 * r * r, d * (a - 0.5 * d))))
-        excess = abs(theta[0] - theta[1]) - log_cap
-        if excess > 0.0:
-            val += _RATIO_PENALTY * excess * excess
-        return val
-
-    def clip_theta(theta: np.ndarray) -> np.ndarray:
-        theta = theta.copy()
-        theta[0] = np.clip(theta[0], log_lo, log_hi)
-        theta[1] = np.clip(theta[1], log_lo, log_hi)
-        diff = theta[0] - theta[1]
-        if abs(diff) > log_cap:
-            mid = 0.5 * (theta[0] + theta[1])
-            half = 0.5 * log_cap * np.sign(diff)
-            theta[0] = np.clip(mid + half, log_lo, log_hi)
-            theta[1] = np.clip(mid - half, log_lo, log_hi)
-        return theta
-
-    # two-point slope start: match the B->M and M->T quantile spans
-    slope_b = (anchors[1] - anchors[0]) / (pivots.v_M - pivots.v_B)
-    slope_t = (anchors[2] - anchors[1]) / (pivots.v_T - pivots.v_M)
-    theta_two = clip_theta(np.array([
-        np.log(np.clip(slope_b / sigma_ref, lo, hi)),
-        np.log(np.clip(slope_t / sigma_ref, lo, hi)),
-        0.0]))
-    theta_uniform = np.zeros(3)
-    theta_start = theta_two
-    if initial is not None:
-        theta_start = clip_theta(np.array([
-            np.log(np.clip(initial.sigma_B / sigma_ref, lo, hi)),
-            np.log(np.clip(initial.sigma_T / sigma_ref, lo, hi)),
-            (initial.gamma - anchors[1]) / span]))
-
-    res = minimize(objective, theta_start, method="Nelder-Mead",
-                   bounds=[(log_lo, log_hi), (log_lo, log_hi), (-100.0, 100.0)],
-                   options={"maxiter": config.max_iters,
-                            "maxfev": 8 * config.max_iters,
-                            "xatol": config.tol,
-                            "fatol": config.tol ** 2})
-
-    candidates = [clip_theta(np.asarray(res.x, dtype=np.float64)), theta_start,
-                  theta_two, theta_uniform]
-    # tie-break on flat objectives: prefer the vector closest to uniform scaling
-    best = min(candidates,
-               key=lambda t: (objective(t), float(np.dot(t, t))))
-
-    s_b = float(sigma_ref * np.exp(best[0]))
-    s_t = float(sigma_ref * np.exp(best[1]))
-    gamma = float(anchors[1] + best[2] * span)
-    params = DualScaleParams(s_b, s_t, gamma, pivots, ratio_cap=config.ratio_cap)
-    residual = float(np.sqrt(np.mean((predicted(best) - qt) ** 2)))
-    return FitResult(params, residual, iterations=int(res.nit),
-                     converged=bool(res.success))
+    params = DualScaleParams(sigma_ref * x[0], sigma_ref * x[1],
+                             anchors[1] + x[2] * span, pivots,
+                             ratio_cap=config.ratio_cap)
+    residual = span * float(np.sqrt(np.mean((fitted - target) ** 2)))
+    return FitResult(params, residual, iterations=steps, converged=converged)
 
 
 def fit_template_to_controls(avg_cdf: EmpiricalCdf, controls: "ControlPoints",

@@ -149,8 +149,7 @@ def harmonize(vol: Volume, template: TemplateCdf,
     if tails.enabled_top or tails.enabled_bottom:
         # refine against the composed map so the squeeze does not push
         # already-matched quantiles away from the template
-        fit = fit_cdf(image_cdf, template, options.fit, tails=tails,
-                      initial=fit.params)
+        fit = fit_cdf(image_cdf, template, options.fit, tails=tails)
     lut = compose_lut(fit.params, tails, domain, clip=template.clip)
     mapped = apply_lut(index, lut)
     if options.bits is not None:

@@ -137,6 +137,24 @@ class TailSpec:
                                            self.v_max))
         return y
 
+    def slope(self, y: np.ndarray) -> np.ndarray:
+        """Derivative of :meth:`apply` at ``y``, exact away from the tail starts."""
+        y = np.asarray(y, dtype=np.float64)
+        out = np.ones_like(y)
+        if self.enabled_top:
+            out *= _tail_slope(y - self.v_T, self.v_max - self.v_T, self.v_clipT - self.v_T)
+            y = np.asarray(lut_top_tail(y, self.v_T, self.v_max, self.v_clipT))
+        if self.enabled_bottom:
+            out *= _tail_slope(self.v_B - y, self.v_B - self.v_min, self.v_B - self.v_clipB)
+        return out
+
+
+def _tail_slope(d: np.ndarray, r_S: float, r_T: float) -> np.ndarray:
+    # slope of a tail map at depth d past its start: r_T * erf(2 d / r_S)
+    # has a Gaussian derivative for d >= 0, the identity slope 1 before
+    gauss = (4.0 / np.sqrt(np.pi)) * (r_T / r_S) * np.exp(-(2.0 * d / r_S) ** 2)
+    return np.where(d < 0.0, 1.0, gauss)
+
 
 def blend(x, pivots: PivotTriple) -> "float | np.ndarray":
     """Sigmoidal blending weight: near 1 at the bottom pivot, near 0 at the top.

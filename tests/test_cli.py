@@ -387,6 +387,21 @@ class TestOutputPaths:
 
 
 class TestConfigPrecedence:
+    @pytest.mark.parametrize("key, value", [("loss", "huber_quantile"),
+                                            ("huber_delta", 0.05),
+                                            ("max_iters", 500), ("tol", 1e-6)])
+    def test_removed_fit_keys_are_usage_errors(self, workspace, tmp_path, capsys,
+                                               key, value):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"fit": {key: value}}))
+        out_dir = tmp_path / "out"
+        assert run(["harmonize", "--template", str(workspace / "t2.template.json"),
+                    "--in", str(workspace / "raw"), "--out", str(out_dir),
+                    "--config", str(cfg)]) == 64
+        err = capsys.readouterr().err
+        assert "malformed config file" in err and key in err
+        assert not out_dir.exists()
+
     def test_flags_beat_file_beats_defaults(self, workspace, tmp_path):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"grid_size": 512}))

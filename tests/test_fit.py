@@ -2,16 +2,22 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize
+from scipy.special import erf
 from scipy.stats import norm
 
 from cdfmatch import (ControlPoints, DualScaleParams, EmpiricalCdf, FitConfig,
-                      PivotTriple, TemplateCdf, blend, fit_cdf,
+                      PivotTriple, TailSpec, TemplateCdf, blend, fit_cdf,
                       fit_template_to_controls, lut_ds, quantile)
 from cdfmatch.errors import DegenerateCdf, Infeasible
+from cdfmatch.fit import _solve
 
 from conftest import cdf_from_samples
 
 CONTROL_PS = (0.1, 0.5, 0.99)
+EQUIVARIANCE_BASE = np.random.default_rng(61).lognormal(0.4, 0.5, 25_000)
 S3_CONTROLS = ControlPoints((0.1, 500.0), (0.5, 1650.0), (0.99, 3300.0))
 
 
@@ -44,12 +50,8 @@ class TestFitConfig:
         with pytest.raises(ValueError):
             FitConfig(percentile_grid=np.array([0.0, 0.5, 0.9]))
 
-    def test_unknown_loss_rejected(self):
-        with pytest.raises(ValueError):
-            FitConfig(loss="l1")
-
     def test_round_trips_through_dict(self):
-        cfg = FitConfig(sigma_bounds=(0.1, 10.0), ratio_cap=15.0, tol=1e-7)
+        cfg = FitConfig(sigma_bounds=(0.1, 10.0), ratio_cap=15.0)
         again = FitConfig.from_dict(cfg.to_dict())
         assert again.sigma_bounds == cfg.sigma_bounds
         assert again.ratio_cap == cfg.ratio_cap
@@ -148,6 +150,23 @@ class TestFitCdf:
                 np.asarray(quantile(shifted_cdf, grid)), fit.params))
             assert np.abs(mapped - mapped_ref).max() < 1e-3 * span
 
+    @given(gain=st.floats(0.1, 10.0), offset=st.floats(-1000.0, 1000.0))
+    @settings(max_examples=30)
+    def test_gain_and_offset_equivariance(self, template_12bit, gain, offset):
+        # the fit is solved in units free of input gain and offset, so an
+        # affine copy of the input gets the same mapping up to rounding
+        grid = np.linspace(0.05, 0.95, 46)
+        span = template_12bit.controls.span
+        ref_cdf = cdf_from_samples(EQUIVARIANCE_BASE)
+        ref_fit = fit_cdf(ref_cdf, template_12bit)
+        mapped_ref = np.asarray(lut_ds(np.asarray(quantile(ref_cdf, grid)), ref_fit.params))
+        moved_cdf = cdf_from_samples(gain * EQUIVARIANCE_BASE + offset)
+        fit = fit_cdf(moved_cdf, template_12bit)
+        assert fit.params.sigma_B == pytest.approx(ref_fit.params.sigma_B / gain, rel=1e-9)
+        assert fit.params.sigma_T == pytest.approx(ref_fit.params.sigma_T / gain, rel=1e-9)
+        mapped = np.asarray(lut_ds(np.asarray(quantile(moved_cdf, grid)), fit.params))
+        assert np.abs(mapped - mapped_ref).max() <= 1e-9 * span
+
     @pytest.mark.parametrize("case", range(5))
     def test_randomized_round_trips(self, case):
         rng = np.random.default_rng(2000 + case)
@@ -163,17 +182,114 @@ class TestFitCdf:
         assert fit.params.sigma_T == pytest.approx(true.sigma_T, rel=0.02)
         assert fit.params.gamma == pytest.approx(true.gamma, rel=0.02)
 
-    def test_huber_loss_also_recovers(self):
-        rng = np.random.default_rng(88)
+    def test_untailed_fit_takes_no_refine_steps(self, template_12bit):
+        image = cdf_from_samples(np.random.default_rng(5).lognormal(0.3, 0.5, 20_000))
+        fit = fit_cdf(image, template_12bit)
+        assert fit.iterations == 0
+        assert fit.converged
+
+    def test_ratio_above_the_cap_lands_on_the_cap(self):
+        rng = np.random.default_rng(89)
         src = rng.lognormal(0.4, 0.6, 30_000)
         src_cdf = cdf_from_samples(src)
         pivots = PivotTriple(*[float(quantile(src_cdf, p)) for p in CONTROL_PS])
-        true = DualScaleParams(1.2, 0.9, 1600.0, pivots)
-        target_cdf = cdf_from_samples(np.asarray(lut_ds(src, true)))
-        fit = fit_cdf(src_cdf, template_around(target_cdf),
-                      FitConfig(loss="huber_quantile"))
-        assert fit.params.sigma_B == pytest.approx(1.2, rel=0.02)
-        assert fit.params.sigma_T == pytest.approx(0.9, rel=0.02)
+        for sigma_B, sigma_T in ((3.0, 0.5), (0.5, 3.0)):
+            true = DualScaleParams(sigma_B, sigma_T, 1600.0, pivots)
+            target = template_around(cdf_from_samples(np.asarray(lut_ds(src, true))))
+            fit = fit_cdf(src_cdf, target, FitConfig(ratio_cap=2.0))
+            ratio = fit.params.sigma_B / fit.params.sigma_T
+            expected = 2.0 if sigma_B > sigma_T else 0.5
+            assert ratio == pytest.approx(expected, rel=1e-12)
+
+    @given(shape=st.floats(0.3, 1.0), seed=st.integers(0, 2 ** 32 - 1),
+           top=st.booleans(), bottom=st.booleans(),
+           top_start=st.integers(50, 90), bottom_start=st.integers(5, 45))
+    @settings(max_examples=30)
+    def test_tailed_fit_never_worse_than_the_untailed_optimum(
+            self, template_12bit, shape, seed, top, bottom, top_start, bottom_start):
+        grid = FitConfig().percentile_grid
+        image = cdf_from_samples(np.random.default_rng(seed).lognormal(0.5, shape, 20_000))
+        qi = np.asarray(quantile(image, grid))
+        qt = np.asarray(quantile(template_12bit.cdf, grid))
+        # tails that start inside the grid's quantile range, so they bend the fit
+        tails = TailSpec(v_T=qt[top_start], v_max=qt[-1] + 2000.0,
+                         v_clipT=qt[top_start + 8], v_B=qt[bottom_start],
+                         v_min=qt[0] - 500.0, v_clipB=qt[bottom_start - 4],
+                         enabled_top=top, enabled_bottom=bottom)
+        plain = fit_cdf(image, template_12bit)
+        pushed = tails.apply(np.asarray(lut_ds(qi, plain.params)))
+        untailed_residual = float(np.sqrt(np.mean((pushed - qt) ** 2)))
+        fit = fit_cdf(image, template_12bit, tails=tails)
+        assert fit.converged
+        assert fit.residual <= untailed_residual * (1.0 + 1e-12)
+
+
+def _reference_solve(m, rhs, lo, hi, cap):
+    """SLSQP on the same problem with both cap faces as inequality
+    constraints, best of three starts.  Its points are projected onto the
+    box and the cap first, so the cost returned is that of a feasible point."""
+    cons = [{"type": "ineq", "fun": lambda x: cap * x[1] - x[0],
+             "jac": lambda x: np.array([-1.0, cap, 0.0])},
+            {"type": "ineq", "fun": lambda x: cap * x[0] - x[1],
+             "jac": lambda x: np.array([cap, -1.0, 0.0])}]
+    costs = []
+    for start in ((1.0, 1.0, 0.0), (lo, lo, 0.0), (hi / cap, hi / cap, 0.0)):
+        x = minimize(lambda x: float(np.sum((m @ x - rhs) ** 2)), np.array(start),
+                     jac=lambda x: 2.0 * m.T @ (m @ x - rhs), method="SLSQP",
+                     bounds=[(lo, hi), (lo, hi), (None, None)], constraints=cons,
+                     options={"ftol": 1e-15, "maxiter": 500}).x
+        x[:2] = np.clip(x[:2], lo, hi)
+        big = int(x[1] > x[0])
+        x[big] = min(x[big], cap * x[1 - big])
+        costs.append(float(np.sum((m @ x - rhs) ** 2)))
+    return min(costs)
+
+
+@st.composite
+def _capped_systems(draw):
+    """A least-squares system in (u_B, u_T, g) whose unconstrained optimum
+    may break the ratio cap on either side, stay inside it, or leave the box."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    cap = draw(st.sampled_from([2.0, 20.0]))
+    lo, hi = 0.05, 20.0
+    n = draw(st.integers(5, 99))
+    if draw(st.booleans()):
+        # the fit's own structure: dq times the blend weight and its complement
+        dq = np.sort(rng.uniform(-0.6, 0.6, n))
+        b = 0.5 * (1.0 - erf(2.0 * dq / rng.uniform(0.3, 1.0)))
+        m = np.column_stack([dq * b, dq * (1.0 - b), np.ones(n)])
+    else:
+        m = np.column_stack([rng.normal(size=(n, 2)), np.ones(n)])
+    face = draw(st.sampled_from(["B", "T", "inside", "anywhere"]))
+    if face == "anywhere":
+        u = np.exp(rng.uniform(np.log(lo) - 1.0, np.log(hi) + 1.0, 2))
+    else:
+        ratio = cap * rng.uniform(1.2, 4.0) if face != "inside" else rng.uniform(1.0, cap)
+        small = rng.uniform(2.0 * lo, 0.5 * hi / ratio)
+        u = np.array([ratio * small, small] if face != "T" else [small, ratio * small])
+    x_true = np.array([u[0], u[1], rng.normal()])
+    noise = draw(st.sampled_from([0.0, 0.01, 0.3]))
+    rhs = m @ x_true + noise * rng.normal(size=n)
+    return m, rhs, lo, hi, cap, face, noise
+
+
+class TestBoundedSolve:
+    @given(system=_capped_systems())
+    @settings(max_examples=150)
+    def test_never_worse_than_slsqp_and_always_feasible(self, system):
+        m, rhs, lo, hi, cap, face, noise = system
+        x = _solve(m, rhs, FitConfig(sigma_bounds=(lo, hi), ratio_cap=cap))
+        assert lo <= x[0] <= hi and lo <= x[1] <= hi
+        assert max(x[0], x[1]) <= cap * min(x[0], x[1]) * (1.0 + 1e-12)
+        cost = float(np.sum((m @ x - rhs) ** 2))
+        reference = _reference_solve(m, rhs, lo, hi, cap)
+        # an exact fit leaves only rounding, so an absolute floor scaled by
+        # the right-hand side stands in for the relative bound there
+        assert cost <= reference * (1.0 + 1e-9) + 1e-24 * float(rhs @ rhs)
+        if face in ("B", "T") and noise == 0.0:
+            # the exact fit breaks the cap, so the optimum sits on its face
+            big, small = (x[0], x[1]) if face == "B" else (x[1], x[0])
+            assert big == pytest.approx(cap * small, rel=1e-12)
 
 
 class TestFitTemplateToControls:

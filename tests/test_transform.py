@@ -1,6 +1,7 @@
 """Tests for the blending, dual-scaling, and tail-shrinking transforms."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -392,6 +393,24 @@ def _same_bits(got, ref, x):
 
 
 _coords = st.floats(-5000.0, 5000.0)
+class TestTailSlope:
+    @pytest.mark.parametrize("top, bottom", [(True, False), (False, True),
+                                             (True, True), (False, False)])
+    def test_matches_central_differences_of_apply(self, top, bottom):
+        tails = replace(_twelve_bit_tails(), enabled_top=top, enabled_bottom=bottom)
+        y = np.linspace(-1000.0, 7000.0, 4001)
+        # the slope jumps at each tail's start, where differences straddle it
+        y = y[(np.abs(y - tails.v_T) > 1.0) & (np.abs(y - tails.v_B) > 1.0)]
+        h = 1e-3
+        central = (tails.apply(y + h) - tails.apply(y - h)) / (2.0 * h)
+        slope = tails.slope(y)
+        assert np.allclose(slope, central, rtol=1e-6, atol=1e-9)
+        if not (top or bottom):
+            assert (slope == 1.0).all()
+        else:
+            assert (slope < 1.0).any()
+
+
 _gaps = st.floats(0.01, 3000.0)
 
 
