@@ -8,6 +8,7 @@ closed-form, monotone, and mutually inverse on the grid nodes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -179,6 +180,17 @@ class IntensityIndex:
         """The same voxels with every level replaced, row for row."""
         return replace(self, levels=levels)
 
+    def map_foreground(self, fn) -> "IntensityIndex":
+        """Each foreground level mapped through the element-wise ``fn`` (stored
+        dtype in, float64 out), 64k at a time; background keeps its value."""
+        mapped = np.empty(self.levels.size, dtype=np.float64)
+        for start in range(0, mapped.size, _BLOCK):
+            levels, block = self.levels[start:start + _BLOCK], mapped[start:start + _BLOCK]
+            fg = _foreground_mask(levels, self.background_value)
+            block.fill(self.background_value)
+            block[fg] = fn(levels[fg])
+        return self.with_levels(mapped)
+
     def to_volume(self) -> Volume:
         """The volume these levels describe, built by one gather."""
         voxels = self.levels if self.inverse is None else self.levels[self.inverse]
@@ -272,13 +284,9 @@ def _sampled_cdf(values: np.ndarray, cum: np.ndarray | None,
     interpolated over every distinct value, bit for bit.
     """
     xs = np.linspace(float(values[0]), float(values[-1]), grid_size)
-    if values.size <= 2 * grid_size:
-        # no more values than brackets: picking them would cost more
-        brackets = np.unique(values)
-    else:
-        after = np.searchsorted(values, _round_down(xs, values.dtype), "right")
-        brackets = np.unique(np.concatenate(
-            (values[after - 1], values[np.minimum(after, values.size - 1)])))
+    after = np.searchsorted(values, _round_down(xs, values.dtype), "right")
+    brackets = np.unique(np.concatenate(
+        (values[after - 1], values[np.minimum(after, values.size - 1)])))
     through = np.searchsorted(values, brackets, "right")
     before = np.searchsorted(values, brackets, "left")
     if cum is not None:
@@ -332,24 +340,29 @@ def cdf_value(cdf: EmpiricalCdf, x) -> "float | np.ndarray":
     return _match_scalar(out, x)
 
 
-def zscore_standardize(vol: Volume) -> Volume:
+def zscore_standardize(vol: "Volume | IntensityIndex") -> "Volume | IntensityIndex":
     """Standardize foreground to mean 0 and population std 1.
 
-    Statistics are computed in float64 over foreground voxels only;
-    background voxels keep the background value.  Idempotent up to
-    floating-point rounding.
+    Statistics are float64 over foreground voxels only, a counted level
+    standing for its voxels; background keeps its value.  Idempotent up to
+    rounding.  Given an index, returns the standardized index ungathered.
     """
-    mask = _foreground_mask(vol.voxels, vol.background_value)
-    fg = vol.voxels[mask].astype(np.float64, copy=False)
-    if fg.size == 0:
+    index = IntensityIndex.of(vol)
+    fg = _foreground_mask(index.levels, index.background_value)
+    values = index.levels[fg].astype(np.float64, copy=False)
+    weights = None if index.counts is None else index.counts[fg]
+    n = values.size if weights is None else int(weights.sum())
+    if n == 0:
         raise AllBackground("no foreground voxels to standardize")
-    mean = float(fg.mean())
-    std = float(fg.std())
+    if weights is None:
+        mean, std = float(values.mean()), float(values.std())
+    else:  # fsum rounds each weighted sum once
+        mean = math.fsum(weights * values) / n
+        std = math.sqrt(math.fsum(weights * (values - mean) ** 2) / n)
     if std == 0.0:
         raise DegenerateConstant("foreground standard deviation is zero")
-    out = vol.voxels.astype(np.float64)
-    out[mask] = (fg - mean) / std
-    return Volume._owning(vol.dims, out, vol.channel, vol.background_value)
+    out = index.map_foreground(lambda x: (x.astype(np.float64) - mean) / std)
+    return out if isinstance(vol, IntensityIndex) else out.to_volume()
 
 
 def average_cdfs(cdfs, grid_size: int = DEFAULT_GRID_SIZE) -> EmpiricalCdf:

@@ -333,9 +333,6 @@ class _Parser(argparse.ArgumentParser):
 def _add_config_flags(parser):
     parser.add_argument("--config", help="JSON config file with shared defaults")
     parser.add_argument("--grid-size", type=int, help="CDF grid size (at least 2)")
-    parser.add_argument("--workers", type=int, help="worker threads for batches (at least 1)")
-    parser.add_argument("--log-level", choices=["debug", "info", "warning", "error"],
-                        help="diagnostic verbosity (stderr)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -370,6 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="continue past per-item failures (exit 2)")
     p_harm.add_argument("--dtype", choices=["u8", "u16", "i16", "f32"],
                         help="output dtype (default: u16 with --bits, else f32)")
+    p_harm.add_argument("--workers", type=int, help="worker threads for batches (at least 1)")
     _add_config_flags(p_harm)
     p_harm.set_defaults(func=_cmd_harmonize)
 
@@ -378,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--seed", type=int, help="override the spec seed")
     p_synth.add_argument("--out", required=True, help="output volume path")
     p_synth.add_argument("--dtype", default="f32", choices=["u8", "u16", "i16", "f32"])
-    _add_config_flags(p_synth)
     p_synth.set_defaults(func=_cmd_synth)
 
     p_inspect = sub.add_parser("inspect", help="dump a CDF or LUT as CSV/SVG")
@@ -404,6 +401,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p_eval)
     p_eval.set_defaults(func=_cmd_eval)
 
+    for command in (p_build, p_harm, p_synth, p_inspect, p_eval):
+        command.add_argument("--log-level", choices=["debug", "info", "warning", "error"],
+                             help="diagnostic verbosity (stderr)")
     return parser
 
 

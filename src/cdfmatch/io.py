@@ -363,7 +363,10 @@ def load_lut(path) -> IntensityLut:
         raise SchemaMismatch(f"{path} is not a LUT JSON file: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("version") != LUT_SCHEMA_VERSION:
         raise SchemaMismatch(f"unsupported LUT schema in {path}")
-    return IntensityLut.from_dict(doc)
+    try:
+        return IntensityLut.from_dict(doc)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaMismatch(f"malformed LUT file {path}: {exc!r}") from exc
 
 
 def _sample_lut(lut: IntensityLut, points: int) -> tuple[np.ndarray, np.ndarray]:

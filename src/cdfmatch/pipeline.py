@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cdf import (DEFAULT_GRID_SIZE, IntensityIndex, Volume, _foreground_mask,
-                  build_cdf, ks_distance, zscore_standardize)
+from .cdf import (DEFAULT_GRID_SIZE, IntensityIndex, Volume, build_cdf,
+                  ks_distance, zscore_standardize)
 from .errors import DegenerateConstant, EmptyInput
 from .fit import FitConfig, FitResult, fit_cdf
 from .template import TemplateCdf, config_hash
@@ -173,16 +173,14 @@ def percentile_stretch(vol: Volume, target: tuple[float, float],
     Values beyond the anchor percentiles clamp to the target ends; background
     voxels pass through unchanged.
     """
-    mask = _foreground_mask(vol.voxels, vol.background_value)
-    fg = vol.voxels[mask].astype(np.float64, copy=False)
-    q_lo, q_hi = np.quantile(fg, [lo_p, hi_p])
+    q_lo, q_hi = np.quantile(vol.foreground(), [lo_p, hi_p])
     if q_hi <= q_lo:
         raise DegenerateConstant("percentile anchors collapse")
     t_lo, t_hi = (float(target[0]), float(target[1]))
     scale = (t_hi - t_lo) / (q_hi - q_lo)
-    out = vol.voxels.astype(np.float64)
-    out[mask] = np.clip(t_lo + (fg - q_lo) * scale, t_lo, t_hi)
-    return Volume._owning(vol.dims, out, vol.channel, vol.background_value)
+    return IntensityIndex.of(vol).map_foreground(
+        lambda x: np.clip(t_lo + (x.astype(np.float64) - q_lo) * scale,
+                          t_lo, t_hi)).to_volume()
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .cdf import (DEFAULT_GRID_SIZE, EmpiricalCdf, average_cdfs, build_cdf,
-                  quantile, zscore_standardize)
+from .cdf import (DEFAULT_GRID_SIZE, EmpiricalCdf, IntensityIndex, average_cdfs,
+                  build_cdf, quantile, zscore_standardize)
 from .errors import (BadTailSpec, EmptyCohort, Infeasible, IoError, NonMonotone,
                      SchemaMismatch)
 from .fit import FitConfig, fit_template_to_controls
@@ -170,7 +170,7 @@ def build_template(cohort, controls: ControlPoints = DEFAULT_CONTROLS,
                 f"intensities ({controls.t_B}, {controls.t_T})")
         clip = (lo, hi)
 
-    cdfs = [build_cdf(zscore_standardize(v), exclude_background=True,
+    cdfs = [build_cdf(zscore_standardize(IntensityIndex.of(v)), exclude_background=True,
                       grid_size=grid_size) for v in cohort]
     avg = average_cdfs(cdfs, grid_size=grid_size)
     fit = fit_template_to_controls(avg, controls, config)
@@ -225,4 +225,7 @@ def load_template(path) -> TemplateCdf:
         raise SchemaMismatch(f"{path} is not a template JSON file: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaMismatch(f"{path} is not a template JSON object")
-    return TemplateCdf.from_dict(doc)
+    try:
+        return TemplateCdf.from_dict(doc)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaMismatch(f"malformed template file {path}: {exc!r}") from exc

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf
 
-from .cdf import _BLOCK, IntensityIndex, Volume, _foreground_mask, _match_scalar
+from .cdf import IntensityIndex, Volume, _match_scalar
 from .errors import BadTailSpec, NonMonotone
 
 DEFAULT_RATIO_CAP = 20.0
@@ -303,19 +303,8 @@ def apply_lut(vol: "Volume | IntensityIndex", lut: IntensityLut) -> "Volume | In
 
     Values outside the LUT domain clamp to the domain ends before mapping;
     background voxels are copied through untouched.  The mapping runs once
-    per foreground level of the volume's :class:`IntensityIndex` (once per
-    distinct intensity of an integer-valued volume), block by block into one
-    float64 array filled with the background value, then one gather builds
-    the output volume.  Given an index, returns the mapped index ungathered.
+    per foreground level (:meth:`IntensityIndex.map_foreground`) and one
+    gather builds the output; given an index, returns it mapped, ungathered.
     """
-    index = IntensityIndex.of(vol)
-    bg = index.background_value
-    mapped = np.empty(index.levels.size, dtype=np.float64)
-    for start in range(0, mapped.size, _BLOCK):
-        levels = index.levels[start:start + _BLOCK]
-        block = mapped[start:start + _BLOCK]
-        fg = _foreground_mask(levels, bg)
-        block.fill(bg)
-        block[fg] = lut.apply(levels[fg])
-    out = index.with_levels(mapped)
+    out = IntensityIndex.of(vol).map_foreground(lut.apply)
     return out if isinstance(vol, IntensityIndex) else out.to_volume()

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cdfmatch import (EmpiricalCdf, Volume, average_cdfs, build_cdf,
@@ -293,7 +293,63 @@ class TestRoundTripInvariants:
         assert np.abs(back - xs).max() <= step + 1e-9
 
 
+def reference_zscore(vol: Volume) -> np.ndarray:
+    """zscore_standardize per voxel: ``(x - fg.mean()) / fg.std()`` on the
+    float64 foreground, every other voxel copied."""
+    out = vol.voxels.astype(np.float64)
+    mask = out != np.float64(vol.background_value)
+    fg = out[mask]
+    out[mask] = (fg - fg.mean()) / fg.std()
+    return out
+
+
+@st.composite
+def _zscore_volumes(draw):
+    """Volumes of every index kind: dense u16 tables over several 64k blocks
+    of voxels, a sorted table (one hot pixel), integer-valued float64 with a
+    table over several 64k blocks of levels, and f32 (no table)."""
+    kind = draw(st.sampled_from(("u16", "hot_pixel", "float64", "f32")))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "u16":
+        lo = draw(st.integers(0, 60000))
+        values = rng.integers(lo, lo + draw(st.integers(2, 65535 - lo)), 3 * 65536 + 7)
+        dtype = np.uint16
+    elif kind == "hot_pixel":
+        values = rng.integers(0, 3000, draw(st.integers(300, 5000)))
+        values[draw(st.integers(0, values.size - 1))] = 65535
+        dtype = np.uint16
+    elif kind == "float64":
+        lo = draw(st.integers(-10 ** 6, 10 ** 6))
+        values = rng.integers(lo, lo + 3 * 65536, 4 * 65536 + 3)
+        dtype = np.float64
+    else:
+        size = draw(st.integers(3, 70000))
+        values = rng.normal(draw(st.floats(-1e3, 1e3)), 100.0, size).astype(np.float32)
+        dtype = np.float32
+    background = float(values[draw(st.integers(0, values.size - 1))])
+    values[rng.random(values.size) < draw(st.floats(0.0, 0.5))] = background
+    return stored_volume(values, dtype, background)
+
+
 class TestZscore:
+    @settings(max_examples=40)
+    @given(vol=_zscore_volumes())
+    def test_volume_and_index_agree_with_the_per_voxel_reference(self, vol):
+        assume(np.unique(vol.foreground()).size > 1)
+        index = IntensityIndex.of(vol)
+        expected = reference_zscore(vol)
+        from_index = zscore_standardize(index)
+        from_volume = zscore_standardize(vol)
+        assert isinstance(from_index, IntensityIndex)
+        got = from_volume.voxels
+        assert from_index.to_volume().voxels.tobytes() == got.tobytes()
+        if index.counts is None:
+            assert got.tobytes() == expected.tobytes()
+        else:
+            assert np.abs(got - expected).max() <= 1e-12 * max(1.0, np.abs(expected).max())
+        background = vol.voxels == np.float64(vol.background_value)
+        assert (got[background] == vol.background_value).all()
+
     def test_two_point_symmetry(self):
         vol = volume_from_values([2.0, 4.0])
         out = zscore_standardize(vol)

@@ -386,6 +386,56 @@ class TestOutputPaths:
         assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
+class TestFlagsOnlyWhereRead:
+    # --workers sizes harmonize's thread pool; synth reads no config at all
+    @pytest.mark.parametrize("command, code", [
+        (["template", "build", "--out", "{tmp}/t.json", "{raw}/vol0.raw", "{raw}/vol1.raw",
+          "--workers", "2"], 64),
+        (["inspect", "--cdf", "{raw}/vol0.raw", "--out", "{tmp}/c.csv", "--workers", "2"], 64),
+        (["eval", "--template", "{template}", "--in", "{raw}", "--out", "{tmp}/m.csv",
+          "--workers", "2"], 64),
+        (["synth", "--spec", "{tmp}/spec.json", "--out", "{tmp}/v.raw", "--workers", "2"], 64),
+        (["synth", "--spec", "{tmp}/spec.json", "--out", "{tmp}/v.raw",
+          "--grid-size", "64"], 64),
+        (["synth", "--spec", "{tmp}/spec.json", "--out", "{tmp}/v.raw",
+          "--config", "{tmp}/config.json"], 64),
+        (["harmonize", "--template", "{template}", "--in", "{raw}", "--out", "{tmp}/h",
+          "--workers", "2"], 0),
+    ], ids=["template-workers", "inspect-workers", "eval-workers", "synth-workers",
+            "synth-grid-size", "synth-config", "harmonize-workers"])
+    def test_flag_accepted_only_by_commands_that_read_it(self, workspace, tmp_path,
+                                                         command, code):
+        (tmp_path / "spec.json").write_text(json.dumps(synth_spec_doc(7)))
+        (tmp_path / "config.json").write_text(json.dumps({"grid_size": 64}))
+        names = {"raw": workspace / "raw", "template": workspace / "t2.template.json",
+                 "tmp": tmp_path}
+        assert run([arg.format(**names) for arg in command]) == code
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize("kind", ["template-without-cdf", "template-decreasing-xs",
+                                      "lut-without-sigma"])
+    def test_malformed_json_exits_1_naming_the_file(self, workspace, tmp_path, capsys,
+                                                     kind):
+        bad = tmp_path / "bad.json"
+        if kind == "lut-without-sigma":
+            bad.write_text(json.dumps({"version": 1, "params": {}}))
+            command = ["inspect", "--lut", str(bad), "--out", str(tmp_path / "m.csv")]
+        else:
+            doc = json.loads((workspace / "t2.template.json").read_text())
+            if kind == "template-without-cdf":
+                del doc["cdf"]
+            else:
+                doc["cdf"] = {"xs": [2, 1], "ps": [0.5, 1.0]}
+            bad.write_text(json.dumps(doc))
+            command = ["harmonize", "--template", str(bad), "--in", str(workspace / "raw"),
+                       "--out", str(tmp_path / "out")]
+        assert run(command) == 1
+        err = capsys.readouterr().err
+        assert str(bad) in err
+        assert "Traceback" not in err
+
+
 class TestConfigPrecedence:
     @pytest.mark.parametrize("key, value", [("loss", "huber_quantile"),
                                             ("huber_delta", 0.05),

@@ -16,7 +16,7 @@ from cdfmatch.errors import (AllBackground, DegenerateCdf, DegenerateConstant,
 from cdfmatch.pipeline import quantization_range
 
 from conftest import (sample_from_cdf, scanner_cohort, scanner_effect,
-                      t2_spec, volume_from_values)
+                      stored_volume, t2_spec, volume_from_values)
 
 
 class TestHarmonize:
@@ -129,6 +129,39 @@ class TestStoredDtypes:
         rows_a = evaluate_cohort([vol, other], template_12bit)
         rows_b = evaluate_cohort([copy, other_copy], template_12bit)
         assert [r.to_dict() for r in rows_a] == [r.to_dict() for r in rows_b]
+
+
+def reference_stretch(vol: Volume, target, lo_p=0.01, hi_p=0.99) -> np.ndarray:
+    """percentile_stretch per voxel: the clipped affine map of the float64
+    foreground, every other voxel copied."""
+    out = vol.voxels.astype(np.float64)
+    mask = out != np.float64(vol.background_value)
+    fg = out[mask]
+    q_lo, q_hi = np.quantile(fg, [lo_p, hi_p])
+    t_lo, t_hi = target
+    out[mask] = np.clip(t_lo + (fg - q_lo) * ((t_hi - t_lo) / (q_hi - q_lo)), t_lo, t_hi)
+    return out
+
+
+class TestPercentileStretch:
+    # a dense u16 table, a sorted one (one hot pixel) and an f32 volume,
+    # each over several 64k blocks of voxels
+    @pytest.mark.parametrize("kind", ["u16", "hot_pixel", "f32"])
+    def test_equals_the_per_voxel_formula_byte_for_byte(self, kind):
+        rng = np.random.default_rng(61)
+        n = 3 * 65536 + 5
+        if kind == "f32":
+            values, dtype = rng.normal(900.0, 300.0, n), np.float32
+        else:
+            values, dtype = rng.integers(0, 4096, n), np.uint16
+            if kind == "hot_pixel":
+                values = values[:4000]
+                values[17] = 65535
+        values[rng.random(values.size) < 0.2] = 0.0
+        vol = stored_volume(values, dtype)
+        assert (IntensityIndex.of(vol).counts is None) == (kind == "f32")
+        out = percentile_stretch(vol, (1.0, 4095.0))
+        assert out.voxels.tobytes() == reference_stretch(vol, (1.0, 4095.0)).tobytes()
 
 
 class TestClipModes:

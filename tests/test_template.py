@@ -8,6 +8,8 @@ import pytest
 from cdfmatch import (ControlPoints, TemplateCdf, build_template,
                       generate_synthetic, harmonize, load_template, quantile,
                       save_template)
+from cdfmatch import template as template_module
+from cdfmatch.cdf import IntensityIndex
 from cdfmatch.errors import BadTailSpec, EmptyCohort, Infeasible, SchemaMismatch
 from cdfmatch.template import DEFAULT_CONTROLS
 
@@ -99,6 +101,23 @@ class TestBuildTemplate:
             cohort.append(vol.with_voxels(voxels))
         with pytest.raises(Infeasible, match="misses control point"):
             build_template(cohort)
+
+    def test_integer_cohort_members_reach_build_cdf_as_level_tables(self, monkeypatch):
+        seen = []
+        original = template_module.build_cdf
+
+        def spy(vol, *args, **kwargs):
+            seen.append(vol)
+            return original(vol, *args, **kwargs)
+
+        monkeypatch.setattr(template_module, "build_cdf", spy)
+        cohort = [v.with_voxels(np.rint(v.voxels)) for v in scanner_cohort(3, seed0=450)]
+        build_template(cohort)
+        assert len(seen) == len(cohort)
+        for vol, member in zip(seen, cohort):
+            assert isinstance(vol, IntensityIndex)
+            assert vol.counts is not None
+            assert vol.counts.sum() == member.n_voxels
 
     def test_channel_label_priority(self):
         vol = generate_synthetic(t2_spec(403, channel="FLAIR"))
