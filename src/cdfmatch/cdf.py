@@ -182,13 +182,16 @@ class IntensityIndex:
 
     def map_foreground(self, fn) -> "IntensityIndex":
         """Each foreground level mapped through the element-wise ``fn`` (stored
-        dtype in, float64 out), 64k at a time; background keeps its value."""
+        dtype in, float64 out), 64k at a time; background keeps its value, and
+        a level ``fn`` maps onto it moves to the next float above, in order."""
+        bg = self.background_value
         mapped = np.empty(self.levels.size, dtype=np.float64)
         for start in range(0, mapped.size, _BLOCK):
             levels, block = self.levels[start:start + _BLOCK], mapped[start:start + _BLOCK]
-            fg = _foreground_mask(levels, self.background_value)
-            block.fill(self.background_value)
+            fg = _foreground_mask(levels, bg)
+            block.fill(bg)
             block[fg] = fn(levels[fg])
+            block[fg & (block == bg)] = np.nextafter(bg, np.inf)
         return self.with_levels(mapped)
 
     def to_volume(self) -> Volume:

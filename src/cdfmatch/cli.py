@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import __version__
-from .cdf import build_cdf
+from .cdf import DEFAULT_GRID_SIZE, build_cdf
 from .errors import CdfMatchError, Overflow, UsageError
 from .fit import FitConfig
 from .io import (SynthSpec, check_fits, emit_cdf_plot, emit_lut_plot,
@@ -70,7 +70,7 @@ class AppConfig:
 
     controls: ControlPoints = DEFAULT_CONTROLS
     clip: tuple[float, float] | None = DEFAULT_CLIP
-    grid_size: int = 1024
+    grid_size: int = DEFAULT_GRID_SIZE
     fit: FitConfig = field(default_factory=FitConfig)
     workers: int = 1
     log_level: str = "info"

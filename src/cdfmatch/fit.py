@@ -19,7 +19,7 @@ from scipy.optimize import lsq_linear
 
 from .cdf import EmpiricalCdf, quantile
 from .errors import DegenerateCdf, Infeasible
-from .transform import DualScaleParams, PivotTriple, TailSpec, blend
+from .transform import DEFAULT_RATIO_CAP, DualScaleParams, PivotTriple, TailSpec, blend
 
 if TYPE_CHECKING:  # pragma: no cover
     from .template import ControlPoints, TemplateCdf
@@ -46,7 +46,7 @@ class FitConfig:
 
     percentile_grid: np.ndarray = field(default_factory=_default_percentile_grid)
     sigma_bounds: tuple[float, float] = (0.05, 20.0)
-    ratio_cap: float = 20.0
+    ratio_cap: float = DEFAULT_RATIO_CAP
 
     def __post_init__(self):
         grid = np.array(self.percentile_grid, dtype=np.float64)
@@ -109,26 +109,38 @@ def _image_pivots(image_cdf: EmpiricalCdf, ctrl_ps: np.ndarray) -> PivotTriple:
     return PivotTriple(v[0], v[1], v[2])
 
 
+def _design(q: np.ndarray, pivots: PivotTriple) -> np.ndarray:
+    """Rows ``[dq * b, dq * (1 - b), 1]`` (``dq`` in pivot spans): with sigma =
+    sigma_ref * u and gamma = a + g * span, ``lut_ds(q) = a + span * rows @ (u_B,
+    u_T, g)``, and the rows are free of the input's gain and offset."""
+    q = np.asarray(q, dtype=np.float64)
+    b = np.asarray(blend(q, pivots))
+    dq = (q - pivots.v_M) / (pivots.v_T - pivots.v_B)
+    return np.column_stack([dq * b, dq * (1.0 - b), np.ones_like(dq)])
+
+
 def _solve(m: np.ndarray, rhs: np.ndarray, config: FitConfig) -> np.ndarray:
-    """Least-squares ``m @ (u_B, u_T, g) ~ rhs`` with both u inside
-    ``config.sigma_bounds`` and their ratio at most ``config.ratio_cap``.
+    """Least-squares ``m @ x ~ rhs`` where ``x[:2]`` = (u_B, u_T) lie inside
+    ``config.sigma_bounds`` with their ratio at most ``config.ratio_cap``, and
+    ``x[2:]`` (the columns ``m[:, 2:]``, possibly none) are free.
 
     The problem is convex, so when the box optimum breaks the cap the
     optimum lies on a cap face, u_B = cap * u_T or u_T = cap * u_B; each face
-    is a 2-variable bounded solve in (u on the small side, g).
+    is a bounded solve in the u on the small side and the free columns.
     """
     (lo, hi), cap = config.sigma_bounds, config.ratio_cap
-    x = lsq_linear(m, rhs, bounds=([lo, lo, -np.inf], [hi, hi, np.inf]),
-                   method="bvls").x
+    free = m.shape[1] - 2
+    x = lsq_linear(m, rhs, method="bvls",
+                   bounds=([lo, lo] + [-np.inf] * free, [hi, hi] + [np.inf] * free)).x
     if max(x[0], x[1]) <= cap * min(x[0], x[1]):
         return x
     points = []
     for big, small in ((0, 1), (1, 0)):
-        face = np.column_stack([cap * m[:, big] + m[:, small], m[:, 2]])
-        z = lsq_linear(face, rhs, bounds=([lo, -np.inf], [hi / cap, np.inf]),
-                       method="bvls").x
-        point = np.empty(3)
-        point[[big, small, 2]] = min(cap * z[0], hi), z[0], z[1]
+        face = np.column_stack([cap * m[:, big] + m[:, small], m[:, 2:]])
+        z = lsq_linear(face, rhs, method="bvls",
+                       bounds=([lo] + [-np.inf] * free, [hi / cap] + [np.inf] * free)).x
+        point = np.concatenate(([0.0, 0.0], z[1:]))
+        point[[big, small]] = min(cap * z[0], hi), z[0]
         points.append(point)
     return min(points, key=lambda p: float(np.sum((m @ p - rhs) ** 2)))
 
@@ -190,12 +202,7 @@ def fit_cdf(image_cdf: EmpiricalCdf, template: "TemplateCdf",
     grid = config.percentile_grid
     qi = np.asarray(quantile(image_cdf, grid))
     target = (np.asarray(quantile(template.cdf, grid)) - anchors[1]) / span
-    b = np.asarray(blend(qi, pivots))
-    # with sigma = sigma_ref * u and gamma = anchors[1] + g * span, the
-    # prediction is anchors[1] + span * m @ (u_B, u_T, g), and m is free of
-    # the input's gain and offset
-    dq = (qi - pivots.v_M) / (pivots.v_T - pivots.v_B)
-    m = np.column_stack([dq * b, dq * (1.0 - b), np.ones_like(dq)])
+    m = _design(qi, pivots)
     x = _solve(m, target, config)
     fitted, steps, converged = m @ x, 0, True
     if tails is not None:
@@ -219,42 +226,25 @@ def fit_template_to_controls(avg_cdf: EmpiricalCdf, controls: "ControlPoints",
     """Solve the three-anchor system ``lut_ds(Q(p_i)) = t_i``.
 
     The shift is pinned exactly by the middle anchor (gamma = t_M because the
-    middle pivot sits at Q(p_M)); the two scale factors come from a bounded
-    2x2 linear least-squares solve in normalized units.  Raises Infeasible
-    when no in-bounds solution reproduces the anchors.
+    middle pivot sits at Q(p_M)); the two scale factors come from the bounded,
+    capped solve :func:`fit_cdf` uses, on the two outer anchors' rows.  Raises
+    Infeasible when its optimum misses an anchor by more than 1e-6 of the
+    control span: no solution inside the bounds and the cap reproduces them.
     """
     config = config or FitConfig()
-    ctrl_ps = _control_percentiles(controls)
-    pivots = _image_pivots(avg_cdf, ctrl_ps)
-    t = np.array([controls.t_B, controls.t_M, controls.t_T], dtype=np.float64)
-    gamma = float(t[1])
-    span = float(t[2] - t[0])
+    pivots = _image_pivots(avg_cdf, _control_percentiles(controls))
+    span = controls.span
+    target = np.array([controls.t_B - controls.t_M, controls.t_T - controls.t_M]) / span
+    m = _design([pivots.v_B, pivots.v_T], pivots)[:, :2]
+    u = _solve(m, target, config)
+    r = m @ u - target
+    misfit = float(np.abs(r).max())
+    if misfit > 1e-6:
+        raise Infeasible(
+            "control intensities are not reachable within the scale bounds and "
+            f"ratio cap (worst anchor misfit {misfit * span:.4g})")
     sigma_ref = span / (pivots.v_T - pivots.v_B)
-
-    b_bot = float(blend(pivots.v_B, pivots))
-    b_top = float(blend(pivots.v_T, pivots))
-    a_mat = np.array([
-        [b_bot * (pivots.v_B - pivots.v_M), (1.0 - b_bot) * (pivots.v_B - pivots.v_M)],
-        [b_top * (pivots.v_T - pivots.v_M), (1.0 - b_top) * (pivots.v_T - pivots.v_M)],
-    ]) * sigma_ref
-    rhs = np.array([t[0] - t[1], t[2] - t[1]])
-
-    sol = lsq_linear(a_mat, rhs, bounds=config.sigma_bounds, method="bvls")
-    sigma_hat = np.asarray(sol.x, dtype=np.float64)
-    sigma = sigma_ref * sigma_hat
-    ratio = float(sigma.max() / sigma.min())
-    if ratio > config.ratio_cap * (1.0 + 1e-12):
-        raise Infeasible(
-            f"control points demand a scale ratio of {ratio:.3g} "
-            f"(cap {config.ratio_cap:.3g})")
-    misfit = a_mat @ sigma_hat - rhs
-    if float(np.abs(misfit).max()) > 1e-6 * span:
-        raise Infeasible(
-            "control intensities are not reachable within the scale bounds "
-            f"(worst anchor misfit {float(np.abs(misfit).max()):.4g})")
-
-    params = DualScaleParams(float(sigma[0]), float(sigma[1]), gamma, pivots,
+    params = DualScaleParams(sigma_ref * u[0], sigma_ref * u[1], controls.t_M, pivots,
                              ratio_cap=config.ratio_cap)
-    residual = float(np.sqrt(np.mean(np.concatenate([misfit, [0.0]]) ** 2)))
-    return FitResult(params, residual, iterations=int(getattr(sol, "nit", 1) or 1),
-                     converged=True)
+    residual = span * float(np.sqrt(np.sum(r ** 2) / 3.0))  # the middle anchor is exact
+    return FitResult(params, residual, iterations=0, converged=True)

@@ -21,7 +21,7 @@ from .errors import (BadTailSpec, EmptyCohort, Infeasible, IoError, NonMonotone,
                      SchemaMismatch)
 from .fit import FitConfig, fit_template_to_controls
 from .io import write_files
-from .transform import lut_bottom_tail, lut_ds, lut_top_tail
+from .transform import TailSpec, lut_ds
 
 TEMPLATE_SCHEMA_VERSION = 1
 
@@ -187,15 +187,17 @@ def build_template(cohort, controls: ControlPoints = DEFAULT_CONTROLS,
     }
     if clip is not None:
         # squeeze a tail only when the fitted support overshoots its bound;
-        # the pre-squeeze ranges are recorded so harmonized images can be
-        # bent with exactly the same geometry
-        if xs[-1] > clip[1]:
-            provenance["tail_source_max"] = float(xs[-1])
-            xs = np.asarray(lut_top_tail(xs, controls.t_T, float(xs[-1]), clip[1]))
-        if xs[0] < clip[0]:
-            provenance["tail_source_min"] = float(xs[0])
-            xs = np.asarray(lut_bottom_tail(xs, controls.t_B, float(xs[0]), clip[0],
-                                            v_max=float(xs[-1])))
+        # the pre-squeeze extremes are recorded so harmonized images are
+        # bent by the same TailSpec
+        tails = TailSpec(v_T=controls.t_T, v_max=xs[-1], v_clipT=clip[1],
+                         v_B=controls.t_B, v_min=xs[0], v_clipB=clip[0],
+                         enabled_top=bool(xs[-1] > clip[1]),
+                         enabled_bottom=bool(xs[0] < clip[0]))
+        if tails.enabled_top:
+            provenance["tail_source_max"] = tails.v_max
+        if tails.enabled_bottom:
+            provenance["tail_source_min"] = tails.v_min
+        xs = tails.apply(xs)
 
     if channel is None:
         channel = cohort[0].channel

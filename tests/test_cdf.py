@@ -96,6 +96,11 @@ class TestIntensityIndex:
         assert index.inverse is None and index.counts is None
         assert index.to_volume().voxels.tobytes() == vol.voxels.tobytes()
 
+    def test_foreground_mapped_onto_background_moves_just_above_it(self):
+        index = IntensityIndex.of(volume_from_values([0.0, 1.0, 2.0, 3.0, 4.0]))
+        mapped = index.map_foreground(lambda x: x - 2.0)
+        assert mapped.to_volume().voxels.tolist() == [0.0, -1.0, 5e-324, 1.0, 2.0]
+
 
 @st.composite
 def _cdf_inputs(draw):
@@ -349,6 +354,12 @@ class TestZscore:
             assert np.abs(got - expected).max() <= 1e-12 * max(1.0, np.abs(expected).max())
         background = vol.voxels == np.float64(vol.background_value)
         assert (got[background] == vol.background_value).all()
+
+    def test_level_at_the_mean_stays_foreground(self):
+        # the foreground mean is the level 2, which z-scores onto the
+        # background value 0.0
+        out = zscore_standardize(Volume((4, 1, 1), [0, 1, 2, 3]))
+        assert build_cdf(out).n_samples == 3
 
     def test_two_point_symmetry(self):
         vol = volume_from_values([2.0, 4.0])

@@ -226,17 +226,20 @@ class TestFitCdf:
 
 def _reference_solve(m, rhs, lo, hi, cap):
     """SLSQP on the same problem with both cap faces as inequality
-    constraints, best of three starts.  Its points are projected onto the
-    box and the cap first, so the cost returned is that of a feasible point."""
+    constraints, best of three starts; the columns past the two scale
+    factors are free.  Its points are projected onto the box and the cap
+    first, so the cost returned is that of a feasible point."""
+    free = m.shape[1] - 2
     cons = [{"type": "ineq", "fun": lambda x: cap * x[1] - x[0],
-             "jac": lambda x: np.array([-1.0, cap, 0.0])},
+             "jac": lambda x: np.array([-1.0, cap] + [0.0] * free)},
             {"type": "ineq", "fun": lambda x: cap * x[0] - x[1],
-             "jac": lambda x: np.array([cap, -1.0, 0.0])}]
+             "jac": lambda x: np.array([cap, -1.0] + [0.0] * free)}]
     costs = []
-    for start in ((1.0, 1.0, 0.0), (lo, lo, 0.0), (hi / cap, hi / cap, 0.0)):
-        x = minimize(lambda x: float(np.sum((m @ x - rhs) ** 2)), np.array(start),
+    for u in (1.0, lo, hi / cap):
+        x = minimize(lambda x: float(np.sum((m @ x - rhs) ** 2)),
+                     np.array([u, u] + [0.0] * free),
                      jac=lambda x: 2.0 * m.T @ (m @ x - rhs), method="SLSQP",
-                     bounds=[(lo, hi), (lo, hi), (None, None)], constraints=cons,
+                     bounds=[(lo, hi), (lo, hi)] + [(None, None)] * free, constraints=cons,
                      options={"ftol": 1e-15, "maxiter": 500}).x
         x[:2] = np.clip(x[:2], lo, hi)
         big = int(x[1] > x[0])
@@ -247,12 +250,14 @@ def _reference_solve(m, rhs, lo, hi, cap):
 
 @st.composite
 def _capped_systems(draw):
-    """A least-squares system in (u_B, u_T, g) whose unconstrained optimum
-    may break the ratio cap on either side, stay inside it, or leave the box."""
+    """A least-squares system in (u_B, u_T) and, unless it has the anchor
+    fit's shape, a free shift g, whose unconstrained optimum may break the
+    ratio cap on either side, stay inside it, or leave the box."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     cap = draw(st.sampled_from([2.0, 20.0]))
     lo, hi = 0.05, 20.0
-    n = draw(st.integers(5, 99))
+    free = draw(st.sampled_from([0, 1]))
+    n = draw(st.integers(5, 99)) if free else draw(st.integers(2, 9))
     if draw(st.booleans()):
         # the fit's own structure: dq times the blend weight and its complement
         dq = np.sort(rng.uniform(-0.6, 0.6, n))
@@ -267,7 +272,8 @@ def _capped_systems(draw):
         ratio = cap * rng.uniform(1.2, 4.0) if face != "inside" else rng.uniform(1.0, cap)
         small = rng.uniform(2.0 * lo, 0.5 * hi / ratio)
         u = np.array([ratio * small, small] if face != "T" else [small, ratio * small])
-    x_true = np.array([u[0], u[1], rng.normal()])
+    x_true = np.array([u[0], u[1], rng.normal()])[:2 + free]
+    m = m[:, :2 + free]
     noise = draw(st.sampled_from([0.0, 0.01, 0.3]))
     rhs = m @ x_true + noise * rng.normal(size=n)
     return m, rhs, lo, hi, cap, face, noise

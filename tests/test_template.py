@@ -1,16 +1,21 @@
 """Tests for template construction and JSON persistence."""
 
+import itertools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cdfmatch import (ControlPoints, TemplateCdf, build_template,
-                      generate_synthetic, harmonize, load_template, quantile,
-                      save_template)
+from cdfmatch import (ControlPoints, TemplateCdf, Volume, average_cdfs, build_cdf,
+                      build_template, fit_template_to_controls, generate_synthetic,
+                      harmonize, load_template, lut_ds, quantile, save_template,
+                      zscore_standardize)
 from cdfmatch import template as template_module
 from cdfmatch.cdf import IntensityIndex
 from cdfmatch.errors import BadTailSpec, EmptyCohort, Infeasible, SchemaMismatch
+from cdfmatch.pipeline import _template_tails
 from cdfmatch.template import DEFAULT_CONTROLS
 
 from conftest import scanner_cohort, t2_spec
@@ -35,6 +40,32 @@ class TestControlPoints:
     def test_dict_round_trip(self):
         c = ControlPoints((0.2, 10.0), (0.6, 20.0), (0.95, 40.0))
         assert ControlPoints.from_dict(c.to_dict()) == c
+
+
+def _mirrored(rng, n: int, centre: int, scale: float) -> np.ndarray:
+    """Positive integer samples whose mean is exactly the level ``centre``."""
+    x = np.clip(np.rint(rng.normal(centre, scale, n)), 1, 2 * centre - 1)
+    return np.concatenate([x, 2 * centre - x, [centre] * 5])
+
+
+def _volume(fg: np.ndarray, n_background: int) -> Volume:
+    values = np.concatenate([fg, np.zeros(n_background)])
+    return Volume((values.size, 1, 1), values)
+
+
+@st.composite
+def _integer_cohorts(draw):
+    """Three small integer volumes: one whose foreground mean is one of its
+    levels, one with a hot pixel (its level table is sorted, not dense) and
+    one plain, each with some background."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(200, 3000))
+    centre = draw(st.integers(50, 500))
+    at_mean = _mirrored(rng, n, centre, draw(st.floats(5.0, centre / 4)))
+    hot = np.rint(rng.gamma(draw(st.floats(2.0, 8.0)), draw(st.floats(10.0, 40.0)), n)) + 1
+    hot[draw(st.integers(0, n - 1))] = hot.max() + 2 * n + draw(st.integers(0, 2000))
+    plain = np.rint(rng.normal(draw(st.floats(100.0, 1000.0)), draw(st.floats(5.0, 100.0)), n))
+    return [_volume(fg, draw(st.integers(1, 100))) for fg in (at_mean, hot, plain)]
 
 
 class TestBuildTemplate:
@@ -70,12 +101,32 @@ class TestBuildTemplate:
         assert np.abs(one.cdf.xs - three.cdf.xs).max() < 1e-9
         assert np.abs(one.cdf.ps - three.cdf.ps).max() < 1e-9
 
-    def test_permutation_invariant_bitwise(self):
-        cohort = scanner_cohort(5, seed0=420)
-        a = build_template(cohort)
-        b = build_template(cohort[::-1])
-        assert np.array_equal(a.cdf.xs, b.cdf.xs)
-        assert np.array_equal(a.cdf.ps, b.cdf.ps)
+    @settings(max_examples=25)
+    @given(cohort=_integer_cohorts())
+    def test_permutation_invariant_bitwise(self, cohort):
+        docs = {json.dumps(build_template(list(order)).to_dict(), sort_keys=True)
+                for order in itertools.permutations(cohort)}
+        assert len(docs) == 1
+
+    def test_member_level_at_its_mean_is_kept(self):
+        # the level 250 is the foreground mean, so it z-scores onto the
+        # background value 0.0 and must still count as foreground
+        fg = _mirrored(np.random.default_rng(7), 2000, 250, 40.0)
+        vol = _volume(fg, n_background=300)
+        assert build_template([vol]).cdf.n_samples == fg.size
+
+    def test_tails_squeeze_like_harmonize(self):
+        # both tails fire; the template grid must be bent by exactly the
+        # TailSpec harmonize builds from the recorded source extremes
+        cohort = scanner_cohort(3, seed0=420)
+        t = build_template(cohort)
+        avg = average_cdfs([build_cdf(zscore_standardize(v)) for v in cohort])
+        params = fit_template_to_controls(avg, t.controls).params
+        tails = _template_tails(params, t, avg.support)
+        assert tails.enabled_top and tails.enabled_bottom
+        assert (tails.v_max, tails.v_min) == (t.provenance["tail_source_max"],
+                                              t.provenance["tail_source_min"])
+        assert t.cdf.xs.tobytes() == tails.apply(lut_ds(avg.xs, params)).tobytes()
 
     def test_empty_cohort(self):
         with pytest.raises(EmptyCohort):
