@@ -1,9 +1,9 @@
 """Empirical CDF estimation, standardization, averaging, and queries.
 
-CDFs are stored as sampled piecewise-linear curves: a strictly increasing
-intensity grid ``xs`` with cumulative probabilities ``ps``.  Linear
+CDFs are stored as piecewise-linear curves: strictly increasing intensity
+knots ``xs`` with cumulative probabilities ``ps``.  Linear
 interpolation keeps the forward evaluation and the quantile function
-closed-form, monotone, and mutually inverse on the grid nodes.
+closed-form, monotone, and mutually inverse on the knots.
 """
 
 from __future__ import annotations
@@ -202,7 +202,7 @@ class IntensityIndex:
 
 @dataclass(frozen=True)
 class EmpiricalCdf:
-    """Monotone sampled CDF of one image or channel.
+    """Monotone piecewise-linear CDF of one image or channel.
 
     ``xs`` is strictly increasing, ``ps`` is non-decreasing with the last
     entry exactly 1; ``n_samples`` records how many foreground voxels the
@@ -217,7 +217,7 @@ class EmpiricalCdf:
         xs = _readonly(self.xs)
         ps = _readonly(self.ps)
         if xs.size < 2:
-            raise ValueError("a CDF needs at least two grid points")
+            raise ValueError("a CDF needs at least two knots")
         if ps.shape != xs.shape:
             raise ValueError("xs and ps must have the same length")
         if not (np.diff(xs) > 0).all():
@@ -243,8 +243,9 @@ def build_cdf(vol: "Volume | IntensityIndex", exclude_background: bool = True,
 
     Repeated intensities get averaged ranks, so the curve is well defined on
     heavily quantized inputs; the probability at the maximum is pinned to 1.
-    The curve is sampled on a uniform grid of ``grid_size`` points spanning
-    the included intensity range.  Deterministic for identical input.
+    Its knots are at most ``grid_size`` of the included intensities, evenly
+    spaced in rank, so an outlier costs no more than its own voxels' share
+    of the curve.  Deterministic for identical input.
     ``vol`` is a Volume or its IntensityIndex; an integer-valued volume is
     counted per level, any other is sorted voxel by voxel in its stored dtype.
 
@@ -273,55 +274,48 @@ def build_cdf(vol: "Volume | IntensityIndex", exclude_background: bool = True,
         raise AllBackground("every voxel equals the background value")
     if values[0] == values[-1]:
         raise DegenerateConstant(f"single distinct intensity {float(values[0])!r}")
-    return _sampled_cdf(values, cum, grid_size)
+    return _rank_knot_cdf(values, cum, grid_size)
 
 
-def _sampled_cdf(values: np.ndarray, cum: np.ndarray | None,
-                 grid_size: int) -> EmpiricalCdf:
-    """The averaged-rank CDF of sorted float ``values``, read on the grid.
+def _rank_knot_cdf(values: np.ndarray, cum: np.ndarray | None,
+                   grid_size: int) -> EmpiricalCdf:
+    """The averaged-rank CDF of sorted ``values``, knotted at data values.
 
     ``cum[k]`` is the number of samples in ``values[:k]``; None means one
-    sample per entry.  Linear interpolation reads only the two distinct
-    values that bracket each grid point, so ranks are taken at those
-    (at most ``2 * grid_size``) values alone; the curve equals the one
-    interpolated over every distinct value, bit for bit.
+    sample per entry.  The knots are every distinct value when at most
+    ``grid_size`` are distinct, else the values that hold ``grid_size``
+    evenly spaced ranks (the minimum and the maximum among them).  They
+    depend on the sorted samples alone, so a level table and its voxels
+    give the same curve, and each knot's rank is an exact search for a
+    stored value.
     """
-    xs = np.linspace(float(values[0]), float(values[-1]), grid_size)
-    after = np.searchsorted(values, _round_down(xs, values.dtype), "right")
-    brackets = np.unique(np.concatenate(
-        (values[after - 1], values[np.minimum(after, values.size - 1)])))
-    through = np.searchsorted(values, brackets, "right")
-    before = np.searchsorted(values, brackets, "left")
+    n = values.size if cum is None else int(cum[-1])
+    ranks = np.arange(grid_size) * (n - 1) // (grid_size - 1)
+    knots = values[ranks if cum is None else np.searchsorted(cum, ranks, "right") - 1]
+    knots = knots[_first_of_each(knots)]
+    if knots.size < grid_size:  # ties merged knots: every value may fit
+        first = _first_of_each(values)
+        if np.count_nonzero(first) <= grid_size:
+            knots = values[first]
+    through = np.searchsorted(values, knots, "right")
+    before = np.searchsorted(values, knots, "left")
     if cum is not None:
         through, before = cum[through], cum[before]
-    n = values.size if cum is None else int(cum[-1])
-    counts = through - before
-    p = (through - (counts - 1) / 2.0) / n
-    p[-1] = 1.0
-    ps = np.interp(xs, brackets.astype(np.float64), p)
-    ps = np.maximum.accumulate(ps)
-    ps = ps / ps[-1]
-    return EmpiricalCdf(xs, ps, n_samples=n)
+    ps = (through - (through - before - 1) / 2.0) / n
+    ps[-1] = 1.0
+    return EmpiricalCdf(knots.astype(np.float64), ps, n_samples=n)
 
 
-def _round_down(xs: np.ndarray, dtype: np.dtype) -> np.ndarray:
-    """Each of ``xs`` rounded down to the float ``dtype``.
-
-    Data of that dtype lies at or below x exactly when it lies at or below
-    the rounded key, so searching with the key counts the same samples
-    without converting the whole array to float64.
-    """
-    keys = xs.astype(dtype)
-    above = keys > xs
-    keys[above] = np.nextafter(keys[above], dtype.type(-np.inf))
-    return keys
+def _first_of_each(values: np.ndarray) -> np.ndarray:
+    """Mask of the entries of sorted ``values`` that differ from the one before."""
+    return np.concatenate(([True], values[1:] != values[:-1]))
 
 
 def quantile(cdf: EmpiricalCdf, p) -> "float | np.ndarray":
     """Piecewise-linear inverse of the CDF.
 
     Accepts a scalar or array of probabilities in (0, 1]; probabilities below
-    the first grid probability clamp to the lowest intensity.
+    the first knot probability clamp to the lowest intensity.
     """
     p_arr = np.asarray(p, dtype=np.float64)
     if (p_arr <= 0.0).any() or (p_arr > 1.0).any():
@@ -333,14 +327,19 @@ def quantile(cdf: EmpiricalCdf, p) -> "float | np.ndarray":
 def cdf_value(cdf: EmpiricalCdf, x) -> "float | np.ndarray":
     """Forward CDF evaluation at intensity ``x`` (scalar or array).
 
-    Below the support the curve ramps linearly to 0 over one grid step;
-    above the support it saturates at 1.
+    Below the support the curve ramps linearly to 0 over a span as wide as
+    its first knot gap, which rank knots leave uneven; above the support it
+    saturates at 1.
     """
-    step = float(cdf.xs[1] - cdf.xs[0])
-    xs_ext = np.concatenate(([cdf.xs[0] - step], cdf.xs))
+    xs_ext = np.concatenate(([_ramp_knot(cdf)], cdf.xs))
     ps_ext = np.concatenate(([0.0], cdf.ps))
     out = np.interp(np.asarray(x, dtype=np.float64), xs_ext, ps_ext)
     return _match_scalar(out, x)
+
+
+def _ramp_knot(cdf: EmpiricalCdf) -> float:
+    """Where the curve below the support reaches 0: one first knot gap down."""
+    return cdf.xs[0] - (cdf.xs[1] - cdf.xs[0])
 
 
 def zscore_standardize(vol: "Volume | IntensityIndex") -> "Volume | IntensityIndex":
@@ -396,8 +395,7 @@ def ks_distance(a: EmpiricalCdf, b: EmpiricalCdf) -> float:
     """Kolmogorov-Smirnov distance between two piecewise-linear CDFs.
 
     Both curves are piecewise linear, so the maximum vertical gap is attained
-    at a grid knot (including the one-step ramp knots below each support).
+    at a knot (including the ramp knot below each support).
     """
-    ramps = [a.xs[0] - (a.xs[1] - a.xs[0]), b.xs[0] - (b.xs[1] - b.xs[0])]
-    knots = np.unique(np.concatenate([a.xs, b.xs, ramps]))
+    knots = np.unique(np.concatenate([a.xs, b.xs, [_ramp_knot(a), _ramp_knot(b)]]))
     return float(np.abs(cdf_value(a, knots) - cdf_value(b, knots)).max())

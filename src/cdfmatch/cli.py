@@ -332,7 +332,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_config_flags(parser):
     parser.add_argument("--config", help="JSON config file with shared defaults")
-    parser.add_argument("--grid-size", type=int, help="CDF grid size (at least 2)")
+    parser.add_argument("--grid-size", type=int, help="most knots per CDF (at least 2)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -34,7 +34,12 @@ class TestVolume:
 
 
 def reference_cdf(values, background, exclude_background, grid_size):
-    """build_cdf's arithmetic over every distinct value: (xs, ps, n)."""
+    """build_cdf's curve from np.unique's distinct values and counts: (xs, ps, n).
+
+    Every distinct value is a knot when at most ``grid_size`` are distinct;
+    otherwise the knots are the values that hold ranks
+    ``floor(i * (n - 1) / (grid_size - 1))``, read off the sorted samples.
+    """
     values = np.asarray(values, dtype=np.float64)
     if exclude_background:
         values = values[values != np.float64(background)]
@@ -43,9 +48,14 @@ def reference_cdf(values, background, exclude_background, grid_size):
     cum = np.cumsum(counts)
     p = (cum - (counts - 1) / 2.0) / n
     p[-1] = 1.0
-    xs = np.linspace(distinct[0], distinct[-1], grid_size)
-    ps = np.maximum.accumulate(np.interp(xs, distinct, p))
-    return xs, ps / ps[-1], n
+    if distinct.size > grid_size:
+        holder = np.repeat(np.arange(distinct.size), counts)  # each sorted sample's value
+        knots = np.unique(holder[np.arange(grid_size) * (n - 1) // (grid_size - 1)])
+        distinct, p = distinct[knots], p[knots]
+    return distinct, p, n
+
+
+_knot_caps = st.sampled_from((2, 16, 1024)) | st.integers(2, 300)
 
 
 def assert_cdf_is_reference(cdf, values, background, exclude_background, grid_size):
@@ -84,6 +94,27 @@ class TestIntensityIndex:
         mapped = index.with_levels(np.abs(index.levels) % 37)  # unsorted, merged
         assert_cdf_is_reference(build_cdf(mapped, exclude, grid_size=100),
                                 mapped.to_volume().voxels, 4.0, exclude, grid_size=100)
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2 ** 16), n_levels=st.integers(2, 40),
+           size=st.integers(2, 3000), grid_size=_knot_caps)
+    def test_level_table_and_its_voxels_give_the_same_cdf(self, seed, n_levels,
+                                                          size, grid_size):
+        # halving frequencies leave the top levels a voxel or two, which
+        # evenly spaced ranks skip when the knot cap would keep them all
+        rng = np.random.default_rng(seed)
+        weights = 0.5 ** np.arange(n_levels)
+        values = rng.choice(n_levels, size, p=weights / weights.sum()).astype(np.float64)
+        assume(np.unique(values).size > 1)
+        index = IntensityIndex.of(volume_from_values(values, background=-1.0))
+        mapped = index.map_foreground(lambda x: x / 3.0 + 0.25)  # voxels sort one by one
+        voxels = mapped.to_volume()
+        assert IntensityIndex.of(voxels).counts is None
+        cdf = build_cdf(mapped, grid_size=grid_size)
+        from_voxels = build_cdf(voxels, grid_size=grid_size)
+        assert cdf.xs.tobytes() == from_voxels.xs.tobytes()
+        assert cdf.ps.tobytes() == from_voxels.ps.tobytes()
+        assert_cdf_is_reference(cdf, voxels.voxels, -1.0, True, grid_size)
 
     @pytest.mark.parametrize("hot_pixel", [False, True])
     def test_non_integer_voxel_past_the_probe_keeps_one_level_per_voxel(self, hot_pixel):
@@ -127,7 +158,7 @@ def _cdf_inputs(draw):
     return np.array(values, dtype=dtype), background
 
 
-class TestBracketSampledCdf:
+class TestRankKnotCdf:
     @settings(max_examples=300)
     @given(inputs=_cdf_inputs(), exclude=st.booleans(),
            grid_size=st.sampled_from((2, 3, 1024)) | st.integers(2, 600))
@@ -147,15 +178,16 @@ class TestBracketSampledCdf:
             assert_cdf_is_reference(build_cdf(vol, exclude, grid_size),
                                     vol.voxels, background, exclude, grid_size)
 
-    def test_grid_point_just_below_a_float32_voxel(self):
-        # 1/3 rounds up to float32: searching with that key would count the
-        # voxels stored at float32(1/3) as lying at or below the grid point
-        # and miss its lower bracket, 0.32
+    def test_float32_voxels_are_knots_as_stored(self):
+        # 1/3 rounds up to float32: the knot is the stored value, and its
+        # six voxels count as lying at it, not above it
         third = np.float32(1 / 3)
         assert float(third) > 1 / 3
         values = np.array([0.0, 0.1, 0.32] + [third] * 6 + [1.0], dtype=np.float32)
         vol = stored_volume(values, np.float32, background=-1.0)
-        assert_cdf_is_reference(build_cdf(vol, grid_size=4), values, -1.0, True, 4)
+        cdf = build_cdf(vol, grid_size=4)
+        assert float(third) in cdf.xs.tolist()
+        assert_cdf_is_reference(cdf, values, -1.0, True, 4)
 
     def test_float32_background_compares_in_float64(self):
         # 0.1 is not a float32: voxels stored as 0.1f are foreground
@@ -163,6 +195,77 @@ class TestBracketSampledCdf:
         assert build_cdf(vol).n_samples == 10
         assert vol.foreground().size == 10
         assert vol.foreground().dtype == np.float64
+
+
+def assert_knots_follow_the_data(cdf, kept, grid_size):
+    """Every knot is one of the ``kept`` values, and adjacent knots are at
+    most one rank step apart plus their own voxels' share.
+
+    With n samples the knots sit at ranks floor(i * (n - 1) / (grid_size - 1)),
+    which step by at most s = ceil((n - 1) / (grid_size - 1)); with every
+    distinct value a knot the step is 1 <= s.  A knot v holding c_v samples,
+    b_v of them below it, has n * p = b_v + (c_v + 1) / 2.  If u is the
+    knot before v, some rank at or below last(u) holds u and the next one
+    holds v, at or above first(v); so first(v) - last(u) <= s, and
+        n * (p_v - p_u) <= s + (c_u + c_v) / 2 - 1,
+    at most s + c_max - 1: one rank step plus the largest level's share.
+    The maximum's probability is pinned to 1, (c_v - 1) / 2 ranks above its
+    averaged rank, so the last gap may be that much wider.
+    """
+    distinct, counts = np.unique(kept, return_counts=True)
+    n = kept.size
+    assert cdf.n_samples == n
+    at = np.minimum(np.searchsorted(distinct, cdf.xs), distinct.size - 1)
+    assert np.array_equal(distinct[at], cdf.xs)
+    c = counts[at]
+    ranks = np.round(2 * n * cdf.ps) / 2  # n * p, a whole or half number
+    step = -(-(n - 1) // (grid_size - 1))
+    bound = step + (c[:-1] + c[1:]) / 2 - 1
+    bound[-1] += (c[-1] - 1) / 2
+    assert (np.diff(ranks) <= bound).all()
+
+
+class TestRankKnotsFollowTheData:
+    """Outliers and heavy tails: an evenly spaced intensity grid leaves the
+    bulk of such data a handful of knots, rank knots do not."""
+
+    @settings(max_examples=40)
+    @given(seed=st.integers(0, 2 ** 16), size=st.integers(200, 4000),
+           stored=st.sampled_from(("u16", "f32", "f64")), grid_size=_knot_caps)
+    def test_one_spike_voxel(self, seed, size, stored, grid_size):
+        rng = np.random.default_rng(seed)
+        values = rng.normal(300.0, 60.0, size).clip(1.0, None)
+        if stored == "u16":
+            values = np.rint(values)
+        values[rng.integers(size)] = 65535.0 if stored == "u16" else 2.0 ** 40
+        vol = stored_volume(values, {"u16": np.uint16, "f32": np.float32,
+                                     "f64": np.float64}[stored])
+        kept = vol.foreground()
+        assert_knots_follow_the_data(build_cdf(vol, grid_size=grid_size), kept, grid_size)
+
+    @settings(max_examples=40)
+    @given(seed=st.integers(0, 2 ** 16), size=st.integers(200, 4000),
+           outlier=st.sampled_from((65535.0, 1e6, -5e4)), grid_size=_knot_caps)
+    def test_z_scored_cohort_member_with_one_outlier(self, seed, size, outlier,
+                                                     grid_size):
+        rng = np.random.default_rng(seed)
+        values = np.rint(rng.normal(800.0, 150.0, size))
+        values[rng.integers(size)] = outlier
+        values[rng.random(size) < 0.2] = 0.0
+        assume((values != 0.0).sum() > 1)
+        index = zscore_standardize(IntensityIndex.of(volume_from_values(values)))
+        kept = index.to_volume().foreground()
+        assert_knots_follow_the_data(build_cdf(index, grid_size=grid_size),
+                                     kept, grid_size)
+
+    @settings(max_examples=40)
+    @given(seed=st.integers(0, 2 ** 16), size=st.integers(200, 4000),
+           sigma=st.floats(2.0, 5.0), grid_size=_knot_caps)
+    def test_heavy_tailed_volume(self, seed, size, sigma, grid_size):
+        values = np.random.default_rng(seed).lognormal(0.0, sigma, size)
+        vol = stored_volume(values, np.float32)
+        kept = vol.foreground()
+        assert_knots_follow_the_data(build_cdf(vol, grid_size=grid_size), kept, grid_size)
 
 
 class TestEmpiricalCdfValidation:
@@ -397,10 +500,12 @@ class TestZscore:
 
 class TestAverageCdfs:
     def test_average_of_one_is_identity(self):
+        # the average's grid spans the union of the supports evenly, so the
+        # average of one CDF is that curve read on the even grid
         cdf = cdf_from_samples(np.random.default_rng(3).normal(0, 1, 2000))
         avg = average_cdfs([cdf])
-        assert np.array_equal(avg.xs, cdf.xs)
-        assert np.allclose(avg.ps, cdf.ps, atol=1e-12)
+        assert np.array_equal(avg.xs, np.linspace(*cdf.support, 1024))
+        assert np.allclose(avg.ps, cdf_value(cdf, avg.xs), atol=1e-12)
 
     def test_two_steps_average_to_half_plateau(self):
         h = 1e-9

@@ -144,6 +144,13 @@ class TestBuildTemplate:
         assert "tail_source_max" not in t.provenance
 
     def test_hot_pixel_cohort_fails_as_infeasible(self):
+        # Each member's own CDF follows its bulk (rank knots), but two
+        # things still tie the template to the hot voxels.  average_cdfs
+        # reads the members on an even grid over the union support, which
+        # the hot voxels stretch: the median lands at 1600.02, not 1650,
+        # with or without a clip range.  And the top tail's source range
+        # reaches the hottest z-scored voxel (about 3.1e5), so a build that
+        # got past the average would squeeze every image's top tail over it.
         cohort = []
         for i in range(3):
             vol = generate_synthetic(t2_spec(440 + i))
