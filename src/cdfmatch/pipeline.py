@@ -16,11 +16,10 @@ import numpy as np
 
 from .cdf import (DEFAULT_GRID_SIZE, IntensityIndex, Volume, build_cdf,
                   ks_distance, zscore_standardize)
-from .errors import DegenerateConstant, EmptyInput
+from .errors import AllBackground, DegenerateConstant, EmptyInput
 from .fit import FitConfig, FitResult, fit_cdf
-from .template import TemplateCdf, config_hash
-from .transform import (DualScaleParams, IntensityLut, TailSpec, apply_lut,
-                        compose_lut, lut_ds)
+from .template import TemplateCdf, config_hash, template_tails
+from .transform import IntensityLut, apply_lut, compose_lut, lut_ds
 
 METHOD_PERCENTILE_STRETCH = "percentile_stretch"
 METHOD_ZSCORE = "zscore"
@@ -77,33 +76,6 @@ class ChannelReport:
 TAIL_SQUEEZE_GATE = 0.05
 
 
-def _template_tails(params: DualScaleParams, template: TemplateCdf,
-                    domain: tuple[float, float]) -> TailSpec:
-    """Tail spec for one image, in post-dual-scaling coordinates.
-
-    A tail fires only when the mapped extremes materially overshoot the clip
-    range (already-conforming data passes through so repeated harmonization
-    stays near identity).  The squeeze reuses the template's build-time
-    source ranges when recorded, so images bend exactly like the template
-    did; erf saturation keeps any input inside the clip range regardless.
-    """
-    if template.clip is None:
-        return TailSpec.disabled()
-    clip_lo, clip_hi = template.clip
-    c = template.controls
-    v_min = float(lut_ds(domain[0], params))
-    v_max = float(lut_ds(domain[1], params))
-    top = v_max - clip_hi > TAIL_SQUEEZE_GATE * (clip_hi - c.t_T)
-    bottom = clip_lo - v_min > TAIL_SQUEEZE_GATE * (c.t_B - clip_lo)
-    src_max = template.provenance.get("tail_source_max")
-    src_min = template.provenance.get("tail_source_min")
-    return TailSpec(v_T=c.t_T, v_max=float(src_max) if src_max is not None else v_max,
-                    v_clipT=clip_hi,
-                    v_B=c.t_B, v_min=float(src_min) if src_min is not None else v_min,
-                    v_clipB=clip_lo,
-                    enabled_top=top, enabled_bottom=bottom)
-
-
 def quantization_range(template: TemplateCdf, bits: int) -> tuple[float, float]:
     """The interval ``bits``-deep output is rounded into: the template clip
     range when it has one, else 0..2^bits-1.  Raises ValueError when the
@@ -145,7 +117,11 @@ def harmonize(vol: Volume, template: TemplateCdf,
     pre_ks = ks_distance(image_cdf, template.cdf)
     fit = fit_cdf(image_cdf, template, options.fit)
     domain = image_cdf.support
-    tails = _template_tails(fit.params, template, domain)
+    # the template's recorded source ranges bend every image as they bent
+    # the template; the gate lets already-conforming data pass through
+    v_min, v_max = (float(lut_ds(x, fit.params)) for x in domain)
+    tails = template_tails(template.controls, template.clip, v_min, v_max,
+                           TAIL_SQUEEZE_GATE, template.provenance)
     if tails.enabled_top or tails.enabled_bottom:
         # refine against the composed map so the squeeze does not push
         # already-matched quantiles away from the template
@@ -171,9 +147,13 @@ def percentile_stretch(vol: Volume, target: tuple[float, float],
     """Affine map of the [Q(lo_p), Q(hi_p)] foreground span onto ``target``.
 
     Values beyond the anchor percentiles clamp to the target ends; background
-    voxels pass through unchanged.
+    voxels pass through unchanged.  Raises AllBackground when there is no
+    foreground.
     """
-    q_lo, q_hi = np.quantile(vol.foreground(), [lo_p, hi_p])
+    fg = vol.foreground()
+    if fg.size == 0:
+        raise AllBackground("no foreground voxels to stretch")
+    q_lo, q_hi = np.quantile(fg, [lo_p, hi_p])
     if q_hi <= q_lo:
         raise DegenerateConstant("percentile anchors collapse")
     t_lo, t_hi = (float(target[0]), float(target[1]))

@@ -136,14 +136,39 @@ class TemplateCdf:
         cdf = EmpiricalCdf(np.array(cdf_doc["xs"]), np.array(cdf_doc["ps"]),
                            n_samples=cdf_doc.get("n_samples", 0))
         clip = tuple(doc["clip"]) if doc.get("clip") is not None else None
+        provenance = dict(doc.get("provenance", {}))
+        for key in ("tail_source_max", "tail_source_min"):  # null: not recorded
+            value = provenance.get(key)
+            if value is not None and type(value) not in (int, float):  # no bool subclass
+                raise SchemaMismatch(f"provenance {key} must be a number or null, got {value!r}")
         return cls(cdf, ControlPoints.from_dict(doc["controls"]), clip,
-                   doc.get("channel", ""), doc.get("provenance", {}))
+                   doc.get("channel", ""), provenance)
 
 
 def config_hash(payload: dict) -> str:
     """Short stable digest of a JSON-able configuration, for provenance."""
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
+
+
+def template_tails(controls: ControlPoints, clip: tuple[float, float] | None,
+                   v_min: float, v_max: float, gate: float,
+                   provenance: dict) -> TailSpec:
+    """Tails squeezing a dual-scaled support [v_min, v_max] into ``clip``: the
+    one firing rule for the template and every image.  A tail fires when the
+    support overshoots its clip bound by more than ``gate`` times the room
+    between that bound and its control intensity, and bends over the source
+    extreme recorded in ``provenance`` or, when none is (absent or None),
+    over the support's own."""
+    if clip is None:
+        return TailSpec.disabled()
+    lo, hi = clip
+    src_max = provenance.get("tail_source_max")
+    src_min = provenance.get("tail_source_min")
+    return TailSpec(v_T=controls.t_T, v_max=v_max if src_max is None else src_max, v_clipT=hi,
+                    v_B=controls.t_B, v_min=v_min if src_min is None else src_min, v_clipB=lo,
+                    enabled_top=v_max - hi > gate * (hi - controls.t_T),
+                    enabled_bottom=lo - v_min > gate * (controls.t_B - lo))
 
 
 def build_template(cohort, controls: ControlPoints = DEFAULT_CONTROLS,
@@ -185,19 +210,15 @@ def build_template(cohort, controls: ControlPoints = DEFAULT_CONTROLS,
                                     "grid_size": grid_size,
                                     "fit": config.to_dict()}),
     }
-    if clip is not None:
-        # squeeze a tail only when the fitted support overshoots its bound;
-        # the pre-squeeze extremes are recorded so harmonized images are
-        # bent by the same TailSpec
-        tails = TailSpec(v_T=controls.t_T, v_max=xs[-1], v_clipT=clip[1],
-                         v_B=controls.t_B, v_min=xs[0], v_clipB=clip[0],
-                         enabled_top=bool(xs[-1] > clip[1]),
-                         enabled_bottom=bool(xs[0] < clip[0]))
-        if tails.enabled_top:
-            provenance["tail_source_max"] = tails.v_max
-        if tails.enabled_bottom:
-            provenance["tail_source_min"] = tails.v_min
-        xs = tails.apply(xs)
+    # squeeze a tail whenever the fitted support overshoots its bound (gate
+    # 0); the pre-squeeze extremes are recorded so harmonized images are
+    # bent by the same TailSpec
+    tails = template_tails(controls, clip, float(xs[0]), float(xs[-1]), 0.0, {})
+    if tails.enabled_top:
+        provenance["tail_source_max"] = tails.v_max
+    if tails.enabled_bottom:
+        provenance["tail_source_min"] = tails.v_min
+    xs = tails.apply(xs)
 
     if channel is None:
         channel = cohort[0].channel

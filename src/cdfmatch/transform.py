@@ -90,7 +90,11 @@ class TailSpec:
     """Where each tail starts, the observed extremes, and the clip targets.
 
     Intensities here live in post-dual-scaling coordinates: tail shrinking
-    runs after the dual-scaling map.  A disabled side ignores its fields.
+    runs after the dual-scaling map.  Past its start, an enabled side maps y
+    to ``start + r_T * erf(2 (y - start) / r_S)``, ranges signed upward for
+    the top (``r_S = v_max - v_T``, ``r_T = v_clipT - v_T``) and downward for
+    the bottom (``v_min - v_B``, ``v_clipB - v_B``); elsewhere the identity.
+    A disabled side ignores its fields.
     """
 
     v_T: float = 0.0
@@ -113,6 +117,9 @@ class TailSpec:
             raise BadTailSpec(
                 f"bottom tail needs v_clipB < v_B and v_min < v_B, got "
                 f"v_B={self.v_B}, v_clipB={self.v_clipB}, v_min={self.v_min}")
+        if self.enabled_top and self.enabled_bottom and not self.v_B < self.v_T:
+            raise BadTailSpec(
+                f"two tails need v_B < v_T, got v_B={self.v_B}, v_T={self.v_T}")
 
     @classmethod
     def disabled(cls) -> "TailSpec":
@@ -128,32 +135,33 @@ class TailSpec:
     def from_dict(cls, doc: dict) -> "TailSpec":
         return cls(**doc)
 
-    def apply(self, y: np.ndarray) -> np.ndarray:
-        """Squeeze the enabled tails of dual-scaled intensities: top, then bottom."""
+    def _sides(self, y: np.ndarray):
+        # each enabled side as (values past its start, start, r_S, r_T); the
+        # start itself and NaN take the erf branch, which keeps them
         if self.enabled_top:
-            y = np.asarray(lut_top_tail(y, self.v_T, self.v_max, self.v_clipT))
+            yield ~(y < self.v_T), self.v_T, self.v_max - self.v_T, self.v_clipT - self.v_T
         if self.enabled_bottom:
-            y = np.asarray(lut_bottom_tail(y, self.v_B, self.v_min, self.v_clipB,
-                                           self.v_max))
-        return y
+            yield ~(y > self.v_B), self.v_B, self.v_min - self.v_B, self.v_clipB - self.v_B
 
-    def slope(self, y: np.ndarray) -> np.ndarray:
-        """Derivative of :meth:`apply` at ``y``, exact away from the tail starts."""
+    def apply(self, y) -> np.ndarray:
+        """Squeeze the enabled tails; their ranges are disjoint, so one pass writes both."""
         y = np.asarray(y, dtype=np.float64)
-        out = np.ones_like(y)
-        if self.enabled_top:
-            out *= _tail_slope(y - self.v_T, self.v_max - self.v_T, self.v_clipT - self.v_T)
-            y = np.asarray(lut_top_tail(y, self.v_T, self.v_max, self.v_clipT))
-        if self.enabled_bottom:
-            out *= _tail_slope(self.v_B - y, self.v_B - self.v_min, self.v_B - self.v_clipB)
+        if not (self.enabled_top or self.enabled_bottom):
+            return y
+        out = y.copy()
+        for past, start, r_S, r_T in self._sides(y):
+            out[past] = start + r_T * erf(2.0 * (y[past] - start) / r_S)
         return out
 
-
-def _tail_slope(d: np.ndarray, r_S: float, r_T: float) -> np.ndarray:
-    # slope of a tail map at depth d past its start: r_T * erf(2 d / r_S)
-    # has a Gaussian derivative for d >= 0, the identity slope 1 before
-    gauss = (4.0 / np.sqrt(np.pi)) * (r_T / r_S) * np.exp(-(2.0 * d / r_S) ** 2)
-    return np.where(d < 0.0, 1.0, gauss)
+    def slope(self, y) -> np.ndarray:
+        """Derivative of :meth:`apply` at ``y``, exact away from the tail starts:
+        erf's Gaussian derivative past a start, the identity's 1 before it."""
+        y = np.asarray(y, dtype=np.float64)
+        out = np.ones_like(y)
+        for past, start, r_S, r_T in self._sides(y):
+            out[past] = ((4.0 / np.sqrt(np.pi)) * (r_T / r_S)
+                         * np.exp(-(2.0 * (y[past] - start) / r_S) ** 2))
+        return out
 
 
 def blend(x, pivots: PivotTriple) -> "float | np.ndarray":
@@ -200,35 +208,19 @@ def lut_top_tail(x, v_T: float, v_max: float, v_clipT: float) -> "float | np.nda
     ``r_T = v_clipT - v_T``; below v_T it is the identity.  Monotone,
     continuous at the join, and bounded above by ``v_T + r_T``.
     """
-    if not v_T < v_max:
-        raise BadTailSpec(f"need v_T < v_max, got v_T={v_T}, v_max={v_max}")
-    if not v_T < v_clipT:
-        raise BadTailSpec(f"need v_T < v_clipT, got v_T={v_T}, v_clipT={v_clipT}")
-    xv = np.asarray(x, dtype=np.float64)
-    r_S = v_max - v_T
-    r_T = v_clipT - v_T
-    # only values past v_T (and NaN, as in the formula) pay for the erf
-    out = np.array(xv, dtype=np.float64)
-    tail = ~(xv < v_T)
-    out[tail] = v_T + r_T * erf(2.0 * (xv[tail] - v_T) / r_S)
-    return _match_scalar(out, x)
+    tail = TailSpec(v_T=v_T, v_max=v_max, v_clipT=v_clipT, enabled_top=True)
+    return _match_scalar(tail.apply(x), x)
 
 
-def lut_bottom_tail(x, v_B: float, v_min: float, v_clipB: float,
-                    v_max: float) -> "float | np.ndarray":
+def lut_bottom_tail(x, v_B: float, v_min: float, v_clipB: float) -> "float | np.ndarray":
     """Mirror of the top tail: squeeze intensities below ``v_B``.
 
-    Defined by reflecting about ``v_max``, applying the top-tail map with the
-    primed parameters, and reflecting back; the identity above v_B.
+    For x <= v_B the map is ``v_B - r_T * erf(2 (v_B - x) / r_S)`` with
+    ``r_S = v_B - v_min`` and ``r_T = v_B - v_clipB``, the identity above:
+    the top tail reflected about any constant, which cancels.
     """
-    if not v_min < v_B:
-        raise BadTailSpec(f"need v_min < v_B, got v_min={v_min}, v_B={v_B}")
-    if not v_clipB < v_B:
-        raise BadTailSpec(f"need v_clipB < v_B, got v_clipB={v_clipB}, v_B={v_B}")
-    xv = np.asarray(x, dtype=np.float64)
-    out = v_max - np.asarray(
-        lut_top_tail(v_max - xv, v_max - v_B, v_max - v_min, v_max - v_clipB))
-    return _match_scalar(out, x)
+    tail = TailSpec(v_B=v_B, v_min=v_min, v_clipB=v_clipB, enabled_bottom=True)
+    return _match_scalar(tail.apply(x), x)
 
 
 @dataclass(frozen=True)

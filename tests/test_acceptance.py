@@ -78,7 +78,7 @@ def test_criterion_03_tail_containment():
 def test_criterion_04_reflection_identity():
     v_b, v_min, v_clip_b, v_max = 500.0, 5.0, 1.0, 5418.0
     xs = np.linspace(-800.0, v_max, 4096)
-    direct = np.asarray(lut_bottom_tail(xs, v_b, v_min, v_clip_b, v_max))
+    direct = np.asarray(lut_bottom_tail(xs, v_b, v_min, v_clip_b))
     composed = v_max - np.asarray(lut_top_tail(v_max - xs, v_max - v_b,
                                                v_max - v_min, v_max - v_clip_b))
     rel = float((np.abs(direct - composed)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from cdfmatch import cli, generate_synthetic, read_volume, write_volume
+from cdfmatch import Volume, cli, generate_synthetic, read_volume, write_volume
 from cdfmatch.cli import run
 
 from conftest import T2_COMPONENTS, scanner_effect, t2_spec
@@ -358,6 +358,19 @@ class TestEval:
         assert float(rows["cdf_match"][1]) < float(rows["zscore"][1])
         assert rows["zscore"][2] == ""
 
+    def test_all_background_volume_exits_1(self, workspace, tmp_path, capsys):
+        # the percentile stretch runs first and has no foreground to anchor on
+        in_dir = tmp_path / "in"
+        in_dir.mkdir()
+        write_volume(read_volume(workspace / "raw" / "vol0.raw"), in_dir / "vol0.raw", "u16")
+        write_volume(Volume((8, 8, 8), np.zeros(512), channel="T2"), in_dir / "empty.raw",
+                     "u16")
+        assert run(["eval", "--template", str(workspace / "t2.template.json"),
+                    "--in", str(in_dir), "--out", str(tmp_path / "m.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "no foreground" in err
+        assert "Traceback" not in err
+
     def test_unknown_method(self, workspace, tmp_path):
         assert run(["eval", "--template", str(workspace / "t2.template.json"),
                     "--in", str(workspace / "raw"), "--methods", "magic",
@@ -433,6 +446,32 @@ class TestMalformedFiles:
         assert run(command) == 1
         err = capsys.readouterr().err
         assert str(bad) in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", [[15631.1], "15631.1", True])
+    def test_non_numeric_tail_source_exits_1(self, workspace, tmp_path, capsys, value):
+        doc = json.loads((workspace / "t2.template.json").read_text())
+        doc["provenance"]["tail_source_max"] = value
+        bad = tmp_path / "bad.template.json"
+        bad.write_text(json.dumps(doc))
+        assert run(["harmonize", "--template", str(bad), "--in", str(workspace / "raw"),
+                    "--out", str(tmp_path / "out"), "--best-effort"]) == 1
+        err = capsys.readouterr().err
+        assert "tail_source_max" in err
+        assert "Traceback" not in err
+
+    def test_crossed_tails_in_a_lut_exit_1(self, workspace, tmp_path, capsys):
+        run(["harmonize", "--template", str(workspace / "t2.template.json"),
+             "--in", str(workspace / "raw"), "--out", str(tmp_path / "out")])
+        doc = json.loads(next((tmp_path / "out").glob("*.lut.json")).read_text())
+        # both tails on, each valid alone, the bottom one starting above the top
+        doc["tails"].update(v_T=3300.0, v_max=5418.0, v_clipT=4095.0, v_B=3400.0,
+                            v_min=5.0, v_clipB=1.0, enabled_top=True, enabled_bottom=True)
+        bad = tmp_path / "crossed.lut.json"
+        bad.write_text(json.dumps(doc))
+        assert run(["inspect", "--lut", str(bad), "--out", str(tmp_path / "m.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "v_B < v_T" in err
         assert "Traceback" not in err
 
 

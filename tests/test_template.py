@@ -15,8 +15,8 @@ from cdfmatch import (ControlPoints, TemplateCdf, Volume, average_cdfs, build_cd
 from cdfmatch import template as template_module
 from cdfmatch.cdf import IntensityIndex
 from cdfmatch.errors import BadTailSpec, EmptyCohort, Infeasible, SchemaMismatch
-from cdfmatch.pipeline import _template_tails
-from cdfmatch.template import DEFAULT_CONTROLS
+from cdfmatch.pipeline import TAIL_SQUEEZE_GATE
+from cdfmatch.template import DEFAULT_CONTROLS, template_tails
 
 from conftest import scanner_cohort, t2_spec
 
@@ -122,7 +122,9 @@ class TestBuildTemplate:
         t = build_template(cohort)
         avg = average_cdfs([build_cdf(zscore_standardize(v)) for v in cohort])
         params = fit_template_to_controls(avg, t.controls).params
-        tails = _template_tails(params, t, avg.support)
+        v_min, v_max = (float(lut_ds(x, params)) for x in avg.support)
+        tails = template_tails(t.controls, t.clip, v_min, v_max, TAIL_SQUEEZE_GATE,
+                               t.provenance)
         assert tails.enabled_top and tails.enabled_bottom
         assert (tails.v_max, tails.v_min) == (t.provenance["tail_source_max"],
                                               t.provenance["tail_source_min"])
@@ -222,6 +224,21 @@ class TestPersistence:
         path.write_text("not json at all")
         with pytest.raises(SchemaMismatch):
             load_template(path)
+
+    def test_null_tail_source_means_not_recorded(self, template_12bit):
+        doc = template_12bit.to_dict()
+        doc["provenance"]["tail_source_max"] = None
+        loaded = TemplateCdf.from_dict(doc)
+        tails = template_tails(loaded.controls, loaded.clip, 0.0, 9000.0, 0.0,
+                               loaded.provenance)
+        assert tails.enabled_top and tails.v_max == 9000.0
+
+    @pytest.mark.parametrize("value", [[1.0], "1.0", {}, False])
+    def test_non_numeric_tail_source_is_schema_mismatch(self, template_12bit, value):
+        doc = template_12bit.to_dict()
+        doc["provenance"]["tail_source_min"] = value
+        with pytest.raises(SchemaMismatch, match="tail_source_min"):
+            TemplateCdf.from_dict(doc)
 
     def test_missing_file_is_io_error(self, tmp_path):
         from cdfmatch.errors import IoError

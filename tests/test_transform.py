@@ -21,6 +21,29 @@ from conftest import stored_volume, volume_from_values
 PIVOTS = PivotTriple(0.0, 50.0, 100.0)
 
 
+_coords = st.floats(-5000.0, 5000.0)
+_gaps = st.floats(0.01, 3000.0)
+
+
+@st.composite
+def _inputs(draw, anchors, width):
+    """A scalar, a 0-d array, an empty array, or a float64 or float32 array
+    of each anchor, its float neighbours and 500 random values spread over
+    ``width`` either side of the anchors."""
+    near = [v for a in anchors for v in (np.nextafter(a, -np.inf), a, np.nextafter(a, np.inf))]
+    shape = draw(st.sampled_from(["scalar", "0-d", "empty", "float64", "float32"]))
+    if shape == "scalar":
+        return float(draw(st.sampled_from(near)))
+    if shape == "0-d":
+        return np.array(draw(st.sampled_from(near)))
+    if shape == "empty":
+        return np.empty(0)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    spread = rng.uniform(min(anchors) - width, max(anchors) + width, 500)
+    values = np.concatenate([near, spread])
+    return values.astype(np.float32) if shape == "float32" else values
+
+
 class TestPivotTriple:
     def test_requires_strict_order(self):
         with pytest.raises(ValueError):
@@ -163,48 +186,93 @@ class TestTopTail:
 
 class TestBottomTail:
     def test_identity_at_tail_start(self):
-        assert lut_bottom_tail(500.0, 500.0, 5.0, 1.0, 5418.0) == 500.0
+        assert lut_bottom_tail(500.0, 500.0, 5.0, 1.0) == 500.0
 
     def test_identity_above_tail_start(self):
-        assert lut_bottom_tail(777.0, 500.0, 5.0, 1.0, 5418.0) == 777.0
+        assert lut_bottom_tail(777.0, 500.0, 5.0, 1.0) == 777.0
 
     def test_published_bottom_configuration(self):
         # 500 - 499 * erf(2) at the source minimum
         expected = 500.0 - 499.0 * math.erf(2.0)
-        got = lut_bottom_tail(5.0, 500.0, 5.0, 1.0, 5418.0)
+        got = lut_bottom_tail(5.0, 500.0, 5.0, 1.0)
         assert got == pytest.approx(expected, abs=1e-9)
         assert got == pytest.approx(3.33, abs=0.05)
 
     def test_reflection_identity(self):
         v_b, v_min, v_clip_b, v_max = 500.0, 5.0, 1.0, 5418.0
         xs = np.linspace(-200.0, 5418.0, 4096)
-        direct = np.asarray(lut_bottom_tail(xs, v_b, v_min, v_clip_b, v_max))
+        direct = np.asarray(lut_bottom_tail(xs, v_b, v_min, v_clip_b))
         composed = v_max - np.asarray(lut_top_tail(
             v_max - xs, v_max - v_b, v_max - v_min, v_max - v_clip_b))
         scale = np.maximum(np.abs(composed), 1.0)
         assert (np.abs(direct - composed) <= 1e-9 * scale).all()
 
-    def test_reflection_constant_cancels(self):
-        xs = np.linspace(-200.0, 500.0, 1000)
-        a = np.asarray(lut_bottom_tail(xs, 500.0, 5.0, 1.0, 5418.0))
-        b = np.asarray(lut_bottom_tail(xs, 500.0, 5.0, 1.0, 99_000.0))
-        assert np.abs(a - b).max() < 1e-6
+    @given(data=st.data(), v_B=_coords, source=_gaps, target=_gaps,
+           v_max=st.floats(-1e5, 1e5))
+    @settings(max_examples=200)
+    def test_reflection_constant_cancels(self, data, v_B, source, target, v_max):
+        # reflecting about any v_max, applying the top tail and reflecting
+        # back gives the direct bottom tail, up to the rounding of the
+        # reflections: each is off by a few ulps of the values it subtracts,
+        # and the erf passes such an error on times at most 2.26 r_T / r_S
+        v_min, v_clip_b = v_B - source, v_B - target
+        xs = np.asarray(data.draw(_inputs((v_B,), source)), dtype=np.float64)
+        direct = np.asarray(lut_bottom_tail(xs, v_B, v_min, v_clip_b))
+        composed = v_max - np.asarray(lut_top_tail(
+            v_max - xs, v_max - v_B, v_max - v_min, v_max - v_clip_b))
+        magnitude = abs(v_max) + np.abs(xs) + abs(v_B) + abs(v_min) + abs(v_clip_b)
+        bound = 64.0 * np.finfo(np.float64).eps * (1.0 + target / source) * magnitude
+        assert (np.abs(direct - composed) <= bound).all()
 
     def test_output_stays_above_clip(self):
         xs = np.linspace(-10_000.0, 500.0, 5000)
-        out = np.asarray(lut_bottom_tail(xs, 500.0, 5.0, 1.0, 5418.0))
+        out = np.asarray(lut_bottom_tail(xs, 500.0, 5.0, 1.0))
         assert (out >= 1.0).all()
         assert (np.diff(out) >= 0).all()
         near = np.asarray(lut_bottom_tail(np.linspace(-600.0, 500.0, 2000),
-                                          500.0, 5.0, 1.0, 5418.0))
+                                          500.0, 5.0, 1.0))
         assert (near > 1.0).all()
         assert (np.diff(near) > 0).all()
 
     def test_bad_ordering_raises(self):
         with pytest.raises(BadTailSpec):
-            lut_bottom_tail(1.0, 500.0, 500.0, 1.0, 5418.0)
+            lut_bottom_tail(1.0, 500.0, 500.0, 1.0)
         with pytest.raises(BadTailSpec):
-            lut_bottom_tail(1.0, 500.0, 5.0, 500.0, 5418.0)
+            lut_bottom_tail(1.0, 500.0, 5.0, 500.0)
+
+
+# the tails of the benchmark's template at seed 1: the published controls
+# and clip range with the recorded source extremes
+_BENCH_TOP = (3300.0, 15631.115524036193, 4095.0)
+_BENCH_BOTTOM = (500.0, -1344.7018326392426, 1.0)
+
+
+class TestFarSideIdentity:
+    # past its start a tail bends; on the far side it must hand every value
+    # back unchanged, bit for bit, and so must the two tails together
+    # between their starts
+    @given(data=st.data(), drawn=st.booleans(), start=_coords, middle=_gaps,
+           source=_gaps, target=_gaps)
+    @settings(max_examples=200)
+    def test_each_tail_is_the_identity_on_its_far_side(self, data, drawn, start, middle,
+                                                       source, target):
+        top, bottom = _BENCH_TOP, _BENCH_BOTTOM
+        if drawn:
+            top = (start + middle, start + middle + source, start + middle + target)
+            bottom = (start, start - source, start - target)
+        v_T, v_B = top[0], bottom[0]
+
+        def strictly_between(lo, hi):
+            values = st.floats(lo, hi, exclude_min=True, exclude_max=True)
+            return np.array(data.draw(st.lists(values, min_size=1, max_size=50)))
+
+        below_top = strictly_between(-1e6, v_T)
+        assert lut_top_tail(below_top, *top).tobytes() == below_top.tobytes()
+        above_bottom = strictly_between(v_B, 1e6)
+        assert lut_bottom_tail(above_bottom, *bottom).tobytes() == above_bottom.tobytes()
+        between = strictly_between(v_B, v_T)
+        both = TailSpec(*top, *bottom, enabled_top=True, enabled_bottom=True)
+        assert both.apply(between).tobytes() == between.tobytes()
 
 
 def _identity_params(pivots=PivotTriple(500.0, 1650.0, 3300.0)):
@@ -251,6 +319,13 @@ class TestComposeLut:
             TailSpec(v_T=3300.0, v_max=3000.0, v_clipT=4095.0, enabled_top=True)
         with pytest.raises(BadTailSpec):
             TailSpec(v_B=500.0, v_min=600.0, v_clipB=1.0, enabled_bottom=True)
+
+    @pytest.mark.parametrize("v_B", [3300.0, 3400.0])
+    def test_two_tails_must_not_overlap(self, v_B):
+        # each side is valid alone; together they need v_B < v_T
+        with pytest.raises(BadTailSpec, match="v_B < v_T"):
+            replace(_twelve_bit_tails(), v_B=v_B)
+        assert replace(_twelve_bit_tails(), v_B=v_B, enabled_top=False).enabled_bottom
 
     def test_json_round_trip(self):
         lut = compose_lut(_identity_params(), _twelve_bit_tails(),
@@ -352,8 +427,9 @@ class TestApplyLut:
 
 
 # Reference forms of the transforms: every branch evaluated on every value
-# and one picked by np.where.  The library evaluates each erf only where its
-# result is kept; these references pin that to the same bits.
+# and one picked by np.where, the tails applied one after the other.  The
+# library evaluates each erf only where its result is kept and writes both
+# tails in one pass; these references pin that to the same bits.
 
 def _ref_blend(x, p):
     xv = np.asarray(x, dtype=np.float64)
@@ -369,9 +445,10 @@ def _ref_top_tail(x, v_T, v_max, v_clipT):
     return np.where(xv < v_T, xv, shrunk)
 
 
-def _ref_bottom_tail(x, v_B, v_min, v_clipB, v_max):
+def _ref_bottom_tail(x, v_B, v_min, v_clipB):
     xv = np.asarray(x, dtype=np.float64)
-    return v_max - _ref_top_tail(v_max - xv, v_max - v_B, v_max - v_min, v_max - v_clipB)
+    shrunk = v_B - (v_B - v_clipB) * erf(2.0 * (v_B - xv) / (v_B - v_min))
+    return np.where(xv > v_B, xv, shrunk)
 
 
 def _ref_lut_apply(lut, x):
@@ -382,7 +459,7 @@ def _ref_lut_apply(lut, x):
     if t.enabled_top:
         y = _ref_top_tail(y, t.v_T, t.v_max, t.v_clipT)
     if t.enabled_bottom:
-        y = _ref_bottom_tail(y, t.v_B, t.v_min, t.v_clipB, t.v_max)
+        y = _ref_bottom_tail(y, t.v_B, t.v_min, t.v_clipB)
     return y if lut.clip is None else np.clip(y, lut.clip[0], lut.clip[1])
 
 
@@ -392,7 +469,6 @@ def _same_bits(got, ref, x):
     assert np.asarray(got, dtype=np.float64).tobytes() == np.asarray(ref).tobytes()
 
 
-_coords = st.floats(-5000.0, 5000.0)
 class TestTailSlope:
     @pytest.mark.parametrize("top, bottom", [(True, False), (False, True),
                                              (True, True), (False, False)])
@@ -411,28 +487,6 @@ class TestTailSlope:
             assert (slope < 1.0).any()
 
 
-_gaps = st.floats(0.01, 3000.0)
-
-
-@st.composite
-def _inputs(draw, anchors, width):
-    """A scalar, a 0-d array, an empty array, or a float64 or float32 array
-    of each anchor, its float neighbours and 500 random values spread over
-    ``width`` either side of the anchors."""
-    near = [v for a in anchors for v in (np.nextafter(a, -np.inf), a, np.nextafter(a, np.inf))]
-    shape = draw(st.sampled_from(["scalar", "0-d", "empty", "float64", "float32"]))
-    if shape == "scalar":
-        return float(draw(st.sampled_from(near)))
-    if shape == "0-d":
-        return np.array(draw(st.sampled_from(near)))
-    if shape == "empty":
-        return np.empty(0)
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    spread = rng.uniform(min(anchors) - width, max(anchors) + width, 500)
-    values = np.concatenate([near, spread])
-    return values.astype(np.float32) if shape == "float32" else values
-
-
 class TestBitwiseReference:
     @given(data=st.data(), v_B=_coords, gap_lo=_gaps, gap_hi=_gaps)
     @settings(max_examples=200)
@@ -441,13 +495,13 @@ class TestBitwiseReference:
         x = data.draw(_inputs((pivots.v_B, pivots.v_M, pivots.v_T), gap_lo + gap_hi))
         _same_bits(blend(x, pivots), _ref_blend(x, pivots), x)
 
-    @given(data=st.data(), start=_coords, source=_gaps, target=_gaps, reflect=_coords)
+    @given(data=st.data(), start=_coords, source=_gaps, target=_gaps)
     @settings(max_examples=200)
-    def test_tails(self, data, start, source, target, reflect):
+    def test_tails(self, data, start, source, target):
         x = data.draw(_inputs((start,), source))
         top = (start, start + source, start + target)
         _same_bits(lut_top_tail(x, *top), _ref_top_tail(x, *top), x)
-        bottom = (start, start - source, start - target, reflect)
+        bottom = (start, start - source, start - target)
         _same_bits(lut_bottom_tail(x, *bottom), _ref_bottom_tail(x, *bottom), x)
 
     @given(data=st.data(), v_B=_coords, gap_lo=_gaps, gap_hi=_gaps,
