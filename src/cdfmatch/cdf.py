@@ -13,9 +13,18 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import AllBackground, DegenerateConstant, EmptyInput, OutOfRange
+from .errors import (AllBackground, DegenerateConstant, EmptyInput, OutOfRange,
+                     Overflow)
 
 DEFAULT_GRID_SIZE = 1024
+
+# the dtypes a volume file stores, by the names its header uses
+DTYPES = {
+    "u8": np.dtype("<u1"),
+    "u16": np.dtype("<u2"),
+    "i16": np.dtype("<i2"),
+    "f32": np.dtype("<f4"),
+}
 
 
 def _readonly(values, dtype=np.float64) -> np.ndarray:
@@ -28,6 +37,44 @@ def _match_scalar(out: np.ndarray, like) -> "float | np.ndarray":
     if np.isscalar(like) or np.ndim(like) == 0:
         return float(out)
     return out
+
+
+def _dtype(name: str) -> np.dtype:
+    """A DTYPES name or a NumPy dtype name as a dtype."""
+    return np.dtype(DTYPES.get(name, name))
+
+
+def check_fits(dtype: str, lo: float, hi: float) -> None:
+    """Raise Overflow unless values in [lo, hi] fit ``dtype`` (a DTYPES name
+    or a NumPy dtype name); integer dtypes hold the values rounded to the
+    nearest integer."""
+    dt = _dtype(dtype)
+    if dt.kind in "ui":
+        # rint is monotone, so rounding the extremes decides the range
+        info = np.iinfo(dt)
+        if np.rint(lo) < info.min or np.rint(hi) > info.max:
+            raise Overflow(f"values [{lo:.6g}, {hi:.6g}] do not fit {dtype}")
+    else:
+        limit = float(np.finfo(dt).max)
+        if max(-lo, hi) > limit:
+            raise Overflow(f"values exceed the {dtype} range (+/-{limit:.4g})")
+
+
+def store_as(values: np.ndarray, dtype: str) -> np.ndarray:
+    """``values`` stored in ``dtype`` (a DTYPES name or a NumPy dtype name),
+    rounded to the nearest integer first for an integer dtype; returned as
+    they are when already stored there.  Raises Overflow when they do not
+    fit; it never clamps."""
+    dt = _dtype(dtype)
+    if values.dtype == dt:
+        return values
+    if values.size:
+        check_fits(dtype, float(values.min()), float(values.max()))
+    if dt.kind in "ui":
+        out = np.empty(values.shape, dtype=dt)
+        np.rint(values, out=out, casting="unsafe")
+        return out
+    return values.astype(dt)
 
 
 def _foreground_mask(values: np.ndarray, background: float) -> np.ndarray:
@@ -113,9 +160,19 @@ def _integer_levels(vox: np.ndarray):
 
     A value range smaller than the voxel count gets a dense table, one level
     per integer from the minimum to the maximum, some of them unused, counted
-    block by block.  A wider range (a hot pixel in a small volume) sorts
-    instead, so the table never outgrows the volume.
+    block by block.  u8 and u16 voxels below the voxel count are their own
+    rows in a table that starts at 0, so no row array is built.  A wider
+    range (a hot pixel in a small volume) sorts instead, so the table never
+    outgrows the volume.
     """
+    if vox.dtype.kind == "u" and vox.dtype.itemsize <= 2:
+        size = int(vox.max()) + 1
+        if size <= vox.size:
+            counts = np.zeros(size, dtype=np.int64)
+            step = max(_BLOCK, size)  # a block's bincount costs step + size
+            for start in range(0, vox.size, step):
+                counts += np.bincount(vox[start:start + step], minlength=size)
+            return np.arange(size, dtype=np.float64), counts, vox
     probe = vox[::max(1, vox.size // _INTEGER_PROBE)]
     if (np.rint(probe) != probe).any():
         return None
@@ -151,8 +208,10 @@ class IntensityIndex:
 
     For an integer-valued volume ``levels`` holds each intensity once, as
     float64, ``counts`` how many voxels have it (a level may be unused) and
-    ``inverse`` every voxel's row, in the narrowest unsigned dtype that fits.
-    Any other volume keeps one level per voxel, in the stored dtype, with
+    ``inverse`` every voxel's row, in the narrowest unsigned dtype that fits;
+    u8 and u16 voxels are their own rows (``inverse`` is the read-only voxels)
+    when the table from 0 to their maximum is no longer than the volume.  Any
+    other volume keeps one level per voxel, in the stored dtype, with
     ``counts`` and ``inverse`` None.  Intensity maps are element-wise, so a
     stage maps ``levels`` alone and :meth:`to_volume` gathers once at the end.
     """
@@ -176,27 +235,55 @@ class IntensityIndex:
     def n_voxels(self) -> int:
         return (self.levels if self.inverse is None else self.inverse).size
 
-    def with_levels(self, levels: np.ndarray) -> "IntensityIndex":
-        """The same voxels with every level replaced, row for row."""
-        return replace(self, levels=levels)
+    def map_foreground(self, fn, dtype: str = "float64",
+                       q_range: tuple[float, float] | None = None) -> "IntensityIndex":
+        """Each foreground level that some voxel holds, mapped through the
+        element-wise ``fn`` (stored dtype in, float64 out) and stored in
+        ``dtype`` (:func:`store_as`), 64k at a time.  With ``q_range`` =
+        (lo, hi) the mapped values are clipped into it and rounded to
+        integers first.  A table's unused levels are left as background,
+        which no voxel reads.
 
-    def map_foreground(self, fn) -> "IntensityIndex":
-        """Each foreground level mapped through the element-wise ``fn`` (stored
-        dtype in, float64 out), 64k at a time; background keeps its value, and
-        a level ``fn`` maps onto it moves to the next float above, in order."""
+        Background levels keep the background value as ``dtype`` stores it,
+        which becomes the mapped index's ``background_value`` (0.1 becomes
+        0.1f, 0.5 becomes 0 in an integer dtype).  A foreground level that
+        lands on it moves one step away, which keeps the levels' order: to
+        the next integer on an integer dtype or under ``q_range`` (up, unless
+        that passes ``hi`` or the dtype's top), else to the next float above.
+        """
+        dt = _dtype(dtype)
         bg = self.background_value
-        mapped = np.empty(self.levels.size, dtype=np.float64)
+        stored_bg = store_as(np.array([bg]), dtype)[0]
+        if dt.kind in "ui" or q_range is not None:
+            top = q_range[1] if q_range is not None else np.iinfo(dt).max
+            up = float(stored_bg) + 1.0
+            step = up if up <= top else float(stored_bg) - 1.0
+        else:
+            step = np.nextafter(stored_bg, dt.type(np.inf))
+        mapped = np.empty(self.levels.size, dtype=dt)
         for start in range(0, mapped.size, _BLOCK):
             levels, block = self.levels[start:start + _BLOCK], mapped[start:start + _BLOCK]
             fg = _foreground_mask(levels, bg)
-            block.fill(bg)
-            block[fg] = fn(levels[fg])
-            block[fg & (block == bg)] = np.nextafter(bg, np.inf)
-        return self.with_levels(mapped)
+            if self.counts is not None:
+                fg &= self.counts[start:start + _BLOCK] > 0
+            block.fill(stored_bg)
+            values = fn(levels[fg])
+            if q_range is not None:
+                values = np.rint(np.clip(values, *q_range))  # ties round to even
+            values = store_as(values, dtype)
+            values[values == stored_bg] = step
+            block[fg] = values
+        return replace(self, levels=mapped, background_value=float(stored_bg))
 
     def to_volume(self) -> Volume:
-        """The volume these levels describe, built by one gather."""
-        voxels = self.levels if self.inverse is None else self.levels[self.inverse]
+        """The volume these levels describe, built by one gather in the
+        levels' dtype, 64k voxels at a time."""
+        voxels = self.levels
+        if self.inverse is not None:
+            voxels = np.empty(self.inverse.size, dtype=self.levels.dtype)
+            for start in range(0, voxels.size, _BLOCK):
+                np.take(self.levels, self.inverse[start:start + _BLOCK],
+                        out=voxels[start:start + _BLOCK], mode="clip")
         return Volume._owning(self.dims, voxels, self.channel, self.background_value)
 
 

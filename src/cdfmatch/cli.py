@@ -18,10 +18,10 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import __version__
-from .cdf import DEFAULT_GRID_SIZE, build_cdf
+from .cdf import DEFAULT_GRID_SIZE, build_cdf, check_fits
 from .errors import CdfMatchError, Overflow, UsageError
 from .fit import FitConfig
-from .io import (SynthSpec, check_fits, emit_cdf_plot, emit_lut_plot,
+from .io import (SynthSpec, emit_cdf_plot, emit_lut_plot,
                  generate_synthetic, load_lut, read_volume, save_lut,
                  write_cdf_csv, write_files, write_lut_csv, write_volume)
 from .pipeline import (ALL_METHODS, METHOD_CDF_MATCH, METHOD_PERCENTILE_STRETCH,
@@ -201,13 +201,13 @@ def _cmd_harmonize(args) -> int:
     _check_output_files(args.report)
     cfg = _resolve_config(args)
     template = load_template(args.template)
-    dtype = args.dtype or ("u16" if args.bits is not None else "f32")
     try:
-        options = HarmonizeOptions(fit=cfg.fit, grid_size=cfg.grid_size, bits=args.bits)
+        options = HarmonizeOptions(fit=cfg.fit, grid_size=cfg.grid_size, bits=args.bits,
+                                   dtype=args.dtype)
         if args.bits is not None:
-            check_fits(dtype, *quantization_range(template, args.bits))
+            check_fits(options.dtype, *quantization_range(template, args.bits))
     except (ValueError, Overflow) as exc:
-        raise UsageError(f"--bits {args.bits} --dtype {dtype}: {exc}") from exc
+        raise UsageError(f"--bits {args.bits}: {exc}") from exc
     inputs = _discover_inputs(args.input)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -216,7 +216,7 @@ def _cmd_harmonize(args) -> int:
         vol = read_volume(path)
         out_vol, entry = harmonize(vol, template, options)
         out_path = out_dir / path.name
-        write_volume(out_vol, out_path, dtype=dtype)
+        write_volume(out_vol, out_path, dtype=options.dtype)
         lut_path = out_dir / (path.stem + ".lut.json")
         save_lut(entry.lut, lut_path)
         log.info("harmonized %s: pre-KS %.4f -> post-KS %.4f (%.2fs)",

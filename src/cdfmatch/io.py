@@ -20,19 +20,12 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .cdf import EmpiricalCdf, Volume
-from .errors import (BadSpec, EmptyInput, HeaderMismatch, IoError, Overflow,
-                     SchemaMismatch)
+from .cdf import DTYPES, EmpiricalCdf, Volume, store_as
+from .errors import (BadSpec, BadTailSpec, EmptyInput, HeaderMismatch, IoError,
+                     NonMonotone, SchemaMismatch)
 from .transform import IntensityLut
 
 LUT_SCHEMA_VERSION = 1
-
-_DTYPES = {
-    "u8": np.dtype("<u1"),
-    "u16": np.dtype("<u2"),
-    "i16": np.dtype("<i2"),
-    "f32": np.dtype("<f4"),
-}
 
 _CDF_CSV_HEADER = "intensity,cumulative_probability"
 
@@ -70,37 +63,17 @@ def write_files(label: str, *files) -> Path:
     return Path(files[0][0])
 
 
-def check_fits(dtype: str, lo: float, hi: float) -> None:
-    """Raise Overflow unless values in [lo, hi] fit ``dtype``; integer
-    dtypes hold the values rounded to the nearest integer."""
-    dt = _DTYPES[dtype]
-    if dt.kind in "ui":
-        # rint is monotone, so rounding the extremes decides the range
-        info = np.iinfo(dt)
-        if np.rint(lo) < info.min or np.rint(hi) > info.max:
-            raise Overflow(f"values [{lo:.6g}, {hi:.6g}] do not fit {dtype}")
-    else:
-        limit = float(np.finfo(dt).max)
-        if max(-lo, hi) > limit:
-            raise Overflow(f"values exceed the {dtype} range (+/-{limit:.4g})")
-
-
 def write_volume(vol: Volume, path, dtype: str = "f32") -> Path:
     """Write voxels as a little-endian raw payload plus a JSON header sidecar.
 
-    Integer dtypes round to the nearest integer first.  Values outside the
+    Voxels already stored in ``dtype`` (as ``harmonize`` returns them) are
+    written as they are; others are converted by :func:`cdf.store_as`, so
+    integer dtypes round to the nearest integer first and values outside the
     target dtype raise Overflow.
     """
-    if dtype not in _DTYPES:
-        raise ValueError(f"unknown dtype {dtype!r}, expected one of {sorted(_DTYPES)}")
-    dt = _DTYPES[dtype]
-    vox = vol.voxels
-    check_fits(dtype, float(vox.min()), float(vox.max()))
-    if dt.kind in "ui":
-        payload = np.empty(vox.shape, dtype=dt)
-        np.rint(vox, out=payload, casting="unsafe")
-    else:
-        payload = vox.astype(dt)
+    if dtype not in DTYPES:
+        raise ValueError(f"unknown dtype {dtype!r}, expected one of {sorted(DTYPES)}")
+    payload = store_as(vol.voxels, dtype)
     header = {"dims": list(vol.dims), "dtype": dtype, "channel": vol.channel,
               "background_value": vol.background_value, "endianness": "little"}
     return write_files("volume", (path, memoryview(payload)),
@@ -131,7 +104,7 @@ def read_volume(path) -> Volume:
             or any(not isinstance(d, int) or d < 1 for d in dims)):
         raise HeaderMismatch(f"bad dims in header: {dims!r}")
     dtype = header.get("dtype")
-    if dtype not in _DTYPES:
+    if dtype not in DTYPES:
         raise HeaderMismatch(f"unsupported dtype in header: {dtype!r}")
     if header.get("endianness") != "little":
         raise HeaderMismatch(f"unsupported endianness: {header.get('endianness')!r}")
@@ -142,7 +115,7 @@ def read_volume(path) -> Volume:
     if not isinstance(channel, str):
         raise HeaderMismatch(f"bad channel label: {channel!r}")
 
-    dt = _DTYPES[dtype]
+    dt = DTYPES[dtype]
     expected = dims[0] * dims[1] * dims[2] * dt.itemsize
     try:
         actual = os.path.getsize(path)
@@ -365,7 +338,7 @@ def load_lut(path) -> IntensityLut:
         raise SchemaMismatch(f"unsupported LUT schema in {path}")
     try:
         return IntensityLut.from_dict(doc)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, BadTailSpec, NonMonotone) as exc:
         raise SchemaMismatch(f"malformed LUT file {path}: {exc!r}") from exc
 
 

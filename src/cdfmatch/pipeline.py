@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cdf import (DEFAULT_GRID_SIZE, IntensityIndex, Volume, build_cdf,
+from .cdf import (DEFAULT_GRID_SIZE, DTYPES, IntensityIndex, Volume, build_cdf,
                   ks_distance, zscore_standardize)
 from .errors import AllBackground, DegenerateConstant, EmptyInput
 from .fit import FitConfig, FitResult, fit_cdf
@@ -29,21 +29,31 @@ ALL_METHODS = (METHOD_PERCENTILE_STRETCH, METHOD_ZSCORE, METHOD_CDF_MATCH)
 
 @dataclass(frozen=True)
 class HarmonizeOptions:
-    """Per-run knobs for the harmonization pipeline."""
+    """Per-run knobs for the harmonization pipeline.
+
+    ``dtype`` is the output dtype (u8, u16, i16 or f32) harmonized volumes
+    come back in; None means u16 under ``bits``, else f32.
+    """
 
     fit: FitConfig = field(default_factory=FitConfig)
     grid_size: int = DEFAULT_GRID_SIZE
     bits: int | None = None
+    dtype: str | None = None
 
     def __post_init__(self):
         # the integer output dtypes are at most 16 bits wide
         if self.bits is not None and not 1 <= self.bits <= 16:
             raise ValueError(f"bits must lie in 1..16, got {self.bits}")
+        if self.dtype is None:
+            object.__setattr__(self, "dtype", "u16" if self.bits is not None else "f32")
+        if self.dtype not in DTYPES:
+            raise ValueError(f"unknown dtype {self.dtype!r}, expected one of {sorted(DTYPES)}")
 
     def to_dict(self) -> dict:
         return {"fit": self.fit.to_dict(),
                 "grid_size": int(self.grid_size),
-                "bits": self.bits}
+                "bits": self.bits,
+                "dtype": self.dtype}
 
     def hash(self) -> str:
         return config_hash(self.to_dict())
@@ -87,29 +97,23 @@ def quantization_range(template: TemplateCdf, bits: int) -> tuple[float, float]:
     return lo, hi
 
 
-def _quantize(index: IntensityIndex, lo: float, hi: float) -> IntensityIndex:
-    bg = index.background_value
-    levels = np.rint(np.clip(index.levels, lo, hi))  # ties round to even
-    # a foreground level rounded onto the background value would become
-    # background; the next level away keeps the output non-decreasing
-    levels[levels == bg] = bg + 1.0 if bg + 1.0 <= hi else bg - 1.0
-    levels[index.levels == bg] = bg
-    return index.with_levels(levels)
-
-
 def harmonize(vol: Volume, template: TemplateCdf,
               options: HarmonizeOptions | None = None) -> tuple[Volume, ChannelReport]:
     """Harmonize one volume against a template.
 
     Steps: foreground CDF -> parameter fit -> composed monotone LUT (tails
     toward the template clip range, when it has one) -> voxel-wise mapping
-    with background copied through -> optional integer quantization.  Every
-    stage works on the volume's intensity index, so an integer-valued volume
-    is mapped once per intensity level and gathered into voxels at the end.
-    Never emits a non-monotone mapping: composition fails loudly instead.
+    with background copied through, optionally quantized, stored in
+    ``options.dtype``.  Every stage works on the volume's intensity index, so
+    an integer-valued volume is mapped and stored once per intensity level
+    and gathered into voxels at the end.  The post-CDF is taken over the
+    values as stored; the output's ``background_value`` is the background as
+    ``options.dtype`` stores it.  Never emits a non-monotone mapping:
+    composition fails loudly instead.
     """
     options = options or HarmonizeOptions()
     started = time.perf_counter()
+    q_range = None
     if options.bits is not None:
         q_range = quantization_range(template, options.bits)
     index = IntensityIndex.of(vol)
@@ -127,9 +131,7 @@ def harmonize(vol: Volume, template: TemplateCdf,
         # already-matched quantiles away from the template
         fit = fit_cdf(image_cdf, template, options.fit, tails=tails)
     lut = compose_lut(fit.params, tails, domain, clip=template.clip)
-    mapped = apply_lut(index, lut)
-    if options.bits is not None:
-        mapped = _quantize(mapped, *q_range)
+    mapped = apply_lut(index, lut, options.dtype, q_range)
     post_cdf = build_cdf(mapped, grid_size=options.grid_size)
     post_ks = ks_distance(post_cdf, template.cdf)
     out = mapped.to_volume()

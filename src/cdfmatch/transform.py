@@ -109,6 +109,12 @@ class TailSpec:
     def __post_init__(self):
         for name in ("v_T", "v_max", "v_clipT", "v_B", "v_min", "v_clipB"):
             object.__setattr__(self, name, float(getattr(self, name)))
+        for name in ("enabled_top", "enabled_bottom"):
+            # a string such as "false" would be truthy: only real bools count
+            flag = getattr(self, name)
+            if not isinstance(flag, (bool, np.bool_)):
+                raise BadTailSpec(f"{name} must be a bool, got {flag!r}")
+            object.__setattr__(self, name, bool(flag))
         if self.enabled_top and not (self.v_T < self.v_clipT and self.v_T < self.v_max):
             raise BadTailSpec(
                 f"top tail needs v_T < v_clipT and v_T < v_max, got "
@@ -290,13 +296,15 @@ def compose_lut(params: DualScaleParams, tails: TailSpec,
     return IntensityLut(params, tails, domain, clip=clip)
 
 
-def apply_lut(vol: "Volume | IntensityIndex", lut: IntensityLut) -> "Volume | IntensityIndex":
-    """Voxel-wise application of a composed mapping.
+def apply_lut(vol: "Volume | IntensityIndex", lut: IntensityLut, dtype: str = "float64",
+              q_range: tuple[float, float] | None = None) -> "Volume | IntensityIndex":
+    """Voxel-wise application of a composed mapping, stored in ``dtype``.
 
     Values outside the LUT domain clamp to the domain ends before mapping;
     background voxels are copied through untouched.  The mapping runs once
-    per foreground level (:meth:`IntensityIndex.map_foreground`) and one
+    per foreground level (:meth:`IntensityIndex.map_foreground`, which also
+    rounds into ``q_range`` and keeps foreground off the background) and one
     gather builds the output; given an index, returns it mapped, ungathered.
     """
-    out = IntensityIndex.of(vol).map_foreground(lut.apply)
+    out = IntensityIndex.of(vol).map_foreground(lut.apply, dtype, q_range)
     return out if isinstance(vol, IntensityIndex) else out.to_volume()

@@ -1,5 +1,7 @@
 """Tests for empirical CDF estimation, queries, standardization, averaging."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -87,11 +89,32 @@ class TestIntensityIndex:
             assert_cdf_is_reference(build_cdf(index, exclude, grid_size=257),
                                     vol.voxels, 5.0, exclude, grid_size=257)
 
+    @settings(max_examples=20)
+    @given(seed=st.integers(0, 2 ** 16), dtype=st.sampled_from((np.uint8, np.uint16)),
+           size=st.integers(65536 + 1, 3 * 65536 + 7), low=st.integers(0, 3000),
+           span=st.integers(1, 5000))
+    def test_voxels_as_rows_count_like_the_row_array_index(self, seed, dtype, size,
+                                                           low, span):
+        top = np.iinfo(dtype).max
+        values = np.random.default_rng(seed).integers(min(low, top - 1),
+                                                      min(low + span, top) + 1, size)
+        vol = stored_volume(values, dtype)
+        index = IntensityIndex.of(vol)
+        # the voxels are the rows of a table from 0: no row array
+        assert index.inverse is vol.voxels and not index.inverse.flags.writeable
+        assert index.levels[0] == 0.0 and index.levels.size == values.max() + 1
+        rows = IntensityIndex.of(volume_from_values(values))  # float64: a row array
+        assert rows.inverse is not None and rows.levels[0] == values.min()
+        used, used_rows = index.counts > 0, rows.counts > 0
+        assert np.array_equal(index.levels[used], rows.levels[used_rows])
+        assert np.array_equal(index.counts[used], rows.counts[used_rows])
+        assert np.array_equal(index.to_volume().voxels, values)
+
     @pytest.mark.parametrize("exclude", [True, False])
     def test_levels_mapped_out_of_order_still_give_the_reference_cdf(self, exclude):
         values = np.random.default_rng(5).integers(-300, 700, self.N).astype(np.float64)
         index = IntensityIndex.of(volume_from_values(values, background=4.0))
-        mapped = index.with_levels(np.abs(index.levels) % 37)  # unsorted, merged
+        mapped = replace(index, levels=np.abs(index.levels) % 37)  # unsorted, merged
         assert_cdf_is_reference(build_cdf(mapped, exclude, grid_size=100),
                                 mapped.to_volume().voxels, 4.0, exclude, grid_size=100)
 

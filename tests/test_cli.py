@@ -1,11 +1,13 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cdfmatch import Volume, cli, generate_synthetic, read_volume, write_volume
+from cdfmatch import (Volume, cli, generate_synthetic, load_lut, read_volume,
+                      write_volume)
 from cdfmatch.cli import run
 
 from conftest import T2_COMPONENTS, scanner_effect, t2_spec
@@ -277,6 +279,31 @@ class TestHarmonizeCommand:
         assert "bits must lie in 1..16" in capsys.readouterr().err
         assert not out_dir.exists() and not report.exists()
 
+    def test_integer_dtype_without_bits_keeps_foreground_off_background(
+            self, workspace, tmp_path):
+        # unclipped low controls map the darkest voxels around 0, which an
+        # i16 output used to round onto the background
+        controls = tmp_path / "controls.json"
+        controls.write_text(json.dumps({"pi_B": [0.1, 20.0], "pi_M": [0.5, 60.0],
+                                        "pi_T": [0.99, 140.0]}))
+        template = tmp_path / "low.template.json"
+        inputs = [str(p) for p in sorted((workspace / "raw").glob("*.raw"))]
+        assert run(["template", "build", "--clip", "none", "--controls", str(controls),
+                    "--out", str(template)] + inputs) == 0
+        out_dir = tmp_path / "out"
+        assert run(["harmonize", "--template", str(template), "--in", str(workspace / "raw"),
+                    "--out", str(out_dir), "--dtype", "i16"]) == 0
+        near_zero = 0
+        for path in inputs:
+            vol = read_volume(path)
+            out = read_volume(out_dir / Path(path).name)
+            lut = load_lut(out_dir / (Path(path).stem + ".lut.json"))
+            fg = vol.voxels != np.float64(vol.background_value)
+            near_zero += int((np.abs(np.asarray(lut.apply(vol.voxels[fg]))) < 0.5).sum())
+            assert out.voxels.dtype == np.int16
+            assert (out.voxels[fg] != 0).all()
+        assert near_zero > 0
+
     # the 12-bit template clips to [1, 4095]: 8 bits cannot hold that range
     # and u8 cannot hold its top end, so both fail before any item runs
     @pytest.mark.parametrize("flags, message", [
@@ -471,7 +498,7 @@ class TestMalformedFiles:
         bad.write_text(json.dumps(doc))
         assert run(["inspect", "--lut", str(bad), "--out", str(tmp_path / "m.csv")]) == 1
         err = capsys.readouterr().err
-        assert "v_B < v_T" in err
+        assert "v_B < v_T" in err and "crossed.lut.json" in err
         assert "Traceback" not in err
 
 

@@ -268,6 +268,22 @@ class TestLutJson:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
+    @pytest.mark.parametrize("edit", [
+        {"tails": {"v_B": 3400.0}},                        # BadTailSpec: v_B > v_T
+        {"tails": {"enabled_top": "false"}},               # BadTailSpec: not a bool
+        {"params": {"sigma_B": 20.0, "sigma_T": 0.05,      # NonMonotone
+                    "ratio_cap": 500.0}},
+    ])
+    def test_lut_failing_its_own_checks_names_the_file(self, tmp_path, edit):
+        path = tmp_path / "map.lut.json"
+        save_lut(self._lut(), path)
+        doc = json.loads(path.read_text())
+        for key, fields in edit.items():
+            doc[key].update(fields)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaMismatch, match="map.lut.json"):
+            load_lut(path)
+
     def test_version_check(self, tmp_path):
         path = tmp_path / "map.lut.json"
         save_lut(self._lut(), path)

@@ -10,10 +10,11 @@ from cdfmatch import (METHOD_CDF_MATCH, METHOD_PERCENTILE_STRETCH,
                       build_cdf, evaluate_cohort, generate_synthetic, harmonize,
                       ks_distance, percentile_stretch, quantile, read_volume,
                       write_volume, zscore_standardize)
-from cdfmatch.cdf import IntensityIndex
+from cdfmatch.cdf import DTYPES, IntensityIndex, check_fits
 from cdfmatch.errors import (AllBackground, DegenerateCdf, DegenerateConstant,
-                             EmptyInput)
+                             EmptyInput, Overflow)
 from cdfmatch.pipeline import quantization_range
+from cdfmatch.template import ControlPoints, build_template
 
 from conftest import (sample_from_cdf, scanner_cohort, scanner_effect,
                       stored_volume, t2_spec, volume_from_values)
@@ -116,8 +117,11 @@ class TestStoredDtypes:
             assert (a.xs.tobytes(), a.ps.tobytes(), a.n_samples) == \
                 (b.xs.tobytes(), b.ps.tobytes(), b.n_samples)
         for bits in (None, 12):
-            out_a, entry_a = harmonize(vol, template_12bit, HarmonizeOptions(bits=bits))
-            out_b, entry_b = harmonize(copy, template_12bit, HarmonizeOptions(bits=bits))
+            # u16, the default under bits, cannot hold the -1024 background
+            options = HarmonizeOptions(bits=bits, dtype="i16" if case == "i16" else None)
+            out_a, entry_a = harmonize(vol, template_12bit, options)
+            out_b, entry_b = harmonize(copy, template_12bit, options)
+            assert out_a.voxels.dtype == DTYPES[options.dtype]
             assert out_a.voxels.tobytes() == out_b.voxels.tobytes()
             assert entry_a.to_dict() == entry_b.to_dict()
         for baseline in (zscore_standardize,
@@ -207,11 +211,12 @@ class TestBackgroundProperties:
 
 
 def _per_voxel_reference(vol, lut, template, bits):
-    """harmonize's mapping evaluated voxel by voxel: the LUT on every voxel,
-    background copied, then the quantize rule."""
+    """harmonize's mapping evaluated voxel by voxel, in float64: the LUT on
+    every voxel, background copied, then the quantize rule.  This is what
+    harmonize returned before it stored its output in the output dtype."""
     bg = vol.background_value
     out = np.asarray(lut.apply(vol.voxels), dtype=np.float64)
-    out[vol.voxels == bg] = bg
+    out[vol.voxels == np.float64(bg)] = bg
     if bits is None:
         return out
     lo, hi = template.clip if template.clip is not None else (0.0, 2.0 ** bits - 1)
@@ -219,6 +224,26 @@ def _per_voxel_reference(vol, lut, template, bits):
     q[q == bg] = bg + 1.0 if bg + 1.0 <= hi else bg - 1.0
     q[out == bg] = bg
     return q
+
+
+def _stored_reference(vol, lut, template, bits, dtype):
+    """The float64 reference as ``write_volume`` stores it in ``dtype``
+    (rounded for an integer dtype), plus the one background rule: a
+    foreground voxel stored as the background moves one step away, to the
+    next integer on an integer dtype or under ``bits`` (down when up passes
+    the top), else to the next float32 above."""
+    ref = _per_voxel_reference(vol, lut, template, bits)
+    dt = DTYPES[dtype]
+    stored = np.rint(ref).astype(dt) if dt.kind in "ui" else ref.astype(dt)
+    bg = stored.dtype.type(np.rint(vol.background_value) if dt.kind in "ui"
+                           else vol.background_value)
+    merged = (vol.voxels != np.float64(vol.background_value)) & (stored == bg)
+    if dt.kind in "ui" or bits is not None:
+        top = np.iinfo(dt).max if bits is None else quantization_range(template, bits)[1]
+        stored[merged] = float(bg) + 1.0 if float(bg) + 1.0 <= top else float(bg) - 1.0
+    else:
+        stored[merged] = np.nextafter(bg, np.float32(np.inf))
+    return stored
 
 
 _INDEX_BASE = generate_synthetic(t2_spec(975, dims=(32, 16, 16))).voxels
@@ -264,7 +289,8 @@ class TestIntensityIndexIsExact:
         assert (index.inverse is not None) == (kind in _INTEGER_KINDS)
         if kind == "hot_pixel":
             assert np.ptp(vol.voxels) >= vol.n_voxels  # the sort-based index
-        options = HarmonizeOptions(bits=bits)
+        # the drawn background may be negative: i16 holds it and 12-bit levels
+        options = HarmonizeOptions(bits=bits, dtype="f32" if bits is None else "i16")
         if kind == "two_voxels":
             # two levels collapse the control quantiles; the mapping stage
             # alone is still checked, with another volume's LUT
@@ -275,7 +301,7 @@ class TestIntensityIndexIsExact:
                     == _per_voxel_reference(vol, lut, template, None).tobytes())
             return
         out, entry = harmonize(vol, template, options)
-        expected = _per_voxel_reference(vol, entry.lut, template, bits)
+        expected = _stored_reference(vol, entry.lut, template, bits, options.dtype)
         assert out.voxels.tobytes() == expected.tobytes()
         post_cdf = build_cdf(out, grid_size=options.grid_size)
         assert entry.post_ks == ks_distance(post_cdf, template.cdf)
@@ -291,6 +317,140 @@ class TestIntensityIndexIsExact:
         vol = volume_from_values(values, background=3.0)
         with pytest.raises(error):
             harmonize(vol, template_12bit, HarmonizeOptions(bits=12))
+
+
+# low 8-bit-like controls: unclipped, they map the darkest voxels around 0,
+# where an integer output rounds them onto the background
+_LOW_CONTROLS = ControlPoints((0.1, 20.0), (0.5, 60.0), (0.99, 140.0))
+
+
+@pytest.fixture(scope="module")
+def low_templates():
+    cohort = scanner_cohort(3, seed0=960)
+    return {"unclipped": build_template(cohort, controls=_LOW_CONTROLS, clip=None),
+            "clipped": build_template(cohort, controls=_LOW_CONTROLS, clip=(1.0, 250.0))}
+
+
+# three 64k blocks plus a partial one, for the blocked count and gather
+_PAYLOAD_BASE = generate_synthetic(t2_spec(990, dims=(65, 64, 48))).voxels
+
+
+@st.composite
+def _stored_inputs(draw, kind):
+    """A volume as read_volume returns it: u16 holding 0 (its voxels are
+    their own rows), u16 above 0 (a table from 0 with unused levels), u16
+    with a hot pixel (the sorted table), i16 with negatives, or f32."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    values = draw(st.floats(0.3, 6.0)) * _PAYLOAD_BASE
+    background = 0.0
+    if kind == "u16_above_0":
+        values = values + draw(st.floats(1.0, 900.0))  # no voxel at 0
+    if kind == "hot_pixel":
+        values = values[:60000]  # fewer voxels than the hot value
+    if kind == "i16_negative":
+        values = values - draw(st.floats(200.0, 2000.0))
+        background = draw(st.sampled_from((0.0, -1024.0)))
+    if kind != "f32":
+        values = np.rint(values)
+    if kind != "u16_above_0":
+        values[rng.random(values.size) < draw(st.floats(0.0, 0.4))] = background
+    if kind == "hot_pixel":
+        values[draw(st.integers(0, values.size - 1))] = 65535.0
+    dtype = {"i16_negative": np.int16, "f32": np.float32}.get(kind, np.uint16)
+    return stored_volume(values, dtype, background)
+
+
+class TestOutputDtype:
+    """harmonize stores its output in the output dtype, and the file holds
+    what the float64 output used to become in write_volume."""
+
+    @pytest.mark.parametrize("kind", ["u16_from_0", "u16_above_0", "hot_pixel",
+                                      "i16_negative", "f32"])
+    @pytest.mark.parametrize("dtype", sorted(DTYPES))
+    @pytest.mark.parametrize("bits", [None, 12])
+    @settings(max_examples=4)
+    @given(data=st.data(), clipped=st.booleans())
+    def test_payload_equals_the_float64_path_unless_it_merged_into_background(
+            self, low_templates, tmp_path_factory, kind, dtype, bits, data, clipped):
+        vol = data.draw(_stored_inputs(kind))
+        own_rows = IntensityIndex.of(vol).inverse is vol.voxels
+        assert own_rows == (kind in ("u16_from_0", "u16_above_0"))
+        template = low_templates["clipped" if clipped else "unclipped"]
+        lut = harmonize(vol, template, HarmonizeOptions(bits=bits, dtype="f32"))[1].lut
+        # the float64 path: per-voxel float64 output, then write_volume's rint/astype
+        old = Volume(vol.dims, _per_voxel_reference(vol, lut, template, bits),
+                     vol.channel, vol.background_value)
+        path = tmp_path_factory.mktemp("payload")
+        bg = vol.background_value
+        integer = DTYPES[dtype].kind in "ui"
+        try:
+            write_volume(old, path / "old.raw", dtype)
+            # the output dtype must hold the background value, even when no
+            # voxel is background
+            check_fits(dtype, bg, bg)
+        except Overflow:
+            with pytest.raises(Overflow):
+                harmonize(vol, template, HarmonizeOptions(bits=bits, dtype=dtype))
+            return
+        out, entry = harmonize(vol, template, HarmonizeOptions(bits=bits, dtype=dtype))
+        assert out.voxels.dtype == DTYPES[dtype] and entry.lut == lut
+        write_volume(out, path / "new.raw", dtype)
+        assert ((path / "new.raw.json").read_bytes()
+                == (path / "old.raw.json").read_bytes())
+        old_payload = np.fromfile(path / "old.raw", dtype=DTYPES[dtype])
+        new_payload = np.fromfile(path / "new.raw", dtype=DTYPES[dtype])
+        stored_bg = DTYPES[dtype].type(np.rint(bg) if integer else bg)
+        fg = vol.voxels != np.float64(bg)
+        merged = fg & (old_payload == stored_bg)
+        assert new_payload[~merged].tobytes() == old_payload[~merged].tobytes()
+        # no foreground voxel is stored as the background; those the float64
+        # path merged into it moved one step away
+        assert (new_payload[fg] != stored_bg).all()
+        if integer or bits is not None:
+            step = np.abs(new_payload[merged].astype(np.float64) - float(stored_bg))
+            assert (step == 1.0).all()
+        else:
+            assert (new_payload[merged] == np.nextafter(stored_bg, np.float32(np.inf))).all()
+
+    def test_integer_output_without_bits_keeps_foreground_off_background(
+            self, low_templates, tmp_path):
+        # 32,000 foreground voxels; the darkest map into (-0.5, 0.5), which
+        # write_volume used to round onto the background 0
+        vol = generate_synthetic(t2_spec(964, dims=(40, 40, 20), scanner=scanner_effect(1)))
+        template = low_templates["unclipped"]
+        out, entry = harmonize(vol, template, HarmonizeOptions(dtype="i16"))
+        near_zero = np.abs(np.asarray(entry.lut.apply(vol.voxels))) < 0.5
+        assert near_zero.sum() > 0
+        write_volume(out, tmp_path / "out.raw", "i16")
+        back = read_volume(tmp_path / "out.raw")
+        assert (back.voxels != 0).all()
+        assert (back.voxels[near_zero] == 1).all()
+
+    def test_float32_post_ks_is_the_ks_of_the_stored_foreground(self, template_12bit):
+        # 0.1 is not a float32: voxels stored as 0.1f are foreground, and the
+        # output stores background as 0.1f, which no foreground voxel equals
+        values = generate_synthetic(t2_spec(1201, dims=(20, 20, 20))).voxels.copy()
+        values[np.arange(values.size) % 5 == 0] = 0.1
+        vol = stored_volume(values, np.float32, background=0.1)
+        out, entry = harmonize(vol, template_12bit)
+        assert out.voxels.dtype == np.float32
+        assert out.background_value == float(np.float32(0.1))
+        assert (out.voxels != np.float32(0.1)).all()
+        stored = build_cdf(volume_from_values(out.voxels), exclude_background=False)
+        assert entry.post_ks == ks_distance(stored, template_12bit.cdf)
+        as_float64 = volume_from_values(entry.lut.apply(vol.voxels))
+        float64_ks = ks_distance(build_cdf(as_float64, exclude_background=False),
+                                 template_12bit.cdf)
+        assert abs(entry.post_ks - float64_ks) <= 1e-6
+
+    def test_dtype_defaults_to_u16_under_bits_else_f32(self):
+        assert HarmonizeOptions().dtype == "f32"
+        assert HarmonizeOptions(bits=12).dtype == "u16"
+        assert HarmonizeOptions(bits=12, dtype="i16").dtype == "i16"
+        assert HarmonizeOptions(dtype="f32").hash() == HarmonizeOptions().hash()
+        assert HarmonizeOptions(dtype="i16").hash() != HarmonizeOptions().hash()
+        with pytest.raises(ValueError, match="dtype"):
+            HarmonizeOptions(dtype="f64")
 
 
 class TestStagesStayVisible:

@@ -1,5 +1,6 @@
 """Tests for the blending, dual-scaling, and tail-shrinking transforms."""
 
+import json
 import math
 from dataclasses import replace
 
@@ -327,6 +328,21 @@ class TestComposeLut:
             replace(_twelve_bit_tails(), v_B=v_B)
         assert replace(_twelve_bit_tails(), v_B=v_B, enabled_top=False).enabled_bottom
 
+    @pytest.mark.parametrize("flag", ["false", "no", 0, 1, None])
+    def test_enable_flags_must_be_bools(self, flag):
+        # "false" is truthy: read by truthiness it would turn the tail on
+        doc = _twelve_bit_tails().to_dict()
+        for name in ("enabled_top", "enabled_bottom"):
+            with pytest.raises(BadTailSpec, match=name):
+                TailSpec.from_dict({**doc, name: flag})
+
+    def test_numpy_bool_flags_serialize_as_json_bools(self):
+        tails = replace(_twelve_bit_tails(), enabled_top=np.bool_(True),
+                        enabled_bottom=np.bool_(False))
+        doc = json.loads(json.dumps(tails.to_dict()))
+        assert doc["enabled_top"] is True and doc["enabled_bottom"] is False
+        assert TailSpec.from_dict(doc) == tails
+
     def test_json_round_trip(self):
         lut = compose_lut(_identity_params(), _twelve_bit_tails(),
                           (5.0, 5418.0), clip=(1.0, 4095.0))
@@ -421,9 +437,13 @@ class TestApplyLut:
 
         monkeypatch.setattr(IntensityLut, "apply", spy)
         apply_lut(vol, lut)
-        levels = IntensityIndex.of(vol).levels
+        index = IntensityIndex.of(vol)
+        mapped = index.levels != 0.0
+        if kind == "integer":  # levels no voxel holds are skipped too
+            assert (index.counts == 0).any()
+            mapped &= index.counts > 0
         assert len(seen) > 1
-        assert np.concatenate(seen).tobytes() == levels[levels != 0.0].tobytes()
+        assert np.concatenate(seen).tobytes() == index.levels[mapped].tobytes()
 
 
 # Reference forms of the transforms: every branch evaluated on every value
