@@ -117,13 +117,19 @@ class TestStoredDtypes:
             assert (a.xs.tobytes(), a.ps.tobytes(), a.n_samples) == \
                 (b.xs.tobytes(), b.ps.tobytes(), b.n_samples)
         for bits in (None, 12):
-            # u16, the default under bits, cannot hold the -1024 background
-            options = HarmonizeOptions(bits=bits, dtype="i16" if case == "i16" else None)
+            # u16, the default under bits, cannot hold the -1024 background;
+            # f32, the default without bits, can
+            dtype = "i16" if case == "i16" and bits is not None else None
+            options = HarmonizeOptions(bits=bits, dtype=dtype)
             out_a, entry_a = harmonize(vol, template_12bit, options)
             out_b, entry_b = harmonize(copy, template_12bit, options)
             assert out_a.voxels.dtype == DTYPES[options.dtype]
             assert out_a.voxels.tobytes() == out_b.voxels.tobytes()
             assert entry_a.to_dict() == entry_b.to_dict()
+            # and the float64 mapping, before any cast, bit for bit
+            q_range = None if bits is None else quantization_range(template_12bit, bits)
+            assert (apply_lut(vol, entry_a.lut, q_range=q_range).voxels.tobytes()
+                    == apply_lut(copy, entry_b.lut, q_range=q_range).voxels.tobytes())
         for baseline in (zscore_standardize,
                          lambda v: percentile_stretch(v, (1.0, 4095.0))):
             out_a, out_b = baseline(vol), baseline(copy)
@@ -303,6 +309,10 @@ class TestIntensityIndexIsExact:
         out, entry = harmonize(vol, template, options)
         expected = _stored_reference(vol, entry.lut, template, bits, options.dtype)
         assert out.voxels.tobytes() == expected.tobytes()
+        # mapped per level in float64, the output is the per-voxel one bit for bit
+        q_range = None if bits is None else quantization_range(template, bits)
+        assert (apply_lut(vol, entry.lut, q_range=q_range).voxels.tobytes()
+                == _per_voxel_reference(vol, entry.lut, template, bits).tobytes())
         post_cdf = build_cdf(out, grid_size=options.grid_size)
         assert entry.post_ks == ks_distance(post_cdf, template.cdf)
 
