@@ -82,9 +82,17 @@ def _foreground_mask(values: np.ndarray, background: float) -> np.ndarray:
 
     NumPy compares a Python float with float32 data in float32, where a
     background of 0.1 would swallow every voxel stored as 0.1f; a float64
-    scalar keeps the comparison in float64 for every stored dtype.
+    scalar keeps the comparison in float64 for every stored dtype.  A
+    background that a float dtype holds exactly is compared in that dtype,
+    which gives the same mask without converting every value.
     """
-    return values != np.float64(background)
+    bg = np.float64(background)
+    if values.dtype.kind == "f":
+        with np.errstate(over="ignore"):  # past the dtype's range: held as inf
+            stored = values.dtype.type(bg)
+        if stored == bg:
+            bg = stored
+    return values != bg
 
 
 @dataclass(frozen=True)
@@ -147,8 +155,9 @@ class Volume:
 
 # floats hold every integer up to 2**53 exactly
 _EXACT_INTEGER = 2.0 ** 53
-# voxels sampled before the full integer check, so float volumes fail fast
-_INTEGER_PROBE = 4096
+# values sampled before a full pass (the integer check, the ascending check),
+# so most inputs that fail it fail fast
+_PROBE = 4096
 # voxels per step of a blocked pass (the dense count, the LUT): small
 # enough that each step's temporaries stay in cache
 _BLOCK = 1 << 16
@@ -173,7 +182,7 @@ def _integer_levels(vox: np.ndarray):
             for start in range(0, vox.size, step):
                 counts += np.bincount(vox[start:start + step], minlength=size)
             return np.arange(size, dtype=np.float64), counts, vox
-    probe = vox[::max(1, vox.size // _INTEGER_PROBE)]
+    probe = vox[::max(1, vox.size // _PROBE)]
     if (np.rint(probe) != probe).any():
         return None
     lo, hi = float(vox.min()), float(vox.max())
@@ -214,6 +223,7 @@ class IntensityIndex:
     other volume keeps one level per voxel, in the stored dtype, with
     ``counts`` and ``inverse`` None.  Intensity maps are element-wise, so a
     stage maps ``levels`` alone and :meth:`to_volume` gathers once at the end.
+    ``unsorted`` is set only on a :meth:`sorted_foreground` view.
     """
 
     dims: tuple[int, int, int]
@@ -222,6 +232,7 @@ class IntensityIndex:
     inverse: np.ndarray | None
     channel: str = ""
     background_value: float = 0.0
+    unsorted: "IntensityIndex | None" = None
 
     @classmethod
     def of(cls, vol: "Volume | IntensityIndex") -> "IntensityIndex":
@@ -235,10 +246,28 @@ class IntensityIndex:
     def n_voxels(self) -> int:
         return (self.levels if self.inverse is None else self.inverse).size
 
+    def sorted_foreground(self) -> "IntensityIndex":
+        """This index with its foreground in ascending order, for the rank
+        statistics: a level table as it is (:meth:`of` builds its levels
+        ascending), any other index as the 1-D index of its foreground voxels,
+        sorted once in their stored dtype, whose ``unsorted`` is this index.
+        A reduction whose rounding depends on the order of the voxels (the
+        z-score's mean and std) reads ``unsorted``, so a view gives the same
+        bits as the volume.  A view is returned as it is.
+        """
+        if self.counts is not None or self.unsorted is not None:
+            return self
+        values = self.levels[_foreground_mask(self.levels, self.background_value)]
+        values.sort()
+        values.flags.writeable = False
+        return IntensityIndex((values.size, 1, 1), values, None, None, self.channel,
+                              self.background_value, unsorted=self)
+
     def map_foreground(self, fn, dtype: str = "float64",
                        q_range: tuple[float, float] | None = None) -> "IntensityIndex":
         """Each foreground level that some voxel holds, mapped through the
-        element-wise ``fn`` (stored dtype in, float64 out) and stored in
+        element-wise ``fn`` (stored dtype in, a new float64 array out; its
+        input may be a view of ``levels``, never to be written) and stored in
         ``dtype`` (:func:`store_as`), 64k at a time.  With ``q_range`` =
         (lo, hi) the mapped values are clipped into it and rounded to
         integers first.  A table's unused levels are left as background,
@@ -266,14 +295,18 @@ class IntensityIndex:
             fg = _foreground_mask(levels, bg)
             if self.counts is not None:
                 fg &= self.counts[start:start + _BLOCK] > 0
-            block.fill(stored_bg)
+            if fg.all():  # no background (a sorted foreground): no masked copies
+                fg = slice(None)
+            else:
+                block.fill(stored_bg)
             values = fn(levels[fg])
             if q_range is not None:
                 values = np.rint(np.clip(values, *q_range))  # ties round to even
             values = store_as(values, dtype)
             values[values == stored_bg] = step
             block[fg] = values
-        return replace(self, levels=mapped, background_value=float(stored_bg))
+        return replace(self, levels=mapped, background_value=float(stored_bg),
+                       unsorted=None)
 
     def to_volume(self) -> Volume:
         """The volume these levels describe, built by one gather in the
@@ -335,6 +368,10 @@ def build_cdf(vol: "Volume | IntensityIndex", exclude_background: bool = True,
     of the curve.  Deterministic for identical input.
     ``vol`` is a Volume or its IntensityIndex; an integer-valued volume is
     counted per level, any other is sorted voxel by voxel in its stored dtype.
+    Levels that already ascend (a level table, a
+    :meth:`IntensityIndex.sorted_foreground` view, either mapped through a
+    non-decreasing map) are read as they are: one pass checks the order, and
+    any descent sorts.
 
     Raises AllBackground when exclusion empties the volume and
     DegenerateConstant when fewer than two distinct intensities remain.
@@ -342,21 +379,23 @@ def build_cdf(vol: "Volume | IntensityIndex", exclude_background: bool = True,
     if grid_size < 2:
         raise ValueError(f"grid_size must be at least 2, got {grid_size}")
     index = IntensityIndex.of(vol)
-    levels, counts, bg = index.levels, index.counts, index.background_value
-    if counts is None:
-        values = levels[_foreground_mask(levels, bg)] if exclude_background else levels.copy()
-        values.sort()
-        cum = None
-    else:
-        keep = counts > 0
-        if exclude_background:
-            keep &= _foreground_mask(levels, bg)
-        # mapped levels may merge or fall out of order: sorting keeps
-        # equal ones side by side
-        levels, counts = levels[keep], counts[keep]
-        order = np.argsort(levels)
-        values = levels[order]
-        cum = np.concatenate(([0], np.cumsum(counts[order])))
+    levels, counts = index.levels, index.counts
+    keep = (_foreground_mask(levels, index.background_value) if exclude_background
+            else np.ones(levels.size, dtype=bool))
+    if counts is not None:
+        keep &= counts > 0
+        counts = counts[keep]
+    values = levels if keep.all() else levels[keep]
+    del keep  # a mask the size of the volume, not to be held through the sort
+    if not _ascending(values):
+        if counts is not None:  # sorting keeps equal mapped levels side by side
+            order = np.argsort(values)
+            values, counts = values[order], counts[order]
+        elif values is levels:
+            values = np.sort(values)
+        else:
+            values.sort()  # the masked copy, in place
+    cum = None if counts is None else np.concatenate(([0], np.cumsum(counts)))
     if values.size == 0:
         raise AllBackground("every voxel equals the background value")
     if values[0] == values[-1]:
@@ -391,6 +430,13 @@ def _rank_knot_cdf(values: np.ndarray, cum: np.ndarray | None,
     ps = (through - (through - before - 1) / 2.0) / n
     ps[-1] = 1.0
     return EmpiricalCdf(knots.astype(np.float64), ps, n_samples=n)
+
+
+def _ascending(values: np.ndarray) -> bool:
+    """Whether ``values`` never descend; a strided probe settles most
+    unsorted arrays before the full pass."""
+    probe = values[::max(1, values.size // _PROBE)]
+    return bool((probe[1:] >= probe[:-1]).all() and (values[1:] >= values[:-1]).all())
 
 
 def _first_of_each(values: np.ndarray) -> np.ndarray:
@@ -434,23 +480,35 @@ def zscore_standardize(vol: "Volume | IntensityIndex") -> "Volume | IntensityInd
 
     Statistics are float64 over foreground voxels only, a counted level
     standing for its voxels; background keeps its value.  Idempotent up to
-    rounding.  Given an index, returns the standardized index ungathered.
+    rounding.  Given an index, returns the standardized index ungathered; a
+    :meth:`IntensityIndex.sorted_foreground` view takes its statistics over
+    the voxels in their own order, so it maps to the same values, ascending.
     """
     index = IntensityIndex.of(vol)
-    fg = _foreground_mask(index.levels, index.background_value)
-    values = index.levels[fg].astype(np.float64, copy=False)
-    weights = None if index.counts is None else index.counts[fg]
+    voxels = index if index.unsorted is None else index.unsorted
+    fg = _foreground_mask(voxels.levels, voxels.background_value)
+    values = voxels.levels[fg].astype(np.float64, copy=False)
+    weights = None if voxels.counts is None else voxels.counts[fg]
     n = values.size if weights is None else int(weights.sum())
     if n == 0:
         raise AllBackground("no foreground voxels to standardize")
-    if weights is None:
-        mean, std = float(values.mean()), float(values.std())
+    if weights is None:  # values.std() in place on this copy: the same bits
+        mean = float(values.mean())
+        values -= mean
+        np.square(values, out=values)
+        std = math.sqrt(float(values.sum()) / n)
     else:  # fsum rounds each weighted sum once
         mean = math.fsum(weights * values) / n
         std = math.sqrt(math.fsum(weights * (values - mean) ** 2) / n)
     if std == 0.0:
         raise DegenerateConstant("foreground standard deviation is zero")
-    out = index.map_foreground(lambda x: (x.astype(np.float64) - mean) / std)
+
+    def standardize(x):
+        z = np.subtract(x, mean, dtype=np.float64)
+        z /= std
+        return z
+
+    out = index.map_foreground(standardize)
     return out if isinstance(vol, IntensityIndex) else out.to_volume()
 
 

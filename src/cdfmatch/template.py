@@ -171,6 +171,14 @@ def template_tails(controls: ControlPoints, clip: tuple[float, float] | None,
                     enabled_bottom=lo - v_min > gate * (controls.t_B - lo))
 
 
+def _member_cdf(vol, grid_size: int) -> EmpiricalCdf:
+    """The CDF of one z-scored cohort member, from one sort of its foreground
+    in the stored dtype: the z-score is non-decreasing, so it maps the sorted
+    foreground onto sorted values, which the rank knots read as they are."""
+    return build_cdf(zscore_standardize(IntensityIndex.of(vol).sorted_foreground()),
+                     exclude_background=True, grid_size=grid_size)
+
+
 def build_template(cohort, controls: ControlPoints = DEFAULT_CONTROLS,
                    clip: tuple[float, float] | None = DEFAULT_CLIP,
                    config: FitConfig | None = None,
@@ -178,8 +186,9 @@ def build_template(cohort, controls: ControlPoints = DEFAULT_CONTROLS,
                    channel: str | None = None) -> TemplateCdf:
     """Build a TemplateCdf from a training cohort.
 
-    Pipeline: z-score each volume, estimate each CDF, average them, fit the
-    average to the control points, map the grid through the fitted
+    Pipeline: z-score each volume and estimate its CDF (one sort of its
+    foreground in the stored dtype), average them, fit the average to the
+    control points, map the grid through the fitted
     dual-scaling, then shrink the tails toward the clip bounds when a clip
     range is given.  Deterministic and invariant to cohort ordering.
     """
@@ -195,8 +204,7 @@ def build_template(cohort, controls: ControlPoints = DEFAULT_CONTROLS,
                 f"intensities ({controls.t_B}, {controls.t_T})")
         clip = (lo, hi)
 
-    cdfs = [build_cdf(zscore_standardize(IntensityIndex.of(v)), exclude_background=True,
-                      grid_size=grid_size) for v in cohort]
+    cdfs = [_member_cdf(v, grid_size) for v in cohort]
     avg = average_cdfs(cdfs, grid_size=grid_size)
     fit = fit_template_to_controls(avg, controls, config)
 

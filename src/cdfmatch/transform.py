@@ -141,33 +141,92 @@ class TailSpec:
     def from_dict(cls, doc: dict) -> "TailSpec":
         return cls(**doc)
 
-    def _sides(self, y: np.ndarray):
-        # each enabled side as (values past its start, start, r_S, r_T); the
+    def _sides(self, y: np.ndarray) -> list:
+        # each enabled side of the 1-D ``y`` as (indices of the values past its
+        # start, start, r_S, r_T), all found before any value is written; the
         # start itself and NaN take the erf branch, which keeps them
+        sides = []
         if self.enabled_top:
-            yield ~(y < self.v_T), self.v_T, self.v_max - self.v_T, self.v_clipT - self.v_T
+            sides.append((np.flatnonzero(~(y < self.v_T)), self.v_T,
+                          self.v_max - self.v_T, self.v_clipT - self.v_T))
         if self.enabled_bottom:
-            yield ~(y > self.v_B), self.v_B, self.v_min - self.v_B, self.v_clipB - self.v_B
+            sides.append((np.flatnonzero(~(y > self.v_B)), self.v_B,
+                          self.v_min - self.v_B, self.v_clipB - self.v_B))
+        return sides
+
+    def _squeeze(self, y: np.ndarray) -> np.ndarray:
+        """:meth:`apply` on a 1-D float64 buffer the caller owns, in place."""
+        for past, start, r_S, r_T in self._sides(y):
+            t = y[past]
+            t -= start
+            t *= 2.0
+            t /= r_S
+            erf(t, out=t)
+            t *= r_T
+            t += start
+            y[past] = t
+        return y
 
     def apply(self, y) -> np.ndarray:
-        """Squeeze the enabled tails; their ranges are disjoint, so one pass writes both."""
-        y = np.asarray(y, dtype=np.float64)
-        if not (self.enabled_top or self.enabled_bottom):
-            return y
-        out = y.copy()
-        for past, start, r_S, r_T in self._sides(y):
-            out[past] = start + r_T * erf(2.0 * (y[past] - start) / r_S)
-        return out
+        """Squeeze the enabled tails into a new array; their ranges are
+        disjoint, so one pass writes both."""
+        out = self._squeeze(np.array(y, dtype=np.float64).reshape(-1))
+        return out.reshape(np.shape(y))
 
     def slope(self, y) -> np.ndarray:
         """Derivative of :meth:`apply` at ``y``, exact away from the tail starts:
         erf's Gaussian derivative past a start, the identity's 1 before it."""
-        y = np.asarray(y, dtype=np.float64)
-        out = np.ones_like(y)
-        for past, start, r_S, r_T in self._sides(y):
+        flat = _flat(y)
+        out = np.ones_like(flat)
+        for past, start, r_S, r_T in self._sides(flat):
             out[past] = ((4.0 / np.sqrt(np.pi)) * (r_T / r_S)
-                         * np.exp(-(2.0 * (y[past] - start) / r_S) ** 2))
-        return out
+                         * np.exp(-(2.0 * (flat[past] - start) / r_S) ** 2))
+        return out.reshape(np.shape(y))
+
+
+def _flat(x) -> np.ndarray:
+    """``x`` as a 1-D float64 array, to be read only: it may be the caller's."""
+    return np.asarray(x, dtype=np.float64).reshape(-1)
+
+
+def _shaped(out: np.ndarray, like) -> "float | np.ndarray":
+    """A 1-D result in the shape of the input ``like``; a float for a scalar."""
+    return _match_scalar(out.reshape(np.shape(like)), like)
+
+
+def _weight(xv: np.ndarray, pivots: PivotTriple) -> np.ndarray:
+    """:func:`blend` of the 1-D float64 ``xv`` in a new buffer.  Each span is
+    picked by a 2-entry take on the ``xv <= v_M`` mask, which has no branch
+    to mispredict, and every step runs in place, in the reference order."""
+    spans = np.empty_like(xv)
+    np.take(np.array([pivots.v_T - pivots.v_M, pivots.v_M - pivots.v_B]),
+            xv <= pivots.v_M, out=spans, mode="clip")
+    out = np.subtract(xv, pivots.v_M)
+    out *= 2.0
+    out /= spans
+    erf(out, out=out)
+    out += 1.0
+    out *= 0.5
+    return np.subtract(1.0, out, out=out)
+
+
+def _sigma(xv: np.ndarray, params: "DualScaleParams") -> np.ndarray:
+    """:func:`sigma_blend` of the 1-D float64 ``xv`` in a new buffer."""
+    out = _weight(xv, params.pivots)
+    out *= params.sigma_B - params.sigma_T
+    out += params.sigma_T
+    return out
+
+
+def _dual_scale(xv: np.ndarray, params: "DualScaleParams",
+                out: np.ndarray | None = None) -> np.ndarray:
+    """:func:`lut_ds` of the 1-D float64 ``xv`` into ``out``: a new buffer
+    when None, else one the caller owns, which may be ``xv`` itself."""
+    sigma = _sigma(xv, params)
+    out = np.subtract(xv, params.pivots.v_M, out=out)
+    out *= sigma
+    out += params.gamma
+    return out
 
 
 def blend(x, pivots: PivotTriple) -> "float | np.ndarray":
@@ -179,13 +238,7 @@ def blend(x, pivots: PivotTriple) -> "float | np.ndarray":
     values in [0, 1] (strictly, until erf saturates in floats far outside the
     ramp); exactly 0.5 at the middle pivot.
     """
-    xv = np.asarray(x, dtype=np.float64)
-    lo_span = pivots.v_M - pivots.v_B
-    hi_span = pivots.v_T - pivots.v_M
-    xbar = 2.0 * (xv - pivots.v_M)
-    xbar /= np.where(xv <= pivots.v_M, lo_span, hi_span)
-    out = 1.0 - 0.5 * (erf(xbar) + 1.0)
-    return _match_scalar(out, x)
+    return _shaped(_weight(_flat(x), pivots), x)
 
 
 def sigma_blend(x, params: DualScaleParams) -> "float | np.ndarray":
@@ -194,16 +247,12 @@ def sigma_blend(x, params: DualScaleParams) -> "float | np.ndarray":
     Equals ``beta(x) * sigma_B + (1 - beta(x)) * sigma_T``; written in the
     algebraically equivalent offset form so equal factors blend exactly.
     """
-    b = blend(x, params.pivots)
-    out = params.sigma_T + np.asarray(b) * (params.sigma_B - params.sigma_T)
-    return _match_scalar(out, x)
+    return _shaped(_sigma(_flat(x), params), x)
 
 
 def lut_ds(x, params: DualScaleParams) -> "float | np.ndarray":
     """Dual-scaling intensity map: ``(x - v_M) * sigma(x) + gamma``."""
-    xv = np.asarray(x, dtype=np.float64)
-    out = (xv - params.pivots.v_M) * np.asarray(sigma_blend(xv, params)) + params.gamma
-    return _match_scalar(out, x)
+    return _shaped(_dual_scale(_flat(x), params), x)
 
 
 def lut_top_tail(x, v_T: float, v_max: float, v_clipT: float) -> "float | np.ndarray":
@@ -265,11 +314,12 @@ class IntensityLut:
 
     def apply(self, x) -> "float | np.ndarray":
         """Map intensities through the composed transform (scalar or array)."""
-        xv = np.clip(np.asarray(x, dtype=np.float64), self.domain[0], self.domain[1])
-        y = self.tails.apply(np.asarray(lut_ds(xv, self.params)))
+        y = np.array(x, dtype=np.float64).reshape(-1)  # a copy: x is never written
+        np.clip(y, self.domain[0], self.domain[1], out=y)
+        self.tails._squeeze(_dual_scale(y, self.params, out=y))
         if self.clip is not None:
-            y = np.clip(y, self.clip[0], self.clip[1])
-        return _match_scalar(y, x)
+            np.clip(y, self.clip[0], self.clip[1], out=y)
+        return _shaped(y, x)
 
     def to_dict(self) -> dict:
         return {"params": self.params.to_dict(), "tails": self.tails.to_dict(),

@@ -150,6 +150,22 @@ class TestIntensityIndex:
         assert index.inverse is None and index.counts is None
         assert index.to_volume().voxels.tobytes() == vol.voxels.tobytes()
 
+    def test_sorted_foreground_view_keeps_the_voxel_order_for_the_z_score(self):
+        values = np.random.default_rng(6).normal(800.0, 200.0, self.N)
+        values[::5] = 0.0
+        index = IntensityIndex.of(stored_volume(values, np.float32))
+        view = index.sorted_foreground()
+        fg = index.levels[index.levels != 0.0]
+        assert view.levels.dtype == np.float32 and not view.levels.flags.writeable
+        assert view.levels.tobytes() == np.sort(fg).tobytes()
+        assert view.dims == (fg.size, 1, 1) and view.unsorted is index
+        assert view.sorted_foreground() is view
+        z, z_view = zscore_standardize(index), zscore_standardize(view)
+        assert z_view.unsorted is None
+        assert z_view.levels.tobytes() == np.sort(z.levels[z.levels != 0.0]).tobytes()
+        table = IntensityIndex.of(stored_volume(np.rint(values), np.uint16))
+        assert table.sorted_foreground() is table
+
     def test_foreground_mapped_onto_background_moves_just_above_it(self):
         index = IntensityIndex.of(volume_from_values([0.0, 1.0, 2.0, 3.0, 4.0]))
         mapped = index.map_foreground(lambda x: x - 2.0)

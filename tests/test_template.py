@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cdfmatch import (ControlPoints, TemplateCdf, Volume, average_cdfs, build_cdf,
@@ -13,12 +13,12 @@ from cdfmatch import (ControlPoints, TemplateCdf, Volume, average_cdfs, build_cd
                       harmonize, load_template, lut_ds, quantile, save_template,
                       zscore_standardize)
 from cdfmatch import template as template_module
-from cdfmatch.cdf import IntensityIndex
+from cdfmatch.cdf import DTYPES, IntensityIndex
 from cdfmatch.errors import BadTailSpec, EmptyCohort, Infeasible, SchemaMismatch
 from cdfmatch.pipeline import TAIL_SQUEEZE_GATE
 from cdfmatch.template import DEFAULT_CONTROLS, template_tails
 
-from conftest import scanner_cohort, t2_spec
+from conftest import scanner_cohort, stored_volume, t2_spec
 
 
 class TestControlPoints:
@@ -66,6 +66,73 @@ def _integer_cohorts(draw):
     hot[draw(st.integers(0, n - 1))] = hot.max() + 2 * n + draw(st.integers(0, 2000))
     plain = np.rint(rng.normal(draw(st.floats(100.0, 1000.0)), draw(st.floats(5.0, 100.0)), n))
     return [_volume(fg, draw(st.integers(1, 100))) for fg in (at_mean, hot, plain)]
+
+
+# the values each stored dtype holds in these tests; float members hold
+# multiples of a binary fraction (a table when it is 1, voxel by voxel
+# otherwise), so a level can sit exactly at the foreground mean
+_MEMBER_RANGES = {"u8": (0, 255), "u16": (0, 65535), "i16": (-32768, 32767),
+                  "f32": (-10 ** 6, 10 ** 6), "float64": (-10 ** 9, 10 ** 9)}
+_MEMBER_KINDS = ("mean_level", "hot_voxel", "negative", "ties", "two_levels", "many")
+
+
+@st.composite
+def _member_volumes(draw):
+    """One cohort member per stored dtype and shape: a level at the
+    foreground mean (it z-scores onto the background 0.0), a hot voxel at the
+    dtype's top, a negative range, a few tied levels, two levels, or more
+    distinct values than the knot cap (unrounded noise for float dtypes);
+    background voxels are shuffled in among the foreground."""
+    dtype = draw(st.sampled_from(sorted(_MEMBER_RANGES)))
+    kind = draw(st.sampled_from(_MEMBER_KINDS))
+    lo, hi = _MEMBER_RANGES[dtype]
+    assume(kind != "negative" or lo < 0)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.one_of(st.integers(50, 3000), st.just(70_001)))
+    step = 1.0 if dtype in ("u8", "u16", "i16") else draw(st.sampled_from((1.0, 0.5, 0.25)))
+    top = min(hi, 100_000) / step  # in steps
+    if kind == "mean_level":
+        centre = draw(st.integers(10, int(top) // 2))
+        fg = _mirrored(rng, n, centre, draw(st.floats(1.0, centre / 4)))
+    elif kind == "negative":
+        fg = -np.clip(np.rint(rng.normal(top / 4, top / 16, n)), 1, top)
+    elif kind == "ties":
+        fg = rng.choice(rng.integers(1, top, draw(st.integers(2, 6))), n)
+    elif kind == "two_levels":
+        fg = rng.choice(np.array([1.0, draw(st.integers(2, int(top)))]), n)
+        fg[:2] = (1.0, fg.max())
+    else:
+        fg = np.clip(np.rint(rng.normal(top / 2, top / 8, n)), 1, top)
+    fg = fg * step
+    if kind == "many" and dtype in ("f32", "float64"):
+        fg = rng.normal(top * step / 2, top * step / 8, n)
+    if kind == "hot_voxel":
+        fg[draw(st.integers(0, n - 1))] = hi
+    values = np.concatenate([fg, np.zeros(draw(st.integers(0, n)))])
+    return stored_volume(rng.permutation(values), np.dtype(DTYPES.get(dtype, dtype)))
+
+
+class TestMemberCdf:
+    @settings(max_examples=150)
+    @given(vol=_member_volumes(), grid_size=st.integers(2, 64))
+    def test_one_sort_equals_z_scoring_every_voxel(self, vol, grid_size):
+        fg = vol.foreground()
+        assume(np.unique(fg).size > 1)
+        got = template_module._member_cdf(vol, grid_size)
+        want = build_cdf(zscore_standardize(IntensityIndex.of(vol)), grid_size=grid_size)
+        assert (got.xs.tobytes(), got.ps.tobytes()) == (want.xs.tobytes(), want.ps.tobytes())
+        # no foreground voxel merged into the background
+        assert got.n_samples == want.n_samples == fg.size
+
+    def test_level_at_the_mean_moves_off_the_background(self):
+        # half-integers keep the f32 member off the level table; the level
+        # 60.5 is the foreground mean, z-scored exactly onto 0.0
+        fg = _mirrored(np.random.default_rng(5), 400, 121, 20.0) / 2
+        vol = stored_volume(np.concatenate([fg, np.zeros(50)]), np.float32)
+        assert IntensityIndex.of(vol).counts is None
+        cdf = template_module._member_cdf(vol, 1024)
+        assert cdf.n_samples == fg.size
+        assert 0.0 not in cdf.xs and np.nextafter(0.0, 1.0) in cdf.xs
 
 
 class TestBuildTemplate:

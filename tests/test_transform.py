@@ -12,7 +12,7 @@ from scipy.special import erf
 
 from cdfmatch import (DualScaleParams, PivotTriple, TailSpec, apply_lut,
                       blend, compose_lut, lut_bottom_tail, lut_ds,
-                      lut_top_tail, sigma_blend)
+                      lut_top_tail, read_volume, sigma_blend, write_volume)
 from cdfmatch.cdf import IntensityIndex
 from cdfmatch.errors import BadTailSpec, NonMonotone
 from cdfmatch.transform import IntensityLut
@@ -543,3 +543,65 @@ class TestBitwiseReference:
                           clip=(tails.v_clipB, tails.v_clipT) if clipped else None)
         x = data.draw(_inputs((lo, pivots.v_B, pivots.v_M, pivots.v_T, hi), gap_lo + gap_hi))
         _same_bits(lut.apply(x), _ref_lut_apply(lut, x), x)
+
+
+_UNEVEN = DualScaleParams(1.3, 0.8, 1650.0, PivotTriple(500.0, 1650.0, 3300.0))
+# each public transform as a function of its input alone; the tails fire on
+# both sides of [-2000, 9000] and the LUT clamps, squeezes and clips it
+_TRANSFORMS = {
+    "blend": lambda x: blend(x, _UNEVEN.pivots),
+    "sigma_blend": lambda x: sigma_blend(x, _UNEVEN),
+    "lut_ds": lambda x: lut_ds(x, _UNEVEN),
+    "lut_top_tail": lambda x: lut_top_tail(x, 3300.0, 8000.0, 4095.0),
+    "lut_bottom_tail": lambda x: lut_bottom_tail(x, 500.0, -1500.0, 1.0),
+    "TailSpec.apply": _twelve_bit_tails(-1500.0, 8000.0).apply,
+    "TailSpec.apply (disabled)": TailSpec.disabled().apply,
+    "TailSpec.slope": _twelve_bit_tails(-1500.0, 8000.0).slope,
+    "IntensityLut.apply": compose_lut(_UNEVEN, _twelve_bit_tails(-1500.0, 8000.0),
+                                      (-1000.0, 6000.0), clip=(1.0, 4095.0)).apply,
+}
+
+
+class TestInputsUntouched:
+    """Each transform evaluates into buffers it allocated itself: it never
+    writes into, nor returns, the caller's array."""
+
+    @pytest.mark.parametrize("name", sorted(_TRANSFORMS))
+    @pytest.mark.parametrize("writeable", [False, True])
+    def test_input_array_is_left_as_it_was(self, name, writeable):
+        x = np.linspace(-2000.0, 9000.0, 3 * 4096 + 1)
+        arg = x.copy()
+        arg.flags.writeable = writeable
+        out = _TRANSFORMS[name](arg)
+        assert arg.tobytes() == x.tobytes()
+        assert out.shape == x.shape and not np.shares_memory(out, arg)
+
+    @pytest.mark.parametrize("name", sorted(_TRANSFORMS))
+    def test_fortran_ordered_array_maps_like_its_c_ordered_copy(self, name):
+        x = np.asfortranarray(np.linspace(-2000.0, 9000.0, 4096).reshape(64, 64))
+        got = _TRANSFORMS[name](x)
+        assert got.shape == x.shape
+        assert got.tobytes() == _TRANSFORMS[name](np.ascontiguousarray(x)).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(set(_TRANSFORMS) - {
+        "TailSpec.apply", "TailSpec.apply (disabled)", "TailSpec.slope"}))
+    def test_scalars_and_0d_arrays_give_python_floats(self, name):
+        for x in (-1800.0, 1650.0, 3300.0, 8500.0):
+            arg = np.array(x)
+            arg.flags.writeable = False
+            got = _TRANSFORMS[name](arg)
+            assert type(got) is float and type(_TRANSFORMS[name](x)) is float
+            assert got == _TRANSFORMS[name](np.array([x]))[0]
+
+    def test_apply_lut_leaves_a_read_only_f32_volume_untouched(self, tmp_path):
+        values = np.random.default_rng(4).normal(1650.0, 900.0, 70_000)
+        values[::7] = 0.0
+        write_volume(volume_from_values(values), tmp_path / "v.raw", dtype="f32")
+        vol = read_volume(tmp_path / "v.raw")
+        before = vol.voxels.tobytes()
+        assert vol.voxels.dtype == np.float32 and not vol.voxels.flags.writeable
+        lut = compose_lut(_UNEVEN, _twelve_bit_tails(-1500.0, 8000.0), (-1000.0, 6000.0))
+        for dtype in ("float64", "f32"):
+            out = apply_lut(vol, lut, dtype)
+            assert not np.shares_memory(out.voxels, vol.voxels)
+        assert vol.voxels.tobytes() == before
