@@ -12,6 +12,7 @@ import csv
 import json
 import math
 import os
+import sys
 import threading
 from dataclasses import dataclass, field
 from io import StringIO
@@ -100,8 +101,9 @@ def read_volume(path) -> Volume:
         raise HeaderMismatch(f"volume header for {path} must be a JSON object")
 
     dims = header.get("dims")
+    # JSON true is a Python int: a bool is no dimension
     if (not isinstance(dims, list) or len(dims) != 3
-            or any(not isinstance(d, int) or d < 1 for d in dims)):
+            or any(isinstance(d, bool) or not isinstance(d, int) or d < 1 for d in dims)):
         raise HeaderMismatch(f"bad dims in header: {dims!r}")
     dtype = header.get("dtype")
     if dtype not in DTYPES:
@@ -109,7 +111,10 @@ def read_volume(path) -> Volume:
     if header.get("endianness") != "little":
         raise HeaderMismatch(f"unsupported endianness: {header.get('endianness')!r}")
     background = header.get("background_value", 0.0)
-    if not isinstance(background, (int, float)):
+    # JSON true is a Python int, and json reads NaN, Infinity and integers
+    # past the float range, none of which is a background value
+    if (isinstance(background, bool) or not isinstance(background, (int, float))
+            or not abs(background) <= sys.float_info.max):
         raise HeaderMismatch(f"bad background_value: {background!r}")
     channel = header.get("channel", "")
     if not isinstance(channel, str):

@@ -123,7 +123,7 @@ def harmonize(vol: Volume, template: TemplateCdf,
     domain = image_cdf.support
     # the template's recorded source ranges bend every image as they bent
     # the template; the gate lets already-conforming data pass through
-    v_min, v_max = (float(lut_ds(x, fit.params)) for x in domain)
+    v_min, v_max = (float(v) for v in lut_ds(np.array(domain), fit.params))
     tails = template_tails(template.controls, template.clip, v_min, v_max,
                            TAIL_SQUEEZE_GATE, template.provenance)
     if tails.enabled_top or tails.enabled_bottom:

@@ -207,6 +207,23 @@ class TestHarmonizeCommand:
         assert len(doc["failures"]) == 1
         assert doc["failures"][0]["input"] == "bad.raw"
 
+    @pytest.mark.parametrize("background", ["true", "NaN", "Infinity"])
+    def test_bool_or_non_finite_background_exits_1(self, workspace, tmp_path, capsys,
+                                                   background):
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        for suffix in (".raw", ".raw.json"):
+            src = workspace / "raw" / f"vol0{suffix}"
+            (raw / f"vol0{suffix}").write_bytes(src.read_bytes())
+        header = json.loads((raw / "vol0.raw.json").read_text())
+        header["background_value"] = "@"
+        (raw / "vol0.raw.json").write_text(json.dumps(header).replace('"@"', background))
+        code = run(["harmonize", "--template", str(workspace / "t2.template.json"),
+                    "--in", str(raw), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "bad background_value" in capsys.readouterr().err
+        assert not list((tmp_path / "out").glob("*.raw"))
+
     def test_best_effort_pool_keeps_input_order(self, workspace, tmp_path):
         raw = tmp_path / "mixed"
         raw.mkdir()

@@ -81,6 +81,26 @@ class TestVolumeFiles:
         with pytest.raises(HeaderMismatch):
             read_volume(path)
 
+    @pytest.mark.parametrize("field, text", [
+        ("background_value", "true"),
+        ("background_value", "false"),
+        ("background_value", "NaN"),
+        ("background_value", "Infinity"),
+        ("background_value", "-Infinity"),
+        pytest.param("background_value", "1" + "0" * 400, id="background_value-1e400"),
+        ("dims", "[true, 2, 1]"),
+        ("dims", "[2, 1, true]"),
+    ])
+    def test_bool_and_non_finite_header_values_rejected(self, tmp_path, field, text):
+        # json reads each of these, and Python takes true for the int 1
+        path = tmp_path / "vol.raw"
+        write_volume(volume_from_values([1.0, 2.0]), path, dtype="f32")
+        header = json.loads((tmp_path / "vol.raw.json").read_text())
+        header[field] = "@"
+        (tmp_path / "vol.raw.json").write_text(json.dumps(header).replace('"@"', text))
+        with pytest.raises(HeaderMismatch, match=field):
+            read_volume(path)
+
     def test_interrupted_payload_write_keeps_previous_pair(self, tmp_path, monkeypatch):
         path = tmp_path / "vol.raw"
         write_volume(volume_from_values(np.arange(1.0, 61.0), channel="T2"),

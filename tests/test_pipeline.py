@@ -15,6 +15,7 @@ from cdfmatch.errors import (AllBackground, DegenerateCdf, DegenerateConstant,
                              EmptyInput, Overflow)
 from cdfmatch.pipeline import quantization_range
 from cdfmatch.template import ControlPoints, build_template
+from cdfmatch.transform import TABLE_VOXELS_PER_NODE
 
 from conftest import (sample_from_cdf, scanner_cohort, scanner_effect,
                       stored_volume, t2_spec, volume_from_values)
@@ -461,6 +462,46 @@ class TestOutputDtype:
         assert HarmonizeOptions(dtype="i16").hash() != HarmonizeOptions().hash()
         with pytest.raises(ValueError, match="dtype"):
             HarmonizeOptions(dtype="f64")
+
+
+class TestTablePath:
+    """A float volume with enough voxels per table node maps through the
+    interpolated table: within its stated bound of the exact map."""
+
+    @pytest.fixture(scope="class")
+    def large_f32(self):
+        # 1.2M voxels, over the 2^20 of the fewest table nodes; a fifth background
+        values = generate_synthetic(t2_spec(1300, dims=(112, 112, 96),
+                                            scanner=scanner_effect(2))).voxels.copy()
+        values[np.random.default_rng(1300).random(values.size) < 0.2] = 0.0
+        return stored_volume(values, np.float32)
+
+    @pytest.mark.parametrize("clipped", [True, False])
+    def test_payload_within_the_bound_of_the_exact_map(self, template_12bit,
+                                                       template_unclipped, large_f32,
+                                                       clipped):
+        vol = large_f32
+        template = template_12bit if clipped else template_unclipped
+        out, entry = harmonize(vol, template)
+        lut = entry.lut
+        nodes = lut.table_nodes(vol.n_voxels // TABLE_VOXELS_PER_NODE)
+        assert nodes is not None and lut.interpolant(nodes) is not None
+        expected = _stored_reference(vol, lut, template, None, "f32")
+        fg = vol.voxels != np.float32(vol.background_value)
+        # the table moves a value by at most its bound, which the float32
+        # payload may round one ulp further
+        gap = np.abs(out.voxels.astype(np.float64) - expected.astype(np.float64))
+        assert (gap <= lut.table_bound(nodes) + np.spacing(np.abs(expected))).all()
+        assert 0 < np.count_nonzero(out.voxels != expected) < 0.05 * fg.sum()
+        # background untouched, foreground off it and non-decreasing in the input
+        assert (~fg).any() and (out.voxels[~fg] == np.float32(vol.background_value)).all()
+        assert (out.voxels[fg] != np.float32(vol.background_value)).all()
+        order = np.argsort(vol.voxels[fg], kind="stable")
+        assert (np.diff(out.voxels[fg][order]) >= 0.0).all()
+        post_cdf = build_cdf(out, grid_size=HarmonizeOptions().grid_size)
+        assert entry.post_ks == ks_distance(post_cdf, template.cdf)
+        again, _ = harmonize(vol, template)
+        assert again.voxels.tobytes() == out.voxels.tobytes()
 
 
 class TestStagesStayVisible:

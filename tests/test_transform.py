@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import erf
 
@@ -15,7 +15,9 @@ from cdfmatch import (DualScaleParams, PivotTriple, TailSpec, apply_lut,
                       lut_top_tail, read_volume, sigma_blend, write_volume)
 from cdfmatch.cdf import IntensityIndex
 from cdfmatch.errors import BadTailSpec, NonMonotone
-from cdfmatch.transform import IntensityLut
+from cdfmatch import transform
+from cdfmatch.transform import (DEFAULT_RATIO_CAP, TABLE_MIN_NODES, TABLE_TOLERANCE,
+                                TABLE_VOXELS_PER_NODE, IntensityLut)
 
 from conftest import stored_volume, volume_from_values
 
@@ -559,6 +561,9 @@ _TRANSFORMS = {
     "TailSpec.slope": _twelve_bit_tails(-1500.0, 8000.0).slope,
     "IntensityLut.apply": compose_lut(_UNEVEN, _twelve_bit_tails(-1500.0, 8000.0),
                                       (-1000.0, 6000.0), clip=(1.0, 4095.0)).apply,
+    "IntensityLut.interpolant": compose_lut(
+        _UNEVEN, _twelve_bit_tails(-1500.0, 8000.0), (-1000.0, 6000.0),
+        clip=(1.0, 4095.0)).interpolant(1024),
 }
 
 
@@ -605,3 +610,165 @@ class TestInputsUntouched:
             out = apply_lut(vol, lut, dtype)
             assert not np.shares_memory(out.voxels, vol.voxels)
         assert vol.voxels.tobytes() == before
+
+
+@st.composite
+def _table_luts(draw):
+    """An IntensityLut over random DualScaleParams (scale ratio up to the
+    cap either way), the domain reaching past either outer pivot, far past
+    it or stopping inside it, each tail on or off and the clip on or off;
+    with the tail starts it squeezes from."""
+    v_B = draw(st.floats(-3000.0, 3000.0))
+    gap_lo = draw(st.floats(1.0, 2000.0))
+    gap_hi = gap_lo * draw(st.floats(0.2, 5.0))
+    pivots = PivotTriple(v_B, v_B + gap_lo, v_B + gap_lo + gap_hi)
+    sigma_T = draw(st.floats(0.05, 20.0))
+    ratio = draw(st.floats(1.0 / DEFAULT_RATIO_CAP, DEFAULT_RATIO_CAP))
+    params = DualScaleParams(sigma_T * ratio, sigma_T, draw(st.floats(-1000.0, 1000.0)),
+                             pivots)
+    # a domain many pivot gaps wide needs more than the fewest nodes
+    reach = draw(st.sampled_from((3.0, 3000.0)))
+    domain = (pivots.v_B - draw(st.floats(-0.9, reach)) * gap_lo,
+              pivots.v_T + draw(st.floats(-0.9, reach)) * gap_hi)
+    y_lo, y_hi = lut_ds(np.array(domain), params)
+    assume(y_lo < y_hi)
+    width = y_hi - y_lo
+    top, bottom = draw(st.booleans()), draw(st.booleans())
+    fields = {"enabled_top": top, "enabled_bottom": bottom}
+    if top:
+        start = y_lo + draw(st.floats(0.35, 0.95)) * width
+        v_max = y_hi + draw(st.floats(0.0, 1.0)) * (y_hi - start)
+        fields.update(v_T=start, v_max=v_max,
+                      v_clipT=start + draw(st.floats(0.05, 1.5)) * (v_max - start))
+    if bottom:
+        start = y_lo + draw(st.floats(0.05, 0.3)) * width
+        v_min = y_lo - draw(st.floats(0.0, 1.0)) * (start - y_lo)
+        fields.update(v_B=start, v_min=v_min,
+                      v_clipB=start - draw(st.floats(0.05, 1.5)) * (start - v_min))
+    clip = None
+    if draw(st.booleans()):
+        clip = (y_lo + draw(st.floats(-0.1, 0.2)) * width,
+                y_hi - draw(st.floats(-0.1, 0.2)) * width)
+    try:
+        lut = compose_lut(params, TailSpec(**fields), domain, clip=clip)
+    except NonMonotone:
+        assume(False)
+    starts = [fields[name] for name in ("v_T", "v_B") if name in fields]
+    return lut, starts
+
+
+def _preimage(lut, y):
+    """The largest float x in the domain with lut_ds(x) < y, by bisection."""
+    lo, hi = lut.domain
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        lo, hi = (mid, hi) if lut_ds(mid, lut.params) < y else (lo, mid)
+    return lo
+
+
+def _neighbours(x, k=3):
+    """Each of ``x`` and its ``k`` float64 neighbours on each side."""
+    out = [np.asarray(x, dtype=np.float64)]
+    for direction in (-np.inf, np.inf):
+        step = out[0]
+        for _ in range(k):
+            step = np.nextafter(step, direction)
+            out.append(step)
+    return np.concatenate([o.reshape(-1) for o in out])
+
+
+# rounding on top of the stated bound, in float64 ulps of the largest output
+_TABLE_ROUNDING_ULPS = 8
+
+
+class TestTableInterpolant:
+    @given(data=st.data())
+    @settings(max_examples=60)
+    def test_within_the_stated_bound_and_never_descending(self, data):
+        lut, starts = data.draw(_table_luts())
+        nodes = lut.table_nodes(1 << 20)
+        assume(nodes is not None)
+        # the node count is the smallest power of two, from the floor up,
+        # that meets the target share of the output span
+        lo, hi = lut.domain
+        span = (lut.clip[1] - lut.clip[0] if lut.clip is not None
+                else lut.apply(hi) - lut.apply(lo))
+        assert nodes & (nodes - 1) == 0 and nodes >= TABLE_MIN_NODES
+        assert lut.table_bound(nodes) <= TABLE_TOLERANCE * span
+        assert nodes == TABLE_MIN_NODES or lut.table_bound(nodes // 2) > TABLE_TOLERANCE * span
+        assert lut.table_nodes(nodes - 1) is None
+        interpolate = lut.interpolant(nodes)
+        grid = lut_ds(np.linspace(lo, hi, nodes), lut.params)
+        if interpolate is None:  # the dual scaling descends between two nodes
+            assert (np.diff(grid) < 0.0).any()
+            return
+        h = (hi - lo) / (nodes - 1)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        cells = rng.integers(0, nodes - 1, 200)
+        v_M = lut.params.pivots.v_M
+        x = np.concatenate([
+            _neighbours([lo, hi, v_M] + [_preimage(lut, s) for s in starts]),
+            _neighbours(lo + cells * h),  # cell boundaries
+            lo + (cells + 0.5) * h,  # cell middles
+            v_M + h * np.linspace(-2.0, 2.0, 101),  # where the bound is attained
+            rng.uniform(lo, hi, 2000),
+            [lo - 1.0, lo - 1e6, hi + 1.0, hi + 1e6],  # clamped
+        ])
+        got, exact = interpolate(x), np.asarray(lut.apply(x))
+        rounding = _TABLE_ROUNDING_ULPS * np.spacing(np.abs(exact).max())
+        assert np.abs(got - exact).max() <= lut.table_bound(nodes) + rounding
+        steps = np.diff(got[np.argsort(x, kind="stable")])
+        if lut.tails.enabled_top or lut.tails.enabled_bottom:
+            # the tails run exactly as in apply, whose erf steps down by an
+            # ulp here and there between neighbouring floats
+            assert steps.min() >= -rounding
+        else:
+            assert (steps >= 0.0).all()
+
+    def test_bound_is_attained_at_the_middle_pivot(self):
+        lut = compose_lut(_UNEVEN, TailSpec.disabled(), (-1000.0, 6000.0))
+        nodes = 1 << 12
+        h = 7000.0 / (nodes - 1)
+        x = 1650.0 + h * np.linspace(-1.0, 1.0, 2001)
+        error = np.abs(lut.interpolant(nodes)(x) - lut.apply(x)).max()
+        assert 0.99 * lut.table_bound(nodes) <= error <= lut.table_bound(nodes)
+
+    def test_tails_stretch_the_bound_by_their_steepest_slope(self):
+        # a top tail whose target range exceeds its source range is steeper
+        # than the identity at its start
+        tails = TailSpec(v_T=1650.0, v_max=2000.0, v_clipT=3000.0, enabled_top=True)
+        assert tails.max_slope() == pytest.approx(4.0 / math.sqrt(math.pi) * 1350.0 / 350.0)
+        plain = compose_lut(_UNEVEN, TailSpec.disabled(), (-1000.0, 6000.0))
+        tailed = compose_lut(_UNEVEN, tails, (-1000.0, 6000.0))
+        assert tailed.table_bound(1024) == pytest.approx(
+            plain.table_bound(1024) * tails.max_slope())
+        assert TailSpec(v_B=500.0, v_min=-1500.0, v_clipB=1.0,
+                        enabled_bottom=True).max_slope() == 1.0
+
+    def test_constant_scale_needs_the_fewest_nodes(self):
+        lut = compose_lut(DualScaleParams(1.2, 1.2, 10.0, PIVOTS), TailSpec.disabled(),
+                          (-50.0, 150.0))
+        assert lut.table_bound(2) == 0.0
+        assert lut.table_nodes(1 << 30) == TABLE_MIN_NODES
+        assert lut.table_nodes(TABLE_MIN_NODES - 1) is None
+        x = np.linspace(-60.0, 160.0, 1001)
+        np.testing.assert_allclose(lut.interpolant(2)(x), lut.apply(x), rtol=0, atol=1e-12)
+
+    def test_descending_dual_scaling_maps_exactly(self, monkeypatch):
+        # a scale ratio past ~8.75 dips below the middle pivot; clipped at
+        # the top of the dip, the LUT still passes its monotonicity check
+        params = DualScaleParams(0.5, 10.0, 0.0, PivotTriple(-100.0, 0.0, 100.0))
+        grid = lut_ds(np.linspace(-100.0, 100.0, 4096), params)
+        dip_top = float(grid[np.argmax(np.diff(grid) < 0.0)])
+        lut = compose_lut(params, TailSpec.disabled(), (-100.0, 100.0),
+                          clip=(dip_top, float(grid.max())))
+        assert lut.interpolant(1 << 10) is None
+        # with a table small enough for this volume, apply_lut falls back
+        # to the exact map
+        monkeypatch.setattr(transform, "TABLE_MIN_NODES", 2)
+        vol = stored_volume(np.linspace(-100.0, 100.0, 1 << 17), np.float32, 1e6)
+        assert lut.table_nodes(vol.n_voxels // TABLE_VOXELS_PER_NODE) is not None
+        expected = np.asarray(lut.apply(vol.voxels.astype(np.float64)))
+        assert apply_lut(vol, lut).voxels.tobytes() == expected.tobytes()
