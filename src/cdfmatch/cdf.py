@@ -211,6 +211,39 @@ def _integer_levels(vox: np.ndarray):
     return lo + np.arange(size, dtype=np.float64), counts, rows
 
 
+def _stored_map(fn, dtype: str, q_range: tuple[float, float] | None,
+               background: float):
+    """The element-wise map from foreground levels to the values ``dtype``
+    stores, and the background as ``dtype`` stores it.
+
+    A level goes through ``fn``, then, with ``q_range`` = (lo, hi), is
+    clipped into it and rounded to an integer (ties to even), then stored in
+    ``dtype`` (:func:`store_as`).  A value that lands on the stored
+    background moves one step away, which keeps the levels' order: to the
+    next integer on an integer dtype or under ``q_range`` (up, unless that
+    passes ``hi`` or the dtype's top), else to the next float above.  So the
+    map never descends where ``fn`` does not.
+    """
+    dt = _dtype(dtype)
+    stored_bg = store_as(np.array([background]), dtype)[0]
+    if dt.kind in "ui" or q_range is not None:
+        top = q_range[1] if q_range is not None else np.iinfo(dt).max
+        up = float(stored_bg) + 1.0
+        step = up if up <= top else float(stored_bg) - 1.0
+    else:
+        step = np.nextafter(stored_bg, dt.type(np.inf))
+
+    def store(levels: np.ndarray) -> np.ndarray:
+        values = fn(levels)
+        if q_range is not None:
+            values = np.rint(np.clip(values, *q_range))  # ties round to even
+        values = store_as(values, dtype)
+        values[values == stored_bg] = step
+        return values
+
+    return store, stored_bg
+
+
 @dataclass(frozen=True)
 class IntensityIndex:
     """A volume's intensities as a table of levels plus each voxel's row in it.
@@ -265,46 +298,26 @@ class IntensityIndex:
 
     def map_foreground(self, fn, dtype: str = "float64",
                        q_range: tuple[float, float] | None = None) -> "IntensityIndex":
-        """Each foreground level that some voxel holds, mapped through the
-        element-wise ``fn`` (stored dtype in, a new float64 array out; its
-        input may be a view of ``levels``, never to be written) and stored in
-        ``dtype`` (:func:`store_as`), 64k at a time.  With ``q_range`` =
-        (lo, hi) the mapped values are clipped into it and rounded to
-        integers first.  A table's unused levels are left as background,
-        which no voxel reads.
-
-        Background levels keep the background value as ``dtype`` stores it,
-        which becomes the mapped index's ``background_value`` (0.1 becomes
-        0.1f, 0.5 becomes 0 in an integer dtype).  A foreground level that
-        lands on it moves one step away, which keeps the levels' order: to
-        the next integer on an integer dtype or under ``q_range`` (up, unless
-        that passes ``hi`` or the dtype's top), else to the next float above.
+        """Each foreground level that some voxel holds, mapped through
+        :func:`_stored_map` of ``fn`` (stored dtype in, a new float64 array out;
+        its input may be a view of ``levels``, never to be written), 64k at a
+        time.  A table's unused levels are left as background, which no voxel
+        reads.  Background levels keep the background value as ``dtype``
+        stores it, which becomes the mapped index's ``background_value`` (0.1
+        becomes 0.1f, 0.5 becomes 0 in an integer dtype).
         """
-        dt = _dtype(dtype)
-        bg = self.background_value
-        stored_bg = store_as(np.array([bg]), dtype)[0]
-        if dt.kind in "ui" or q_range is not None:
-            top = q_range[1] if q_range is not None else np.iinfo(dt).max
-            up = float(stored_bg) + 1.0
-            step = up if up <= top else float(stored_bg) - 1.0
-        else:
-            step = np.nextafter(stored_bg, dt.type(np.inf))
-        mapped = np.empty(self.levels.size, dtype=dt)
+        store, stored_bg = _stored_map(fn, dtype, q_range, self.background_value)
+        mapped = np.empty(self.levels.size, dtype=_dtype(dtype))
         for start in range(0, mapped.size, _BLOCK):
             levels, block = self.levels[start:start + _BLOCK], mapped[start:start + _BLOCK]
-            fg = _foreground_mask(levels, bg)
+            fg = _foreground_mask(levels, self.background_value)
             if self.counts is not None:
                 fg &= self.counts[start:start + _BLOCK] > 0
             if fg.all():  # no background (a sorted foreground): no masked copies
                 fg = slice(None)
             else:
                 block.fill(stored_bg)
-            values = fn(levels[fg])
-            if q_range is not None:
-                values = np.rint(np.clip(values, *q_range))  # ties round to even
-            values = store_as(values, dtype)
-            values[values == stored_bg] = step
-            block[fg] = values
+            block[fg] = store(levels[fg])
         return replace(self, levels=mapped, background_value=float(stored_bg),
                        unsorted=None)
 
@@ -357,7 +370,31 @@ class EmpiricalCdf:
         return float(self.xs[0]), float(self.xs[-1])
 
 
-def build_cdf(vol: "Volume | IntensityIndex", exclude_background: bool = True,
+@dataclass(frozen=True)
+class MappedView:
+    """A :meth:`IntensityIndex.sorted_foreground` view of a per-voxel index
+    read through :func:`_stored_map` of ``fn``, ``dtype`` and ``q_range``
+    without mapping it: what ``view.map_foreground(fn, dtype, q_range)``
+    describes, for :func:`build_cdf` alone.  ``fn`` must never descend, bit
+    for bit, so that the mapped view ascends as the view does.
+    """
+
+    view: IntensityIndex
+    fn: object
+    dtype: str = "float64"
+    q_range: tuple[float, float] | None = None
+
+    def __post_init__(self):
+        if self.view.unsorted is None or self.view.counts is not None:
+            raise ValueError("a MappedView reads the sorted_foreground view of a "
+                             "per-voxel index")
+
+    @property
+    def n_voxels(self) -> int:
+        return self.view.n_voxels
+
+
+def build_cdf(vol: "Volume | IntensityIndex | MappedView", exclude_background: bool = True,
               grid_size: int = DEFAULT_GRID_SIZE) -> EmpiricalCdf:
     """Estimate the empirical CDF of a volume by sorted-rank interpolation.
 
@@ -368,39 +405,56 @@ def build_cdf(vol: "Volume | IntensityIndex", exclude_background: bool = True,
     of the curve.  Deterministic for identical input.
     ``vol`` is a Volume or its IntensityIndex; an integer-valued volume is
     counted per level, any other is sorted voxel by voxel in its stored dtype.
-    Levels that already ascend (a level table, a
-    :meth:`IntensityIndex.sorted_foreground` view, either mapped through a
-    non-decreasing map) are read as they are: one pass checks the order, and
-    any descent sorts.
+    A :meth:`IntensityIndex.sorted_foreground` view holds its foreground
+    alone, ascending, and is read as it is.  Levels that already ascend (a
+    level table, a view, either mapped through a non-decreasing map) are
+    read as they are: one pass checks the order, and any descent sorts.  A
+    :class:`MappedView` is read at its rank knots (:func:`_mapped_knot_cdf`),
+    which gives the curve of the mapped view bit for bit without mapping it.
 
     Raises AllBackground when exclusion empties the volume and
     DegenerateConstant when fewer than two distinct intensities remain.
     """
     if grid_size < 2:
         raise ValueError(f"grid_size must be at least 2, got {grid_size}")
+    if isinstance(vol, MappedView):
+        return _mapped_knot_cdf(vol, grid_size)
     index = IntensityIndex.of(vol)
     levels, counts = index.levels, index.counts
-    keep = (_foreground_mask(levels, index.background_value) if exclude_background
-            else np.ones(levels.size, dtype=bool))
-    if counts is not None:
-        keep &= counts > 0
-        counts = counts[keep]
-    values = levels if keep.all() else levels[keep]
-    del keep  # a mask the size of the volume, not to be held through the sort
-    if not _ascending(values):
-        if counts is not None:  # sorting keeps equal mapped levels side by side
-            order = np.argsort(values)
-            values, counts = values[order], counts[order]
-        elif values is levels:
-            values = np.sort(values)
-        else:
-            values.sort()  # the masked copy, in place
+    if index.unsorted is not None:
+        values = levels
+    else:
+        keep = (_foreground_mask(levels, index.background_value) if exclude_background
+                else np.ones(levels.size, dtype=bool))
+        if counts is not None:
+            keep &= counts > 0
+            counts = counts[keep]
+        values = levels if keep.all() else levels[keep]
+        del keep  # a mask the size of the volume, not to be held through the sort
+        if not _ascending(values):
+            if counts is not None:  # sorting keeps equal mapped levels side by side
+                order = np.argsort(values)
+                values, counts = values[order], counts[order]
+            elif values is levels:
+                values = np.sort(values)
+            else:
+                values.sort()  # the masked copy, in place
     cum = None if counts is None else np.concatenate(([0], np.cumsum(counts)))
+    _check_spread(values)
+    return _rank_knot_cdf(values, cum, grid_size)
+
+
+def _check_spread(values: np.ndarray) -> None:
+    """Raise unless sorted ``values`` hold two distinct intensities."""
     if values.size == 0:
         raise AllBackground("every voxel equals the background value")
     if values[0] == values[-1]:
         raise DegenerateConstant(f"single distinct intensity {float(values[0])!r}")
-    return _rank_knot_cdf(values, cum, grid_size)
+
+
+def _knot_ranks(n: int, grid_size: int) -> np.ndarray:
+    """``grid_size`` evenly spaced ranks of ``n`` samples, 0 and n - 1 among them."""
+    return np.arange(grid_size) * (n - 1) // (grid_size - 1)
 
 
 def _rank_knot_cdf(values: np.ndarray, cum: np.ndarray | None,
@@ -416,7 +470,7 @@ def _rank_knot_cdf(values: np.ndarray, cum: np.ndarray | None,
     stored value.
     """
     n = values.size if cum is None else int(cum[-1])
-    ranks = np.arange(grid_size) * (n - 1) // (grid_size - 1)
+    ranks = _knot_ranks(n, grid_size)
     knots = values[ranks if cum is None else np.searchsorted(cum, ranks, "right") - 1]
     knots = knots[_first_of_each(knots)]
     if knots.size < grid_size:  # ties merged knots: every value may fit
@@ -427,9 +481,58 @@ def _rank_knot_cdf(values: np.ndarray, cum: np.ndarray | None,
     before = np.searchsorted(values, knots, "left")
     if cum is not None:
         through, before = cum[through], cum[before]
+    return _averaged_rank_cdf(knots, through, before, n)
+
+
+def _averaged_rank_cdf(knots: np.ndarray, through: np.ndarray, before: np.ndarray,
+                       n: int) -> EmpiricalCdf:
+    """The CDF through ``knots``, each at the averaged rank of its samples:
+    ``through`` of the ``n`` samples are at most the knot, ``before`` below it."""
     ps = (through - (through - before - 1) / 2.0) / n
     ps[-1] = 1.0
     return EmpiricalCdf(knots.astype(np.float64), ps, n_samples=n)
+
+
+def _mapped_knot_cdf(mapped: MappedView, grid_size: int) -> EmpiricalCdf:
+    """:func:`_rank_knot_cdf` of the mapped view, bit for bit, from the
+    stored map at the rank knots alone.
+
+    The map never descends, so it sends the view's k-th smallest value to the
+    mapped view's k-th smallest: each knot is the stored map of the view's
+    value at its rank.  When those knots are all distinct they are the knots,
+    and the samples at most a knot (or below it) are a prefix of the view,
+    whose length one vectorised bisection finds: knot j's lies between the
+    ranks of knots j and j + 1 (below it, between knots j - 1 and j), so each
+    round maps two values per knot.  When ties merge knots, whether every
+    distinct value fits the grid depends on values between them, so the whole
+    view is mapped (in its order, which the map keeps) and read as it is.
+    """
+    view = mapped.view
+    store, _ = _stored_map(mapped.fn, mapped.dtype, mapped.q_range, view.background_value)
+    values = view.levels
+    _check_spread(values)
+    n = values.size
+    ranks = _knot_ranks(n, grid_size)
+    knots = store(values[ranks])
+    _check_spread(knots)
+    if not (knots[1:] > knots[:-1]).all():
+        return _rank_knot_cdf(view.map_foreground(mapped.fn, mapped.dtype,
+                                                  mapped.q_range).levels, None, grid_size)
+    # the count at most knot j (j < last) and the count below knot j + 1,
+    # each the first rank in [ranks[j] + 1, ranks[j + 1]] past the knot
+    lo = np.tile(ranks[:-1] + 1, 2)
+    hi = np.tile(ranks[1:], 2)
+    keys = np.concatenate((knots[:-1], knots[1:]))
+    strict = np.arange(keys.size) >= grid_size - 1
+    while (active := np.flatnonzero(lo < hi)).size:
+        mid = (lo[active] + hi[active]) // 2
+        got, key = store(values[mid]), keys[active]
+        inside = np.where(strict[active], got < key, got <= key)
+        lo[active] = np.where(inside, mid + 1, lo[active])
+        hi[active] = np.where(inside, hi[active], mid)
+    through = np.append(lo[:grid_size - 1], n)
+    before = np.insert(lo[grid_size - 1:], 0, 0)
+    return _averaged_rank_cdf(knots, through, before, n)
 
 
 def _ascending(values: np.ndarray) -> bool:

@@ -14,12 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cdf import (DEFAULT_GRID_SIZE, DTYPES, IntensityIndex, Volume, build_cdf,
-                  ks_distance, zscore_standardize)
+from .cdf import (DEFAULT_GRID_SIZE, DTYPES, IntensityIndex, MappedView, Volume,
+                  build_cdf, ks_distance, zscore_standardize)
 from .errors import AllBackground, DegenerateConstant, EmptyInput
 from .fit import FitConfig, FitResult, fit_cdf
 from .template import TemplateCdf, config_hash, template_tails
-from .transform import IntensityLut, apply_lut, compose_lut, lut_ds
+from .transform import IntensityLut, apply_lut, compose_lut, lut_ds, voxel_table
 
 METHOD_PERCENTILE_STRETCH = "percentile_stretch"
 METHOD_ZSCORE = "zscore"
@@ -110,6 +110,13 @@ def harmonize(vol: Volume, template: TemplateCdf,
     values as stored; the output's ``background_value`` is the background as
     ``options.dtype`` stores it.  Never emits a non-monotone mapping:
     composition fails loudly instead.
+
+    The pre-CDF reads the foreground sorted once
+    (:meth:`IntensityIndex.sorted_foreground`).  A volume that maps through
+    the interpolated table (:func:`voxel_table`), which never descends, takes
+    its post-CDF from that sorted view through the stored map, before the
+    mapping and without sorting the output (:class:`MappedView`); the view is
+    dropped before the mapping.  Any other volume takes it from the output.
     """
     options = options or HarmonizeOptions()
     started = time.perf_counter()
@@ -117,7 +124,8 @@ def harmonize(vol: Volume, template: TemplateCdf,
     if options.bits is not None:
         q_range = quantization_range(template, options.bits)
     index = IntensityIndex.of(vol)
-    image_cdf = build_cdf(index, grid_size=options.grid_size)
+    view = index.sorted_foreground()
+    image_cdf = build_cdf(view, grid_size=options.grid_size)
     pre_ks = ks_distance(image_cdf, template.cdf)
     fit = fit_cdf(image_cdf, template, options.fit)
     domain = image_cdf.support
@@ -131,8 +139,16 @@ def harmonize(vol: Volume, template: TemplateCdf,
         # already-matched quantiles away from the template
         fit = fit_cdf(image_cdf, template, options.fit, tails=tails)
     lut = compose_lut(fit.params, tails, domain, clip=template.clip)
-    mapped = apply_lut(index, lut, options.dtype, q_range)
-    post_cdf = build_cdf(mapped, grid_size=options.grid_size)
+    table = voxel_table(lut, index)
+    post_cdf = None
+    if table is not None:
+        post_cdf = build_cdf(MappedView(view, table, options.dtype, q_range),
+                             grid_size=options.grid_size)
+    del view  # a sorted copy of the foreground, not to be held through the mapping
+    mapped = apply_lut(index, lut, options.dtype, q_range, fn=table or lut.apply)
+    del table  # nor the table through the gather
+    if post_cdf is None:
+        post_cdf = build_cdf(mapped, grid_size=options.grid_size)
     post_ks = ks_distance(post_cdf, template.cdf)
     out = mapped.to_volume()
     entry = ChannelReport(vol.channel, fit, pre_ks, post_ks, lut,

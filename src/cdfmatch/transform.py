@@ -29,6 +29,10 @@ TABLE_VOXELS_PER_NODE = 4
 # the fewest table nodes: volumes under 2^20 voxels, where the table would
 # save ~10 ms at most, keep the exact map and its output bit for bit
 TABLE_MIN_NODES = 1 << 18
+# the fewest nodes of a tail's table, which spans the tail alone
+TAIL_MIN_NODES = 1 << 13
+# max |erf''(t)|, at t = 1/sqrt(2)
+ERF_CURVATURE = 2.0 * math.sqrt(2.0) * math.exp(-0.5) / math.sqrt(math.pi)
 
 
 @dataclass(frozen=True)
@@ -214,6 +218,64 @@ def _shaped(out: np.ndarray, like) -> "float | np.ndarray":
     return _match_scalar(out.reshape(np.shape(like)), like)
 
 
+def _read_table(u: np.ndarray, scale: float, table: np.ndarray,
+                rise: np.ndarray) -> np.ndarray:
+    """``table`` read at the non-negative offsets ``u`` from its first node,
+    ``1 / scale`` apart: cell ``i`` and exact fraction ``f`` map to
+    ``table[i] + f * rise[i]``, in a new buffer; ``u`` is used up.  The
+    last rise is 0, so an offset at or past the last node reads that node."""
+    u *= scale
+    cell = u.astype(np.intp)  # u >= 0: truncation is the floor
+    u -= cell
+    y = np.take(rise, cell, mode="clip")
+    y *= u
+    y += np.take(table, cell, out=u, mode="clip")
+    return y
+
+
+def _tail_bound(reach: float, r_S: float, r_T: float, nodes: int) -> float:
+    """Bound on the error of a tail's table of ``nodes`` nodes over ``reach``
+    past its start: the second derivative of ``r_T erf(2 d / r_S)`` is at most
+    ``|r_T| (2 / r_S)^2 ERF_CURVATURE`` in size, so linear interpolation
+    between nodes ``h_y`` apart errs by at most::
+
+        h_y^2 / 8 * |r_T| (2 / r_S)^2 * ERF_CURVATURE
+    """
+    h_y = reach / (nodes - 1)
+    return h_y * h_y / 8.0 * abs(r_T) * (2.0 / r_S) ** 2 * ERF_CURVATURE
+
+
+def _tail_table(start: float, r_S: float, r_T: float, reach: float, nodes: int):
+    """One side of :meth:`TailSpec.apply` read from a table of ``nodes``
+    nodes over the distances ``d`` in [0, reach] past ``start``, the first
+    node exactly at it: ``|r_T| erf(2 d / |r_S|)``, accumulated from its
+    rises, each at least 0, as the dual scaling's table is.  Returns the
+    squeeze, which maps the values of ``y`` past ``start`` in place to
+    ``start +/- table(d)``: never descending, also at the start, where the
+    identity ends."""
+    table = erf(np.linspace(0.0, 2.0 * reach / abs(r_S), nodes))
+    table *= abs(r_T)
+    # erf may step down by an ulp between neighbouring floats where it
+    # saturates: such a rise counts as 0
+    rise = np.maximum(np.diff(table, append=table[-1]), 0.0)
+    table[1:] = rise[:-1]
+    np.cumsum(table, out=table)
+    scale = (nodes - 1) / reach
+    top = r_S > 0
+
+    def squeeze(y: np.ndarray) -> None:
+        past = np.flatnonzero(y >= start if top else y <= start)
+        d = y[past]
+        if top:
+            d -= start
+        else:
+            np.subtract(start, d, out=d)
+        t = _read_table(d, scale, table, rise)
+        y[past] = np.add(start, t, out=t) if top else np.subtract(start, t, out=t)
+
+    return squeeze
+
+
 def _weight(xv: np.ndarray, pivots: PivotTriple) -> np.ndarray:
     """:func:`blend` of the 1-D float64 ``xv`` in a new buffer.  Each span is
     picked by a 2-entry take on the ``xv <= v_M`` mask, which has no branch
@@ -333,13 +395,44 @@ class IntensityLut:
                 f"(sigma_B={self.params.sigma_B:.4g}, sigma_T={self.params.sigma_T:.4g})")
 
     def apply(self, x) -> "float | np.ndarray":
-        """Map intensities through the composed transform (scalar or array)."""
+        """Map intensities through the composed transform (scalar or array).
+
+        Non-decreasing up to an ulp: scipy's erf, which the tails evaluate,
+        steps down by one here and there between neighbouring floats (the
+        :meth:`interpolant` never does)."""
         y = np.array(x, dtype=np.float64).reshape(-1)  # a copy: x is never written
         np.clip(y, self.domain[0], self.domain[1], out=y)
         self.tails._squeeze(_dual_scale(y, self.params, out=y))
         if self.clip is not None:
             np.clip(y, self.clip[0], self.clip[1], out=y)
         return _shaped(y, x)
+
+    def _span(self) -> float:
+        """The output span: the clip span, else ``apply(hi) - apply(lo)``."""
+        if self.clip is not None:
+            return self.clip[1] - self.clip[0]
+        bottom, top = self.apply(np.array(self.domain))
+        return top - bottom
+
+    def _tail_tables(self) -> list:
+        """(start, r_S, r_T, reach, nodes) of each enabled tail that the dual
+        scaling of the domain passes: its table spans ``reach`` past the
+        start, to ``lut_ds`` of the domain end on that side but no further
+        than ``3 |r_S|``, where erf(6) rounds to 1 and the squeeze is flat,
+        with the smallest power of two of nodes, from ``TAIL_MIN_NODES`` up,
+        whose :func:`_tail_bound` is at most a quarter of ``TABLE_TOLERANCE``
+        of the output span."""
+        y_lo, y_hi = _dual_scale(np.array(self.domain), self.params)
+        budget = TABLE_TOLERANCE * self._span() / 4.0
+        tables = []
+        for start, r_S, r_T in self.tails._ranges():
+            reach = min(y_hi - start if r_S > 0 else start - y_lo, 3.0 * abs(r_S))
+            if reach > 0.0:
+                nodes = TAIL_MIN_NODES
+                while not _tail_bound(reach, r_S, r_T, nodes) <= budget:
+                    nodes *= 2
+                tables.append((start, r_S, r_T, reach, nodes))
+        return tables
 
     def table_bound(self, nodes: int) -> float:
         """Bound on ``|interpolant(nodes)(x) - apply(x)|`` in exact arithmetic.
@@ -349,47 +442,49 @@ class IntensityLut:
         ``t = 2 (x - v_M) / s`` and ``s`` the pivot span on x's side of v_M,
         is largest in size at v_M.  Linear interpolation between nodes ``h``
         apart is within ``h^2 / 8`` of that maximum, and the tails and the
-        clip, applied exactly to the interpolated value, stretch an error by
-        at most :meth:`TailSpec.max_slope`::
+        clip stretch an error by at most :meth:`TailSpec.max_slope` (a tail's
+        table, the chords of a concave map, is no steeper than its start)::
 
             h^2 / 8 * 4 |sigma_B - sigma_T| / (sqrt(pi) min(v_M - v_B, v_T - v_M)) * L
 
-        The bound is attained at v_M; rounding adds a few ulps of the output.
+        Each tail's own table adds its :func:`_tail_bound`.  The first term
+        is attained at v_M.  Rounding adds a few ulps of the output, and of
+        the domain ends times the slope: the nodes sit at rounded points.
         """
         p, pivots = self.params, self.params.pivots
         h = (self.domain[1] - self.domain[0]) / (nodes - 1)
         curvature = (4.0 * abs(p.sigma_B - p.sigma_T)
                      / (math.sqrt(math.pi) * min(pivots.v_M - pivots.v_B,
                                                  pivots.v_T - pivots.v_M)))
-        return h * h / 8.0 * curvature * self.tails.max_slope()
+        return (h * h / 8.0 * curvature * self.tails.max_slope()
+                + sum(_tail_bound(reach, r_S, r_T, n)
+                      for _, r_S, r_T, reach, n in self._tail_tables()))
 
     def table_nodes(self, limit: int) -> int | None:
         """The smallest power of two of table nodes, from ``TABLE_MIN_NODES``
         up, whose :meth:`table_bound` is at most ``TABLE_TOLERANCE`` of the
         output span (the clip span, else ``apply(hi) - apply(lo)``); None
-        when that takes more than ``limit`` nodes."""
-        if self.clip is not None:
-            span = self.clip[1] - self.clip[0]
-        else:
-            bottom, top = self.apply(np.array(self.domain))
-            span = top - bottom
+        when that, or a tail's table, takes more than ``limit`` nodes."""
+        if any(tail[-1] > limit for tail in self._tail_tables()):
+            return None
+        target = TABLE_TOLERANCE * self._span()
         nodes = TABLE_MIN_NODES
-        while nodes <= limit and not self.table_bound(nodes) <= TABLE_TOLERANCE * span:
+        while nodes <= limit and not self.table_bound(nodes) <= target:
             nodes *= 2
         return nodes if nodes <= limit else None
 
     def interpolant(self, nodes: int):
-        """:meth:`apply` with :func:`lut_ds` read from a table: a function of
-        an array, within :meth:`table_bound` of it, or None when ``lut_ds``
-        descends from one node to the next.
+        """:meth:`apply` read from tables: a function of an array, within
+        :meth:`table_bound` of it and never descending, bit for bit; or None
+        when ``lut_ds`` descends from one node to the next.
 
         The table holds ``lut_ds`` at ``nodes`` evenly spaced points of the
         domain, accumulated from its rises, so that ``table[i + 1]`` is
         exactly ``table[i] + rise[i]``.  Each value clamps to the domain, is
         split into its cell ``i`` and its exact fraction ``f`` of it, and maps
         to ``table[i] + f * rise[i]``, which never descends, also across
-        cells; the tails and the clip then run exactly as in :meth:`apply`
-        (whose erf may step down by an ulp between neighbouring floats).
+        cells.  Each enabled tail then reads its own table the same way
+        (:func:`_tail_table`), and the clip runs as in :meth:`apply`.
         """
         lo, hi = self.domain
         table = _dual_scale(np.linspace(lo, hi, nodes), self.params)
@@ -400,17 +495,16 @@ class IntensityLut:
         table[1:] = rise[:-1]
         np.cumsum(table, out=table)
         scale = (nodes - 1) / (hi - lo)
+        tails = [_tail_table(*side) for side in self._tail_tables()]
 
         def interpolate(x) -> "float | np.ndarray":
             u = np.subtract(x, lo, dtype=np.float64).reshape(-1)
             np.clip(u, 0.0, hi - lo, out=u)  # x clamped to the domain
-            u *= scale
-            cell = u.astype(np.intp)  # u >= 0: truncation is the floor
-            u -= cell
-            y = np.take(rise, cell)
-            y *= u
-            y += np.take(table, cell)
-            self.tails._squeeze(y)
+            y = _read_table(u, scale, table, rise)
+            # each side maps its values onto its own side of its start, and
+            # the sides are disjoint, so one after the other writes both
+            for squeeze in tails:
+                squeeze(y)
             if self.clip is not None:
                 np.clip(y, self.clip[0], self.clip[1], out=y)
             return _shaped(y, x)
@@ -442,8 +536,21 @@ def compose_lut(params: DualScaleParams, tails: TailSpec,
     return IntensityLut(params, tails, domain, clip=clip)
 
 
+def voxel_table(lut: IntensityLut, index: IntensityIndex):
+    """The :meth:`IntensityLut.interpolant` that ``index``'s voxels map
+    through, or None for the exact map: a per-voxel index (a float volume)
+    with at least ``TABLE_VOXELS_PER_NODE`` voxels per node of
+    :meth:`IntensityLut.table_nodes` takes the table, unless ``lut_ds``
+    descends between two nodes; a level table maps exactly."""
+    if index.counts is not None:
+        return None
+    nodes = lut.table_nodes(index.n_voxels // TABLE_VOXELS_PER_NODE)
+    return None if nodes is None else lut.interpolant(nodes)
+
+
 def apply_lut(vol: "Volume | IntensityIndex", lut: IntensityLut, dtype: str = "float64",
-              q_range: tuple[float, float] | None = None) -> "Volume | IntensityIndex":
+              q_range: tuple[float, float] | None = None,
+              fn=None) -> "Volume | IntensityIndex":
     """Voxel-wise application of a composed mapping, stored in ``dtype``.
 
     Values outside the LUT domain clamp to the domain ends before mapping;
@@ -452,18 +559,14 @@ def apply_lut(vol: "Volume | IntensityIndex", lut: IntensityLut, dtype: str = "f
     rounds into ``q_range`` and keeps foreground off the background) and one
     gather builds the output; given an index, returns it mapped, ungathered.
 
-    A level table maps through :meth:`IntensityLut.apply`.  A per-voxel index
-    (a float volume) with at least ``TABLE_VOXELS_PER_NODE`` voxels per node
-    of :meth:`IntensityLut.table_nodes` maps through
-    :meth:`IntensityLut.interpolant`, within :meth:`IntensityLut.table_bound`
-    (at most ``TABLE_TOLERANCE`` of the output span) of ``apply``, plus
-    rounding; the table is freed on return.
+    ``fn`` is the element-wise map: :meth:`IntensityLut.apply` or the
+    table :func:`voxel_table` built for this volume, within
+    :meth:`IntensityLut.table_bound` (at most ``TABLE_TOLERANCE`` of the
+    output span) of ``apply``, plus rounding.  None takes
+    ``voxel_table(lut, index)``, else ``apply``; a table built here is freed
+    on return.
     """
     index = IntensityIndex.of(vol)
-    fn = lut.apply
-    if index.counts is None:
-        nodes = lut.table_nodes(index.n_voxels // TABLE_VOXELS_PER_NODE)
-        if nodes is not None:
-            fn = lut.interpolant(nodes) or lut.apply
+    fn = fn or voxel_table(lut, index) or lut.apply
     out = index.map_foreground(fn, dtype, q_range)
     return out if isinstance(vol, IntensityIndex) else out.to_volume()

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from cdfmatch import (EmpiricalCdf, Volume, average_cdfs, build_cdf,
                       cdf_value, ks_distance, quantile, zscore_standardize)
-from cdfmatch.cdf import IntensityIndex
+from cdfmatch.cdf import IntensityIndex, MappedView
 from cdfmatch.errors import (AllBackground, DegenerateConstant, EmptyInput,
                              OutOfRange)
 
@@ -160,6 +160,11 @@ class TestIntensityIndex:
         assert view.levels.tobytes() == np.sort(fg).tobytes()
         assert view.dims == (fg.size, 1, 1) and view.unsorted is index
         assert view.sorted_foreground() is view
+        # read as it is (no mask, no order pass), the view gives the volume's CDF
+        for grid_size in (2, 1024):
+            a, b = build_cdf(view, grid_size=grid_size), build_cdf(index, grid_size=grid_size)
+            assert a.xs.tobytes() == b.xs.tobytes() and a.ps.tobytes() == b.ps.tobytes()
+            assert a.n_samples == b.n_samples == fg.size
         z, z_view = zscore_standardize(index), zscore_standardize(view)
         assert z_view.unsorted is None
         assert z_view.levels.tobytes() == np.sort(z.levels[z.levels != 0.0]).tobytes()
@@ -305,6 +310,100 @@ class TestRankKnotsFollowTheData:
         vol = stored_volume(values, np.float32)
         kept = vol.foreground()
         assert_knots_follow_the_data(build_cdf(vol, grid_size=grid_size), kept, grid_size)
+
+
+@st.composite
+def _mapped_views(draw):
+    """(view, fn, dtype, q_range): the sorted foreground of a float32 volume
+    drawn from a small pool (ties, duplicates) or spread out, and a map that
+    never descends, bit for bit: a slope of at least 0 times the value plus a
+    non-decreasing staircase.  A flat first stair at the background lands
+    values on it, and a staircase with few steps merges knots."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 4000))
+    pool = rng.normal(500.0, 300.0, draw(st.sampled_from((1, 2, 7, 60)) | st.just(n)))
+    values = rng.choice(pool.astype(np.float32), n)
+    dtype, q_range = draw(st.sampled_from((("f32", None), ("float64", None),
+                                          ("f32", (1.0, 4095.0)), ("u16", (0.0, 4095.0)),
+                                          ("u16", (0.0, 255.0)))))
+    # an integer dtype must hold the background, a float one may hold any
+    background = draw(st.sampled_from((0.0, 255.0) if dtype == "u16"
+                                      else (0.0, 255.0, float(values[0]))))
+    values[rng.random(n) < 0.1] = background
+    index = IntensityIndex.of(stored_volume(values, np.float32, background))
+    assume(index.counts is None)  # integer-valued voxels make a level table
+    view = index.sorted_foreground()
+    slope = draw(st.sampled_from((0.0, 1e-3, 1.0, 3.7)))
+    cuts = np.sort(rng.normal(500.0, 300.0, draw(st.integers(0, 30))))
+    stairs = rng.exponential(200.0, cuts.size + 1) * (rng.random(cuts.size + 1) < 0.7)
+    stairs[0] = draw(st.sampled_from((background, 100.0)))
+    stairs = np.cumsum(stairs)
+
+    def fn(x):
+        x = x.astype(np.float64)
+        return slope * x + stairs[np.searchsorted(cuts, x, "right")]
+
+    return view, fn, dtype, q_range
+
+
+def _cdf_or_error(build):
+    try:
+        return build()
+    except (AllBackground, DegenerateConstant) as exc:
+        return type(exc)
+
+
+class TestMappedView:
+    """A sorted foreground read through a map that never descends, at its rank
+    knots alone, gives the curve of the mapped values bit for bit."""
+
+    @settings(max_examples=300)
+    @given(drawn=_mapped_views(), grid_size=_knot_caps)
+    def test_knot_read_equals_the_cdf_of_the_mapped_values(self, drawn, grid_size):
+        view, fn, dtype, q_range = drawn
+        mapped = view.map_foreground(fn, dtype, q_range)
+        assume(view.levels.size > 0)
+        expected = _cdf_or_error(lambda: build_cdf(mapped.to_volume(), grid_size=grid_size))
+        got = _cdf_or_error(lambda: build_cdf(MappedView(view, fn, dtype, q_range),
+                                              grid_size=grid_size))
+        if isinstance(expected, type):
+            assert got is expected
+            return
+        assert got.xs.tobytes() == expected.xs.tobytes()
+        assert got.ps.tobytes() == expected.ps.tobytes()
+        assert got.n_samples == expected.n_samples == view.levels.size
+
+    @pytest.mark.parametrize("merged", [False, True])
+    def test_distinct_knots_map_only_the_bisection(self, merged):
+        values = np.random.default_rng(8).normal(800.0, 200.0, 200_000)
+        values[::5] = 0.0
+        view = IntensityIndex.of(stored_volume(values, np.float32)).sorted_foreground()
+        sizes = []
+
+        def fn(x):
+            sizes.append(x.size)
+            y = x.astype(np.float64) * 2.0 - 5.0
+            return np.floor(y / 500.0) if merged else y
+
+        cdf = build_cdf(MappedView(view, fn, "f32"))
+        read = list(sizes)
+        mapped = build_cdf(view.map_foreground(fn, "f32").to_volume())
+        assert cdf.ps.tobytes() == mapped.ps.tobytes()
+        assert cdf.xs.tobytes() == mapped.xs.tobytes()
+        # distinct knots: the 1,024 knot values, then two values per knot
+        # and round of the bisection, ~157 ranks wide here
+        if merged:
+            assert read[0] == 1024 and sum(read[1:]) == view.levels.size
+        else:
+            assert read[0] == 1024 and max(read[1:]) <= 2 * 1023 and len(read) <= 1 + 9
+
+    def test_needs_the_sorted_foreground_of_a_per_voxel_index(self):
+        index = IntensityIndex.of(stored_volume([0.5, 1.5, 2.5], np.float32))
+        with pytest.raises(ValueError, match="sorted_foreground"):
+            MappedView(index, np.asarray)
+        table = IntensityIndex.of(stored_volume([1, 2, 3], np.uint16))
+        with pytest.raises(ValueError, match="sorted_foreground"):
+            MappedView(table.sorted_foreground(), np.asarray)
 
 
 class TestEmpiricalCdfValidation:

@@ -1,5 +1,8 @@
 """Tests for the harmonization pipeline and the baseline harness."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +13,7 @@ from cdfmatch import (METHOD_CDF_MATCH, METHOD_PERCENTILE_STRETCH,
                       build_cdf, evaluate_cohort, generate_synthetic, harmonize,
                       ks_distance, percentile_stretch, quantile, read_volume,
                       write_volume, zscore_standardize)
-from cdfmatch.cdf import DTYPES, IntensityIndex, check_fits
+from cdfmatch.cdf import DTYPES, IntensityIndex, MappedView, check_fits
 from cdfmatch.errors import (AllBackground, DegenerateCdf, DegenerateConstant,
                              EmptyInput, Overflow)
 from cdfmatch.pipeline import quantization_range
@@ -479,10 +482,19 @@ class TestTablePath:
     @pytest.mark.parametrize("clipped", [True, False])
     def test_payload_within_the_bound_of_the_exact_map(self, template_12bit,
                                                        template_unclipped, large_f32,
-                                                       clipped):
+                                                       clipped, monkeypatch):
+        import cdfmatch.pipeline as pipeline
         vol = large_f32
         template = template_12bit if clipped else template_unclipped
+        cdfs = []
+
+        def keeping(source, **kwargs):
+            cdfs.append((source, build_cdf(source, **kwargs)))
+            return cdfs[-1][1]
+
+        monkeypatch.setattr(pipeline, "build_cdf", keeping)
         out, entry = harmonize(vol, template)
+        monkeypatch.undo()
         lut = entry.lut
         nodes = lut.table_nodes(vol.n_voxels // TABLE_VOXELS_PER_NODE)
         assert nodes is not None and lut.interpolant(nodes) is not None
@@ -500,8 +512,42 @@ class TestTablePath:
         assert (np.diff(out.voxels[fg][order]) >= 0.0).all()
         post_cdf = build_cdf(out, grid_size=HarmonizeOptions().grid_size)
         assert entry.post_ks == ks_distance(post_cdf, template.cdf)
+        # the post-CDF harmonize read at the rank knots, before the mapping,
+        # is the stored output's, bit for bit
+        (view, pre), (mapped, post) = cdfs
+        assert view.unsorted.levels is vol.voxels
+        assert isinstance(mapped, MappedView) and mapped.view is view
+        assert post.xs.tobytes() == post_cdf.xs.tobytes()
+        assert post.ps.tobytes() == post_cdf.ps.tobytes()
+        assert post.n_samples == post_cdf.n_samples == np.count_nonzero(fg)
+        assert entry.pre_ks == ks_distance(pre, template.cdf)
         again, _ = harmonize(vol, template)
         assert again.voxels.tobytes() == out.voxels.tobytes()
+
+
+    def test_peak_memory_holds_no_sorted_copy_through_the_mapping(self, template_12bit):
+        # 4.1M voxels, a fifth background: a payload large enough next to the
+        # 2^18-node table that a sorted copy of the foreground would show
+        values = generate_synthetic(t2_spec(1301, dims=(160, 160, 160),
+                                            scanner=scanner_effect(2))).voxels.copy()
+        values[np.random.default_rng(1301).random(values.size) < 0.2] = 0.0
+        vol = stored_volume(values, np.float32)
+        del values
+        gc.collect()
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out, _ = harmonize(vol, template_12bit)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        # measured 1.43 payloads: the output, the table and one block's
+        # temporaries; sorting the output for the post-CDF took 2.05
+        assert peak <= 1.7 * out.voxels.nbytes
 
 
 class TestStagesStayVisible:

@@ -17,7 +17,7 @@ from cdfmatch.cdf import IntensityIndex
 from cdfmatch.errors import BadTailSpec, NonMonotone
 from cdfmatch import transform
 from cdfmatch.transform import (DEFAULT_RATIO_CAP, TABLE_MIN_NODES, TABLE_TOLERANCE,
-                                TABLE_VOXELS_PER_NODE, IntensityLut)
+                                TABLE_VOXELS_PER_NODE, TAIL_MIN_NODES, IntensityLut)
 
 from conftest import stored_volume, volume_from_values
 
@@ -680,6 +680,7 @@ def _neighbours(x, k=3):
 
 
 # rounding on top of the stated bound, in float64 ulps of the largest output
+# (and, where the nodes sit, of the domain ends times the steepest slope)
 _TABLE_ROUNDING_ULPS = 8
 
 
@@ -708,24 +709,34 @@ class TestTableInterpolant:
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
         cells = rng.integers(0, nodes - 1, 200)
         v_M = lut.params.pivots.v_M
+        # each tail's table: its nodes and cell middles where erf bends most,
+        # at t = 1/sqrt(2), and all over its reach, as preimages in x
+        bends = []
+        for start, r_S, _, reach, tail_nodes in lut._tail_tables():
+            h_y = reach / (tail_nodes - 1)
+            bend = math.floor(abs(r_S) / (2.0 * math.sqrt(2.0)) / h_y)
+            tail_cells = np.concatenate([bend + np.arange(-3, 4),
+                                         rng.integers(0, tail_nodes - 1, 12)])
+            offsets = np.concatenate([tail_cells, tail_cells + 0.5]) * h_y
+            bends += [_preimage(lut, start + np.sign(r_S) * d) for d in offsets]
         x = np.concatenate([
             _neighbours([lo, hi, v_M] + [_preimage(lut, s) for s in starts]),
             _neighbours(lo + cells * h),  # cell boundaries
             lo + (cells + 0.5) * h,  # cell middles
             v_M + h * np.linspace(-2.0, 2.0, 101),  # where the bound is attained
+            _neighbours(bends, 1),
             rng.uniform(lo, hi, 2000),
             [lo - 1.0, lo - 1e6, hi + 1.0, hi + 1e6],  # clamped
         ])
         got, exact = interpolate(x), np.asarray(lut.apply(x))
-        rounding = _TABLE_ROUNDING_ULPS * np.spacing(np.abs(exact).max())
+        # the nodes sit at rounded points of the domain: a node off by an ulp
+        # of the domain end moves the output by that ulp times the slope
+        slope = np.diff(grid).max() / h * lut.tails.max_slope()
+        rounding = _TABLE_ROUNDING_ULPS * (np.spacing(np.abs(exact).max())
+                                           + slope * np.spacing(max(abs(lo), abs(hi))))
         assert np.abs(got - exact).max() <= lut.table_bound(nodes) + rounding
-        steps = np.diff(got[np.argsort(x, kind="stable")])
-        if lut.tails.enabled_top or lut.tails.enabled_bottom:
-            # the tails run exactly as in apply, whose erf steps down by an
-            # ulp here and there between neighbouring floats
-            assert steps.min() >= -rounding
-        else:
-            assert (steps >= 0.0).all()
+        # tails on or off, sorted inputs map to sorted outputs bit for bit
+        assert (np.diff(got[np.argsort(x, kind="stable")]) >= 0.0).all()
 
     def test_bound_is_attained_at_the_middle_pivot(self):
         lut = compose_lut(_UNEVEN, TailSpec.disabled(), (-1000.0, 6000.0))
@@ -742,10 +753,83 @@ class TestTableInterpolant:
         assert tails.max_slope() == pytest.approx(4.0 / math.sqrt(math.pi) * 1350.0 / 350.0)
         plain = compose_lut(_UNEVEN, TailSpec.disabled(), (-1000.0, 6000.0))
         tailed = compose_lut(_UNEVEN, tails, (-1000.0, 6000.0))
-        assert tailed.table_bound(1024) == pytest.approx(
-            plain.table_bound(1024) * tails.max_slope())
+        # the tail's own table adds h_y^2/8 |r_T| (2/r_S)^2 max|erf''|, with
+        # max|erf''| = 2 sqrt(2) e^(-1/2) / sqrt(pi) at t = 1/sqrt(2)
+        (start, r_S, r_T, reach, nodes), = tailed._tail_tables()
+        assert (start, r_S, r_T) == (1650.0, 350.0, 1350.0)
+        # the domain reaches ~3,480 past the start, the table 3 r_S: past
+        # t = 6, erf rounds to 1 and the squeeze is flat
+        assert lut_ds(6000.0, _UNEVEN) - 1650.0 > 3 * 350.0 == reach
+        h_y = reach / (nodes - 1)
+        erf_bend = 2.0 * math.sqrt(2.0) * math.exp(-0.5) / math.sqrt(math.pi)
+        tail = h_y ** 2 / 8.0 * 1350.0 * (2.0 / 350.0) ** 2 * erf_bend
+        for n in (1024, TABLE_MIN_NODES):
+            assert tailed.table_bound(n) == pytest.approx(
+                plain.table_bound(n) * tails.max_slope() + tail, rel=1e-12)
+        # its node count: the fewest powers of two from the floor that keep
+        # it within a quarter of the target share of the output span
+        budget = TABLE_TOLERANCE * (tailed.apply(6000.0) - tailed.apply(-1000.0)) / 4
+        assert nodes & (nodes - 1) == 0 and nodes >= TAIL_MIN_NODES
+        assert tail <= budget
+        assert nodes == TAIL_MIN_NODES or tail * ((nodes - 1) / (nodes // 2 - 1)) ** 2 > budget
         assert TailSpec(v_B=500.0, v_min=-1500.0, v_clipB=1.0,
                         enabled_bottom=True).max_slope() == 1.0
+        # past the table's reach the flat squeeze is read from its last node
+        x = np.linspace(-1000.0, 6000.0, 20001)
+        exact = tailed.apply(x)
+        got = tailed.interpolant(TABLE_MIN_NODES)(x)
+        rounding = _TABLE_ROUNDING_ULPS * np.spacing(np.abs(exact).max())
+        assert np.abs(got - exact).max() <= tailed.table_bound(TABLE_MIN_NODES) + rounding
+
+    def test_a_tail_node_below_the_one_before_reads_as_flat(self, monkeypatch):
+        # erf rounds an ulp down here and there between neighbouring floats;
+        # should a tail's node land below the one before (here by far more,
+        # so that the output would show it), the squeeze must still never
+        # descend
+        def stepping_erf(t, out=None):
+            if out is not None:  # the dual scaling's blend, left exact
+                return erf(t, out=out)
+            values = erf(t)
+            k = values.size // 2
+            values[k] = values[k - 1] * (1.0 - 1e-9)
+            return values
+
+        monkeypatch.setattr(transform, "erf", stepping_erf)
+        params = DualScaleParams(1.0, 1.0, 0.0, PivotTriple(-100.0, 0.0, 100.0))
+        tails = TailSpec(v_T=50.0, v_max=150.0, v_clipT=120.0, enabled_top=True)
+        lut = compose_lut(params, tails, (-200.0, 200.0))
+        (start, _, _, reach, tail_nodes), = lut._tail_tables()
+        h_y = reach / (tail_nodes - 1)
+        x = start + (tail_nodes // 2 + np.linspace(-2.0, 2.0, 4001)) * h_y
+        assert (np.diff(lut.interpolant(TABLE_MIN_NODES)(x)) >= 0.0).all()
+
+    def test_a_tail_table_past_the_limit_keeps_the_exact_map(self, monkeypatch):
+        monkeypatch.setattr(transform, "TAIL_MIN_NODES", TABLE_MIN_NODES * 2)
+        lut = compose_lut(_UNEVEN, _twelve_bit_tails(-1500.0, 8000.0), (-1000.0, 6000.0),
+                          clip=(1.0, 4095.0))
+        assert lut.table_nodes(TABLE_MIN_NODES * 2 - 1) is None
+        assert lut.table_nodes(TABLE_MIN_NODES * 2) == TABLE_MIN_NODES
+
+    @pytest.mark.parametrize("side", ["top", "bottom"])
+    def test_tail_bound_is_attained_where_erf_bends_most(self, side):
+        # lut_ds is the identity, read exactly from its table: the tail's
+        # own table is the whole error, largest at t = 1/sqrt(2)
+        params = DualScaleParams(1.0, 1.0, 0.0, PivotTriple(-100.0, 0.0, 100.0))
+        tails = (TailSpec(v_T=50.0, v_max=150.0, v_clipT=120.0, enabled_top=True)
+                 if side == "top" else
+                 TailSpec(v_B=-50.0, v_min=-150.0, v_clipB=-120.0, enabled_bottom=True))
+        lut = compose_lut(params, tails, (-200.0, 200.0))
+        (start, r_S, _, reach, tail_nodes), = lut._tail_tables()
+        assert reach == 150.0
+        nodes = lut.table_nodes(1 << 30)
+        assert nodes == TABLE_MIN_NODES and lut.table_bound(nodes) > 0.0
+        h_y = reach / (tail_nodes - 1)
+        bend = math.floor(abs(r_S) / (2.0 * math.sqrt(2.0)) / h_y)
+        x = start + np.sign(r_S) * (bend + np.arange(-20, 21) + 0.5) * h_y
+        exact = lut.apply(x)
+        error = np.abs(lut.interpolant(nodes)(x) - exact).max()
+        rounding = _TABLE_ROUNDING_ULPS * np.spacing(np.abs(exact).max())
+        assert 0.99 * lut.table_bound(nodes) <= error <= lut.table_bound(nodes) + rounding
 
     def test_constant_scale_needs_the_fewest_nodes(self):
         lut = compose_lut(DualScaleParams(1.2, 1.2, 10.0, PIVOTS), TailSpec.disabled(),
