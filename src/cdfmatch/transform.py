@@ -29,8 +29,6 @@ TABLE_VOXELS_PER_NODE = 4
 # the fewest table nodes: volumes under 2^20 voxels, where the table would
 # save ~10 ms at most, keep the exact map and its output bit for bit
 TABLE_MIN_NODES = 1 << 18
-# the fewest nodes of a tail's table, which spans the tail alone
-TAIL_MIN_NODES = 1 << 13
 # max |erf''(t)|, at t = 1/sqrt(2)
 ERF_CURVATURE = 2.0 * math.sqrt(2.0) * math.exp(-0.5) / math.sqrt(math.pi)
 
@@ -245,6 +243,15 @@ def _tail_bound(reach: float, r_S: float, r_T: float, nodes: int) -> float:
     return h_y * h_y / 8.0 * abs(r_T) * (2.0 / r_S) ** 2 * ERF_CURVATURE
 
 
+def _tail_nodes(reach: float, r_S: float, r_T: float, share: float) -> int:
+    """The fewest nodes whose :func:`_tail_bound` is at most ``share``."""
+    h_y = math.sqrt(8.0 * share / (abs(r_T) * (2.0 / r_S) ** 2 * ERF_CURVATURE))
+    nodes = max(2, math.ceil(reach / h_y) + 1)
+    while _tail_bound(reach, r_S, r_T, nodes) > share:  # the square root's rounding
+        nodes += 1
+    return nodes
+
+
 def _tail_table(start: float, r_S: float, r_T: float, reach: float, nodes: int):
     """One side of :meth:`TailSpec.apply` read from a table of ``nodes``
     nodes over the distances ``d`` in [0, reach] past ``start``, the first
@@ -276,15 +283,15 @@ def _tail_table(start: float, r_S: float, r_T: float, reach: float, nodes: int):
     return squeeze
 
 
-def _weight(xv: np.ndarray, pivots: PivotTriple) -> np.ndarray:
-    """:func:`blend` of the 1-D float64 ``xv`` in a new buffer.  Each span is
-    picked by a 2-entry take on the ``xv <= v_M`` mask, which has no branch
-    to mispredict, and every step runs in place, in the reference order."""
-    spans = np.empty_like(xv)
+def _weight(d: np.ndarray, pivots: PivotTriple) -> np.ndarray:
+    """:func:`blend` at ``v_M + d``, for the 1-D float64 offsets ``d`` from
+    the middle pivot, in a new buffer.  Each span is picked by a 2-entry take
+    on the ``d <= 0`` mask, which has no branch to mispredict, and every step
+    runs in place, in the reference order."""
+    spans = np.empty_like(d)
     np.take(np.array([pivots.v_T - pivots.v_M, pivots.v_M - pivots.v_B]),
-            xv <= pivots.v_M, out=spans, mode="clip")
-    out = np.subtract(xv, pivots.v_M)
-    out *= 2.0
+            d <= 0.0, out=spans, mode="clip")
+    out = np.multiply(d, 2.0)
     out /= spans
     erf(out, out=out)
     out += 1.0
@@ -292,9 +299,9 @@ def _weight(xv: np.ndarray, pivots: PivotTriple) -> np.ndarray:
     return np.subtract(1.0, out, out=out)
 
 
-def _sigma(xv: np.ndarray, params: "DualScaleParams") -> np.ndarray:
-    """:func:`sigma_blend` of the 1-D float64 ``xv`` in a new buffer."""
-    out = _weight(xv, params.pivots)
+def _sigma(d: np.ndarray, params: "DualScaleParams") -> np.ndarray:
+    """:func:`sigma_blend` at ``v_M + d`` in a new buffer."""
+    out = _weight(d, params.pivots)
     out *= params.sigma_B - params.sigma_T
     out += params.sigma_T
     return out
@@ -304,11 +311,15 @@ def _dual_scale(xv: np.ndarray, params: "DualScaleParams",
                 out: np.ndarray | None = None) -> np.ndarray:
     """:func:`lut_ds` of the 1-D float64 ``xv`` into ``out``: a new buffer
     when None, else one the caller owns, which may be ``xv`` itself."""
-    sigma = _sigma(xv, params)
-    out = np.subtract(xv, params.pivots.v_M, out=out)
-    out *= sigma
-    out += params.gamma
-    return out
+    return _offset_scale(np.subtract(xv, params.pivots.v_M, out=out), params)
+
+
+def _offset_scale(d: np.ndarray, params: "DualScaleParams") -> np.ndarray:
+    """:func:`lut_ds` at ``v_M + d``, for the 1-D float64 offsets ``d`` from
+    the middle pivot, in place."""
+    d *= _sigma(d, params)
+    d += params.gamma
+    return d
 
 
 def blend(x, pivots: PivotTriple) -> "float | np.ndarray":
@@ -320,7 +331,7 @@ def blend(x, pivots: PivotTriple) -> "float | np.ndarray":
     values in [0, 1] (strictly, until erf saturates in floats far outside the
     ramp); exactly 0.5 at the middle pivot.
     """
-    return _shaped(_weight(_flat(x), pivots), x)
+    return _shaped(_weight(np.subtract(_flat(x), pivots.v_M), pivots), x)
 
 
 def sigma_blend(x, params: DualScaleParams) -> "float | np.ndarray":
@@ -329,7 +340,7 @@ def sigma_blend(x, params: DualScaleParams) -> "float | np.ndarray":
     Equals ``beta(x) * sigma_B + (1 - beta(x)) * sigma_T``; written in the
     algebraically equivalent offset form so equal factors blend exactly.
     """
-    return _shaped(_sigma(_flat(x), params), x)
+    return _shaped(_sigma(np.subtract(_flat(x), params.pivots.v_M), params), x)
 
 
 def lut_ds(x, params: DualScaleParams) -> "float | np.ndarray":
@@ -407,35 +418,22 @@ class IntensityLut:
             np.clip(y, self.clip[0], self.clip[1], out=y)
         return _shaped(y, x)
 
-    def _span(self) -> float:
-        """The output span: the clip span, else ``apply(hi) - apply(lo)``."""
-        if self.clip is not None:
-            return self.clip[1] - self.clip[0]
-        bottom, top = self.apply(np.array(self.domain))
-        return top - bottom
-
-    def _tail_tables(self) -> list:
-        """(start, r_S, r_T, reach, nodes) of each enabled tail that the dual
-        scaling of the domain passes: its table spans ``reach`` past the
-        start, to ``lut_ds`` of the domain end on that side but no further
-        than ``3 |r_S|``, where erf(6) rounds to 1 and the squeeze is flat,
-        with the smallest power of two of nodes, from ``TAIL_MIN_NODES`` up,
-        whose :func:`_tail_bound` is at most a quarter of ``TABLE_TOLERANCE``
-        of the output span."""
+    def _tail_reaches(self) -> list:
+        """(start, r_S, r_T, reach) of each enabled tail that the dual scaling
+        of the domain passes: its table spans ``reach`` past the start, to
+        ``lut_ds`` of the domain end on that side but no further than
+        ``3 |r_S|``, where erf(6) rounds to 1 and the squeeze is flat."""
         y_lo, y_hi = _dual_scale(np.array(self.domain), self.params)
-        budget = TABLE_TOLERANCE * self._span() / 4.0
-        tables = []
+        sides = []
         for start, r_S, r_T in self.tails._ranges():
             reach = min(y_hi - start if r_S > 0 else start - y_lo, 3.0 * abs(r_S))
             if reach > 0.0:
-                nodes = TAIL_MIN_NODES
-                while not _tail_bound(reach, r_S, r_T, nodes) <= budget:
-                    nodes *= 2
-                tables.append((start, r_S, r_T, reach, nodes))
-        return tables
+                sides.append((start, r_S, r_T, reach))
+        return sides
 
-    def table_bound(self, nodes: int) -> float:
-        """Bound on ``|interpolant(nodes)(x) - apply(x)|`` in exact arithmetic.
+    def table_bound(self, nodes: int, tails: tuple) -> float:
+        """Bound on ``|interpolant(nodes, tails)(x) - apply(x)|`` in exact
+        arithmetic, ``tails`` as :meth:`table_nodes` sizes them.
 
         :func:`lut_ds` is C1, and its second derivative
         ``(sigma_B - sigma_T) 4 / (sqrt(pi) s) exp(-t^2) (t^2 - 1)``, with
@@ -448,8 +446,7 @@ class IntensityLut:
             h^2 / 8 * 4 |sigma_B - sigma_T| / (sqrt(pi) min(v_M - v_B, v_T - v_M)) * L
 
         Each tail's own table adds its :func:`_tail_bound`.  The first term
-        is attained at v_M.  Rounding adds a few ulps of the output, and of
-        the domain ends times the slope: the nodes sit at rounded points.
+        is attained at v_M; rounding adds a few ulps of the output.
         """
         p, pivots = self.params, self.params.pivots
         h = (self.domain[1] - self.domain[0]) / (nodes - 1)
@@ -457,26 +454,45 @@ class IntensityLut:
                      / (math.sqrt(math.pi) * min(pivots.v_M - pivots.v_B,
                                                  pivots.v_T - pivots.v_M)))
         return (h * h / 8.0 * curvature * self.tails.max_slope()
-                + sum(_tail_bound(reach, r_S, r_T, n)
-                      for _, r_S, r_T, reach, n in self._tail_tables()))
+                + sum(_tail_bound(reach, r_S, r_T, n) for _, r_S, r_T, reach, n in tails))
 
-    def table_nodes(self, limit: int) -> int | None:
-        """The smallest power of two of table nodes, from ``TABLE_MIN_NODES``
-        up, whose :meth:`table_bound` is at most ``TABLE_TOLERANCE`` of the
-        output span (the clip span, else ``apply(hi) - apply(lo)``); None
-        when that, or a tail's table, takes more than ``limit`` nodes."""
-        if any(tail[-1] > limit for tail in self._tail_tables()):
-            return None
-        target = TABLE_TOLERANCE * self._span()
+    def table_nodes(self, limit: int) -> "tuple[int, tuple] | None":
+        """The table's size as ``(nodes, tails)``, or None when it would take
+        more than ``limit`` nodes in any one table.
+
+        ``nodes`` is the smallest power of two, from ``TABLE_MIN_NODES`` up,
+        whose dual-scaling term of :meth:`table_bound` is at most
+        ``TABLE_TOLERANCE`` of the output span (the clip span, else
+        ``apply(hi) - apply(lo)``).  ``tails`` holds ``(start, r_S, r_T,
+        reach, nodes)`` of each of :meth:`_tail_reaches`, each with the
+        fewest nodes that keep its term within an even share of what the
+        dual scaling leaves of that target."""
+        if self.clip is not None:
+            span = self.clip[1] - self.clip[0]
+        else:
+            bottom, top = self.apply(np.array(self.domain))
+            span = top - bottom
+        target = TABLE_TOLERANCE * span
         nodes = TABLE_MIN_NODES
-        while nodes <= limit and not self.table_bound(nodes) <= target:
+        while nodes <= limit and not self.table_bound(nodes, ()) <= target:
             nodes *= 2
-        return nodes if nodes <= limit else None
+        if nodes > limit:
+            return None
+        sides = self._tail_reaches()
+        if not sides:
+            return nodes, ()
+        share = (target - self.table_bound(nodes, ())) / len(sides)
+        if not share > 0.0:
+            return None
+        tails = tuple((start, r_S, r_T, reach, _tail_nodes(reach, r_S, r_T, share))
+                      for start, r_S, r_T, reach in sides)
+        return None if any(n > limit for *_, n in tails) else (nodes, tails)
 
-    def interpolant(self, nodes: int):
-        """:meth:`apply` read from tables: a function of an array, within
-        :meth:`table_bound` of it and never descending, bit for bit; or None
-        when ``lut_ds`` descends from one node to the next.
+    def interpolant(self, nodes: int, tails: tuple):
+        """:meth:`apply` read from tables, sized as :meth:`table_nodes` sizes
+        them: a function of an array, within :meth:`table_bound` of it and
+        never descending, bit for bit; or None when ``lut_ds`` descends from
+        one node to the next.
 
         The table holds ``lut_ds`` at ``nodes`` evenly spaced points of the
         domain, accumulated from its rises, so that ``table[i + 1]`` is
@@ -487,15 +503,21 @@ class IntensityLut:
         (:func:`_tail_table`), and the clip runs as in :meth:`apply`.
         """
         lo, hi = self.domain
-        table = _dual_scale(np.linspace(lo, hi, nodes), self.params)
+        scale = (nodes - 1) / (hi - lo)
+        # node i sits where a value's cell coordinate (x - lo) * scale is i:
+        # taken as an offset from v_M, its position rounds at the scale of
+        # the domain's width, not of its distance from 0
+        offsets = np.arange(nodes, dtype=np.float64)
+        offsets /= scale
+        offsets += lo - self.params.pivots.v_M
+        table = _offset_scale(offsets, self.params)
         # a value at hi is in the last node's cell, whose rise is 0
         rise = np.diff(table, append=table[-1])
         if (rise < 0.0).any():
             return None
         table[1:] = rise[:-1]
         np.cumsum(table, out=table)
-        scale = (nodes - 1) / (hi - lo)
-        tails = [_tail_table(*side) for side in self._tail_tables()]
+        squeezes = [_tail_table(*side) for side in tails]
 
         def interpolate(x) -> "float | np.ndarray":
             u = np.subtract(x, lo, dtype=np.float64).reshape(-1)
@@ -503,7 +525,7 @@ class IntensityLut:
             y = _read_table(u, scale, table, rise)
             # each side maps its values onto its own side of its start, and
             # the sides are disjoint, so one after the other writes both
-            for squeeze in tails:
+            for squeeze in squeezes:
                 squeeze(y)
             if self.clip is not None:
                 np.clip(y, self.clip[0], self.clip[1], out=y)
@@ -544,8 +566,8 @@ def voxel_table(lut: IntensityLut, index: IntensityIndex):
     descends between two nodes; a level table maps exactly."""
     if index.counts is not None:
         return None
-    nodes = lut.table_nodes(index.n_voxels // TABLE_VOXELS_PER_NODE)
-    return None if nodes is None else lut.interpolant(nodes)
+    size = lut.table_nodes(index.n_voxels // TABLE_VOXELS_PER_NODE)
+    return None if size is None else lut.interpolant(*size)
 
 
 def apply_lut(vol: "Volume | IntensityIndex", lut: IntensityLut, dtype: str = "float64",

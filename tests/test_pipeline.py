@@ -496,14 +496,14 @@ class TestTablePath:
         out, entry = harmonize(vol, template)
         monkeypatch.undo()
         lut = entry.lut
-        nodes = lut.table_nodes(vol.n_voxels // TABLE_VOXELS_PER_NODE)
-        assert nodes is not None and lut.interpolant(nodes) is not None
+        size = lut.table_nodes(vol.n_voxels // TABLE_VOXELS_PER_NODE)
+        assert size is not None and lut.interpolant(*size) is not None
         expected = _stored_reference(vol, lut, template, None, "f32")
         fg = vol.voxels != np.float32(vol.background_value)
         # the table moves a value by at most its bound, which the float32
         # payload may round one ulp further
         gap = np.abs(out.voxels.astype(np.float64) - expected.astype(np.float64))
-        assert (gap <= lut.table_bound(nodes) + np.spacing(np.abs(expected))).all()
+        assert (gap <= lut.table_bound(*size) + np.spacing(np.abs(expected))).all()
         assert 0 < np.count_nonzero(out.voxels != expected) < 0.05 * fg.sum()
         # background untouched, foreground off it and non-decreasing in the input
         assert (~fg).any() and (out.voxels[~fg] == np.float32(vol.background_value)).all()
@@ -545,7 +545,7 @@ class TestTablePath:
         finally:
             if not tracing:
                 tracemalloc.stop()
-        # measured 1.43 payloads: the output, the table and one block's
+        # measured 1.38 payloads: the output, the table and one block's
         # temporaries; sorting the output for the post-CDF took 2.05
         assert peak <= 1.7 * out.voxels.nbytes
 

@@ -17,7 +17,7 @@ from cdfmatch.cdf import IntensityIndex
 from cdfmatch.errors import BadTailSpec, NonMonotone
 from cdfmatch import transform
 from cdfmatch.transform import (DEFAULT_RATIO_CAP, TABLE_MIN_NODES, TABLE_TOLERANCE,
-                                TABLE_VOXELS_PER_NODE, TAIL_MIN_NODES, IntensityLut)
+                                TABLE_VOXELS_PER_NODE, IntensityLut)
 
 from conftest import stored_volume, volume_from_values
 
@@ -548,6 +548,8 @@ class TestBitwiseReference:
 
 
 _UNEVEN = DualScaleParams(1.3, 0.8, 1650.0, PivotTriple(500.0, 1650.0, 3300.0))
+_TWELVE_BIT_LUT = compose_lut(_UNEVEN, _twelve_bit_tails(-1500.0, 8000.0), (-1000.0, 6000.0),
+                              clip=(1.0, 4095.0))
 # each public transform as a function of its input alone; the tails fire on
 # both sides of [-2000, 9000] and the LUT clamps, squeezes and clips it
 _TRANSFORMS = {
@@ -559,11 +561,9 @@ _TRANSFORMS = {
     "TailSpec.apply": _twelve_bit_tails(-1500.0, 8000.0).apply,
     "TailSpec.apply (disabled)": TailSpec.disabled().apply,
     "TailSpec.slope": _twelve_bit_tails(-1500.0, 8000.0).slope,
-    "IntensityLut.apply": compose_lut(_UNEVEN, _twelve_bit_tails(-1500.0, 8000.0),
-                                      (-1000.0, 6000.0), clip=(1.0, 4095.0)).apply,
-    "IntensityLut.interpolant": compose_lut(
-        _UNEVEN, _twelve_bit_tails(-1500.0, 8000.0), (-1000.0, 6000.0),
-        clip=(1.0, 4095.0)).interpolant(1024),
+    "IntensityLut.apply": _TWELVE_BIT_LUT.apply,
+    "IntensityLut.interpolant": _TWELVE_BIT_LUT.interpolant(
+        1024, _TWELVE_BIT_LUT.table_nodes(1 << 20)[1]),
 }
 
 
@@ -680,7 +680,6 @@ def _neighbours(x, k=3):
 
 
 # rounding on top of the stated bound, in float64 ulps of the largest output
-# (and, where the nodes sit, of the domain ends times the steepest slope)
 _TABLE_ROUNDING_ULPS = 8
 
 
@@ -689,18 +688,21 @@ class TestTableInterpolant:
     @settings(max_examples=60)
     def test_within_the_stated_bound_and_never_descending(self, data):
         lut, starts = data.draw(_table_luts())
-        nodes = lut.table_nodes(1 << 20)
-        assume(nodes is not None)
+        size = lut.table_nodes(1 << 20)
+        assume(size is not None)
+        nodes, tails = size
         # the node count is the smallest power of two, from the floor up,
         # that meets the target share of the output span
         lo, hi = lut.domain
         span = (lut.clip[1] - lut.clip[0] if lut.clip is not None
                 else lut.apply(hi) - lut.apply(lo))
         assert nodes & (nodes - 1) == 0 and nodes >= TABLE_MIN_NODES
-        assert lut.table_bound(nodes) <= TABLE_TOLERANCE * span
-        assert nodes == TABLE_MIN_NODES or lut.table_bound(nodes // 2) > TABLE_TOLERANCE * span
+        assert lut.table_bound(nodes, tails) <= TABLE_TOLERANCE * span
+        assert nodes == TABLE_MIN_NODES or lut.table_bound(nodes // 2, ()) > TABLE_TOLERANCE * span
         assert lut.table_nodes(nodes - 1) is None
-        interpolate = lut.interpolant(nodes)
+        # and each tail's table, too, fits its limit
+        assert lut.table_nodes(max([nodes] + [n for *_, n in tails]) - 1) is None
+        interpolate = lut.interpolant(nodes, tails)
         grid = lut_ds(np.linspace(lo, hi, nodes), lut.params)
         if interpolate is None:  # the dual scaling descends between two nodes
             assert (np.diff(grid) < 0.0).any()
@@ -712,7 +714,7 @@ class TestTableInterpolant:
         # each tail's table: its nodes and cell middles where erf bends most,
         # at t = 1/sqrt(2), and all over its reach, as preimages in x
         bends = []
-        for start, r_S, _, reach, tail_nodes in lut._tail_tables():
+        for start, r_S, _, reach, tail_nodes in tails:
             h_y = reach / (tail_nodes - 1)
             bend = math.floor(abs(r_S) / (2.0 * math.sqrt(2.0)) / h_y)
             tail_cells = np.concatenate([bend + np.arange(-3, 4),
@@ -729,12 +731,8 @@ class TestTableInterpolant:
             [lo - 1.0, lo - 1e6, hi + 1.0, hi + 1e6],  # clamped
         ])
         got, exact = interpolate(x), np.asarray(lut.apply(x))
-        # the nodes sit at rounded points of the domain: a node off by an ulp
-        # of the domain end moves the output by that ulp times the slope
-        slope = np.diff(grid).max() / h * lut.tails.max_slope()
-        rounding = _TABLE_ROUNDING_ULPS * (np.spacing(np.abs(exact).max())
-                                           + slope * np.spacing(max(abs(lo), abs(hi))))
-        assert np.abs(got - exact).max() <= lut.table_bound(nodes) + rounding
+        rounding = _TABLE_ROUNDING_ULPS * np.spacing(np.abs(exact).max())
+        assert np.abs(got - exact).max() <= lut.table_bound(nodes, tails) + rounding
         # tails on or off, sorted inputs map to sorted outputs bit for bit
         assert (np.diff(got[np.argsort(x, kind="stable")]) >= 0.0).all()
 
@@ -743,8 +741,8 @@ class TestTableInterpolant:
         nodes = 1 << 12
         h = 7000.0 / (nodes - 1)
         x = 1650.0 + h * np.linspace(-1.0, 1.0, 2001)
-        error = np.abs(lut.interpolant(nodes)(x) - lut.apply(x)).max()
-        assert 0.99 * lut.table_bound(nodes) <= error <= lut.table_bound(nodes)
+        error = np.abs(lut.interpolant(nodes, ())(x) - lut.apply(x)).max()
+        assert 0.99 * lut.table_bound(nodes, ()) <= error <= lut.table_bound(nodes, ())
 
     def test_tails_stretch_the_bound_by_their_steepest_slope(self):
         # a top tail whose target range exceeds its source range is steeper
@@ -755,31 +753,36 @@ class TestTableInterpolant:
         tailed = compose_lut(_UNEVEN, tails, (-1000.0, 6000.0))
         # the tail's own table adds h_y^2/8 |r_T| (2/r_S)^2 max|erf''|, with
         # max|erf''| = 2 sqrt(2) e^(-1/2) / sqrt(pi) at t = 1/sqrt(2)
-        (start, r_S, r_T, reach, nodes), = tailed._tail_tables()
+        nodes, tails_size = tailed.table_nodes(1 << 20)
+        (start, r_S, r_T, reach, tail_nodes), = tails_size
         assert (start, r_S, r_T) == (1650.0, 350.0, 1350.0)
         # the domain reaches ~3,480 past the start, the table 3 r_S: past
         # t = 6, erf rounds to 1 and the squeeze is flat
         assert lut_ds(6000.0, _UNEVEN) - 1650.0 > 3 * 350.0 == reach
-        h_y = reach / (nodes - 1)
         erf_bend = 2.0 * math.sqrt(2.0) * math.exp(-0.5) / math.sqrt(math.pi)
-        tail = h_y ** 2 / 8.0 * 1350.0 * (2.0 / 350.0) ** 2 * erf_bend
+
+        def tail(n):
+            return (reach / (n - 1)) ** 2 / 8.0 * 1350.0 * (2.0 / 350.0) ** 2 * erf_bend
+
         for n in (1024, TABLE_MIN_NODES):
-            assert tailed.table_bound(n) == pytest.approx(
-                plain.table_bound(n) * tails.max_slope() + tail, rel=1e-12)
-        # its node count: the fewest powers of two from the floor that keep
-        # it within a quarter of the target share of the output span
-        budget = TABLE_TOLERANCE * (tailed.apply(6000.0) - tailed.apply(-1000.0)) / 4
-        assert nodes & (nodes - 1) == 0 and nodes >= TAIL_MIN_NODES
-        assert tail <= budget
-        assert nodes == TAIL_MIN_NODES or tail * ((nodes - 1) / (nodes // 2 - 1)) ** 2 > budget
+            assert tailed.table_bound(n, ()) == pytest.approx(
+                plain.table_bound(n, ()) * tails.max_slope(), rel=1e-12)
+            assert tailed.table_bound(n, tails_size) == pytest.approx(
+                plain.table_bound(n, ()) * tails.max_slope() + tail(tail_nodes), rel=1e-12)
+        # the dual scaling takes the fewest nodes, as without the tail's
+        # table, and the tail the fewest that keep its term within what the
+        # dual scaling leaves of the target share of the output span
+        target = TABLE_TOLERANCE * (tailed.apply(6000.0) - tailed.apply(-1000.0))
+        assert nodes == TABLE_MIN_NODES and tailed.table_bound(nodes, ()) < target
+        assert tail(tail_nodes) <= target - tailed.table_bound(nodes, ()) < tail(tail_nodes - 1)
         assert TailSpec(v_B=500.0, v_min=-1500.0, v_clipB=1.0,
                         enabled_bottom=True).max_slope() == 1.0
         # past the table's reach the flat squeeze is read from its last node
         x = np.linspace(-1000.0, 6000.0, 20001)
         exact = tailed.apply(x)
-        got = tailed.interpolant(TABLE_MIN_NODES)(x)
+        got = tailed.interpolant(nodes, tails_size)(x)
         rounding = _TABLE_ROUNDING_ULPS * np.spacing(np.abs(exact).max())
-        assert np.abs(got - exact).max() <= tailed.table_bound(TABLE_MIN_NODES) + rounding
+        assert np.abs(got - exact).max() <= tailed.table_bound(nodes, tails_size) + rounding
 
     def test_a_tail_node_below_the_one_before_reads_as_flat(self, monkeypatch):
         # erf rounds an ulp down here and there between neighbouring floats;
@@ -798,17 +801,24 @@ class TestTableInterpolant:
         params = DualScaleParams(1.0, 1.0, 0.0, PivotTriple(-100.0, 0.0, 100.0))
         tails = TailSpec(v_T=50.0, v_max=150.0, v_clipT=120.0, enabled_top=True)
         lut = compose_lut(params, tails, (-200.0, 200.0))
-        (start, _, _, reach, tail_nodes), = lut._tail_tables()
+        size = lut.table_nodes(1 << 20)
+        (start, _, _, reach, tail_nodes), = size[1]
         h_y = reach / (tail_nodes - 1)
         x = start + (tail_nodes // 2 + np.linspace(-2.0, 2.0, 4001)) * h_y
-        assert (np.diff(lut.interpolant(TABLE_MIN_NODES)(x)) >= 0.0).all()
+        assert (np.diff(lut.interpolant(*size)(x)) >= 0.0).all()
 
     def test_a_tail_table_past_the_limit_keeps_the_exact_map(self, monkeypatch):
-        monkeypatch.setattr(transform, "TAIL_MIN_NODES", TABLE_MIN_NODES * 2)
-        lut = compose_lut(_UNEVEN, _twelve_bit_tails(-1500.0, 8000.0), (-1000.0, 6000.0),
-                          clip=(1.0, 4095.0))
-        assert lut.table_nodes(TABLE_MIN_NODES * 2 - 1) is None
-        assert lut.table_nodes(TABLE_MIN_NODES * 2) == TABLE_MIN_NODES
+        # lut_ds is the identity, which 2 nodes hold exactly: with that
+        # floor, the tail's table is the larger one
+        monkeypatch.setattr(transform, "TABLE_MIN_NODES", 2)
+        params = DualScaleParams(1.0, 1.0, 0.0, PivotTriple(-100.0, 0.0, 100.0))
+        tails = TailSpec(v_T=50.0, v_max=150.0, v_clipT=120.0, enabled_top=True)
+        lut = compose_lut(params, tails, (-200.0, 200.0))
+        nodes, tail_size = lut.table_nodes(1 << 20)
+        (*_, tail_nodes), = tail_size
+        assert nodes == 2 < tail_nodes
+        assert lut.table_nodes(tail_nodes) == (nodes, tail_size)
+        assert lut.table_nodes(tail_nodes - 1) is None
 
     @pytest.mark.parametrize("side", ["top", "bottom"])
     def test_tail_bound_is_attained_where_erf_bends_most(self, side):
@@ -819,26 +829,27 @@ class TestTableInterpolant:
                  if side == "top" else
                  TailSpec(v_B=-50.0, v_min=-150.0, v_clipB=-120.0, enabled_bottom=True))
         lut = compose_lut(params, tails, (-200.0, 200.0))
-        (start, r_S, _, reach, tail_nodes), = lut._tail_tables()
+        nodes, tails = lut.table_nodes(1 << 30)
+        (start, r_S, _, reach, tail_nodes), = tails
         assert reach == 150.0
-        nodes = lut.table_nodes(1 << 30)
-        assert nodes == TABLE_MIN_NODES and lut.table_bound(nodes) > 0.0
+        assert nodes == TABLE_MIN_NODES and lut.table_bound(nodes, tails) > 0.0
         h_y = reach / (tail_nodes - 1)
         bend = math.floor(abs(r_S) / (2.0 * math.sqrt(2.0)) / h_y)
         x = start + np.sign(r_S) * (bend + np.arange(-20, 21) + 0.5) * h_y
         exact = lut.apply(x)
-        error = np.abs(lut.interpolant(nodes)(x) - exact).max()
+        error = np.abs(lut.interpolant(nodes, tails)(x) - exact).max()
         rounding = _TABLE_ROUNDING_ULPS * np.spacing(np.abs(exact).max())
-        assert 0.99 * lut.table_bound(nodes) <= error <= lut.table_bound(nodes) + rounding
+        bound = lut.table_bound(nodes, tails)
+        assert 0.99 * bound <= error <= bound + rounding
 
     def test_constant_scale_needs_the_fewest_nodes(self):
         lut = compose_lut(DualScaleParams(1.2, 1.2, 10.0, PIVOTS), TailSpec.disabled(),
                           (-50.0, 150.0))
-        assert lut.table_bound(2) == 0.0
-        assert lut.table_nodes(1 << 30) == TABLE_MIN_NODES
+        assert lut.table_bound(2, ()) == 0.0
+        assert lut.table_nodes(1 << 30) == (TABLE_MIN_NODES, ())
         assert lut.table_nodes(TABLE_MIN_NODES - 1) is None
         x = np.linspace(-60.0, 160.0, 1001)
-        np.testing.assert_allclose(lut.interpolant(2)(x), lut.apply(x), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(lut.interpolant(2, ())(x), lut.apply(x), rtol=0, atol=1e-12)
 
     def test_descending_dual_scaling_maps_exactly(self, monkeypatch):
         # a scale ratio past ~8.75 dips below the middle pivot; clipped at
@@ -848,7 +859,7 @@ class TestTableInterpolant:
         dip_top = float(grid[np.argmax(np.diff(grid) < 0.0)])
         lut = compose_lut(params, TailSpec.disabled(), (-100.0, 100.0),
                           clip=(dip_top, float(grid.max())))
-        assert lut.interpolant(1 << 10) is None
+        assert lut.interpolant(1 << 10, ()) is None
         # with a table small enough for this volume, apply_lut falls back
         # to the exact map
         monkeypatch.setattr(transform, "TABLE_MIN_NODES", 2)
