@@ -30,7 +30,8 @@ class BadTailSpec(CdfMatchError):
 
 
 class NonMonotone(CdfMatchError):
-    """A composed intensity mapping failed its monotonicity check."""
+    """Dual-scaling factors whose ratio exceeds ``transform.MONOTONE_RATIO``,
+    past which the mapping decreases."""
 
 
 class DegenerateCdf(CdfMatchError):

@@ -19,7 +19,7 @@ from scipy.optimize import lsq_linear
 
 from .cdf import EmpiricalCdf, quantile
 from .errors import DegenerateCdf, Infeasible
-from .transform import DEFAULT_RATIO_CAP, DualScaleParams, PivotTriple, TailSpec, blend
+from .transform import MONOTONE_RATIO, DualScaleParams, PivotTriple, TailSpec, blend
 
 if TYPE_CHECKING:  # pragma: no cover
     from .template import ControlPoints, TemplateCdf
@@ -42,11 +42,11 @@ def _default_percentile_grid() -> np.ndarray:
 class FitConfig:
     """Knobs for the quantile-domain fit: the percentile grid the quantiles
     are compared on, bounds on the normalized scale factors, and the cap on
-    their ratio."""
+    their ratio, in (1, ``MONOTONE_RATIO``], past which the map decreases."""
 
     percentile_grid: np.ndarray = field(default_factory=_default_percentile_grid)
     sigma_bounds: tuple[float, float] = (0.05, 20.0)
-    ratio_cap: float = DEFAULT_RATIO_CAP
+    ratio_cap: float = MONOTONE_RATIO
 
     def __post_init__(self):
         grid = np.array(self.percentile_grid, dtype=np.float64)
@@ -60,8 +60,9 @@ class FitConfig:
         if not 0.0 < lo < hi:
             raise ValueError(f"sigma_bounds must satisfy 0 < lo < hi, got {self.sigma_bounds!r}")
         object.__setattr__(self, "sigma_bounds", (lo, hi))
-        if self.ratio_cap <= 1.0:
-            raise ValueError("ratio_cap must exceed 1")
+        if not 1.0 < self.ratio_cap <= MONOTONE_RATIO:
+            raise ValueError(f"ratio_cap must lie in (1, rho* = {MONOTONE_RATIO!r}], the "
+                             f"largest monotone scale ratio; got {self.ratio_cap!r}")
 
     def to_dict(self) -> dict:
         return {"percentile_grid": [float(p) for p in self.percentile_grid],
@@ -215,8 +216,7 @@ def fit_cdf(image_cdf: EmpiricalCdf, template: "TemplateCdf",
 
     sigma_ref = span / (pivots.v_T - pivots.v_B)
     params = DualScaleParams(sigma_ref * x[0], sigma_ref * x[1],
-                             anchors[1] + x[2] * span, pivots,
-                             ratio_cap=config.ratio_cap)
+                             anchors[1] + x[2] * span, pivots)
     residual = span * float(np.sqrt(np.mean((fitted - target) ** 2)))
     return FitResult(params, residual, iterations=steps, converged=converged)
 
@@ -244,7 +244,6 @@ def fit_template_to_controls(avg_cdf: EmpiricalCdf, controls: "ControlPoints",
             "control intensities are not reachable within the scale bounds and "
             f"ratio cap (worst anchor misfit {misfit * span:.4g})")
     sigma_ref = span / (pivots.v_T - pivots.v_B)
-    params = DualScaleParams(sigma_ref * u[0], sigma_ref * u[1], controls.t_M, pivots,
-                             ratio_cap=config.ratio_cap)
+    params = DualScaleParams(sigma_ref * u[0], sigma_ref * u[1], controls.t_M, pivots)
     residual = span * float(np.sqrt(np.sum(r ** 2) / 3.0))  # the middle anchor is exact
     return FitResult(params, residual, iterations=0, converged=True)

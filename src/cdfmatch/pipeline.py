@@ -108,8 +108,8 @@ def harmonize(vol: Volume, template: TemplateCdf,
     an integer-valued volume is mapped and stored once per intensity level
     and gathered into voxels at the end.  The post-CDF is taken over the
     values as stored; the output's ``background_value`` is the background as
-    ``options.dtype`` stores it.  Never emits a non-monotone mapping:
-    composition fails loudly instead.
+    ``options.dtype`` stores it.  Never emits a non-monotone mapping: the
+    fit holds the scale ratio to ``MONOTONE_RATIO``.
 
     The pre-CDF reads the foreground sorted once
     (:meth:`IntensityIndex.sorted_foreground`).  A volume that maps through

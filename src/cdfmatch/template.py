@@ -17,8 +17,7 @@ import numpy as np
 
 from .cdf import (DEFAULT_GRID_SIZE, EmpiricalCdf, IntensityIndex, average_cdfs,
                   build_cdf, quantile, zscore_standardize)
-from .errors import (BadTailSpec, EmptyCohort, Infeasible, IoError, NonMonotone,
-                     SchemaMismatch)
+from .errors import BadTailSpec, EmptyCohort, Infeasible, IoError, SchemaMismatch
 from .fit import FitConfig, fit_template_to_controls
 from .io import write_files
 from .transform import TailSpec, lut_ds
@@ -44,9 +43,9 @@ class ControlPoints:
             raise ValueError(
                 f"percentiles must satisfy 0 < p_B < p_M < p_T <= 1, got "
                 f"({self.p_B}, {self.p_M}, {self.p_T})")
-        if not (self.t_B < self.t_M < self.t_T):
+        if not -np.inf < self.t_B < self.t_M < self.t_T < np.inf:
             raise ValueError(
-                f"intensities must satisfy t_B < t_M < t_T, got "
+                f"intensities must be finite with t_B < t_M < t_T, got "
                 f"({self.t_B}, {self.t_M}, {self.t_T})")
 
     @property
@@ -105,8 +104,8 @@ class TemplateCdf:
     def __post_init__(self):
         if self.clip is not None:
             lo, hi = (float(self.clip[0]), float(self.clip[1]))
-            if not lo < hi:
-                raise ValueError(f"clip range must be increasing, got {self.clip!r}")
+            if not -np.inf < lo < hi < np.inf:
+                raise ValueError(f"clip range must be finite and increasing, got {self.clip!r}")
             object.__setattr__(self, "clip", (lo, hi))
             if self.cdf.xs[0] < lo or self.cdf.xs[-1] > hi:
                 raise ValueError("template support extends beyond its clip range")
@@ -139,8 +138,10 @@ class TemplateCdf:
         provenance = dict(doc.get("provenance", {}))
         for key in ("tail_source_max", "tail_source_min"):  # null: not recorded
             value = provenance.get(key)
-            if value is not None and type(value) not in (int, float):  # no bool subclass
-                raise SchemaMismatch(f"provenance {key} must be a number or null, got {value!r}")
+            if value is not None and not (type(value) in (int, float)  # no bool subclass
+                                          and np.isfinite(value)):
+                raise SchemaMismatch(f"provenance {key} must be a finite number or null, "
+                                     f"got {value!r}")
         return cls(cdf, ControlPoints.from_dict(doc["controls"]), clip,
                    doc.get("channel", ""), provenance)
 
@@ -209,8 +210,6 @@ def build_template(cohort, controls: ControlPoints = DEFAULT_CONTROLS,
     fit = fit_template_to_controls(avg, controls, config)
 
     xs = np.asarray(lut_ds(avg.xs, fit.params))
-    if (np.diff(xs) <= 0).any():
-        raise NonMonotone("fitted template parameters are not monotone over the grid")
     provenance = {
         "cohort_size": len(cohort),
         "config_hash": config_hash({"controls": controls.to_dict(),
@@ -230,9 +229,9 @@ def build_template(cohort, controls: ControlPoints = DEFAULT_CONTROLS,
 
     if channel is None:
         channel = cohort[0].channel
-    template_cdf = EmpiricalCdf(xs, avg.ps, n_samples=avg.n_samples)
     try:
-        return TemplateCdf(template_cdf, controls, clip, channel, provenance)
+        return TemplateCdf(EmpiricalCdf(xs, avg.ps, n_samples=avg.n_samples),
+                           controls, clip, channel, provenance)
     except ValueError as exc:
         raise Infeasible(f"cannot build a template from this cohort: {exc}") from exc
 

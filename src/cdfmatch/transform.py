@@ -18,8 +18,10 @@ from scipy.special import erf
 from .cdf import IntensityIndex, Volume, _match_scalar
 from .errors import BadTailSpec, NonMonotone
 
-DEFAULT_RATIO_CAP = 20.0
-VERIFY_GRID_SIZE = 4096
+# lut_ds's slope above v_M is sigma_T + (sigma_B - sigma_T) h(2 (x - v_M) / (v_T - v_M))
+# with h(t) = (1 - erf t)/2 - t exp(-t^2)/sqrt(pi), least at 1; mirrored below
+MONOTONE_RATIO = 1.0 - 1.0 / ((1.0 - math.erf(1.0)) / 2.0
+                              - math.exp(-1.0) / math.sqrt(math.pi))
 # the interpolated table's error target, as a share of the output span
 TABLE_TOLERANCE = 2.0 ** -28
 # a table node costs ~45-50 ns to build and a foreground voxel mapped through
@@ -35,7 +37,7 @@ ERF_CURVATURE = 2.0 * math.sqrt(2.0) * math.exp(-0.5) / math.sqrt(math.pi)
 
 @dataclass(frozen=True)
 class PivotTriple:
-    """Intensities (v_B < v_M < v_T) anchoring the blending ramp."""
+    """Finite intensities (v_B < v_M < v_T) anchoring the blending ramp."""
 
     v_B: float
     v_M: float
@@ -45,9 +47,9 @@ class PivotTriple:
         object.__setattr__(self, "v_B", float(self.v_B))
         object.__setattr__(self, "v_M", float(self.v_M))
         object.__setattr__(self, "v_T", float(self.v_T))
-        if not (self.v_B < self.v_M < self.v_T):
+        if not -math.inf < self.v_B < self.v_M < self.v_T < math.inf:
             raise ValueError(
-                f"pivots must satisfy v_B < v_M < v_T, got "
+                f"pivots must be finite with v_B < v_M < v_T, got "
                 f"({self.v_B}, {self.v_M}, {self.v_T})")
 
     def to_dict(self) -> dict:
@@ -63,38 +65,37 @@ class DualScaleParams:
     """Fitted dual-scaling parameters: two scale factors and a shift.
 
     ``sigma_B`` acts on the bottom half of the intensity range, ``sigma_T``
-    on the top half; ``gamma`` shifts the result uniformly.  The ratio of the
-    two factors is capped so the mapping stays close to monotone.
+    on the top half; ``gamma`` shifts the result uniformly.  All are finite,
+    the factors positive, and their ratio at most ``MONOTONE_RATIO``, which
+    makes :func:`lut_ds` monotone on the whole line (else NonMonotone).
     """
 
     sigma_B: float
     sigma_T: float
     gamma: float
     pivots: PivotTriple
-    ratio_cap: float = DEFAULT_RATIO_CAP
 
     def __post_init__(self):
         object.__setattr__(self, "sigma_B", float(self.sigma_B))
         object.__setattr__(self, "sigma_T", float(self.sigma_T))
         object.__setattr__(self, "gamma", float(self.gamma))
-        object.__setattr__(self, "ratio_cap", float(self.ratio_cap))
-        if self.sigma_B <= 0.0 or self.sigma_T <= 0.0:
-            raise ValueError("scale factors must be positive")
+        if not (0.0 < self.sigma_B < math.inf and 0.0 < self.sigma_T < math.inf
+                and math.isfinite(self.gamma)):
+            raise ValueError(f"scale factors must be positive and finite and gamma finite, "
+                             f"got ({self.sigma_B}, {self.sigma_T}, {self.gamma})")
         ratio = max(self.sigma_B, self.sigma_T) / min(self.sigma_B, self.sigma_T)
-        if ratio > self.ratio_cap * (1.0 + 1e-12):
-            raise ValueError(
-                f"scale ratio {ratio:.3g} exceeds the cap {self.ratio_cap:.3g}")
+        if not ratio <= MONOTONE_RATIO * (1.0 + 1e-12):  # slack: the fit's rounding
+            raise NonMonotone(f"scale ratio {ratio:.6g} exceeds {MONOTONE_RATIO:.6g}, "
+                              f"past which the dual scaling decreases")
 
     def to_dict(self) -> dict:
         return {"sigma_B": self.sigma_B, "sigma_T": self.sigma_T,
-                "gamma": self.gamma, "pivots": self.pivots.to_dict(),
-                "ratio_cap": self.ratio_cap}
+                "gamma": self.gamma, "pivots": self.pivots.to_dict()}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "DualScaleParams":
         return cls(doc["sigma_B"], doc["sigma_T"], doc["gamma"],
-                   PivotTriple.from_dict(doc["pivots"]),
-                   doc.get("ratio_cap", DEFAULT_RATIO_CAP))
+                   PivotTriple.from_dict(doc["pivots"]))
 
 
 @dataclass(frozen=True)
@@ -106,7 +107,7 @@ class TailSpec:
     to ``start + r_T * erf(2 (y - start) / r_S)``, ranges signed upward for
     the top (``r_S = v_max - v_T``, ``r_T = v_clipT - v_T``) and downward for
     the bottom (``v_min - v_B``, ``v_clipB - v_B``); elsewhere the identity.
-    A disabled side ignores its fields.
+    Every field is finite; a disabled side ignores its values.
     """
 
     v_T: float = 0.0
@@ -120,7 +121,10 @@ class TailSpec:
 
     def __post_init__(self):
         for name in ("v_T", "v_max", "v_clipT", "v_B", "v_min", "v_clipB"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise BadTailSpec(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
         for name in ("enabled_top", "enabled_bottom"):
             # a string such as "false" would be truthy: only real bools count
             flag = getattr(self, name)
@@ -252,21 +256,28 @@ def _tail_nodes(reach: float, r_S: float, r_T: float, share: float) -> int:
     return nodes
 
 
+def _accumulate(table: np.ndarray) -> np.ndarray:
+    """Rebuild ``table`` in place from its first node and its rises, the
+    last 0, and return them: ``table[i + 1]`` is exactly ``table[i] +
+    rise[i]``.  A rise below 0, rounding where erf saturates or where a
+    scale ratio near ``MONOTONE_RATIO`` flattens ``lut_ds``, counts as 0."""
+    rise = np.maximum(np.diff(table, append=table[-1]), 0.0)
+    table[1:] = rise[:-1]
+    np.cumsum(table, out=table)
+    return rise
+
+
 def _tail_table(start: float, r_S: float, r_T: float, reach: float, nodes: int):
     """One side of :meth:`TailSpec.apply` read from a table of ``nodes``
     nodes over the distances ``d`` in [0, reach] past ``start``, the first
     node exactly at it: ``|r_T| erf(2 d / |r_S|)``, accumulated from its
-    rises, each at least 0, as the dual scaling's table is.  Returns the
-    squeeze, which maps the values of ``y`` past ``start`` in place to
+    rises (:func:`_accumulate`), as the dual scaling's table is.  Returns
+    the squeeze, which maps the values of ``y`` past ``start`` in place to
     ``start +/- table(d)``: never descending, also at the start, where the
     identity ends."""
     table = erf(np.linspace(0.0, 2.0 * reach / abs(r_S), nodes))
     table *= abs(r_T)
-    # erf may step down by an ulp between neighbouring floats where it
-    # saturates: such a rise counts as 0
-    rise = np.maximum(np.diff(table, append=table[-1]), 0.0)
-    table[1:] = rise[:-1]
-    np.cumsum(table, out=table)
+    rise = _accumulate(table)
     scale = (nodes - 1) / reach
     top = r_S > 0
 
@@ -373,13 +384,13 @@ def lut_bottom_tail(x, v_B: float, v_min: float, v_clipB: float) -> "float | np.
 
 @dataclass(frozen=True)
 class IntensityLut:
-    """Composed monotone mapping: tail shrinking after dual scaling.
+    """Composed mapping, monotone by construction (each step is): tail
+    shrinking after dual scaling.
 
-    Inputs are clamped to ``domain`` before mapping; enabled tails squeeze
-    the mapped extremes, and a final hard clamp to ``clip`` (when set) keeps
-    every output inside the clip range as belt and braces.  Construction
-    verifies monotonicity on a dense grid and fails rather than returning a
-    non-monotone map.
+    Inputs are clamped to the finite ``domain`` before mapping; enabled tails
+    squeeze the mapped extremes, and a final hard clamp to the finite
+    ``clip`` (when set) keeps every output inside the clip range as belt and
+    braces.
     """
 
     params: DualScaleParams
@@ -389,21 +400,14 @@ class IntensityLut:
 
     def __post_init__(self):
         lo, hi = (float(self.domain[0]), float(self.domain[1]))
-        if not lo < hi:
-            raise ValueError(f"domain must be a non-empty interval, got {self.domain!r}")
+        if not -math.inf < lo < hi < math.inf:
+            raise ValueError(f"domain must be a finite, non-empty interval, got {self.domain!r}")
         object.__setattr__(self, "domain", (lo, hi))
         if self.clip is not None:
             c_lo, c_hi = (float(self.clip[0]), float(self.clip[1]))
-            if not c_lo < c_hi:
-                raise ValueError(f"clip range must be increasing, got {self.clip!r}")
+            if not -math.inf < c_lo < c_hi < math.inf:
+                raise ValueError(f"clip range must be finite and increasing, got {self.clip!r}")
             object.__setattr__(self, "clip", (c_lo, c_hi))
-        grid = np.linspace(lo, hi, VERIFY_GRID_SIZE)
-        mapped = self.apply(grid)
-        scale = max(1.0, float(np.abs(mapped).max()))
-        if np.diff(mapped).min() < -1e-9 * scale:
-            raise NonMonotone(
-                "composed mapping decreases on its verification grid "
-                f"(sigma_B={self.params.sigma_B:.4g}, sigma_T={self.params.sigma_T:.4g})")
 
     def apply(self, x) -> "float | np.ndarray":
         """Map intensities through the composed transform (scalar or array).
@@ -491,13 +495,12 @@ class IntensityLut:
     def interpolant(self, nodes: int, tails: tuple):
         """:meth:`apply` read from tables, sized as :meth:`table_nodes` sizes
         them: a function of an array, within :meth:`table_bound` of it and
-        never descending, bit for bit; or None when ``lut_ds`` descends from
-        one node to the next.
+        never descending, bit for bit.
 
         The table holds ``lut_ds`` at ``nodes`` evenly spaced points of the
-        domain, accumulated from its rises, so that ``table[i + 1]`` is
-        exactly ``table[i] + rise[i]``.  Each value clamps to the domain, is
-        split into its cell ``i`` and its exact fraction ``f`` of it, and maps
+        domain, accumulated from its rises (:func:`_accumulate`), so that
+        ``table[i + 1]`` is exactly ``table[i] + rise[i]``.  Each value clamps
+        to the domain, is split into its cell ``i`` and its exact fraction ``f`` of it, and maps
         to ``table[i] + f * rise[i]``, which never descends, also across
         cells.  Each enabled tail then reads its own table the same way
         (:func:`_tail_table`), and the clip runs as in :meth:`apply`.
@@ -512,11 +515,7 @@ class IntensityLut:
         offsets += lo - self.params.pivots.v_M
         table = _offset_scale(offsets, self.params)
         # a value at hi is in the last node's cell, whose rise is 0
-        rise = np.diff(table, append=table[-1])
-        if (rise < 0.0).any():
-            return None
-        table[1:] = rise[:-1]
-        np.cumsum(table, out=table)
+        rise = _accumulate(table)
         squeezes = [_tail_table(*side) for side in tails]
 
         def interpolate(x) -> "float | np.ndarray":
@@ -552,8 +551,9 @@ def compose_lut(params: DualScaleParams, tails: TailSpec,
                 clip: tuple[float, float] | None = None) -> IntensityLut:
     """Build the composed mapping ``tail(lut_ds(x))`` over ``domain``.
 
-    Raises NonMonotone when the fitted parameters produce a decreasing map
-    and BadTailSpec when the tail orderings are violated.
+    Monotone by construction: ``params`` and ``tails`` checked their scale
+    ratio and orderings when made.  Raises ValueError for a domain or clip
+    range that is not a finite, increasing interval.
     """
     return IntensityLut(params, tails, domain, clip=clip)
 
@@ -562,8 +562,8 @@ def voxel_table(lut: IntensityLut, index: IntensityIndex):
     """The :meth:`IntensityLut.interpolant` that ``index``'s voxels map
     through, or None for the exact map: a per-voxel index (a float volume)
     with at least ``TABLE_VOXELS_PER_NODE`` voxels per node of
-    :meth:`IntensityLut.table_nodes` takes the table, unless ``lut_ds``
-    descends between two nodes; a level table maps exactly."""
+    :meth:`IntensityLut.table_nodes` takes the table; a level table maps
+    exactly."""
     if index.counts is not None:
         return None
     size = lut.table_nodes(index.n_voxels // TABLE_VOXELS_PER_NODE)

@@ -492,7 +492,7 @@ class TestMalformedFiles:
         assert str(bad) in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("value", [[15631.1], "15631.1", True])
+    @pytest.mark.parametrize("value", [[15631.1], "15631.1", True, float("inf")])
     def test_non_numeric_tail_source_exits_1(self, workspace, tmp_path, capsys, value):
         doc = json.loads((workspace / "t2.template.json").read_text())
         doc["provenance"]["tail_source_max"] = value
@@ -518,6 +518,18 @@ class TestMalformedFiles:
         assert "v_B < v_T" in err and "crossed.lut.json" in err
         assert "Traceback" not in err
 
+    def test_non_finite_lut_field_exits_1(self, workspace, tmp_path, capsys):
+        run(["harmonize", "--template", str(workspace / "t2.template.json"),
+             "--in", str(workspace / "raw"), "--out", str(tmp_path / "out")])
+        doc = json.loads(next((tmp_path / "out").glob("*.lut.json")).read_text())
+        doc["params"]["sigma_B"] = float("nan")  # written as NaN, which json reads
+        bad = tmp_path / "nan.lut.json"
+        bad.write_text(json.dumps(doc))
+        assert run(["inspect", "--lut", str(bad), "--out", str(tmp_path / "m.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "nan.lut.json" in err and "finite" in err
+        assert "Traceback" not in err
+
 
 class TestConfigPrecedence:
     @pytest.mark.parametrize("key, value", [("loss", "huber_quantile"),
@@ -534,6 +546,17 @@ class TestConfigPrecedence:
         err = capsys.readouterr().err
         assert "malformed config file" in err and key in err
         assert not out_dir.exists()
+
+    def test_ratio_cap_above_rho_star_is_usage_error(self, workspace, tmp_path, capsys):
+        # past rho* = 8.7577 the dual scaling descends, so no fit may return it
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"fit": {"ratio_cap": 20.0}}))
+        out = tmp_path / "t.json"
+        assert run(["template", "build", "--channel", "T2", "--out", str(out),
+                    "--config", str(cfg), str(workspace / "raw" / "vol0.raw")]) == 64
+        err = capsys.readouterr().err
+        assert "rho* = 8.7577" in err and "ratio_cap" in err
+        assert not out.exists()
 
     def test_flags_beat_file_beats_defaults(self, workspace, tmp_path):
         cfg = tmp_path / "config.json"

@@ -13,6 +13,7 @@ from cdfmatch import (ControlPoints, DualScaleParams, EmpiricalCdf, FitConfig,
                       fit_template_to_controls, lut_ds, quantile)
 from cdfmatch.errors import DegenerateCdf, Infeasible
 from cdfmatch.fit import _solve
+from cdfmatch.transform import MONOTONE_RATIO
 
 from conftest import cdf_from_samples
 
@@ -50,8 +51,18 @@ class TestFitConfig:
         with pytest.raises(ValueError):
             FitConfig(percentile_grid=np.array([0.0, 0.5, 0.9]))
 
+    @pytest.mark.parametrize("cap", [1.0, 0.5, MONOTONE_RATIO * (1.0 + 1e-15), 20.0,
+                                     float("nan")])
+    def test_ratio_cap_must_lie_in_one_to_rho_star(self, cap):
+        with pytest.raises(ValueError, match="rho\\*"):
+            FitConfig(ratio_cap=cap)
+
+    def test_default_cap_is_rho_star(self):
+        assert FitConfig().ratio_cap == MONOTONE_RATIO
+        assert FitConfig(ratio_cap=MONOTONE_RATIO).to_dict()["ratio_cap"] == MONOTONE_RATIO
+
     def test_round_trips_through_dict(self):
-        cfg = FitConfig(sigma_bounds=(0.1, 10.0), ratio_cap=15.0)
+        cfg = FitConfig(sigma_bounds=(0.1, 10.0), ratio_cap=5.0)
         again = FitConfig.from_dict(cfg.to_dict())
         assert again.sigma_bounds == cfg.sigma_bounds
         assert again.ratio_cap == cfg.ratio_cap
@@ -254,7 +265,7 @@ def _capped_systems(draw):
     fit's shape, a free shift g, whose unconstrained optimum may break the
     ratio cap on either side, stay inside it, or leave the box."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    cap = draw(st.sampled_from([2.0, 20.0]))
+    cap = draw(st.sampled_from([2.0, MONOTONE_RATIO]))
     lo, hi = 0.05, 20.0
     free = draw(st.sampled_from([0, 1]))
     n = draw(st.integers(5, 99)) if free else draw(st.integers(2, 9))
@@ -333,9 +344,10 @@ class TestFitTemplateToControls:
             fit_template_to_controls(standard_normal_cdf(), controls)
 
     def test_ratio_cap_violation_is_infeasible(self):
-        # feasible within wide bounds, but the demanded ratio breaks the cap
+        # feasible within wide bounds, but the demanded ratio (~126) breaks
+        # the default cap
         controls = ControlPoints((0.1, 1000.0), (0.5, 1010.0), (0.99, 3300.0))
-        cfg = FitConfig(sigma_bounds=(1e-4, 1e4), ratio_cap=20.0)
+        cfg = FitConfig(sigma_bounds=(1e-4, 1e4))
         with pytest.raises(Infeasible):
             fit_template_to_controls(standard_normal_cdf(), controls, cfg)
 

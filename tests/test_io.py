@@ -291,15 +291,22 @@ class TestLutJson:
     @pytest.mark.parametrize("edit", [
         {"tails": {"v_B": 3400.0}},                        # BadTailSpec: v_B > v_T
         {"tails": {"enabled_top": "false"}},               # BadTailSpec: not a bool
-        {"params": {"sigma_B": 20.0, "sigma_T": 0.05,      # NonMonotone
-                    "ratio_cap": 500.0}},
+        {"params": {"sigma_B": 20.0, "sigma_T": 0.05,      # NonMonotone; the old
+                    "ratio_cap": 500.0}},                  # per-LUT cap is ignored
+        {"params": {"sigma_B": 9.0, "sigma_T": 1.0}},      # NonMonotone: 9 > rho*
+        {"params": {"sigma_B": math.nan}},                 # non-finite fields
+        {"params": {"gamma": math.inf}},
+        {"params": {"pivots": {"v_B": -math.inf, "v_M": 1650.0, "v_T": 3300.0}}},
+        {"tails": {"v_clipT": math.inf}},
+        {"domain": [-400.0, math.inf]},
+        {"hard_clamp": [1.0, math.nan]},
     ])
     def test_lut_failing_its_own_checks_names_the_file(self, tmp_path, edit):
         path = tmp_path / "map.lut.json"
         save_lut(self._lut(), path)
         doc = json.loads(path.read_text())
         for key, fields in edit.items():
-            doc[key].update(fields)
+            doc[key] = {**doc[key], **fields} if isinstance(fields, dict) else fields
         path.write_text(json.dumps(doc))
         with pytest.raises(SchemaMismatch, match="map.lut.json"):
             load_lut(path)

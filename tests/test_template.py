@@ -26,9 +26,12 @@ class TestControlPoints:
         with pytest.raises(ValueError):
             ControlPoints((0.5, 500.0), (0.1, 1650.0), (0.99, 3300.0))
 
-    def test_intensity_order_enforced(self):
+    @pytest.mark.parametrize("t", [(1650.0, 500.0, 3300.0), (500.0, 1650.0, float("inf")),
+                                   (float("-inf"), 1650.0, 3300.0),
+                                   (500.0, float("nan"), 3300.0)])
+    def test_intensity_order_enforced(self, t):
         with pytest.raises(ValueError):
-            ControlPoints((0.1, 1650.0), (0.5, 500.0), (0.99, 3300.0))
+            ControlPoints((0.1, t[0]), (0.5, t[1]), (0.99, t[2]))
 
     def test_named_accessors(self):
         c = DEFAULT_CONTROLS
@@ -258,10 +261,11 @@ class TestTemplateCdfValidation:
         with pytest.raises(ValueError):
             TemplateCdf(template_12bit.cdf, wrong, clip=None)
 
-    def test_rejects_support_outside_clip(self, template_12bit):
+    @pytest.mark.parametrize("clip", [(1.0, 4000.0), (1.0, float("inf")),
+                                      (float("nan"), 4095.0)])
+    def test_rejects_support_outside_clip(self, template_12bit, clip):
         with pytest.raises(ValueError):
-            TemplateCdf(template_12bit.cdf, template_12bit.controls,
-                        clip=(1.0, 4000.0))
+            TemplateCdf(template_12bit.cdf, template_12bit.controls, clip=clip)
 
 
 class TestPersistence:

@@ -16,8 +16,8 @@ from cdfmatch import (DualScaleParams, PivotTriple, TailSpec, apply_lut,
 from cdfmatch.cdf import IntensityIndex
 from cdfmatch.errors import BadTailSpec, NonMonotone
 from cdfmatch import transform
-from cdfmatch.transform import (DEFAULT_RATIO_CAP, TABLE_MIN_NODES, TABLE_TOLERANCE,
-                                TABLE_VOXELS_PER_NODE, IntensityLut)
+from cdfmatch.transform import (MONOTONE_RATIO, TABLE_MIN_NODES, TABLE_TOLERANCE,
+                                IntensityLut)
 
 from conftest import stored_volume, volume_from_values
 
@@ -48,22 +48,79 @@ def _inputs(draw, anchors, width):
 
 
 class TestPivotTriple:
-    def test_requires_strict_order(self):
+    @pytest.mark.parametrize("pivots", [(1.0, 1.0, 2.0), (3.0, 2.0, 1.0),
+                                        (-math.inf, 0.0, 1.0), (0.0, 1.0, math.inf),
+                                        (0.0, math.nan, 1.0)])
+    def test_requires_finite_strict_order(self, pivots):
         with pytest.raises(ValueError):
-            PivotTriple(1.0, 1.0, 2.0)
-        with pytest.raises(ValueError):
-            PivotTriple(3.0, 2.0, 1.0)
+            PivotTriple(*pivots)
 
 
 class TestDualScaleParams:
-    def test_rejects_non_positive_scales(self):
+    @pytest.mark.parametrize("fields", [(0.0, 1.0, 0.0), (1.0, -1.0, 0.0),
+                                        (math.nan, 1.0, 0.0), (1.0, math.inf, 0.0),
+                                        (1.0, 1.0, math.inf), (1.0, 1.0, math.nan)])
+    def test_rejects_non_positive_or_non_finite_fields(self, fields):
         with pytest.raises(ValueError):
-            DualScaleParams(0.0, 1.0, 0.0, PIVOTS)
+            DualScaleParams(*fields, PIVOTS)
 
     def test_enforces_ratio_cap(self):
-        with pytest.raises(ValueError):
-            DualScaleParams(20.0, 0.5, 0.0, PIVOTS)  # ratio 40 > default 20
-        DualScaleParams(20.0, 0.5, 0.0, PIVOTS, ratio_cap=50.0)
+        # the cap is rho* = 1 - 1/h(1), h(t) = (1 - erf t)/2 - t exp(-t^2)/sqrt(pi)
+        h1 = (1.0 - math.erf(1.0)) / 2.0 - math.exp(-1.0) / math.sqrt(math.pi)
+        assert h1 == pytest.approx(-0.128904, abs=1e-6)
+        assert MONOTONE_RATIO == 1.0 - 1.0 / h1 == pytest.approx(8.757702, abs=1e-6)
+        for big, small in ((8.75, 1.0), (1.0, 8.75), (MONOTONE_RATIO, 1.0),
+                           (1.0, MONOTONE_RATIO)):
+            DualScaleParams(big, small, 0.0, PIVOTS)
+        for big, small in ((8.76, 1.0), (1.0, 8.76), (20.0, 0.5)):
+            with pytest.raises(NonMonotone, match="scale ratio"):
+                DualScaleParams(big, small, 0.0, PIVOTS)
+
+    def test_a_per_lut_cap_in_a_file_is_ignored(self):
+        params = DualScaleParams(1.7, 0.3, 123.456, PIVOTS)
+        assert "ratio_cap" not in params.to_dict()
+        assert DualScaleParams.from_dict({**params.to_dict(), "ratio_cap": 20.0}) == params
+
+
+def _dual_scaling(x, sigma_B, sigma_T, gamma, pivots):
+    """:func:`lut_ds`'s formula, for scale factors DualScaleParams may reject."""
+    return (x - pivots.v_M) * (sigma_T + (sigma_B - sigma_T) * blend(x, pivots)) + gamma
+
+
+class TestMonotoneRatio:
+    """``d lut_ds/dx = sigma_T + (sigma_B - sigma_T) h(t)`` above v_M, mirrored
+    below it, and h is extreme at t = +1 and t = -1: a scale ratio of at most
+    MONOTONE_RATIO certifies a map that never descends, and past it the map
+    descends at t = +1 when sigma_B is the larger factor, at t = -1 when
+    sigma_T is."""
+
+    @given(delta=st.floats(1e-3, 1.0, exclude_max=True), above=st.booleans(),
+           bottom_larger=st.booleans(), v_B=_coords, gap_lo=st.floats(1.0, 2000.0),
+           skew=st.floats(0.2, 5.0), small=st.floats(0.05, 20.0),
+           gamma=st.floats(-1000.0, 1000.0))
+    @settings(max_examples=200)
+    def test_the_ratio_certifies_exactly_the_maps_that_never_descend(
+            self, delta, above, bottom_larger, v_B, gap_lo, skew, small, gamma):
+        gap_hi = gap_lo * skew
+        pivots = PivotTriple(v_B, v_B + gap_lo, v_B + gap_lo + gap_hi)
+        scaled = small * MONOTONE_RATIO * (1.0 + delta if above else 1.0 - delta)
+        sigma_B, sigma_T = (scaled, small) if bottom_larger else (small, scaled)
+        t = np.linspace(-4.0, 4.0, (1 << 16) + 1)
+        x = pivots.v_M + t * np.where(t < 0.0, gap_lo, gap_hi) / 2.0
+        ratio = max(sigma_B, sigma_T) / min(sigma_B, sigma_T)
+        # the constructor's slack is 1e-12, far inside the draws' 1e-3
+        if ratio <= MONOTONE_RATIO:
+            y = lut_ds(x, DualScaleParams(sigma_B, sigma_T, gamma, pivots))
+            # erf steps down by an ulp here and there: the map, by a few of its output
+            assert np.diff(y).min() >= -4.0 * np.spacing(np.abs(y).max())
+            return
+        with pytest.raises(NonMonotone):
+            DualScaleParams(sigma_B, sigma_T, gamma, pivots)
+        y = _dual_scaling(x, sigma_B, sigma_T, gamma, pivots)
+        rise = np.diff(y)
+        assert rise.min() < -16.0 * np.spacing(np.abs(y).max())
+        steepest = 0.5 * (t[:-1] + t[1:])[np.argmin(rise)]
+        assert steepest == pytest.approx(1.0 if sigma_B > sigma_T else -1.0, abs=1e-3)
 
 
 class TestBlend:
@@ -127,7 +184,7 @@ class TestSigmaBlend:
 
 class TestLutDs:
     def test_middle_pivot_maps_to_gamma_exactly(self):
-        params = DualScaleParams(1.7, 0.3, 123.456, PIVOTS, ratio_cap=20.0)
+        params = DualScaleParams(1.7, 0.3, 123.456, PIVOTS)
         assert lut_ds(50.0, params) == 123.456
 
     def test_equal_scales_reduce_to_affine(self):
@@ -312,10 +369,29 @@ class TestComposeLut:
         out = np.asarray(lut.apply(np.linspace(-1000.0, 9000.0, 4096)))
         assert (np.sort(out) == out).all()
 
-    def test_non_monotone_parameters_fail_loudly(self):
-        bad = DualScaleParams(20.0, 0.05, 0.0, PIVOTS, ratio_cap=500.0)
+    @pytest.mark.parametrize("bottom_larger", [True, False])
+    def test_non_monotone_parameters_fail_loudly(self, bottom_larger):
+        # pivots 100/200/300 over the domain 0-400: 8.75 maps, 8.76 would
+        # descend and raises before any LUT is built
+        pivots = PivotTriple(100.0, 200.0, 300.0)
+
+        def lut(ratio):
+            sigmas = (ratio, 1.0) if bottom_larger else (1.0, ratio)
+            return compose_lut(DualScaleParams(*sigmas, 0.0, pivots), TailSpec.disabled(),
+                               (0.0, 400.0))
+
+        out = lut(8.75).apply(np.linspace(0.0, 400.0, 1 << 20))
+        assert (np.diff(out) >= 0.0).all()
         with pytest.raises(NonMonotone):
-            compose_lut(bad, TailSpec.disabled(), (0.0, 100.0))
+            lut(8.76)
+
+    @pytest.mark.parametrize("domain, clip", [((0.0, math.inf), None),
+                                              ((math.nan, 1.0), None),
+                                              ((0.0, 1.0), (-math.inf, 1.0)),
+                                              ((0.0, 1.0), (0.0, math.nan))])
+    def test_domain_and_clip_must_be_finite(self, domain, clip):
+        with pytest.raises(ValueError):
+            compose_lut(_identity_params(), TailSpec.disabled(), domain, clip=clip)
 
     def test_tail_spec_orderings_validated(self):
         with pytest.raises(BadTailSpec):
@@ -329,6 +405,12 @@ class TestComposeLut:
         with pytest.raises(BadTailSpec, match="v_B < v_T"):
             replace(_twelve_bit_tails(), v_B=v_B)
         assert replace(_twelve_bit_tails(), v_B=v_B, enabled_top=False).enabled_bottom
+
+    @pytest.mark.parametrize("name", ["v_T", "v_max", "v_clipB", "v_min"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_fields_must_be_finite(self, name, value):
+        with pytest.raises(BadTailSpec, match=name):
+            replace(_twelve_bit_tails(), **{name: value})
 
     @pytest.mark.parametrize("flag", ["false", "no", 0, 1, None])
     def test_enable_flags_must_be_bools(self, flag):
@@ -614,16 +696,16 @@ class TestInputsUntouched:
 
 @st.composite
 def _table_luts(draw):
-    """An IntensityLut over random DualScaleParams (scale ratio up to the
-    cap either way), the domain reaching past either outer pivot, far past
-    it or stopping inside it, each tail on or off and the clip on or off;
-    with the tail starts it squeezes from."""
+    """An IntensityLut over random DualScaleParams (scale ratio up to
+    MONOTONE_RATIO either way), the domain reaching past either outer
+    pivot, far past it or stopping inside it, each tail on or off and the
+    clip on or off; with the tail starts it squeezes from."""
     v_B = draw(st.floats(-3000.0, 3000.0))
     gap_lo = draw(st.floats(1.0, 2000.0))
     gap_hi = gap_lo * draw(st.floats(0.2, 5.0))
     pivots = PivotTriple(v_B, v_B + gap_lo, v_B + gap_lo + gap_hi)
     sigma_T = draw(st.floats(0.05, 20.0))
-    ratio = draw(st.floats(1.0 / DEFAULT_RATIO_CAP, DEFAULT_RATIO_CAP))
+    ratio = draw(st.floats(1.0 / MONOTONE_RATIO, MONOTONE_RATIO))
     params = DualScaleParams(sigma_T * ratio, sigma_T, draw(st.floats(-1000.0, 1000.0)),
                              pivots)
     # a domain many pivot gaps wide needs more than the fewest nodes
@@ -649,10 +731,7 @@ def _table_luts(draw):
     if draw(st.booleans()):
         clip = (y_lo + draw(st.floats(-0.1, 0.2)) * width,
                 y_hi - draw(st.floats(-0.1, 0.2)) * width)
-    try:
-        lut = compose_lut(params, TailSpec(**fields), domain, clip=clip)
-    except NonMonotone:
-        assume(False)
+    lut = compose_lut(params, TailSpec(**fields), domain, clip=clip)
     starts = [fields[name] for name in ("v_T", "v_B") if name in fields]
     return lut, starts
 
@@ -703,10 +782,6 @@ class TestTableInterpolant:
         # and each tail's table, too, fits its limit
         assert lut.table_nodes(max([nodes] + [n for *_, n in tails]) - 1) is None
         interpolate = lut.interpolant(nodes, tails)
-        grid = lut_ds(np.linspace(lo, hi, nodes), lut.params)
-        if interpolate is None:  # the dual scaling descends between two nodes
-            assert (np.diff(grid) < 0.0).any()
-            return
         h = (hi - lo) / (nodes - 1)
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
         cells = rng.integers(0, nodes - 1, 200)
@@ -851,19 +926,25 @@ class TestTableInterpolant:
         x = np.linspace(-60.0, 160.0, 1001)
         np.testing.assert_allclose(lut.interpolant(2, ())(x), lut.apply(x), rtol=0, atol=1e-12)
 
-    def test_descending_dual_scaling_maps_exactly(self, monkeypatch):
-        # a scale ratio past ~8.75 dips below the middle pivot; clipped at
-        # the top of the dip, the LUT still passes its monotonicity check
-        params = DualScaleParams(0.5, 10.0, 0.0, PivotTriple(-100.0, 0.0, 100.0))
-        grid = lut_ds(np.linspace(-100.0, 100.0, 4096), params)
-        dip_top = float(grid[np.argmax(np.diff(grid) < 0.0)])
-        lut = compose_lut(params, TailSpec.disabled(), (-100.0, 100.0),
-                          clip=(dip_top, float(grid.max())))
-        assert lut.interpolant(1 << 10, ()) is None
-        # with a table small enough for this volume, apply_lut falls back
-        # to the exact map
-        monkeypatch.setattr(transform, "TABLE_MIN_NODES", 2)
-        vol = stored_volume(np.linspace(-100.0, 100.0, 1 << 17), np.float32, 1e6)
-        assert lut.table_nodes(vol.n_voxels // TABLE_VOXELS_PER_NODE) is not None
-        expected = np.asarray(lut.apply(vol.voxels.astype(np.float64)))
-        assert apply_lut(vol, lut).voxels.tobytes() == expected.tobytes()
+    @pytest.mark.parametrize("bottom_larger", [True, False])
+    def test_a_ratio_of_exactly_rho_star_never_descends(self, bottom_larger):
+        # lut_ds's slope touches 0 at t = +1 (sigma_B the larger, on the top
+        # span) or t = -1 (sigma_T, on the bottom span), 501 above or below
+        # v_M; with these pivots, a pair of 2^18 nodes next to it descends
+        # by rounding in float64, a rise the table counts as 0
+        pivots = PivotTriple(*((0.0, 1.0, 1003.0) if bottom_larger else (0.0, 1002.0, 1003.0)))
+        sigmas = (MONOTONE_RATIO, 1.0) if bottom_larger else (1.0, MONOTONE_RATIO)
+        lut = compose_lut(DualScaleParams(*sigmas, 0.0, pivots), TailSpec.disabled(),
+                          (0.0, 1003.0))
+        nodes = TABLE_MIN_NODES
+        flat = pivots.v_M + (501.0 if bottom_larger else -501.0)
+        h = 1003.0 / (nodes - 1)
+        rng = np.random.default_rng(17)
+        x = np.sort(np.concatenate([
+            flat + h * np.linspace(-50.0, 50.0, 20001),
+            _neighbours(np.round(flat / h + np.arange(-50, 51)) * h),  # cell boundaries
+            np.linspace(0.0, 1003.0, 20001), rng.uniform(0.0, 1003.0, 20000)]))
+        got, exact = lut.interpolant(nodes, ())(x), lut.apply(x)
+        assert (np.diff(got) >= 0.0).all()
+        rounding = _TABLE_ROUNDING_ULPS * np.spacing(np.abs(exact).max())
+        assert np.abs(got - exact).max() <= lut.table_bound(nodes, ()) + rounding
