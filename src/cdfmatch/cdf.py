@@ -133,7 +133,8 @@ class Volume:
         n = dims[0] * dims[1] * dims[2]
         if vox.size != n:
             raise ValueError(f"expected {n} voxels for dims {dims}, got {vox.size}")
-        if vox.dtype.kind == "f" and not np.isfinite(vox).all():
+        if vox.dtype.kind == "f" and not all(np.isfinite(vox[start:start + _BLOCK]).all()
+                                             for start in range(0, n, _BLOCK)):
             raise ValueError("voxels must be finite (no NaN/Inf)")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "voxels", vox)
@@ -256,7 +257,6 @@ class IntensityIndex:
     other volume keeps one level per voxel, in the stored dtype, with
     ``counts`` and ``inverse`` None.  Intensity maps are element-wise, so a
     stage maps ``levels`` alone and :meth:`to_volume` gathers once at the end.
-    ``unsorted`` is set only on a :meth:`sorted_foreground` view.
     """
 
     dims: tuple[int, int, int]
@@ -265,7 +265,6 @@ class IntensityIndex:
     inverse: np.ndarray | None
     channel: str = ""
     background_value: float = 0.0
-    unsorted: "IntensityIndex | None" = None
 
     @classmethod
     def of(cls, vol: "Volume | IntensityIndex") -> "IntensityIndex":
@@ -279,22 +278,32 @@ class IntensityIndex:
     def n_voxels(self) -> int:
         return (self.levels if self.inverse is None else self.inverse).size
 
-    def sorted_foreground(self) -> "IntensityIndex":
-        """This index with its foreground in ascending order, for the rank
-        statistics: a level table as it is (:meth:`of` builds its levels
-        ascending), any other index as the 1-D index of its foreground voxels,
-        sorted once in their stored dtype, whose ``unsorted`` is this index.
-        A reduction whose rounding depends on the order of the voxels (the
-        z-score's mean and std) reads ``unsorted``, so a view gives the same
-        bits as the volume.  A view is returned as it is.
-        """
-        if self.counts is not None or self.unsorted is not None:
-            return self
-        values = self.levels[_foreground_mask(self.levels, self.background_value)]
-        values.sort()
+    def sorted_foreground(self, exclude_background: bool = True) -> "SortedForeground":
+        """The samples a CDF reads, ascending: the foreground levels (every
+        level, with ``exclude_background`` False) that some voxel holds,
+        counted for a level table, else voxel by voxel in the stored dtype.
+        Levels that already ascend (:meth:`of` builds a table so) are kept
+        after one pass checks their order; a descent sorts them once."""
+        levels, counts = self.levels, self.counts
+        keep = (_foreground_mask(levels, self.background_value) if exclude_background
+                else np.ones(levels.size, dtype=bool))
+        if counts is not None:
+            keep &= counts > 0
+            counts = counts[keep]
+        values = levels if keep.all() else levels[keep]
+        del keep  # a mask the size of the volume, not to be held through the sort
+        if not _ascending(values):
+            if counts is not None:  # sorting keeps equal mapped levels side by side
+                order = np.argsort(values)
+                values, counts = values[order], counts[order]
+            elif values is levels:
+                values = np.sort(values)
+            else:
+                values.sort()  # the masked copy, in place
+        values = values.view()  # read-only without freezing the levels themselves
         values.flags.writeable = False
-        return IntensityIndex((values.size, 1, 1), values, None, None, self.channel,
-                              self.background_value, unsorted=self)
+        cum = None if counts is None else np.concatenate(([0], np.cumsum(counts)))
+        return SortedForeground(values, cum, self)
 
     def map_foreground(self, fn, dtype: str = "float64",
                        q_range: tuple[float, float] | None = None) -> "IntensityIndex":
@@ -313,13 +322,12 @@ class IntensityIndex:
             fg = _foreground_mask(levels, self.background_value)
             if self.counts is not None:
                 fg &= self.counts[start:start + _BLOCK] > 0
-            if fg.all():  # no background (a sorted foreground): no masked copies
+            if fg.all():  # no background in this block: no masked copies
                 fg = slice(None)
             else:
                 block.fill(stored_bg)
             block[fg] = store(levels[fg])
-        return replace(self, levels=mapped, background_value=float(stored_bg),
-                       unsorted=None)
+        return replace(self, levels=mapped, background_value=float(stored_bg))
 
     def to_volume(self) -> Volume:
         """The volume these levels describe, built by one gather in the
@@ -331,6 +339,35 @@ class IntensityIndex:
                 np.take(self.levels, self.inverse[start:start + _BLOCK],
                         out=voxels[start:start + _BLOCK], mode="clip")
         return Volume._owning(self.dims, voxels, self.channel, self.background_value)
+
+
+@dataclass(frozen=True)
+class SortedForeground:
+    """What :meth:`IntensityIndex.sorted_foreground` gives: ``values``, the
+    included samples, ascending and read-only in their stored dtype; ``cum``,
+    None for one sample per value, else a level table's cumulative counts
+    with a leading 0; ``index``, whose voxel order a reduction that rounds by
+    order (the z-score's mean and std) reads; and ``store``, when set, the
+    :func:`_stored_map` the samples are read through unmapped (:meth:`through`).
+    """
+
+    values: np.ndarray
+    cum: np.ndarray | None
+    index: IntensityIndex
+    store: object = None
+
+    @property
+    def n_voxels(self) -> int:
+        return self.values.size if self.cum is None else int(self.cum[-1])
+
+    def through(self, fn, dtype: str = "float64",
+                q_range: tuple[float, float] | None = None) -> "SortedForeground":
+        """These unmapped samples, each read through :func:`_stored_map` of
+        ``fn``, ``dtype`` and ``q_range`` as :meth:`IntensityIndex.map_foreground`
+        stores a foreground level, by :func:`build_cdf` at the rank knots.
+        ``fn`` must never descend, bit for bit, so the mapped samples ascend."""
+        store, _ = _stored_map(fn, dtype, q_range, self.index.background_value)
+        return replace(self, store=store)
 
 
 @dataclass(frozen=True)
@@ -353,6 +390,8 @@ class EmpiricalCdf:
             raise ValueError("a CDF needs at least two knots")
         if ps.shape != xs.shape:
             raise ValueError("xs and ps must have the same length")
+        if not (np.isfinite(xs).all() and np.isfinite(ps).all()):
+            raise ValueError("xs and ps must be finite (no NaN/Inf)")
         if not (np.diff(xs) > 0).all():
             raise ValueError("xs must be strictly increasing")
         if (np.diff(ps) < 0).any():
@@ -370,31 +409,8 @@ class EmpiricalCdf:
         return float(self.xs[0]), float(self.xs[-1])
 
 
-@dataclass(frozen=True)
-class MappedView:
-    """A :meth:`IntensityIndex.sorted_foreground` view of a per-voxel index
-    read through :func:`_stored_map` of ``fn``, ``dtype`` and ``q_range``
-    without mapping it: what ``view.map_foreground(fn, dtype, q_range)``
-    describes, for :func:`build_cdf` alone.  ``fn`` must never descend, bit
-    for bit, so that the mapped view ascends as the view does.
-    """
-
-    view: IntensityIndex
-    fn: object
-    dtype: str = "float64"
-    q_range: tuple[float, float] | None = None
-
-    def __post_init__(self):
-        if self.view.unsorted is None or self.view.counts is not None:
-            raise ValueError("a MappedView reads the sorted_foreground view of a "
-                             "per-voxel index")
-
-    @property
-    def n_voxels(self) -> int:
-        return self.view.n_voxels
-
-
-def build_cdf(vol: "Volume | IntensityIndex | MappedView", exclude_background: bool = True,
+def build_cdf(vol: "Volume | IntensityIndex | SortedForeground",
+              exclude_background: bool = True,
               grid_size: int = DEFAULT_GRID_SIZE) -> EmpiricalCdf:
     """Estimate the empirical CDF of a volume by sorted-rank interpolation.
 
@@ -403,45 +419,23 @@ def build_cdf(vol: "Volume | IntensityIndex | MappedView", exclude_background: b
     Its knots are at most ``grid_size`` of the included intensities, evenly
     spaced in rank, so an outlier costs no more than its own voxels' share
     of the curve.  Deterministic for identical input.
-    ``vol`` is a Volume or its IntensityIndex; an integer-valued volume is
-    counted per level, any other is sorted voxel by voxel in its stored dtype.
-    A :meth:`IntensityIndex.sorted_foreground` view holds its foreground
-    alone, ascending, and is read as it is.  Levels that already ascend (a
-    level table, a view, either mapped through a non-decreasing map) are
-    read as they are: one pass checks the order, and any descent sorts.  A
-    :class:`MappedView` is read at its rank knots (:func:`_mapped_knot_cdf`),
-    which gives the curve of the mapped view bit for bit without mapping it.
+    ``vol`` is a Volume, its IntensityIndex (an integer-valued volume is
+    counted per level, any other sorted voxel by voxel in its stored dtype)
+    or its :meth:`IntensityIndex.sorted_foreground`, whose samples are
+    already chosen, read as they are or, through a map, at their rank knots
+    (:func:`_mapped_knot_cdf`).
 
     Raises AllBackground when exclusion empties the volume and
     DegenerateConstant when fewer than two distinct intensities remain.
     """
     if grid_size < 2:
         raise ValueError(f"grid_size must be at least 2, got {grid_size}")
-    if isinstance(vol, MappedView):
-        return _mapped_knot_cdf(vol, grid_size)
-    index = IntensityIndex.of(vol)
-    levels, counts = index.levels, index.counts
-    if index.unsorted is not None:
-        values = levels
-    else:
-        keep = (_foreground_mask(levels, index.background_value) if exclude_background
-                else np.ones(levels.size, dtype=bool))
-        if counts is not None:
-            keep &= counts > 0
-            counts = counts[keep]
-        values = levels if keep.all() else levels[keep]
-        del keep  # a mask the size of the volume, not to be held through the sort
-        if not _ascending(values):
-            if counts is not None:  # sorting keeps equal mapped levels side by side
-                order = np.argsort(values)
-                values, counts = values[order], counts[order]
-            elif values is levels:
-                values = np.sort(values)
-            else:
-                values.sort()  # the masked copy, in place
-    cum = None if counts is None else np.concatenate(([0], np.cumsum(counts)))
-    _check_spread(values)
-    return _rank_knot_cdf(values, cum, grid_size)
+    fg = (vol if isinstance(vol, SortedForeground)
+          else IntensityIndex.of(vol).sorted_foreground(exclude_background))
+    _check_spread(fg.values)
+    if fg.store is not None:
+        return _mapped_knot_cdf(fg, grid_size)
+    return _rank_knot_cdf(fg.values, fg.cum, grid_size)
 
 
 def _check_spread(values: np.ndarray) -> None:
@@ -493,31 +487,29 @@ def _averaged_rank_cdf(knots: np.ndarray, through: np.ndarray, before: np.ndarra
     return EmpiricalCdf(knots.astype(np.float64), ps, n_samples=n)
 
 
-def _mapped_knot_cdf(mapped: MappedView, grid_size: int) -> EmpiricalCdf:
-    """:func:`_rank_knot_cdf` of the mapped view, bit for bit, from the
-    stored map at the rank knots alone.
+def _mapped_knot_cdf(fg: SortedForeground, grid_size: int) -> EmpiricalCdf:
+    """:func:`_rank_knot_cdf` of the mapped samples, bit for bit.
 
-    The map never descends, so it sends the view's k-th smallest value to the
-    mapped view's k-th smallest: each knot is the stored map of the view's
-    value at its rank.  When those knots are all distinct they are the knots,
-    and the samples at most a knot (or below it) are a prefix of the view,
-    whose length one vectorised bisection finds: knot j's lies between the
-    ranks of knots j and j + 1 (below it, between knots j - 1 and j), so each
-    round maps two values per knot.  When ties merge knots, whether every
-    distinct value fits the grid depends on values between them, so the whole
-    view is mapped (in its order, which the map keeps) and read as it is.
+    The map never descends, so each knot is the stored map of the sample at
+    its rank.  Per-voxel samples whose knots are all distinct are read at
+    those knots alone: the samples at most a knot (or below it) are a
+    prefix, whose length one vectorised bisection finds between the ranks of
+    knots j and j + 1 (below: j - 1 and j), two values per knot a round.
+    When ties merge knots, whether every distinct value fits the grid
+    depends on values between them, and counted levels may merge: then every
+    sample is mapped, in its order (which the map keeps), 64k at a time.
     """
-    view = mapped.view
-    store, _ = _stored_map(mapped.fn, mapped.dtype, mapped.q_range, view.background_value)
-    values = view.levels
-    _check_spread(values)
-    n = values.size
+    values, store = fg.values, fg.store
+    n = fg.n_voxels
     ranks = _knot_ranks(n, grid_size)
-    knots = store(values[ranks])
+    knots = store(values[ranks if fg.cum is None
+                         else np.searchsorted(fg.cum, ranks, "right") - 1])
     _check_spread(knots)
-    if not (knots[1:] > knots[:-1]).all():
-        return _rank_knot_cdf(view.map_foreground(mapped.fn, mapped.dtype,
-                                                  mapped.q_range).levels, None, grid_size)
+    if fg.cum is not None or not (knots[1:] > knots[:-1]).all():
+        mapped = np.empty(values.size, dtype=knots.dtype)
+        for start in range(0, values.size, _BLOCK):
+            mapped[start:start + _BLOCK] = store(values[start:start + _BLOCK])
+        return _rank_knot_cdf(mapped, fg.cum, grid_size)
     # the count at most knot j (j < last) and the count below knot j + 1,
     # each the first rank in [ranks[j] + 1, ranks[j + 1]] past the knot
     lo = np.tile(ranks[:-1] + 1, 2)
@@ -578,20 +570,19 @@ def _ramp_knot(cdf: EmpiricalCdf) -> float:
     return cdf.xs[0] - (cdf.xs[1] - cdf.xs[0])
 
 
-def zscore_standardize(vol: "Volume | IntensityIndex") -> "Volume | IntensityIndex":
+def zscore_standardize(vol: "Volume | SortedForeground") -> "Volume | SortedForeground":
     """Standardize foreground to mean 0 and population std 1.
 
-    Statistics are float64 over foreground voxels only, a counted level
-    standing for its voxels; background keeps its value.  Idempotent up to
-    rounding.  Given an index, returns the standardized index ungathered; a
-    :meth:`IntensityIndex.sorted_foreground` view takes its statistics over
-    the voxels in their own order, so it maps to the same values, ascending.
+    Statistics are float64 over foreground voxels only, in voxel order, a
+    counted level standing for its voxels; background keeps its value.
+    Idempotent up to rounding.  A :class:`SortedForeground` takes them over
+    its ``index`` and comes back read through the z-score, which never
+    descends (:meth:`SortedForeground.through`).
     """
-    index = IntensityIndex.of(vol)
-    voxels = index if index.unsorted is None else index.unsorted
-    fg = _foreground_mask(voxels.levels, voxels.background_value)
-    values = voxels.levels[fg].astype(np.float64, copy=False)
-    weights = None if voxels.counts is None else voxels.counts[fg]
+    index = vol.index if isinstance(vol, SortedForeground) else IntensityIndex.of(vol)
+    fg = _foreground_mask(index.levels, index.background_value)
+    values = index.levels[fg].astype(np.float64, copy=False)
+    weights = None if index.counts is None else index.counts[fg]
     n = values.size if weights is None else int(weights.sum())
     if n == 0:
         raise AllBackground("no foreground voxels to standardize")
@@ -611,8 +602,9 @@ def zscore_standardize(vol: "Volume | IntensityIndex") -> "Volume | IntensityInd
         z /= std
         return z
 
-    out = index.map_foreground(standardize)
-    return out if isinstance(vol, IntensityIndex) else out.to_volume()
+    if isinstance(vol, SortedForeground):
+        return vol.through(standardize)
+    return index.map_foreground(standardize).to_volume()
 
 
 def average_cdfs(cdfs, grid_size: int = DEFAULT_GRID_SIZE) -> EmpiricalCdf:

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cdf import (DEFAULT_GRID_SIZE, DTYPES, IntensityIndex, MappedView, Volume,
-                  build_cdf, ks_distance, zscore_standardize)
+from .cdf import (DEFAULT_GRID_SIZE, DTYPES, IntensityIndex, Volume, build_cdf,
+                  ks_distance, zscore_standardize)
 from .errors import AllBackground, DegenerateConstant, EmptyInput
 from .fit import FitConfig, FitResult, fit_cdf
 from .template import TemplateCdf, config_hash, template_tails
@@ -113,10 +113,10 @@ def harmonize(vol: Volume, template: TemplateCdf,
 
     The pre-CDF reads the foreground sorted once
     (:meth:`IntensityIndex.sorted_foreground`).  A volume that maps through
-    the interpolated table (:func:`voxel_table`), which never descends, takes
-    its post-CDF from that sorted view through the stored map, before the
-    mapping and without sorting the output (:class:`MappedView`); the view is
-    dropped before the mapping.  Any other volume takes it from the output.
+    the interpolated table (:func:`voxel_table`), which never descends, reads
+    its post-CDF off those samples through the stored map, at their rank
+    knots, and drops them before the mapping.  Any other volume takes it
+    from the output: the exact map's erf may step down by one ulp.
     """
     options = options or HarmonizeOptions()
     started = time.perf_counter()
@@ -124,8 +124,8 @@ def harmonize(vol: Volume, template: TemplateCdf,
     if options.bits is not None:
         q_range = quantization_range(template, options.bits)
     index = IntensityIndex.of(vol)
-    view = index.sorted_foreground()
-    image_cdf = build_cdf(view, grid_size=options.grid_size)
+    fg = index.sorted_foreground()
+    image_cdf = build_cdf(fg, grid_size=options.grid_size)
     pre_ks = ks_distance(image_cdf, template.cdf)
     fit = fit_cdf(image_cdf, template, options.fit)
     domain = image_cdf.support
@@ -142,9 +142,9 @@ def harmonize(vol: Volume, template: TemplateCdf,
     table = voxel_table(lut, index)
     post_cdf = None
     if table is not None:
-        post_cdf = build_cdf(MappedView(view, table, options.dtype, q_range),
+        post_cdf = build_cdf(fg.through(table, options.dtype, q_range),
                              grid_size=options.grid_size)
-    del view  # a sorted copy of the foreground, not to be held through the mapping
+    del fg  # a sorted copy of the foreground, not to be held through the mapping
     mapped = apply_lut(index, lut, options.dtype, q_range, fn=table or lut.apply)
     del table  # nor the table through the gather
     if post_cdf is None:

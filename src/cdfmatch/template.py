@@ -174,10 +174,11 @@ def template_tails(controls: ControlPoints, clip: tuple[float, float] | None,
 
 def _member_cdf(vol, grid_size: int) -> EmpiricalCdf:
     """The CDF of one z-scored cohort member, from one sort of its foreground
-    in the stored dtype: the z-score is non-decreasing, so it maps the sorted
-    foreground onto sorted values, which the rank knots read as they are."""
+    in the stored dtype: the z-score never descends, so the curve reads the
+    sorted foreground through it at the rank knots (a level table maps its
+    levels), and the member is never z-scored voxel by voxel."""
     return build_cdf(zscore_standardize(IntensityIndex.of(vol).sorted_foreground()),
-                     exclude_background=True, grid_size=grid_size)
+                     grid_size=grid_size)
 
 
 def build_template(cohort, controls: ControlPoints = DEFAULT_CONTROLS,

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from cdfmatch import (EmpiricalCdf, Volume, average_cdfs, build_cdf,
                       cdf_value, ks_distance, quantile, zscore_standardize)
-from cdfmatch.cdf import IntensityIndex, MappedView
+from cdfmatch.cdf import IntensityIndex, SortedForeground
 from cdfmatch.errors import (AllBackground, DegenerateConstant, EmptyInput,
                              OutOfRange)
 
@@ -24,6 +24,15 @@ class TestVolume:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             volume_from_values([1.0, np.nan, 2.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rejects_non_finite_past_the_first_block(self, bad, dtype):
+        # the check runs 64k voxels at a time; the last block is a partial one
+        values = np.random.default_rng(2).normal(100.0, 10.0, 3 * 65536 + 9)
+        values[2 * 65536 + 7] = bad
+        with pytest.raises(ValueError, match="finite"):
+            stored_volume(values, dtype)
 
     def test_immutable_voxels(self):
         vol = volume_from_values([1.0, 2.0, 3.0])
@@ -150,26 +159,35 @@ class TestIntensityIndex:
         assert index.inverse is None and index.counts is None
         assert index.to_volume().voxels.tobytes() == vol.voxels.tobytes()
 
-    def test_sorted_foreground_view_keeps_the_voxel_order_for_the_z_score(self):
+    def test_sorted_foreground_keeps_the_voxel_order_for_the_z_score(self):
         values = np.random.default_rng(6).normal(800.0, 200.0, self.N)
         values[::5] = 0.0
-        index = IntensityIndex.of(stored_volume(values, np.float32))
-        view = index.sorted_foreground()
-        fg = index.levels[index.levels != 0.0]
-        assert view.levels.dtype == np.float32 and not view.levels.flags.writeable
-        assert view.levels.tobytes() == np.sort(fg).tobytes()
-        assert view.dims == (fg.size, 1, 1) and view.unsorted is index
-        assert view.sorted_foreground() is view
-        # read as it is (no mask, no order pass), the view gives the volume's CDF
+        vol = stored_volume(values, np.float32)
+        index = IntensityIndex.of(vol)
+        fg = index.sorted_foreground()
+        kept = index.levels[index.levels != 0.0]
+        assert fg.values.dtype == np.float32 and not fg.values.flags.writeable
+        assert fg.values.tobytes() == np.sort(kept).tobytes()
+        assert fg.cum is None and fg.index is index and fg.n_voxels == kept.size
+        # read as it is, the sorted foreground gives the volume's CDF
         for grid_size in (2, 1024):
-            a, b = build_cdf(view, grid_size=grid_size), build_cdf(index, grid_size=grid_size)
+            a, b = build_cdf(fg, grid_size=grid_size), build_cdf(index, grid_size=grid_size)
             assert a.xs.tobytes() == b.xs.tobytes() and a.ps.tobytes() == b.ps.tobytes()
-            assert a.n_samples == b.n_samples == fg.size
-        z, z_view = zscore_standardize(index), zscore_standardize(view)
-        assert z_view.unsorted is None
-        assert z_view.levels.tobytes() == np.sort(z.levels[z.levels != 0.0]).tobytes()
-        table = IntensityIndex.of(stored_volume(np.rint(values), np.uint16))
-        assert table.sorted_foreground() is table
+            assert a.n_samples == b.n_samples == kept.size
+        # the z-score's statistics read the voxel order, so the sorted samples
+        # go through the same map as the voxels
+        z, z_fg = zscore_standardize(vol), zscore_standardize(fg)
+        assert z_fg.index is index and z_fg.values is fg.values
+        assert z_fg.store(z_fg.values).tobytes() == np.sort(z.foreground()).tobytes()
+        # a level table keeps its used foreground levels, ascending, and counts
+        counted = np.rint(values)
+        table = IntensityIndex.of(stored_volume(counted, np.uint16))
+        for exclude in (True, False):
+            fg = table.sorted_foreground(exclude)
+            used = (table.counts > 0) & ((table.levels != 0.0) | (not exclude))
+            assert fg.values.tobytes() == table.levels[used].tobytes()
+            assert fg.cum.tolist() == [0, *np.cumsum(table.counts[used]).tolist()]
+            assert fg.n_voxels == (np.count_nonzero(counted) if exclude else counted.size)
 
     def test_foreground_mapped_onto_background_moves_just_above_it(self):
         index = IntensityIndex.of(volume_from_values([0.0, 1.0, 2.0, 3.0, 4.0]))
@@ -297,9 +315,11 @@ class TestRankKnotsFollowTheData:
         values[rng.integers(size)] = outlier
         values[rng.random(size) < 0.2] = 0.0
         assume((values != 0.0).sum() > 1)
-        index = zscore_standardize(IntensityIndex.of(volume_from_values(values)))
-        kept = index.to_volume().foreground()
-        assert_knots_follow_the_data(build_cdf(index, grid_size=grid_size),
+        vol = volume_from_values(values)
+        kept = zscore_standardize(vol).foreground()
+        member = zscore_standardize(IntensityIndex.of(vol).sorted_foreground())
+        assert member.cum is not None  # a level table, read through the z-score
+        assert_knots_follow_the_data(build_cdf(member, grid_size=grid_size),
                                      kept, grid_size)
 
     @settings(max_examples=40)
@@ -314,25 +334,28 @@ class TestRankKnotsFollowTheData:
 
 @st.composite
 def _mapped_views(draw):
-    """(view, fn, dtype, q_range): the sorted foreground of a float32 volume
-    drawn from a small pool (ties, duplicates) or spread out, and a map that
-    never descends, bit for bit: a slope of at least 0 times the value plus a
-    non-decreasing staircase.  A flat first stair at the background lands
-    values on it, and a staircase with few steps merges knots."""
+    """(index, fn, dtype, q_range): a volume drawn from a small pool (ties,
+    duplicates) or spread out, stored as float32 or, with integer values, as
+    float32 or u16 (a level table), and a map that never descends, bit for
+    bit: a slope of at least 0 times the value plus a non-decreasing
+    staircase.  A flat first stair at the background lands values on it,
+    and a staircase with few steps merges knots."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     n = draw(st.integers(1, 4000))
     pool = rng.normal(500.0, 300.0, draw(st.sampled_from((1, 2, 7, 60)) | st.just(n)))
+    stored = draw(st.sampled_from(("f32", "integer f32", "u16")))
+    if stored != "f32":
+        pool = np.rint(np.abs(pool))
     values = rng.choice(pool.astype(np.float32), n)
     dtype, q_range = draw(st.sampled_from((("f32", None), ("float64", None),
                                           ("f32", (1.0, 4095.0)), ("u16", (0.0, 4095.0)),
                                           ("u16", (0.0, 255.0)))))
     # an integer dtype must hold the background, a float one may hold any
-    background = draw(st.sampled_from((0.0, 255.0) if dtype == "u16"
+    background = draw(st.sampled_from((0.0, 255.0) if "u16" in (dtype, stored)
                                       else (0.0, 255.0, float(values[0]))))
     values[rng.random(n) < 0.1] = background
-    index = IntensityIndex.of(stored_volume(values, np.float32, background))
-    assume(index.counts is None)  # integer-valued voxels make a level table
-    view = index.sorted_foreground()
+    index = IntensityIndex.of(stored_volume(
+        values, np.uint16 if stored == "u16" else np.float32, background))
     slope = draw(st.sampled_from((0.0, 1e-3, 1.0, 3.7)))
     cuts = np.sort(rng.normal(500.0, 300.0, draw(st.integers(0, 30))))
     stairs = rng.exponential(200.0, cuts.size + 1) * (rng.random(cuts.size + 1) < 0.7)
@@ -343,7 +366,7 @@ def _mapped_views(draw):
         x = x.astype(np.float64)
         return slope * x + stairs[np.searchsorted(cuts, x, "right")]
 
-    return view, fn, dtype, q_range
+    return index, fn, dtype, q_range
 
 
 def _cdf_or_error(build):
@@ -353,31 +376,33 @@ def _cdf_or_error(build):
         return type(exc)
 
 
-class TestMappedView:
+class TestThrough:
     """A sorted foreground read through a map that never descends, at its rank
     knots alone, gives the curve of the mapped values bit for bit."""
 
     @settings(max_examples=300)
     @given(drawn=_mapped_views(), grid_size=_knot_caps)
     def test_knot_read_equals_the_cdf_of_the_mapped_values(self, drawn, grid_size):
-        view, fn, dtype, q_range = drawn
-        mapped = view.map_foreground(fn, dtype, q_range)
-        assume(view.levels.size > 0)
+        index, fn, dtype, q_range = drawn
+        fg = index.sorted_foreground()
+        assume(fg.values.size > 0)
+        mapped = index.map_foreground(fn, dtype, q_range)
         expected = _cdf_or_error(lambda: build_cdf(mapped.to_volume(), grid_size=grid_size))
-        got = _cdf_or_error(lambda: build_cdf(MappedView(view, fn, dtype, q_range),
+        got = _cdf_or_error(lambda: build_cdf(fg.through(fn, dtype, q_range),
                                               grid_size=grid_size))
         if isinstance(expected, type):
             assert got is expected
             return
         assert got.xs.tobytes() == expected.xs.tobytes()
         assert got.ps.tobytes() == expected.ps.tobytes()
-        assert got.n_samples == expected.n_samples == view.levels.size
+        assert got.n_samples == expected.n_samples == fg.n_voxels
 
     @pytest.mark.parametrize("merged", [False, True])
     def test_distinct_knots_map_only_the_bisection(self, merged):
         values = np.random.default_rng(8).normal(800.0, 200.0, 200_000)
         values[::5] = 0.0
-        view = IntensityIndex.of(stored_volume(values, np.float32)).sorted_foreground()
+        index = IntensityIndex.of(stored_volume(values, np.float32))
+        fg = index.sorted_foreground()
         sizes = []
 
         def fn(x):
@@ -385,25 +410,19 @@ class TestMappedView:
             y = x.astype(np.float64) * 2.0 - 5.0
             return np.floor(y / 500.0) if merged else y
 
-        cdf = build_cdf(MappedView(view, fn, "f32"))
+        cdf = build_cdf(fg.through(fn, "f32"))
         read = list(sizes)
-        mapped = build_cdf(view.map_foreground(fn, "f32").to_volume())
+        mapped = build_cdf(index.map_foreground(fn, "f32").to_volume())
         assert cdf.ps.tobytes() == mapped.ps.tobytes()
         assert cdf.xs.tobytes() == mapped.xs.tobytes()
         # distinct knots: the 1,024 knot values, then two values per knot
-        # and round of the bisection, ~157 ranks wide here
+        # and round of the bisection, ~157 ranks wide here; merged knots:
+        # every sample, 64k at a time
         if merged:
-            assert read[0] == 1024 and sum(read[1:]) == view.levels.size
+            assert read[0] == 1024 and sum(read[1:]) == fg.values.size
+            assert max(read[1:]) == 65536
         else:
             assert read[0] == 1024 and max(read[1:]) <= 2 * 1023 and len(read) <= 1 + 9
-
-    def test_needs_the_sorted_foreground_of_a_per_voxel_index(self):
-        index = IntensityIndex.of(stored_volume([0.5, 1.5, 2.5], np.float32))
-        with pytest.raises(ValueError, match="sorted_foreground"):
-            MappedView(index, np.asarray)
-        table = IntensityIndex.of(stored_volume([1, 2, 3], np.uint16))
-        with pytest.raises(ValueError, match="sorted_foreground"):
-            MappedView(table.sorted_foreground(), np.asarray)
 
 
 class TestEmpiricalCdfValidation:
@@ -419,6 +438,13 @@ class TestEmpiricalCdfValidation:
         with pytest.raises(ValueError):
             EmpiricalCdf([1.0, 2.0], [0.2, 0.9999])
         EmpiricalCdf([1.0, 2.0], [0.2, 1.0 - 1e-13])  # within tolerance
+
+    @pytest.mark.parametrize("xs, ps", [([1.0, 2.0, np.inf], [0.2, 0.5, 1.0]),
+                                        ([1.0, 2.0, 3.0], [0.2, np.nan, 1.0]),
+                                        ([1.0, 2.0, 3.0], [0.2, 0.5, np.nan])])
+    def test_requires_finite_knots(self, xs, ps):
+        with pytest.raises(ValueError, match="finite"):
+            EmpiricalCdf(xs, ps)
 
 
 class TestBuildCdf:
@@ -584,11 +610,15 @@ class TestZscore:
         assume(np.unique(vol.foreground()).size > 1)
         index = IntensityIndex.of(vol)
         expected = reference_zscore(vol)
-        from_index = zscore_standardize(index)
+        from_index = zscore_standardize(index.sorted_foreground())
         from_volume = zscore_standardize(vol)
-        assert isinstance(from_index, IntensityIndex)
+        assert isinstance(from_index, SortedForeground) and from_index.index is index
         got = from_volume.voxels
-        assert from_index.to_volume().voxels.tobytes() == got.tobytes()
+        # the sorted samples through the z-score are the z-scored foreground, sorted
+        z = from_index.store(from_index.values)
+        if from_index.cum is not None:
+            z = np.repeat(z, np.diff(from_index.cum))
+        assert z.tobytes() == np.sort(from_volume.foreground()).tobytes()
         if index.counts is None:
             assert got.tobytes() == expected.tobytes()
         else:

@@ -378,6 +378,20 @@ class TestInspect:
         assert run(["inspect", "--lut", str(lut_path), "--out", str(out),
                     "--points", "1"]) == 64
 
+    def test_background_is_a_knot_only_without_exclusion(self, workspace, tmp_path):
+        vol = read_volume(workspace / "raw" / "vol0.raw")
+        values = vol.voxels.astype(np.float64)
+        values[::7] = 0.0
+        path = tmp_path / "with_background.raw"
+        write_volume(vol.with_voxels(values), path, "f32")
+        first = {}
+        for flag in ("--exclude-background", "--no-exclude-background"):
+            out = tmp_path / f"{flag}.csv"
+            assert run(["inspect", "--cdf", str(path), "--out", str(out), flag]) == 0
+            first[flag] = float(out.read_text().splitlines()[1].split(",")[0])
+        assert first["--no-exclude-background"] == 0.0
+        assert first["--exclude-background"] == values[values != 0.0].min() > 0.0
+
     def test_inspection_is_deterministic(self, workspace, tmp_path):
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"
         for plot in (a, b):
@@ -491,6 +505,27 @@ class TestMalformedFiles:
         err = capsys.readouterr().err
         assert str(bad) in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("field, at, value", [("ps", 5, float("nan")),
+                                                  ("xs", -1, float("inf"))])
+    def test_non_finite_template_knot_exits_1(self, workspace, tmp_path, capsys, field,
+                                              at, value):
+        # an unclipped template: a clip range would reject an infinite knot
+        # for lying outside it, and no clip check sees a NaN probability
+        template = tmp_path / "unclipped.template.json"
+        assert run(["template", "build", "--channel", "T2", "--clip", "none",
+                    "--out", str(template)]
+                   + [str(workspace / "raw" / f"vol{i}.raw") for i in range(3)]) == 0
+        doc = json.loads(template.read_text())
+        doc["cdf"][field][at] = value  # written as NaN or Infinity, which json reads
+        bad = tmp_path / "bad.template.json"
+        bad.write_text(json.dumps(doc))
+        assert run(["harmonize", "--template", str(bad), "--in", str(workspace / "raw"),
+                    "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "bad.template.json" in err and "finite" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("value", [[15631.1], "15631.1", True, float("inf")])
     def test_non_numeric_tail_source_exits_1(self, workspace, tmp_path, capsys, value):

@@ -13,7 +13,7 @@ from cdfmatch import (METHOD_CDF_MATCH, METHOD_PERCENTILE_STRETCH,
                       build_cdf, evaluate_cohort, generate_synthetic, harmonize,
                       ks_distance, percentile_stretch, quantile, read_volume,
                       write_volume, zscore_standardize)
-from cdfmatch.cdf import DTYPES, IntensityIndex, MappedView, check_fits
+from cdfmatch.cdf import DTYPES, IntensityIndex, SortedForeground, check_fits
 from cdfmatch.errors import (AllBackground, DegenerateCdf, DegenerateConstant,
                              EmptyInput, Overflow)
 from cdfmatch.pipeline import quantization_range
@@ -514,9 +514,11 @@ class TestTablePath:
         assert entry.post_ks == ks_distance(post_cdf, template.cdf)
         # the post-CDF harmonize read at the rank knots, before the mapping,
         # is the stored output's, bit for bit
-        (view, pre), (mapped, post) = cdfs
-        assert view.unsorted.levels is vol.voxels
-        assert isinstance(mapped, MappedView) and mapped.view is view
+        (sorted_fg, pre), (mapped, post) = cdfs
+        assert isinstance(sorted_fg, SortedForeground) and sorted_fg.store is None
+        assert sorted_fg.index.levels is vol.voxels
+        assert isinstance(mapped, SortedForeground) and mapped.store is not None
+        assert mapped.values is sorted_fg.values
         assert post.xs.tobytes() == post_cdf.xs.tobytes()
         assert post.ps.tobytes() == post_cdf.ps.tobytes()
         assert post.n_samples == post_cdf.n_samples == np.count_nonzero(fg)

@@ -13,7 +13,7 @@ from cdfmatch import (ControlPoints, TemplateCdf, Volume, average_cdfs, build_cd
                       harmonize, load_template, lut_ds, quantile, save_template,
                       zscore_standardize)
 from cdfmatch import template as template_module
-from cdfmatch.cdf import DTYPES, IntensityIndex
+from cdfmatch.cdf import DTYPES, IntensityIndex, SortedForeground
 from cdfmatch.errors import BadTailSpec, EmptyCohort, Infeasible, SchemaMismatch
 from cdfmatch.pipeline import TAIL_SQUEEZE_GATE
 from cdfmatch.template import DEFAULT_CONTROLS, template_tails
@@ -122,10 +122,34 @@ class TestMemberCdf:
         fg = vol.foreground()
         assume(np.unique(fg).size > 1)
         got = template_module._member_cdf(vol, grid_size)
-        want = build_cdf(zscore_standardize(IntensityIndex.of(vol)), grid_size=grid_size)
+        want = build_cdf(zscore_standardize(vol), grid_size=grid_size)
         assert (got.xs.tobytes(), got.ps.tobytes()) == (want.xs.tobytes(), want.ps.tobytes())
         # no foreground voxel merged into the background
         assert got.n_samples == want.n_samples == fg.size
+
+    @pytest.mark.parametrize("kind", ["f32", "u16", "voxel_at_mean", "merged_knots"])
+    def test_equals_the_cdf_of_the_z_scored_volume(self, kind):
+        rng = np.random.default_rng(17)
+        if kind == "voxel_at_mean":
+            # half-integers keep the member off the level table; 60.5 is its mean
+            fg = _mirrored(rng, 40_000, 121, 20.0) / 2
+        elif kind == "merged_knots":
+            fg = rng.choice(rng.normal(800.0, 200.0, 9), 200_000)  # 9 levels, 1,024 knots
+        else:
+            fg = rng.normal(800.0, 200.0, 200_000).clip(1.0, None)
+        if kind == "u16":
+            fg = np.rint(fg)
+        values = rng.permutation(np.concatenate([fg, np.zeros(fg.size // 4)]))
+        vol = stored_volume(values, np.uint16 if kind == "u16" else np.float32)
+        assert (IntensityIndex.of(vol).counts is None) == (kind != "u16")
+        got = template_module._member_cdf(vol, 1024)
+        want = build_cdf(zscore_standardize(vol))
+        assert (got.xs.tobytes(), got.ps.tobytes()) == (want.xs.tobytes(), want.ps.tobytes())
+        assert got.n_samples == want.n_samples == fg.size
+        if kind == "voxel_at_mean":
+            assert np.nextafter(0.0, 1.0) in got.xs
+        if kind == "merged_knots":
+            assert got.xs.size == 9
 
     def test_level_at_the_mean_moves_off_the_background(self):
         # half-integers keep the f32 member off the level table; the level
@@ -244,10 +268,12 @@ class TestBuildTemplate:
         cohort = [v.with_voxels(np.rint(v.voxels)) for v in scanner_cohort(3, seed0=450)]
         build_template(cohort)
         assert len(seen) == len(cohort)
-        for vol, member in zip(seen, cohort):
-            assert isinstance(vol, IntensityIndex)
-            assert vol.counts is not None
-            assert vol.counts.sum() == member.n_voxels
+        for fg, member in zip(seen, cohort):
+            # counted samples read through the z-score, never z-scored voxel by voxel
+            assert isinstance(fg, SortedForeground) and fg.store is not None
+            assert fg.index.counts is not None and fg.cum is not None
+            assert fg.n_voxels == member.foreground().size
+            assert fg.values.size == np.unique(member.foreground()).size
 
     def test_channel_label_priority(self):
         vol = generate_synthetic(t2_spec(403, channel="FLAIR"))
