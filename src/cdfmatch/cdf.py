@@ -65,16 +65,16 @@ def store_as(values: np.ndarray, dtype: str) -> np.ndarray:
     rounded to the nearest integer first for an integer dtype; returned as
     they are when already stored there.  Raises Overflow when they do not
     fit; it never clamps."""
-    dt = _dtype(dtype)
-    if values.dtype == dt:
-        return values
-    if values.size:
+    if values.size and values.dtype != _dtype(dtype):
         check_fits(dtype, float(values.min()), float(values.max()))
-    if dt.kind in "ui":
-        out = np.empty(values.shape, dtype=dt)
-        np.rint(values, out=out, casting="unsafe")
-        return out
-    return values.astype(dt)
+    return _cast(values, _dtype(dtype))
+
+
+def _cast(values: np.ndarray, dt: np.dtype) -> np.ndarray:
+    """:func:`store_as` of values known to fit ``dt``."""
+    if values.dtype == dt or dt.kind not in "ui":
+        return values.astype(dt, copy=False)
+    return np.rint(values, out=np.empty(values.shape, dtype=dt), casting="unsafe")
 
 
 def _foreground_mask(values: np.ndarray, background: float) -> np.ndarray:
@@ -223,7 +223,9 @@ def _stored_map(fn, dtype: str, q_range: tuple[float, float] | None,
     background moves one step away, which keeps the levels' order: to the
     next integer on an integer dtype or under ``q_range`` (up, unless that
     passes ``hi`` or the dtype's top), else to the next float above.  So the
-    map never descends where ``fn`` does not.
+    map never descends where ``fn`` does not.  When ``fn`` carries ``bounds``,
+    its least and greatest value (a ``LutTable`` does), those two stored settle
+    once, not per call, whether all fit and whether any can land on the background.
     """
     dt = _dtype(dtype)
     stored_bg = store_as(np.array([background]), dtype)[0]
@@ -234,12 +236,18 @@ def _stored_map(fn, dtype: str, q_range: tuple[float, float] | None,
     else:
         step = np.nextafter(stored_bg, dt.type(np.inf))
 
+    def rounded(values: np.ndarray) -> np.ndarray:  # ties round to even
+        return values if q_range is None else np.rint(np.clip(values, *q_range))
+
+    cast, collides = (lambda values: store_as(values, dtype)), True
+    if getattr(fn, "bounds", None) is not None:
+        low, high = store_as(rounded(np.array(fn.bounds, dtype=np.float64)), dtype)
+        cast, collides = (lambda values: _cast(values, dt)), low <= stored_bg <= high
+
     def store(levels: np.ndarray) -> np.ndarray:
-        values = fn(levels)
-        if q_range is not None:
-            values = np.rint(np.clip(values, *q_range))  # ties round to even
-        values = store_as(values, dtype)
-        values[values == stored_bg] = step
+        values = cast(rounded(fn(levels)))
+        if collides:
+            values[values == stored_bg] = step
         return values
 
     return store, stored_bg

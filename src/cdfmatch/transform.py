@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import erf
@@ -18,19 +19,23 @@ from scipy.special import erf
 from .cdf import IntensityIndex, Volume, _match_scalar
 from .errors import BadTailSpec, NonMonotone
 
-# lut_ds's slope above v_M is sigma_T + (sigma_B - sigma_T) h(2 (x - v_M) / (v_T - v_M))
-# with h(t) = (1 - erf t)/2 - t exp(-t^2)/sqrt(pi), least at 1; mirrored below
-MONOTONE_RATIO = 1.0 - 1.0 / ((1.0 - math.erf(1.0)) / 2.0
-                              - math.exp(-1.0) / math.sqrt(math.pi))
+
+def _ramp(t: float) -> float:
+    """lut_ds's slope above v_M is sigma_T + (sigma_B - sigma_T) h(2 (x - v_M) /
+    (v_T - v_M)), mirrored below: h falls from 1/2 at 0, least at 1, to 0."""
+    return (1.0 - math.erf(t)) / 2.0 - t * math.exp(-t * t) / math.sqrt(math.pi)
+
+
+MONOTONE_RATIO = 1.0 - 1.0 / _ramp(1.0)
 # the interpolated table's error target, as a share of the output span
 TABLE_TOLERANCE = 2.0 ** -28
 # a table node costs ~45-50 ns to build and a foreground voxel mapped through
 # the table saves ~20 ns (2^18 nodes, float32 voxels, a shared 2-core VM), so
 # a volume takes the table only with at least this many voxels per node
 TABLE_VOXELS_PER_NODE = 4
-# the fewest table nodes: volumes under 2^20 voxels, where the table would
-# save ~10 ms at most, keep the exact map and its output bit for bit
-TABLE_MIN_NODES = 1 << 18
+# volumes under 2^20 voxels, where the table would save ~10 ms at most, keep
+# the exact map and its output bit for bit
+TABLE_MIN_VOXELS = 1 << 20
 # max |erf''(t)|, at t = 1/sqrt(2)
 ERF_CURVATURE = 2.0 * math.sqrt(2.0) * math.exp(-0.5) / math.sqrt(math.pi)
 
@@ -174,12 +179,6 @@ class TailSpec:
         return [(np.flatnonzero(~(y < start) if r_S > 0 else ~(y > start)),
                  start, r_S, r_T) for start, r_S, r_T in self._ranges()]
 
-    def max_slope(self) -> float:
-        """The largest slope of :meth:`apply`: 1 on the identity, and
-        ``4 r_T / (sqrt(pi) r_S)`` at an enabled side's start."""
-        return max([1.0] + [4.0 / math.sqrt(math.pi) * r_T / r_S
-                            for _, r_S, r_T in self._ranges()])
-
     def _squeeze(self, y: np.ndarray) -> np.ndarray:
         """:meth:`apply` on a 1-D float64 buffer the caller owns, in place."""
         for past, start, r_S, r_T in self._sides(y):
@@ -220,78 +219,83 @@ def _shaped(out: np.ndarray, like) -> "float | np.ndarray":
     return _match_scalar(out.reshape(np.shape(like)), like)
 
 
-def _read_table(u: np.ndarray, scale: float, table: np.ndarray,
-                rise: np.ndarray) -> np.ndarray:
-    """``table`` read at the non-negative offsets ``u`` from its first node,
-    ``1 / scale`` apart: cell ``i`` and exact fraction ``f`` map to
-    ``table[i] + f * rise[i]``, in a new buffer; ``u`` is used up.  The
-    last rise is 0, so an offset at or past the last node reads that node."""
-    u *= scale
-    cell = u.astype(np.intp)  # u >= 0: truncation is the floor
-    u -= cell
-    y = np.take(rise, cell, mode="clip")
-    y *= u
-    y += np.take(table, cell, out=u, mode="clip")
-    return y
-
-
-def _tail_bound(reach: float, r_S: float, r_T: float, nodes: int) -> float:
-    """Bound on the error of a tail's table of ``nodes`` nodes over ``reach``
-    past its start: the second derivative of ``r_T erf(2 d / r_S)`` is at most
-    ``|r_T| (2 / r_S)^2 ERF_CURVATURE`` in size, so linear interpolation
-    between nodes ``h_y`` apart errs by at most::
-
-        h_y^2 / 8 * |r_T| (2 / r_S)^2 * ERF_CURVATURE
-    """
-    h_y = reach / (nodes - 1)
-    return h_y * h_y / 8.0 * abs(r_T) * (2.0 / r_S) ** 2 * ERF_CURVATURE
-
-
-def _tail_nodes(reach: float, r_S: float, r_T: float, share: float) -> int:
-    """The fewest nodes whose :func:`_tail_bound` is at most ``share``."""
-    h_y = math.sqrt(8.0 * share / (abs(r_T) * (2.0 / r_S) ** 2 * ERF_CURVATURE))
-    nodes = max(2, math.ceil(reach / h_y) + 1)
-    while _tail_bound(reach, r_S, r_T, nodes) > share:  # the square root's rounding
-        nodes += 1
-    return nodes
-
-
 def _accumulate(table: np.ndarray) -> np.ndarray:
     """Rebuild ``table`` in place from its first node and its rises, the
     last 0, and return them: ``table[i + 1]`` is exactly ``table[i] +
-    rise[i]``.  A rise below 0, rounding where erf saturates or where a
-    scale ratio near ``MONOTONE_RATIO`` flattens ``lut_ds``, counts as 0."""
-    rise = np.maximum(np.diff(table, append=table[-1]), 0.0)
+    rise[i]``.  A node below one before it (erf's rounding, or a scale ratio
+    near ``MONOTONE_RATIO``) takes the larger value: a running maximum."""
+    np.maximum.accumulate(table, out=table)
+    rise = np.diff(table, append=table[-1])
     table[1:] = rise[:-1]
     np.cumsum(table, out=table)
     return rise
 
 
-def _tail_table(start: float, r_S: float, r_T: float, reach: float, nodes: int):
-    """One side of :meth:`TailSpec.apply` read from a table of ``nodes``
-    nodes over the distances ``d`` in [0, reach] past ``start``, the first
-    node exactly at it: ``|r_T| erf(2 d / |r_S|)``, accumulated from its
-    rises (:func:`_accumulate`), as the dual scaling's table is.  Returns
-    the squeeze, which maps the values of ``y`` past ``start`` in place to
-    ``start +/- table(d)``: never descending, also at the start, where the
-    identity ends."""
-    table = erf(np.linspace(0.0, 2.0 * reach / abs(r_S), nodes))
-    table *= abs(r_T)
-    rise = _accumulate(table)
-    scale = (nodes - 1) / reach
-    top = r_S > 0
+def _crossing(f, level: float, a: float, b: float) -> "float | None":
+    """The least float in [a, b] at which the non-decreasing map ``f`` (of
+    an array) reaches ``level``, by a 256-way search; None when none does."""
+    low, high = f(np.array([a, b]))
+    if not level <= high:
+        return None
+    if level <= low:
+        return a
+    while np.nextafter(a, b) < b:
+        xs = np.linspace(a, b, 257)
+        first = int(np.argmax(f(xs) >= level))  # f(xs[0]) < level <= f(xs[-1])
+        a, b = float(xs[first - 1]), float(xs[first])
+    return b
 
-    def squeeze(y: np.ndarray) -> None:
-        past = np.flatnonzero(y >= start if top else y <= start)
-        d = y[past]
-        if top:
-            d -= start
-        else:
-            np.subtract(start, d, out=d)
-        t = _read_table(d, scale, table, rise)
-        y[past] = np.add(start, t, out=t) if top else np.subtract(start, t, out=t)
 
-    return squeeze
+def _ds_extremes(params: "DualScaleParams", a: float, b: float) -> tuple:
+    """The largest slope and size of second derivative of :func:`lut_ds` on
+    [a, b]: with ``t = 2 (x - v_M) / s``, ``s`` the pivot span on x's side,
+    ``sigma_T + (sigma_B - sigma_T) h(t)`` (:func:`_ramp`, mirrored below) and
+    ``|sigma_B - sigma_T| 4 / (sqrt(pi) s) e^{-t^2} |t^2 - 1|``, which peaks
+    at |t| = sqrt(2) past 1: each side's ends, 1 and sqrt(2) decide."""
+    pivots, diff = params.pivots, params.sigma_B - params.sigma_T
+    slope = bend = 0.0
+    for sign, span, base in ((1.0, pivots.v_T - pivots.v_M, params.sigma_T),
+                             (-1.0, pivots.v_M - pivots.v_B, params.sigma_B)):
+        ends = sorted(sign * (x - pivots.v_M) for x in (a, b))
+        if ends[1] < 0.0:  # [a, b] lies on the other side
+            continue
+        t0, t1 = (2.0 * max(e, 0.0) / span for e in ends)
+        ts = [t0, t1] + [t for t in (1.0, math.sqrt(2.0)) if t0 < t < t1]
+        slope = max([slope] + [base + sign * diff * _ramp(t) for t in ts])
+        bend = max([bend] + [abs(diff) * 4.0 / (math.sqrt(math.pi) * span)
+                             * math.exp(-t * t) * abs(t * t - 1.0) for t in ts])
+    return slope, bend
+
+
+@dataclass(frozen=True, eq=False)
+class LutTable:
+    """:meth:`IntensityLut.apply` read from its table: each value clamps to
+    ``domain``, splits into its cell ``i`` of the nodes ``1 / scale`` apart
+    from ``origin`` and its exact fraction ``f``, and maps to ``table[i] + f
+    * rise[i]``; ``table[i + 1]`` is exactly ``table[i] + rise[i]``, so it
+    never descends, bit for bit, also across cells."""
+
+    origin: float
+    scale: float
+    domain: tuple[float, float]
+    table: np.ndarray
+    rise: np.ndarray
+
+    def __call__(self, x) -> "float | np.ndarray":
+        u = np.subtract(x, self.origin, dtype=np.float64).reshape(-1)
+        np.clip(u, self.domain[0] - self.origin, self.domain[1] - self.origin, out=u)
+        u *= self.scale
+        cell = u.astype(np.intp)  # u >= 0: truncation is the floor
+        u -= cell
+        y = np.take(self.rise, cell, mode="clip")  # the last rise is 0
+        y *= u
+        y += np.take(self.table, cell, out=u, mode="clip")
+        return _shaped(y, x)
+
+    @property
+    def bounds(self) -> tuple[float, float]:
+        """The least and greatest value it returns: its values at the domain ends."""
+        return tuple(float(v) for v in self(np.array(self.domain)))
 
 
 def _weight(d: np.ndarray, pivots: PivotTriple) -> np.ndarray:
@@ -417,120 +421,112 @@ class IntensityLut:
         :meth:`interpolant` never does)."""
         y = np.array(x, dtype=np.float64).reshape(-1)  # a copy: x is never written
         np.clip(y, self.domain[0], self.domain[1], out=y)
-        self.tails._squeeze(_dual_scale(y, self.params, out=y))
+        return _shaped(self._squeeze(_dual_scale(y, self.params, out=y)), x)
+
+    def _squeeze(self, y: np.ndarray) -> np.ndarray:
+        """The tails, then the clip, on the caller's dual-scaled ``y``, in place."""
+        self.tails._squeeze(y)
         if self.clip is not None:
             np.clip(y, self.clip[0], self.clip[1], out=y)
-        return _shaped(y, x)
+        return y
 
-    def _tail_reaches(self) -> list:
-        """(start, r_S, r_T, reach) of each enabled tail that the dual scaling
-        of the domain passes: its table spans ``reach`` past the start, to
-        ``lut_ds`` of the domain end on that side but no further than
-        ``3 |r_S|``, where erf(6) rounds to 1 and the squeeze is flat."""
-        y_lo, y_hi = _dual_scale(np.array(self.domain), self.params)
-        sides = []
+    @cached_property
+    def _kinks(self) -> tuple:
+        """``(x, jump, tail)`` of each kink of :meth:`apply` without the
+        domain clamp, in order, searched a domain width past either end: an
+        enabled tail's start (``tail`` its ``(r_S, r_T)``; no step where the
+        clip holds it) and where the clip starts to hold; ``jump`` is the slope's step."""
+        a, b = 2.0 * self.domain[0] - self.domain[1], 2.0 * self.domain[1] - self.domain[0]
+        kinks = []
         for start, r_S, r_T in self.tails._ranges():
-            reach = min(y_hi - start if r_S > 0 else start - y_lo, 3.0 * abs(r_S))
-            if reach > 0.0:
-                sides.append((start, r_S, r_T, reach))
-        return sides
+            x = _crossing(lambda v: _dual_scale(v, self.params), start, a, b)
+            free = self.clip is None or self.clip[0] < start < self.clip[1]
+            kinks.append((x, free * abs(4.0 / math.sqrt(math.pi) * r_T / r_S - 1.0), (r_S, r_T)))
+        for end in self.clip or ():
+            x = _crossing(lambda v: self.tails.apply(_dual_scale(v, self.params)), end, a, b)
+            kinks.append((x, float(self.tails.slope(lut_ds(x, self.params))), None))
+        return tuple(sorted(((x, _ds_extremes(self.params, x, x)[0] * step, tail)
+                             for x, step, tail in kinks if x is not None), key=lambda k: k[0]))
 
-    def table_bound(self, nodes: int, tails: tuple) -> float:
-        """Bound on ``|interpolant(nodes, tails)(x) - apply(x)|`` in exact
-        arithmetic, ``tails`` as :meth:`table_nodes` sizes them.
+    def _grid(self, nodes: int) -> "tuple | None":
+        """``(anchor, first, h, count)``: at most ``nodes`` nodes ``h = (x_2 -
+        x_1) / m`` apart over the domain, node ``first`` at ``anchor`` = x_1,
+        x_1 and x_2 the domain's two kinks with the largest steps, a lone
+        kink and the farther end, or the ends; None when no ``m`` fits."""
+        lo, hi = self.domain
+        jumps = {x: jump for x, jump, _ in self._kinks if lo <= x <= hi}
+        inside = sorted(sorted(jumps, key=jumps.get, reverse=True)[:2])
+        if len(inside) == 1:
+            inside = [lo] + inside if inside[0] - lo >= hi - inside[0] else inside + [hi]
+        p, q = (inside[0], inside[-1]) if len(inside) > 1 else (lo, hi)
+        for m in range(math.floor((nodes - 1) * (q - p) / (hi - lo)), 0, -1):
+            h = (q - p) / m
+            first = math.ceil((p - lo) / h)
+            count = first + m + math.ceil((hi - q) / h) + 1
+            if count <= nodes:
+                return p, first, h, count
+        return None
 
-        :func:`lut_ds` is C1, and its second derivative
-        ``(sigma_B - sigma_T) 4 / (sqrt(pi) s) exp(-t^2) (t^2 - 1)``, with
-        ``t = 2 (x - v_M) / s`` and ``s`` the pivot span on x's side of v_M,
-        is largest in size at v_M.  Linear interpolation between nodes ``h``
-        apart is within ``h^2 / 8`` of that maximum, and the tails and the
-        clip stretch an error by at most :meth:`TailSpec.max_slope` (a tail's
-        table, the chords of a concave map, is no steeper than its start)::
+    def table_bound(self, nodes: int) -> float:
+        """Bound on ``|interpolant(nodes)(x) - apply(x)|`` in exact
+        arithmetic (inf when no grid fits), rounding aside::
 
-            h^2 / 8 * 4 |sigma_B - sigma_T| / (sqrt(pi) min(v_M - v_B, v_T - v_M)) * L
+            h^2 / 8 * max|f''|  +  sum over kinks of jump * d
 
-        Each tail's own table adds its :func:`_tail_bound`.  The first term
-        is attained at v_M; rounding adds a few ulps of the output.
-        """
-        p, pivots = self.params, self.params.pivots
-        h = (self.domain[1] - self.domain[0]) / (nodes - 1)
-        curvature = (4.0 * abs(p.sigma_B - p.sigma_T)
-                     / (math.sqrt(math.pi) * min(pivots.v_M - pivots.v_B,
-                                                 pivots.v_T - pivots.v_M)))
-        return (h * h / 8.0 * curvature * self.tails.max_slope()
-                + sum(_tail_bound(reach, r_S, r_T, n) for _, r_S, r_T, reach, n in tails))
+        On each piece between kinks ``f = S(g)``, ``g`` = :func:`lut_ds`,
+        ``S`` the identity or a tail (or the clip's constant, bounded as
+        they are): ``f'' = S''(g) g'^2 + S'(g) g''``, with a tail's ``|S''|
+        <= |r_T| (2 / r_S)^2 ERF_CURVATURE``, ``S'`` at most its start's and
+        ``g'``, ``|g''|`` by :func:`_ds_extremes`.  ``d`` is a kink's float
+        distance to its nearest node: a few ulps when the grid holds it."""
+        grid = self._grid(nodes)
+        if grid is None:
+            return math.inf
+        anchor, first, h, count = grid
+        reach = (anchor - first * h, anchor + (count - 1 - first) * h)
+        inside = [kink for kink in self._kinks if reach[0] <= kink[0] <= reach[1]]
+        edges = [reach[0]] + [x for x, *_ in inside] + [reach[1]]
+        curvature = 0.0
+        for a, b in zip(edges, edges[1:]):
+            slope, bend = _ds_extremes(self.params, a, b)
+            for x, _, (r_S, r_T) in (k for k in self._kinks if k[2] is not None):
+                if a >= x if r_S > 0 else b <= x:  # past the tail's start
+                    bend = (abs(r_T) * (2.0 / r_S) ** 2 * ERF_CURVATURE * slope * slope
+                            + 4.0 / math.sqrt(math.pi) * r_T / r_S * bend)
+            curvature = max(curvature, bend)
+        ulp = 4.0 * np.spacing(max(abs(reach[0]), abs(reach[1]), abs(self.params.pivots.v_M)))
+        return h * h / 8.0 * curvature + sum(
+            jump * (abs(anchor + round((x - anchor) / h) * h - x) + ulp) for x, jump, _ in inside)
 
-    def table_nodes(self, limit: int) -> "tuple[int, tuple] | None":
-        """The table's size as ``(nodes, tails)``, or None when it would take
-        more than ``limit`` nodes in any one table.
-
-        ``nodes`` is the smallest power of two, from ``TABLE_MIN_NODES`` up,
-        whose dual-scaling term of :meth:`table_bound` is at most
-        ``TABLE_TOLERANCE`` of the output span (the clip span, else
-        ``apply(hi) - apply(lo)``).  ``tails`` holds ``(start, r_S, r_T,
-        reach, nodes)`` of each of :meth:`_tail_reaches`, each with the
-        fewest nodes that keep its term within an even share of what the
-        dual scaling leaves of that target."""
+    def table_nodes(self, limit: int) -> "int | None":
+        """The smallest power of two of nodes, at most ``limit``, whose
+        :meth:`table_bound` is at most ``TABLE_TOLERANCE`` of the output
+        span (the clip span, else ``apply(hi) - apply(lo)``); None when no
+        such count is."""
         if self.clip is not None:
             span = self.clip[1] - self.clip[0]
         else:
             bottom, top = self.apply(np.array(self.domain))
             span = top - bottom
-        target = TABLE_TOLERANCE * span
-        nodes = TABLE_MIN_NODES
-        while nodes <= limit and not self.table_bound(nodes, ()) <= target:
+        nodes = 2
+        while nodes <= limit and not self.table_bound(nodes) <= TABLE_TOLERANCE * span:
             nodes *= 2
-        if nodes > limit:
-            return None
-        sides = self._tail_reaches()
-        if not sides:
-            return nodes, ()
-        share = (target - self.table_bound(nodes, ())) / len(sides)
-        if not share > 0.0:
-            return None
-        tails = tuple((start, r_S, r_T, reach, _tail_nodes(reach, r_S, r_T, share))
-                      for start, r_S, r_T, reach in sides)
-        return None if any(n > limit for *_, n in tails) else (nodes, tails)
+        return nodes if nodes <= limit else None
 
-    def interpolant(self, nodes: int, tails: tuple):
-        """:meth:`apply` read from tables, sized as :meth:`table_nodes` sizes
-        them: a function of an array, within :meth:`table_bound` of it and
-        never descending, bit for bit.
-
-        The table holds ``lut_ds`` at ``nodes`` evenly spaced points of the
-        domain, accumulated from its rises (:func:`_accumulate`), so that
-        ``table[i + 1]`` is exactly ``table[i] + rise[i]``.  Each value clamps
-        to the domain, is split into its cell ``i`` and its exact fraction ``f`` of it, and maps
-        to ``table[i] + f * rise[i]``, which never descends, also across
-        cells.  Each enabled tail then reads its own table the same way
-        (:func:`_tail_table`), and the clip runs as in :meth:`apply`.
-        """
-        lo, hi = self.domain
-        scale = (nodes - 1) / (hi - lo)
-        # node i sits where a value's cell coordinate (x - lo) * scale is i:
-        # taken as an offset from v_M, its position rounds at the scale of
-        # the domain's width, not of its distance from 0
-        offsets = np.arange(nodes, dtype=np.float64)
-        offsets /= scale
-        offsets += lo - self.params.pivots.v_M
-        table = _offset_scale(offsets, self.params)
-        # a value at hi is in the last node's cell, whose rise is 0
-        rise = _accumulate(table)
-        squeezes = [_tail_table(*side) for side in tails]
-
-        def interpolate(x) -> "float | np.ndarray":
-            u = np.subtract(x, lo, dtype=np.float64).reshape(-1)
-            np.clip(u, 0.0, hi - lo, out=u)  # x clamped to the domain
-            y = _read_table(u, scale, table, rise)
-            # each side maps its values onto its own side of its start, and
-            # the sides are disjoint, so one after the other writes both
-            for squeeze in squeezes:
-                squeeze(y)
-            if self.clip is not None:
-                np.clip(y, self.clip[0], self.clip[1], out=y)
-            return _shaped(y, x)
-
-        return interpolate
+    def interpolant(self, nodes: int) -> LutTable:
+        """:meth:`apply` read from one table of the whole composed map
+        (:class:`LutTable`), within :meth:`table_bound` of it: the nodes of
+        :meth:`_grid` hold :meth:`apply` without the domain clamp (nodes
+        past the domain keep the smooth extension), accumulated from their
+        rises (:func:`_accumulate`)."""
+        anchor, first, h, count = self._grid(nodes)
+        # positions as offsets from v_M, built from the anchor: its node is
+        # exact, and each rounds at the scale of the domain, not of 0
+        offsets = np.arange(-first, count - first, dtype=np.float64)
+        offsets *= h
+        offsets += anchor - self.params.pivots.v_M
+        table = self._squeeze(_offset_scale(offsets, self.params))
+        return LutTable(anchor - first * h, 1.0 / h, self.domain, table, _accumulate(table))
 
     def to_dict(self) -> dict:
         return {"params": self.params.to_dict(), "tails": self.tails.to_dict(),
@@ -558,16 +554,15 @@ def compose_lut(params: DualScaleParams, tails: TailSpec,
     return IntensityLut(params, tails, domain, clip=clip)
 
 
-def voxel_table(lut: IntensityLut, index: IntensityIndex):
+def voxel_table(lut: IntensityLut, index: IntensityIndex) -> "LutTable | None":
     """The :meth:`IntensityLut.interpolant` that ``index``'s voxels map
-    through, or None for the exact map: a per-voxel index (a float volume)
-    with at least ``TABLE_VOXELS_PER_NODE`` voxels per node of
-    :meth:`IntensityLut.table_nodes` takes the table; a level table maps
-    exactly."""
-    if index.counts is not None:
+    through, or None for the exact map: a float volume (a per-voxel index)
+    of ``TABLE_MIN_VOXELS`` or more takes it, when it has
+    ``TABLE_VOXELS_PER_NODE`` voxels per node; a level table maps exactly."""
+    if index.counts is not None or index.n_voxels < TABLE_MIN_VOXELS:
         return None
-    size = lut.table_nodes(index.n_voxels // TABLE_VOXELS_PER_NODE)
-    return None if size is None else lut.interpolant(*size)
+    nodes = lut.table_nodes(index.n_voxels // TABLE_VOXELS_PER_NODE)
+    return None if nodes is None else lut.interpolant(nodes)
 
 
 def apply_lut(vol: "Volume | IntensityIndex", lut: IntensityLut, dtype: str = "float64",
@@ -582,11 +577,8 @@ def apply_lut(vol: "Volume | IntensityIndex", lut: IntensityLut, dtype: str = "f
     gather builds the output; given an index, returns it mapped, ungathered.
 
     ``fn`` is the element-wise map: :meth:`IntensityLut.apply` or the
-    table :func:`voxel_table` built for this volume, within
-    :meth:`IntensityLut.table_bound` (at most ``TABLE_TOLERANCE`` of the
-    output span) of ``apply``, plus rounding.  None takes
-    ``voxel_table(lut, index)``, else ``apply``; a table built here is freed
-    on return.
+    :func:`voxel_table` of this volume, within ``TABLE_TOLERANCE`` of the
+    output span of it; None takes that table, else ``apply``.
     """
     index = IntensityIndex.of(vol)
     fn = fn or voxel_table(lut, index) or lut.apply

@@ -18,7 +18,7 @@ from cdfmatch.errors import (AllBackground, DegenerateCdf, DegenerateConstant,
                              EmptyInput, Overflow)
 from cdfmatch.pipeline import quantization_range
 from cdfmatch.template import ControlPoints, build_template
-from cdfmatch.transform import TABLE_VOXELS_PER_NODE
+from cdfmatch.transform import TABLE_TOLERANCE, TABLE_VOXELS_PER_NODE, voxel_table
 
 from conftest import (sample_from_cdf, scanner_cohort, scanner_effect,
                       stored_volume, t2_spec, volume_from_values)
@@ -496,14 +496,14 @@ class TestTablePath:
         out, entry = harmonize(vol, template)
         monkeypatch.undo()
         lut = entry.lut
-        size = lut.table_nodes(vol.n_voxels // TABLE_VOXELS_PER_NODE)
-        assert size is not None
+        nodes = lut.table_nodes(vol.n_voxels // TABLE_VOXELS_PER_NODE)
+        assert nodes is not None
         expected = _stored_reference(vol, lut, template, None, "f32")
         fg = vol.voxels != np.float32(vol.background_value)
         # the table moves a value by at most its bound, which the float32
         # payload may round one ulp further
         gap = np.abs(out.voxels.astype(np.float64) - expected.astype(np.float64))
-        assert (gap <= lut.table_bound(*size) + np.spacing(np.abs(expected))).all()
+        assert (gap <= lut.table_bound(nodes) + np.spacing(np.abs(expected))).all()
         assert 0 < np.count_nonzero(out.voxels != expected) < 0.05 * fg.sum()
         # background untouched, foreground off it and non-decreasing in the input
         assert (~fg).any() and (out.voxels[~fg] == np.float32(vol.background_value)).all()
@@ -526,6 +526,64 @@ class TestTablePath:
         again, _ = harmonize(vol, template)
         assert again.voxels.tobytes() == out.voxels.tobytes()
 
+    @pytest.mark.parametrize("clipped, parent_peak", [(True, 2.27), (False, 2.20)])
+    def test_the_table_takes_the_nodes_its_bound_needs(self, template_12bit,
+                                                       template_unclipped, large_f32,
+                                                       clipped, parent_peak):
+        # sized from its bound, not from a 2^18-node floor: 2^17 nodes
+        # (clipped) and 2^16 (unclipped) meet the target on this volume, so
+        # the table no longer weighs as much as the payload
+        template = template_12bit if clipped else template_unclipped
+        harmonize(large_f32, template)  # warm
+        gc.collect()
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out, entry = harmonize(large_f32, template)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        nodes = entry.lut.table_nodes(large_f32.n_voxels // TABLE_VOXELS_PER_NODE)
+        assert nodes == (1 << 17 if clipped else 1 << 16)
+        assert entry.lut.table_bound(nodes // 2) > TABLE_TOLERANCE * (
+            4094.0 if clipped else np.ptp(entry.lut.apply(np.array(entry.lut.domain))))
+        # measured 1.77 and 1.55 payloads; with 2^18 nodes and per-tail
+        # tables the peak was 2.27 and 2.20
+        assert peak <= parent_peak * out.voxels.nbytes
+
+    @pytest.mark.parametrize("dtype, bits", [("u16", 12), ("f32", None)])
+    def test_checks_settled_once_still_move_colliding_voxels(self, template_unclipped,
+                                                             large_f32, dtype, bits):
+        # the unclipped template maps part of the foreground below 0.5, so the
+        # table's range spans the background 0: under --bits 12, ~15k
+        # foreground voxels round onto it and must move to 1
+        index = IntensityIndex.of(large_f32)
+        _, entry = harmonize(large_f32, template_unclipped, HarmonizeOptions(bits=bits))
+        table = voxel_table(entry.lut, index)
+        assert table is not None and table.bounds[0] < 0.0 < table.bounds[1]
+        q_range = None if bits is None else quantization_range(template_unclipped, bits)
+        out = apply_lut(index, entry.lut, dtype, q_range, fn=table).levels
+        # the same table with no bounds is checked block by block
+        blockwise = apply_lut(index, entry.lut, dtype, q_range, fn=lambda x: table(x)).levels
+        assert out.tobytes() == blockwise.tobytes()
+        fg = large_f32.voxels != 0.0
+        assert (out[~fg] == 0).all() and (out[fg] != 0).all()
+        if bits is not None:
+            landing = np.rint(np.clip(table(large_f32.voxels[fg]), *q_range)) == 0.0
+            assert landing.sum() > 10_000 and (out[fg][landing] == 1).all()
+
+    @pytest.mark.parametrize("clipped", [True, False])
+    def test_a_table_past_the_output_dtype_raises_overflow(self, template_12bit,
+                                                           template_unclipped, large_f32,
+                                                           clipped):
+        # the table's extremes, ~6 to ~4093 or ~-999 to ~12333, do not fit u8
+        template = template_12bit if clipped else template_unclipped
+        with pytest.raises(Overflow, match="u8"):
+            harmonize(large_f32, template, HarmonizeOptions(dtype="u8"))
 
     def test_peak_memory_holds_no_sorted_copy_through_the_mapping(self, template_12bit):
         # 4.1M voxels, a fifth background: a payload large enough next to the

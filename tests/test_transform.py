@@ -16,8 +16,7 @@ from cdfmatch import (DualScaleParams, PivotTriple, TailSpec, apply_lut,
 from cdfmatch.cdf import IntensityIndex
 from cdfmatch.errors import BadTailSpec, NonMonotone
 from cdfmatch import transform
-from cdfmatch.transform import (MONOTONE_RATIO, TABLE_MIN_NODES, TABLE_TOLERANCE,
-                                IntensityLut)
+from cdfmatch.transform import MONOTONE_RATIO, TABLE_TOLERANCE, IntensityLut
 
 from conftest import stored_volume, volume_from_values
 
@@ -644,8 +643,7 @@ _TRANSFORMS = {
     "TailSpec.apply (disabled)": TailSpec.disabled().apply,
     "TailSpec.slope": _twelve_bit_tails(-1500.0, 8000.0).slope,
     "IntensityLut.apply": _TWELVE_BIT_LUT.apply,
-    "IntensityLut.interpolant": _TWELVE_BIT_LUT.interpolant(
-        1024, _TWELVE_BIT_LUT.table_nodes(1 << 20)[1]),
+    "IntensityLut.interpolant": _TWELVE_BIT_LUT.interpolant(1024),
 }
 
 
@@ -767,176 +765,249 @@ class TestTableInterpolant:
     @settings(max_examples=60)
     def test_within_the_stated_bound_and_never_descending(self, data):
         lut, starts = data.draw(_table_luts())
-        size = lut.table_nodes(1 << 20)
-        assume(size is not None)
-        nodes, tails = size
-        # the node count is the smallest power of two, from the floor up,
-        # that meets the target share of the output span
+        nodes = lut.table_nodes(1 << 20)
+        assume(nodes is not None)
+        # the node count is the smallest power of two that meets the target
+        # share of the output span
         lo, hi = lut.domain
         span = (lut.clip[1] - lut.clip[0] if lut.clip is not None
                 else lut.apply(hi) - lut.apply(lo))
-        assert nodes & (nodes - 1) == 0 and nodes >= TABLE_MIN_NODES
-        assert lut.table_bound(nodes, tails) <= TABLE_TOLERANCE * span
-        assert nodes == TABLE_MIN_NODES or lut.table_bound(nodes // 2, ()) > TABLE_TOLERANCE * span
+        assert nodes & (nodes - 1) == 0
+        assert lut.table_bound(nodes) <= TABLE_TOLERANCE * span
+        assert nodes == 2 or lut.table_bound(nodes // 2) > TABLE_TOLERANCE * span
         assert lut.table_nodes(nodes - 1) is None
-        # and each tail's table, too, fits its limit
-        assert lut.table_nodes(max([nodes] + [n for *_, n in tails]) - 1) is None
-        interpolate = lut.interpolant(nodes, tails)
-        h = (hi - lo) / (nodes - 1)
+        interpolate = lut.interpolant(nodes)
+        h = 1.0 / interpolate.scale
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
         cells = rng.integers(0, nodes - 1, 200)
         v_M = lut.params.pivots.v_M
-        # each tail's table: its nodes and cell middles where erf bends most,
-        # at t = 1/sqrt(2), and all over its reach, as preimages in x
-        bends = []
-        for start, r_S, _, reach, tail_nodes in tails:
-            h_y = reach / (tail_nodes - 1)
-            bend = math.floor(abs(r_S) / (2.0 * math.sqrt(2.0)) / h_y)
-            tail_cells = np.concatenate([bend + np.arange(-3, 4),
-                                         rng.integers(0, tail_nodes - 1, 12)])
-            offsets = np.concatenate([tail_cells, tail_cells + 0.5]) * h_y
-            bends += [_preimage(lut, start + np.sign(r_S) * d) for d in offsets]
+        # each tail's stretch where erf bends most, at t = 1/sqrt(2), as
+        # preimages in x, and the cells either side of every kink
+        bends = [_preimage(lut, start + r_S / (2.0 * math.sqrt(2.0)))
+                 for start, r_S, _ in lut.tails._ranges()]
+        near = np.concatenate([np.arange(-3, 4), np.arange(-3, 3) + 0.5]) * h
+        kinks = [x for x, *_ in lut._kinks]
         x = np.concatenate([
-            _neighbours([lo, hi, v_M] + [_preimage(lut, s) for s in starts]),
-            _neighbours(lo + cells * h),  # cell boundaries
-            lo + (cells + 0.5) * h,  # cell middles
+            _neighbours([lo, hi, v_M] + [_preimage(lut, s) for s in starts] + kinks),
+            _neighbours(interpolate.origin + cells * h),  # cell boundaries
+            interpolate.origin + (cells + 0.5) * h,  # cell middles
             v_M + h * np.linspace(-2.0, 2.0, 101),  # where the bound is attained
-            _neighbours(bends, 1),
+            (np.array(bends + kinks)[:, None] + near).reshape(-1),
             rng.uniform(lo, hi, 2000),
             [lo - 1.0, lo - 1e6, hi + 1.0, hi + 1e6],  # clamped
         ])
         got, exact = interpolate(x), np.asarray(lut.apply(x))
         rounding = _TABLE_ROUNDING_ULPS * np.spacing(np.abs(exact).max())
-        assert np.abs(got - exact).max() <= lut.table_bound(nodes, tails) + rounding
+        assert np.abs(got - exact).max() <= lut.table_bound(nodes) + rounding
         # tails on or off, sorted inputs map to sorted outputs bit for bit
         assert (np.diff(got[np.argsort(x, kind="stable")]) >= 0.0).all()
+        # and no value passes the least and greatest the table reads
+        low, high = interpolate.bounds
+        assert low == got.min() and high == got.max()
+
+    @given(data=st.data(), cells=st.integers(4, 12),
+           top=st.sampled_from(["tail", "clip", "none"]),
+           bottom=st.sampled_from(["tail", "clip", "none"]))
+    @settings(max_examples=80)
+    def test_a_node_sits_on_each_kink(self, data, cells, top, bottom):
+        # a tail start or a clip end the untailed side reaches, on each side,
+        # at a random point inside a cell of the grid anchored at lo
+        v_B = data.draw(st.floats(-3000.0, 3000.0))
+        gap_lo = data.draw(st.floats(1.0, 2000.0))
+        gap_hi = gap_lo * data.draw(st.floats(0.2, 5.0))
+        pivots = PivotTriple(v_B, v_B + gap_lo, v_B + gap_lo + gap_hi)
+        sigma_T = data.draw(st.floats(0.05, 20.0))
+        # away from rho*, lut_ds is steep enough to place each kink to an ulp
+        ratio = data.draw(st.floats(0.25, 4.0))
+        params = DualScaleParams(sigma_T * ratio, sigma_T,
+                                 data.draw(st.floats(-1000.0, 1000.0)), pivots)
+        lo = pivots.v_B - data.draw(st.floats(0.0, 3.0)) * gap_lo
+        hi = pivots.v_T + data.draw(st.floats(0.0, 3.0)) * gap_hi
+        nodes = 1 << cells
+        h = (hi - lo) / (nodes - 1)
+        x_B, x_T = (lo + (np.floor(share * (nodes - 1)) + data.draw(st.floats(0.05, 0.95))) * h
+                    for share in (data.draw(st.floats(0.05, 0.4)),
+                                  data.draw(st.floats(0.6, 0.95))))
+        y_lo, y_B, y_T, y_hi = lut_ds(np.array([lo, x_B, x_T, hi]), params)
+        assume(y_lo < y_B < y_T < y_hi)
+        far = 100.0 * (y_hi - y_lo)  # a clip end no side reaches
+        fields, clip = {}, [y_lo - far, y_hi + far]
+        if top == "tail":
+            fields.update(v_T=y_T, v_max=y_hi + data.draw(st.floats(0.0, 1.0)) * (y_hi - y_T),
+                          v_clipT=y_T + data.draw(st.floats(0.05, 1.0)) * (y_hi - y_T),
+                          enabled_top=True)
+            clip[1] = fields["v_clipT"]
+        elif top == "clip":
+            clip[1] = y_T
+        if bottom == "tail":
+            fields.update(v_B=y_B, v_min=y_lo - data.draw(st.floats(0.0, 1.0)) * (y_B - y_lo),
+                          v_clipB=y_B - data.draw(st.floats(0.05, 1.0)) * (y_B - y_lo),
+                          enabled_bottom=True)
+            clip[0] = fields["v_clipB"]
+        elif bottom == "clip":
+            clip[0] = y_B
+        clipped = "clip" in (top, bottom) or data.draw(st.booleans())
+        lut = compose_lut(params, TailSpec(**fields), (lo, hi),
+                          clip=tuple(clip) if clipped else None)
+        kinks = [x for x, side in ((x_B, bottom), (x_T, top)) if side != "none"]
+        interpolate = lut.interpolant(nodes)
+        step = 1.0 / interpolate.scale
+        # a kink is placed to within the float steps of lut_ds near it
+        ulps = 8.0 * (np.spacing(max(abs(lo), abs(hi)))
+                      + np.spacing(np.abs([y_B, y_T]).max()) / (0.5 * min(params.sigma_B,
+                                                                           sigma_T)))
+        for kink in kinks:
+            node = interpolate.origin + round((kink - interpolate.origin) / step) * step
+            assert abs(node - kink) <= ulps
+        # any other kink in the domain is where erf saturates and the clip
+        # takes over: no step of the slope to speak of
+        others = [jump for x, jump, _ in lut._kinks
+                  if lo <= x <= hi and all(abs(x - k) > ulps for k in kinks)]
+        assert all(jump <= 1e-9 * sigma_T * max(1.0, ratio) for jump in others)
+        x = np.concatenate([_neighbours(kinks)] + [
+            k + step * np.array([-1.5, -0.5, 0.5, 1.5]) for k in kinks] + [
+            np.linspace(lo, hi, 4001), [lo - 1.0, hi + 1.0]])
+        x = np.sort(x)
+        got, exact = interpolate(x), np.asarray(lut.apply(x))
+        rounding = _TABLE_ROUNDING_ULPS * np.spacing(np.abs(exact).max())
+        assert np.abs(got - exact).max() <= lut.table_bound(nodes) + rounding
+        assert (np.diff(got) >= 0.0).all()
+
+    def test_a_kink_off_its_node_would_break_the_bound(self):
+        # the top tail starts at lut_ds(1000.3), 0.3 of a cell past a node
+        # of the grid anchored at lo: anchored, the table meets the bound; on
+        # that unanchored grid the slope's step costs ~0.3 * 0.7 of it
+        params = DualScaleParams(1.0, 1.0, 0.0, PivotTriple(-100.0, 0.0, 100.0))
+        tails = TailSpec(v_T=1000.3, v_max=2000.0, v_clipT=1100.0, enabled_top=True)
+        lut = compose_lut(params, tails, (0.0, 2000.0))
+        (kink, jump, _), = lut._kinks
+        assert kink == 1000.3
+        assert jump == pytest.approx(1.0 - 4.0 / math.sqrt(math.pi) * 99.7 / 999.7)
+        nodes = 2001  # one node per unit on [0, 2000] without the kink
+        interpolate = lut.interpolant(nodes)
+        assert (kink - interpolate.origin) * interpolate.scale == pytest.approx(
+            round((kink - interpolate.origin) * interpolate.scale), abs=1e-9)
+        x = np.linspace(999.0, 1002.0, 3001)
+        error = np.abs(interpolate(x) - lut.apply(x)).max()
+        assert error <= lut.table_bound(nodes) < 1e-4
+        unanchored = np.interp(x, np.arange(2001.0), lut.apply(np.arange(2001.0)))
+        assert np.abs(unanchored - lut.apply(x)).max() > 0.9 * jump * 0.3 * 0.7
 
     def test_bound_is_attained_at_the_middle_pivot(self):
         lut = compose_lut(_UNEVEN, TailSpec.disabled(), (-1000.0, 6000.0))
         nodes = 1 << 12
         h = 7000.0 / (nodes - 1)
         x = 1650.0 + h * np.linspace(-1.0, 1.0, 2001)
-        error = np.abs(lut.interpolant(nodes, ())(x) - lut.apply(x)).max()
-        assert 0.99 * lut.table_bound(nodes, ()) <= error <= lut.table_bound(nodes, ())
+        error = np.abs(lut.interpolant(nodes)(x) - lut.apply(x)).max()
+        assert 0.99 * lut.table_bound(nodes) <= error <= lut.table_bound(nodes)
 
-    def test_tails_stretch_the_bound_by_their_steepest_slope(self):
-        # a top tail whose target range exceeds its source range is steeper
-        # than the identity at its start
+    def test_a_tail_bends_the_bound_by_the_chain_rule(self):
+        # the top tail starts at lut_ds(v_M) = 1650, where lut_ds bends most:
+        # on the tail f'' = S''(g) g'^2 + S'(g) g'', S' at most its start's
+        # 4 r_T / (sqrt(pi) r_S), |S''| at most |r_T| (2/r_S)^2 max|erf''|,
+        # g' at most (sigma_B + sigma_T)/2 there and |g''| at most its value
+        # at v_M, which also bounds the identity's piece
         tails = TailSpec(v_T=1650.0, v_max=2000.0, v_clipT=3000.0, enabled_top=True)
-        assert tails.max_slope() == pytest.approx(4.0 / math.sqrt(math.pi) * 1350.0 / 350.0)
-        plain = compose_lut(_UNEVEN, TailSpec.disabled(), (-1000.0, 6000.0))
-        tailed = compose_lut(_UNEVEN, tails, (-1000.0, 6000.0))
-        # the tail's own table adds h_y^2/8 |r_T| (2/r_S)^2 max|erf''|, with
-        # max|erf''| = 2 sqrt(2) e^(-1/2) / sqrt(pi) at t = 1/sqrt(2)
-        nodes, tails_size = tailed.table_nodes(1 << 20)
-        (start, r_S, r_T, reach, tail_nodes), = tails_size
-        assert (start, r_S, r_T) == (1650.0, 350.0, 1350.0)
-        # the domain reaches ~3,480 past the start, the table 3 r_S: past
-        # t = 6, erf rounds to 1 and the squeeze is flat
-        assert lut_ds(6000.0, _UNEVEN) - 1650.0 > 3 * 350.0 == reach
+        lut = compose_lut(_UNEVEN, tails, (-1000.0, 6000.0))
+        (kink, *_), = lut._kinks
+        assert kink == pytest.approx(1650.0, abs=1e-9)
         erf_bend = 2.0 * math.sqrt(2.0) * math.exp(-0.5) / math.sqrt(math.pi)
+        g_bend = 4.0 * 0.5 / (math.sqrt(math.pi) * 1150.0)
+        curvature = (1350.0 * (2.0 / 350.0) ** 2 * erf_bend * 1.05 ** 2
+                     + 4.0 / math.sqrt(math.pi) * 1350.0 / 350.0 * g_bend)
+        for nodes in (1 << 10, 1 << 14):
+            interpolate = lut.interpolant(nodes)
+            h = 1.0 / interpolate.scale
+            assert lut.table_bound(nodes) == pytest.approx(h * h / 8.0 * curvature, rel=1e-6)
+            x = np.linspace(1650.0, 2200.0, 200001)
+            exact = lut.apply(x)
+            error = np.abs(interpolate(x) - exact).max()
+            rounding = _TABLE_ROUNDING_ULPS * np.spacing(np.abs(exact).max())
+            assert 0.5 * lut.table_bound(nodes) <= error <= lut.table_bound(nodes) + rounding
 
-        def tail(n):
-            return (reach / (n - 1)) ** 2 / 8.0 * 1350.0 * (2.0 / 350.0) ** 2 * erf_bend
-
-        for n in (1024, TABLE_MIN_NODES):
-            assert tailed.table_bound(n, ()) == pytest.approx(
-                plain.table_bound(n, ()) * tails.max_slope(), rel=1e-12)
-            assert tailed.table_bound(n, tails_size) == pytest.approx(
-                plain.table_bound(n, ()) * tails.max_slope() + tail(tail_nodes), rel=1e-12)
-        # the dual scaling takes the fewest nodes, as without the tail's
-        # table, and the tail the fewest that keep its term within what the
-        # dual scaling leaves of the target share of the output span
-        target = TABLE_TOLERANCE * (tailed.apply(6000.0) - tailed.apply(-1000.0))
-        assert nodes == TABLE_MIN_NODES and tailed.table_bound(nodes, ()) < target
-        assert tail(tail_nodes) <= target - tailed.table_bound(nodes, ()) < tail(tail_nodes - 1)
-        assert TailSpec(v_B=500.0, v_min=-1500.0, v_clipB=1.0,
-                        enabled_bottom=True).max_slope() == 1.0
-        # past the table's reach the flat squeeze is read from its last node
-        x = np.linspace(-1000.0, 6000.0, 20001)
-        exact = tailed.apply(x)
-        got = tailed.interpolant(nodes, tails_size)(x)
-        rounding = _TABLE_ROUNDING_ULPS * np.spacing(np.abs(exact).max())
-        assert np.abs(got - exact).max() <= tailed.table_bound(nodes, tails_size) + rounding
-
-    def test_a_tail_node_below_the_one_before_reads_as_flat(self, monkeypatch):
+    def test_a_node_below_the_one_before_reads_as_flat(self, monkeypatch):
         # erf rounds an ulp down here and there between neighbouring floats;
         # should a tail's node land below the one before (here by far more,
-        # so that the output would show it), the squeeze must still never
-        # descend
+        # so that the output would show it), the table must still never
+        # descend.  Equal scale factors give the blend's erf no weight.
         def stepping_erf(t, out=None):
-            if out is not None:  # the dual scaling's blend, left exact
-                return erf(t, out=out)
-            values = erf(t)
-            k = values.size // 2
-            values[k] = values[k - 1] * (1.0 - 1e-9)
+            values = erf(t, out=out)
+            if values.size > 1:
+                k = values.size // 2
+                values[k] = values[k - 1] * (1.0 - 1e-6)
             return values
 
+        params = DualScaleParams(1.0, 1.0, 0.0, PivotTriple(-100.0, 0.0, 100.0))
+        tails = TailSpec(v_T=50.0, v_max=150.0, v_clipT=120.0, enabled_top=True)
+        lut = compose_lut(params, tails, (-200.0, 200.0))
+        nodes = lut.table_nodes(1 << 20)
         monkeypatch.setattr(transform, "erf", stepping_erf)
-        params = DualScaleParams(1.0, 1.0, 0.0, PivotTriple(-100.0, 0.0, 100.0))
-        tails = TailSpec(v_T=50.0, v_max=150.0, v_clipT=120.0, enabled_top=True)
-        lut = compose_lut(params, tails, (-200.0, 200.0))
-        size = lut.table_nodes(1 << 20)
-        (start, _, _, reach, tail_nodes), = size[1]
-        h_y = reach / (tail_nodes - 1)
-        x = start + (tail_nodes // 2 + np.linspace(-2.0, 2.0, 4001)) * h_y
-        assert (np.diff(lut.interpolant(*size)(x)) >= 0.0).all()
+        interpolate = lut.interpolant(nodes)
+        monkeypatch.undo()
+        # the stepped node is the middle one of those past the start
+        middle = (50.0 + 200.0) / 2.0
+        h = 1.0 / interpolate.scale
+        x = np.concatenate([np.linspace(-200.0, 200.0, 40001),
+                            middle + h * np.linspace(-4.0, 4.0, 4001)])
+        got = interpolate(np.sort(x))
+        assert (np.diff(got) >= 0.0).all()
+        assert got.max() == interpolate.bounds[1]
 
-    def test_a_tail_table_past_the_limit_keeps_the_exact_map(self, monkeypatch):
-        # lut_ds is the identity, which 2 nodes hold exactly: with that
-        # floor, the tail's table is the larger one
-        monkeypatch.setattr(transform, "TABLE_MIN_NODES", 2)
+    def test_a_table_past_the_limit_keeps_the_exact_map(self):
+        # a tail that bends over one unit needs ~2M nodes for the target
         params = DualScaleParams(1.0, 1.0, 0.0, PivotTriple(-100.0, 0.0, 100.0))
-        tails = TailSpec(v_T=50.0, v_max=150.0, v_clipT=120.0, enabled_top=True)
+        tails = TailSpec(v_T=50.0, v_max=51.0, v_clipT=120.0, enabled_top=True)
         lut = compose_lut(params, tails, (-200.0, 200.0))
-        nodes, tail_size = lut.table_nodes(1 << 20)
-        (*_, tail_nodes), = tail_size
-        assert nodes == 2 < tail_nodes
-        assert lut.table_nodes(tail_nodes) == (nodes, tail_size)
-        assert lut.table_nodes(tail_nodes - 1) is None
+        nodes = lut.table_nodes(1 << 30)
+        assert nodes > 2 and lut.table_nodes(nodes) == nodes
+        assert lut.table_nodes(nodes - 1) is None
+        index = IntensityIndex.of(volume_from_values(
+            np.linspace(-200.0, 200.0, transform.TABLE_MIN_VOXELS)))
+        assert transform.voxel_table(lut, index) is None  # 4 voxels per node
+        assert index.n_voxels // transform.TABLE_VOXELS_PER_NODE < nodes
 
     @pytest.mark.parametrize("side", ["top", "bottom"])
     def test_tail_bound_is_attained_where_erf_bends_most(self, side):
         # lut_ds is the identity, read exactly from its table: the tail's
-        # own table is the whole error, largest at t = 1/sqrt(2)
+        # curvature is the whole error, largest at t = 1/sqrt(2)
         params = DualScaleParams(1.0, 1.0, 0.0, PivotTriple(-100.0, 0.0, 100.0))
         tails = (TailSpec(v_T=50.0, v_max=150.0, v_clipT=120.0, enabled_top=True)
                  if side == "top" else
                  TailSpec(v_B=-50.0, v_min=-150.0, v_clipB=-120.0, enabled_bottom=True))
         lut = compose_lut(params, tails, (-200.0, 200.0))
-        nodes, tails = lut.table_nodes(1 << 30)
-        (start, r_S, _, reach, tail_nodes), = tails
-        assert reach == 150.0
-        assert nodes == TABLE_MIN_NODES and lut.table_bound(nodes, tails) > 0.0
-        h_y = reach / (tail_nodes - 1)
-        bend = math.floor(abs(r_S) / (2.0 * math.sqrt(2.0)) / h_y)
-        x = start + np.sign(r_S) * (bend + np.arange(-20, 21) + 0.5) * h_y
+        nodes = lut.table_nodes(1 << 30)
+        (start, r_S, _), = tails._ranges()
+        bound = lut.table_bound(nodes)
+        assert bound > 0.0
+        interpolate = lut.interpolant(nodes)
+        h = 1.0 / interpolate.scale
+        bend = math.floor((start + r_S / (2.0 * math.sqrt(2.0)) - interpolate.origin) / h)
+        x = interpolate.origin + (bend + np.arange(-20, 21) + 0.5) * h  # cell middles
         exact = lut.apply(x)
-        error = np.abs(lut.interpolant(nodes, tails)(x) - exact).max()
+        error = np.abs(interpolate(x) - exact).max()
         rounding = _TABLE_ROUNDING_ULPS * np.spacing(np.abs(exact).max())
-        bound = lut.table_bound(nodes, tails)
         assert 0.99 * bound <= error <= bound + rounding
 
     def test_constant_scale_needs_the_fewest_nodes(self):
         lut = compose_lut(DualScaleParams(1.2, 1.2, 10.0, PIVOTS), TailSpec.disabled(),
                           (-50.0, 150.0))
-        assert lut.table_bound(2, ()) == 0.0
-        assert lut.table_nodes(1 << 30) == (TABLE_MIN_NODES, ())
-        assert lut.table_nodes(TABLE_MIN_NODES - 1) is None
+        assert lut.table_bound(2) == 0.0
+        assert lut.table_nodes(1 << 30) == 2
+        assert lut.table_nodes(1) is None
         x = np.linspace(-60.0, 160.0, 1001)
-        np.testing.assert_allclose(lut.interpolant(2, ())(x), lut.apply(x), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(lut.interpolant(2)(x), lut.apply(x), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("bottom_larger", [True, False])
     def test_a_ratio_of_exactly_rho_star_never_descends(self, bottom_larger):
         # lut_ds's slope touches 0 at t = +1 (sigma_B the larger, on the top
         # span) or t = -1 (sigma_T, on the bottom span), 501 above or below
         # v_M; with these pivots, a pair of 2^18 nodes next to it descends
-        # by rounding in float64, a rise the table counts as 0
+        # by rounding in float64, which the table reads as flat
         pivots = PivotTriple(*((0.0, 1.0, 1003.0) if bottom_larger else (0.0, 1002.0, 1003.0)))
         sigmas = (MONOTONE_RATIO, 1.0) if bottom_larger else (1.0, MONOTONE_RATIO)
         lut = compose_lut(DualScaleParams(*sigmas, 0.0, pivots), TailSpec.disabled(),
                           (0.0, 1003.0))
-        nodes = TABLE_MIN_NODES
+        nodes = 1 << 18
         flat = pivots.v_M + (501.0 if bottom_larger else -501.0)
         h = 1003.0 / (nodes - 1)
         rng = np.random.default_rng(17)
@@ -944,7 +1015,7 @@ class TestTableInterpolant:
             flat + h * np.linspace(-50.0, 50.0, 20001),
             _neighbours(np.round(flat / h + np.arange(-50, 51)) * h),  # cell boundaries
             np.linspace(0.0, 1003.0, 20001), rng.uniform(0.0, 1003.0, 20000)]))
-        got, exact = lut.interpolant(nodes, ())(x), lut.apply(x)
+        got, exact = lut.interpolant(nodes)(x), lut.apply(x)
         assert (np.diff(got) >= 0.0).all()
         rounding = _TABLE_ROUNDING_ULPS * np.spacing(np.abs(exact).max())
-        assert np.abs(got - exact).max() <= lut.table_bound(nodes, ()) + rounding
+        assert np.abs(got - exact).max() <= lut.table_bound(nodes) + rounding
