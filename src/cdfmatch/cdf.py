@@ -290,25 +290,22 @@ class IntensityIndex:
         """The samples a CDF reads, ascending: the foreground levels (every
         level, with ``exclude_background`` False) that some voxel holds,
         counted for a level table, else voxel by voxel in the stored dtype.
-        Levels that already ascend (:meth:`of` builds a table so) are kept
-        after one pass checks their order; a descent sorts them once."""
+        They are a masked copy, frozen after one pass checks their order
+        (:meth:`of` builds a table ascending); a descent sorts them once."""
         levels, counts = self.levels, self.counts
         keep = (_foreground_mask(levels, self.background_value) if exclude_background
                 else np.ones(levels.size, dtype=bool))
         if counts is not None:
             keep &= counts > 0
             counts = counts[keep]
-        values = levels if keep.all() else levels[keep]
+        values = levels[keep]
         del keep  # a mask the size of the volume, not to be held through the sort
         if not _ascending(values):
-            if counts is not None:  # sorting keeps equal mapped levels side by side
+            if counts is None:
+                values.sort()  # the masked copy, in place
+            else:  # sorting keeps equal mapped levels side by side
                 order = np.argsort(values)
                 values, counts = values[order], counts[order]
-            elif values is levels:
-                values = np.sort(values)
-            else:
-                values.sort()  # the masked copy, in place
-        values = values.view()  # read-only without freezing the levels themselves
         values.flags.writeable = False
         cum = None if counts is None else np.concatenate(([0], np.cumsum(counts)))
         return SortedForeground(values, cum, self)
@@ -424,14 +421,25 @@ def build_cdf(vol: "Volume | IntensityIndex | SortedForeground",
 
     Repeated intensities get averaged ranks, so the curve is well defined on
     heavily quantized inputs; the probability at the maximum is pinned to 1.
-    Its knots are at most ``grid_size`` of the included intensities, evenly
-    spaced in rank, so an outlier costs no more than its own voxels' share
-    of the curve.  Deterministic for identical input.
+    The knots are data values: every distinct value when at most
+    ``grid_size`` are distinct, else the values that hold ``grid_size``
+    evenly spaced ranks (the minimum and the maximum among them), so an
+    outlier costs no more than its own voxels' share of the curve.  They
+    depend on the sorted samples alone, so a level table and its voxels give
+    the same curve.  Deterministic for identical input.
     ``vol`` is a Volume, its IntensityIndex (an integer-valued volume is
     counted per level, any other sorted voxel by voxel in its stored dtype)
-    or its :meth:`IntensityIndex.sorted_foreground`, whose samples are
-    already chosen, read as they are or, through a map, at their rank knots
-    (:func:`_mapped_knot_cdf`).
+    or its :meth:`IntensityIndex.sorted_foreground`, read through its
+    ``store`` when one is set, else as it is.
+
+    The store never descends, so each knot is the store of the sample at
+    its rank.  When per-voxel samples give distinct knots, the samples at
+    most a knot (or below it) are a prefix, whose length one vectorised
+    bisection finds between the ranks of knots j and j + 1 (below: j - 1
+    and j), two samples per knot a round.  When ties merge knots, whether
+    every distinct value fits the grid depends on the samples between them,
+    and counted levels may merge: then every sample is read, through the
+    store 64k at a time, in its order (which the store keeps).
 
     Raises AllBackground when exclusion empties the volume and
     DegenerateConstant when fewer than two distinct intensities remain.
@@ -441,9 +449,45 @@ def build_cdf(vol: "Volume | IntensityIndex | SortedForeground",
     fg = (vol if isinstance(vol, SortedForeground)
           else IntensityIndex.of(vol).sorted_foreground(exclude_background))
     _check_spread(fg.values)
-    if fg.store is not None:
-        return _mapped_knot_cdf(fg, grid_size)
-    return _rank_knot_cdf(fg.values, fg.cum, grid_size)
+    values, cum, n = fg.values, fg.cum, fg.n_voxels
+    store = fg.store or (lambda samples: samples)
+    ranks = np.arange(grid_size) * (n - 1) // (grid_size - 1)
+    knots = store(values[ranks if cum is None else np.searchsorted(cum, ranks, "right") - 1])
+    _check_spread(knots)
+    if cum is None and (knots[1:] > knots[:-1]).all():
+        # the count at most knot j (j < last) and the count below knot j + 1,
+        # each the first rank in [ranks[j] + 1, ranks[j + 1]] past the knot
+        lo = np.tile(ranks[:-1] + 1, 2)
+        hi = np.tile(ranks[1:], 2)
+        keys = np.concatenate((knots[:-1], knots[1:]))
+        strict = np.arange(keys.size) >= grid_size - 1
+        while (active := np.flatnonzero(lo < hi)).size:
+            mid = (lo[active] + hi[active]) // 2
+            got, key = store(values[mid]), keys[active]
+            inside = np.where(strict[active], got < key, got <= key)
+            lo[active] = np.where(inside, mid + 1, lo[active])
+            hi[active] = np.where(inside, hi[active], mid)
+        through = np.append(lo[:grid_size - 1], n)
+        before = np.insert(lo[grid_size - 1:], 0, 0)
+    else:
+        if fg.store is not None:
+            mapped = np.empty(values.size, dtype=knots.dtype)
+            for start in range(0, values.size, _BLOCK):
+                mapped[start:start + _BLOCK] = store(values[start:start + _BLOCK])
+            values = mapped
+        knots = knots[_first_of_each(knots)]
+        if knots.size < grid_size:  # ties merged knots: every value may fit
+            first = _first_of_each(values)
+            if np.count_nonzero(first) <= grid_size:
+                knots = values[first]
+        through = np.searchsorted(values, knots, "right")
+        before = np.searchsorted(values, knots, "left")
+        if cum is not None:
+            through, before = cum[through], cum[before]
+    # each knot at the averaged rank of its samples
+    ps = (through - (through - before - 1) / 2.0) / n
+    ps[-1] = 1.0
+    return EmpiricalCdf(knots.astype(np.float64), ps, n_samples=n)
 
 
 def _check_spread(values: np.ndarray) -> None:
@@ -452,87 +496,6 @@ def _check_spread(values: np.ndarray) -> None:
         raise AllBackground("every voxel equals the background value")
     if values[0] == values[-1]:
         raise DegenerateConstant(f"single distinct intensity {float(values[0])!r}")
-
-
-def _knot_ranks(n: int, grid_size: int) -> np.ndarray:
-    """``grid_size`` evenly spaced ranks of ``n`` samples, 0 and n - 1 among them."""
-    return np.arange(grid_size) * (n - 1) // (grid_size - 1)
-
-
-def _rank_knot_cdf(values: np.ndarray, cum: np.ndarray | None,
-                   grid_size: int) -> EmpiricalCdf:
-    """The averaged-rank CDF of sorted ``values``, knotted at data values.
-
-    ``cum[k]`` is the number of samples in ``values[:k]``; None means one
-    sample per entry.  The knots are every distinct value when at most
-    ``grid_size`` are distinct, else the values that hold ``grid_size``
-    evenly spaced ranks (the minimum and the maximum among them).  They
-    depend on the sorted samples alone, so a level table and its voxels
-    give the same curve, and each knot's rank is an exact search for a
-    stored value.
-    """
-    n = values.size if cum is None else int(cum[-1])
-    ranks = _knot_ranks(n, grid_size)
-    knots = values[ranks if cum is None else np.searchsorted(cum, ranks, "right") - 1]
-    knots = knots[_first_of_each(knots)]
-    if knots.size < grid_size:  # ties merged knots: every value may fit
-        first = _first_of_each(values)
-        if np.count_nonzero(first) <= grid_size:
-            knots = values[first]
-    through = np.searchsorted(values, knots, "right")
-    before = np.searchsorted(values, knots, "left")
-    if cum is not None:
-        through, before = cum[through], cum[before]
-    return _averaged_rank_cdf(knots, through, before, n)
-
-
-def _averaged_rank_cdf(knots: np.ndarray, through: np.ndarray, before: np.ndarray,
-                       n: int) -> EmpiricalCdf:
-    """The CDF through ``knots``, each at the averaged rank of its samples:
-    ``through`` of the ``n`` samples are at most the knot, ``before`` below it."""
-    ps = (through - (through - before - 1) / 2.0) / n
-    ps[-1] = 1.0
-    return EmpiricalCdf(knots.astype(np.float64), ps, n_samples=n)
-
-
-def _mapped_knot_cdf(fg: SortedForeground, grid_size: int) -> EmpiricalCdf:
-    """:func:`_rank_knot_cdf` of the mapped samples, bit for bit.
-
-    The map never descends, so each knot is the stored map of the sample at
-    its rank.  Per-voxel samples whose knots are all distinct are read at
-    those knots alone: the samples at most a knot (or below it) are a
-    prefix, whose length one vectorised bisection finds between the ranks of
-    knots j and j + 1 (below: j - 1 and j), two values per knot a round.
-    When ties merge knots, whether every distinct value fits the grid
-    depends on values between them, and counted levels may merge: then every
-    sample is mapped, in its order (which the map keeps), 64k at a time.
-    """
-    values, store = fg.values, fg.store
-    n = fg.n_voxels
-    ranks = _knot_ranks(n, grid_size)
-    knots = store(values[ranks if fg.cum is None
-                         else np.searchsorted(fg.cum, ranks, "right") - 1])
-    _check_spread(knots)
-    if fg.cum is not None or not (knots[1:] > knots[:-1]).all():
-        mapped = np.empty(values.size, dtype=knots.dtype)
-        for start in range(0, values.size, _BLOCK):
-            mapped[start:start + _BLOCK] = store(values[start:start + _BLOCK])
-        return _rank_knot_cdf(mapped, fg.cum, grid_size)
-    # the count at most knot j (j < last) and the count below knot j + 1,
-    # each the first rank in [ranks[j] + 1, ranks[j + 1]] past the knot
-    lo = np.tile(ranks[:-1] + 1, 2)
-    hi = np.tile(ranks[1:], 2)
-    keys = np.concatenate((knots[:-1], knots[1:]))
-    strict = np.arange(keys.size) >= grid_size - 1
-    while (active := np.flatnonzero(lo < hi)).size:
-        mid = (lo[active] + hi[active]) // 2
-        got, key = store(values[mid]), keys[active]
-        inside = np.where(strict[active], got < key, got <= key)
-        lo[active] = np.where(inside, mid + 1, lo[active])
-        hi[active] = np.where(inside, hi[active], mid)
-    through = np.append(lo[:grid_size - 1], n)
-    before = np.insert(lo[grid_size - 1:], 0, 0)
-    return _averaged_rank_cdf(knots, through, before, n)
 
 
 def _ascending(values: np.ndarray) -> bool:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import os
 import sys
 import threading
@@ -186,6 +187,21 @@ class LesionSpec:
                 "volume_fraction": self.volume_fraction}
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer; a bool is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _require_finite(owner: str, spec, *names: str) -> None:
+    """Raise BadSpec naming the first of ``spec``'s fields ``names`` that
+    is not a finite number (a bool is not one)."""
+    for name in names:
+        value = getattr(spec, name)
+        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                or not -math.inf < value < math.inf):
+            raise BadSpec(f"{owner} {name} must be a finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SynthSpec:
     """Recipe for a reproducible synthetic volume."""
@@ -205,25 +221,32 @@ class SynthSpec:
         for c in comps:
             if c.kind not in ("lognormal", "gaussian"):
                 raise BadSpec(f"unknown component kind {c.kind!r}")
+            _require_finite("component", c, "weight", "loc", "scale")
             if c.weight <= 0.0 or c.scale <= 0.0:
                 raise BadSpec("component weights and scales must be positive")
         if abs(sum(c.weight for c in comps) - 1.0) > 1e-9:
             raise BadSpec("component weights must sum to 1")
         object.__setattr__(self, "components", comps)
-        dims = tuple(int(d) for d in self.dims)
-        if len(dims) != 3 or any(d < 1 for d in dims):
+        dims = tuple(self.dims)
+        if len(dims) != 3 or not all(_is_integer(d) and d >= 1 for d in dims):
             raise BadSpec(f"dims must be three positive integers, got {self.dims!r}")
-        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "dims", tuple(int(d) for d in dims))
+        _require_finite("scanner", self.scanner, "gain", "offset", "gamma", "tail_weight")
         if self.scanner.gain <= 0.0 or self.scanner.gamma <= 0.0:
             raise BadSpec("scanner gain and gamma must be positive")
         if self.scanner.tail_weight <= 0.0:
             raise BadSpec("tail_weight must be positive")
-        if self.lesions.count < 0 or self.lesions.boost <= 0.0:
-            raise BadSpec("lesion count must be >= 0 and boost positive")
+        _require_finite("lesion", self.lesions, "boost")
+        if (not _is_integer(self.lesions.count) or self.lesions.count < 0
+                or self.lesions.boost <= 0.0):
+            raise BadSpec("lesion count must be an integer >= 0 and boost positive")
         if not 0.0 <= self.lesions.volume_fraction < 1.0:
             raise BadSpec("lesion volume fraction must lie in [0, 1)")
         if not 0.0 <= self.background_fraction < 1.0:
             raise BadSpec("background fraction must lie in [0, 1)")
+        if not _is_integer(self.seed) or self.seed < 0:
+            raise BadSpec(f"seed must be a non-negative integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", int(self.seed))
 
     def to_dict(self) -> dict:
         return {"components": [c.to_dict() for c in self.components],
@@ -244,8 +267,8 @@ class SynthSpec:
                        lesions=LesionSpec(**doc.get("lesions", {})),
                        background_fraction=doc.get("background_fraction", 0.0),
                        channel=doc.get("channel", "synthetic"),
-                       seed=int(doc.get("seed", 0)))
-        except (KeyError, TypeError) as exc:
+                       seed=doc.get("seed", 0))
+        except (KeyError, TypeError, ValueError) as exc:
             raise BadSpec(f"malformed synthetic spec: {exc}") from exc
 
 
@@ -291,7 +314,10 @@ def generate_synthetic(spec: SynthSpec) -> Volume:
     if spec.background_fraction > 0.0:
         k = int(round(spec.background_fraction * n))
         x[:k] = 0.0
-    return Volume(spec.dims, x, channel=spec.channel, background_value=0.0)
+    try:
+        return Volume(spec.dims, x, channel=spec.channel, background_value=0.0)
+    except ValueError as exc:  # finite fields whose draws overflow
+        raise BadSpec(f"spec values overflow: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

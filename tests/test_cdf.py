@@ -447,6 +447,30 @@ class TestEmpiricalCdfValidation:
             EmpiricalCdf(xs, ps)
 
 
+def _three_levels():
+    return volume_from_values([1.0, 2.0, 3.0])
+
+
+class TestValueChecks:
+    """Each argument and knot check raises ValueError with its own message."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: build_cdf(_three_levels(), grid_size=1), "grid_size must be at least 2"),
+        (lambda: build_cdf(IntensityIndex.of(_three_levels()).sorted_foreground()
+                           .through(lambda x: x * 2.0), grid_size=0),
+         "grid_size must be at least 2"),
+        (lambda: average_cdfs([build_cdf(_three_levels())], grid_size=1),
+         "grid_size must be at least 2"),
+        (lambda: EmpiricalCdf([1.0], [1.0]), "at least two knots"),
+        (lambda: EmpiricalCdf([1.0, 2.0, 3.0], [0.5, 1.0]), "same length"),
+        (lambda: EmpiricalCdf([1.0, 2.0], [-0.5, 1.0]), "non-negative"),
+    ], ids=["build-cdf-grid", "build-cdf-through-grid", "average-cdfs-grid",
+            "one-knot", "unequal-lengths", "negative-probability"])
+    def test_rejects_with_its_own_message(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 class TestBuildCdf:
     def test_uniform_ranks_on_four_points(self):
         vol = volume_from_values([1.0, 2.0, 3.0, 4.0], background=-1.0)

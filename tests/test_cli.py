@@ -107,6 +107,29 @@ class TestSynth:
         b = read_volume(tmp_path / "b.raw")
         assert not np.array_equal(a.voxels, b.voxels)
 
+    @pytest.mark.parametrize("edit, flags, field", [
+        (lambda doc: doc.update(seed="abc"), [], "seed"),
+        (lambda doc: doc.update(dims=["x", 8, 8]), [], "dims"),
+        (lambda doc: doc["components"][0].update(weight=float("nan")), [], "weight"),
+        (lambda doc: doc["components"][0].update(loc=float("nan")), [], "loc"),
+        (lambda doc: doc["components"][0].update(scale=float("inf")), [], "scale"),
+        (lambda doc: None, ["--seed", "-1"], "seed"),
+        (lambda doc: doc["components"][2].update(loc=800.0), [], "overflow"),
+    ], ids=["seed-string", "dims-string", "weight-nan", "loc-nan", "scale-inf",
+            "seed-flag-negative", "lognormal-overflow"])
+    def test_invalid_spec_field_exits_1_naming_it(self, tmp_path, capsys, edit, flags,
+                                                  field):
+        doc = synth_spec_doc(7)
+        edit(doc)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))  # NaN and Infinity as JSON writes them
+        out = tmp_path / "x.raw"
+        assert run(["synth", "--spec", str(spec), "--out", str(out)] + flags) == 1
+        err = capsys.readouterr().err
+        assert "cdfmatch" in err and field in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_bad_spec_is_usage_error(self, tmp_path):
         spec = tmp_path / "spec.json"
         spec.write_text("{broken")
@@ -244,6 +267,37 @@ class TestHarmonizeCommand:
         doc = json.loads(report.read_text())
         assert [item["input"] for item in doc["items"]] == ["b.raw", "d.raw", "e.raw"]
         assert [f["input"] for f in doc["failures"]] == ["a.raw", "c.raw"]
+
+    @pytest.mark.parametrize("best_effort", [True, False])
+    def test_unconverged_fit_fails_the_item_but_writes_it(self, workspace, tmp_path,
+                                                          monkeypatch, best_effort):
+        # the workspace volumes' tails fire, so each fit refines; no refining
+        # step allowed leaves every such fit unconverged
+        monkeypatch.setattr("cdfmatch.fit._REFINE_STEPS", 0)
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        names = ["vol0.raw", "vol1.raw"]
+        for name in names:
+            for src in (workspace / "raw").glob(f"{name}*"):  # payload and header
+                (raw / src.name).write_bytes(src.read_bytes())
+        out_dir, report = tmp_path / "out", tmp_path / "rep.json"
+        code = run(["harmonize", "--template", str(workspace / "t2.template.json"),
+                    "--in", str(raw), "--out", str(out_dir), "--report", str(report)]
+                   + ["--best-effort"] * best_effort)
+        for name in names:
+            stem = name[:-len(".raw")]
+            for written in (name, f"{name}.json", f"{stem}.lut.json", f"{stem}.meta.json"):
+                assert (out_dir / written).is_file()
+        if not best_effort:
+            assert code == 1
+            assert not report.exists()
+            return
+        assert code == 2
+        doc = json.loads(report.read_text())
+        assert [item["input"] for item in doc["items"]] == names
+        assert not any(item["fit"]["converged"] for item in doc["items"])
+        assert doc["failures"] == [{"input": name, "error": f"fit did not converge for {name}"}
+                                   for name in names]
 
     def test_missing_report_directory_is_usage_error(self, workspace, tmp_path,
                                                      capsys):
