@@ -308,7 +308,7 @@ class IntensityIndex:
                 values, counts = values[order], counts[order]
         values.flags.writeable = False
         cum = None if counts is None else np.concatenate(([0], np.cumsum(counts)))
-        return SortedForeground(values, cum, self)
+        return SortedForeground(values, cum, self.background_value)
 
     def map_foreground(self, fn, dtype: str = "float64",
                        q_range: tuple[float, float] | None = None) -> "IntensityIndex":
@@ -348,17 +348,16 @@ class IntensityIndex:
 
 @dataclass(frozen=True)
 class SortedForeground:
-    """What :meth:`IntensityIndex.sorted_foreground` gives: ``values``, the
+    """A volume's foreground as every rank statistic reads it: ``values``, the
     included samples, ascending and read-only in their stored dtype; ``cum``,
     None for one sample per value, else a level table's cumulative counts
-    with a leading 0; ``index``, whose voxel order a reduction that rounds by
-    order (the z-score's mean and std) reads; and ``store``, when set, the
-    :func:`_stored_map` the samples are read through unmapped (:meth:`through`).
+    with a leading 0; the volume's ``background_value``; and ``store``, when
+    set, the :func:`_stored_map` the samples are read through (:meth:`through`).
     """
 
     values: np.ndarray
     cum: np.ndarray | None
-    index: IntensityIndex
+    background_value: float
     store: object = None
 
     @property
@@ -368,10 +367,10 @@ class SortedForeground:
     def through(self, fn, dtype: str = "float64",
                 q_range: tuple[float, float] | None = None) -> "SortedForeground":
         """These unmapped samples, each read through :func:`_stored_map` of
-        ``fn``, ``dtype`` and ``q_range`` as :meth:`IntensityIndex.map_foreground`
-        stores a foreground level, by :func:`build_cdf` at the rank knots.
+        ``fn``, ``dtype`` and ``q_range`` as a mapped foreground level is
+        stored, by :func:`build_cdf` at the rank knots.
         ``fn`` must never descend, bit for bit, so the mapped samples ascend."""
-        store, _ = _stored_map(fn, dtype, q_range, self.index.background_value)
+        store, _ = _stored_map(fn, dtype, q_range, self.background_value)
         return replace(self, store=store)
 
 
@@ -544,27 +543,27 @@ def _ramp_knot(cdf: EmpiricalCdf) -> float:
 def zscore_standardize(vol: "Volume | SortedForeground") -> "Volume | SortedForeground":
     """Standardize foreground to mean 0 and population std 1.
 
-    Statistics are float64 over foreground voxels only, in voxel order, a
-    counted level standing for its voxels; background keeps its value.
-    Idempotent up to rounding.  A :class:`SortedForeground` takes them over
-    its ``index`` and comes back read through the z-score, which never
-    descends (:meth:`SortedForeground.through`).
+    Statistics are float64 over the sorted foreground, a counted level
+    standing for its voxels, so they depend on the foreground's values alone,
+    not on the voxels' order; background keeps its value.  Idempotent up to
+    rounding.  A :class:`SortedForeground` comes back read through the
+    z-score, which never descends (:meth:`SortedForeground.through`); a
+    Volume is sorted first and its index mapped through the same z-score.
     """
-    index = vol.index if isinstance(vol, SortedForeground) else IntensityIndex.of(vol)
-    fg = _foreground_mask(index.levels, index.background_value)
-    values = index.levels[fg].astype(np.float64, copy=False)
-    weights = None if index.counts is None else index.counts[fg]
-    n = values.size if weights is None else int(weights.sum())
-    if n == 0:
+    index = None if isinstance(vol, SortedForeground) else IntensityIndex.of(vol)
+    fg = vol if index is None else index.sorted_foreground()
+    if (n := fg.n_voxels) == 0:
         raise AllBackground("no foreground voxels to standardize")
-    if weights is None:  # values.std() in place on this copy: the same bits
+    if fg.cum is None:  # values.std() in place on a float64 copy: the same bits
+        values = fg.values.astype(np.float64)
         mean = float(values.mean())
         values -= mean
         np.square(values, out=values)
         std = math.sqrt(float(values.sum()) / n)
-    else:  # fsum rounds each weighted sum once
-        mean = math.fsum(weights * values) / n
-        std = math.sqrt(math.fsum(weights * (values - mean) ** 2) / n)
+    else:  # fsum rounds each weighted sum once, in any order
+        weights = np.diff(fg.cum)
+        mean = math.fsum(weights * fg.values) / n
+        std = math.sqrt(math.fsum(weights * (fg.values - mean) ** 2) / n)
     if std == 0.0:
         raise DegenerateConstant("foreground standard deviation is zero")
 
@@ -573,7 +572,7 @@ def zscore_standardize(vol: "Volume | SortedForeground") -> "Volume | SortedFore
         z /= std
         return z
 
-    if isinstance(vol, SortedForeground):
+    if index is None:
         return vol.through(standardize)
     return index.map_foreground(standardize).to_volume()
 

@@ -29,6 +29,7 @@ from .pipeline import (ALL_METHODS, METHOD_CDF_MATCH, METHOD_PERCENTILE_STRETCH,
                        harmonize, quantization_range)
 from .template import (DEFAULT_CLIP, DEFAULT_CONTROLS, ControlPoints,
                        build_template, load_template, save_template)
+from .transform import finite_interval
 
 
 CONFIG_SCHEMA_VERSION = 1
@@ -37,6 +38,8 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_PARTIAL = 2
 EXIT_USAGE = 64
+
+LOG_LEVELS = ("debug", "info", "warning", "error")
 
 _METHOD_ALIASES = {"stretch": METHOD_PERCENTILE_STRETCH,
                    "zscore": METHOD_ZSCORE,
@@ -90,9 +93,16 @@ def _parse_clip(text: str) -> tuple[float, float] | None:
         return None
     try:
         lo, hi = text.split(":")
-        return (float(lo), float(hi))
+        return finite_interval((float(lo), float(hi)), "clip")
     except ValueError as exc:
         raise UsageError(f"clip must look like 'LO:HI' or 'none', got {text!r}") from exc
+
+
+def _integer(value, name: str) -> int:
+    """A config file's integer ``value``, never truncated; a bool is no integer."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def _load_controls_file(path) -> ControlPoints:
@@ -126,15 +136,18 @@ def _resolve_config(args) -> AppConfig:
             cfg = replace(cfg, controls=ControlPoints.from_dict(file_doc["controls"]))
         if "clip" in file_doc:
             clip = file_doc["clip"]
-            cfg = replace(cfg, clip=tuple(clip) if clip is not None else None)
+            cfg = replace(cfg, clip=None if clip is None else finite_interval(clip, "clip"))
         if "grid_size" in file_doc:
-            cfg = replace(cfg, grid_size=int(file_doc["grid_size"]))
+            cfg = replace(cfg, grid_size=_integer(file_doc["grid_size"], "grid_size"))
         if "fit" in file_doc:
             cfg = replace(cfg, fit=FitConfig.from_dict(file_doc["fit"]))
         if "workers" in file_doc:
-            cfg = replace(cfg, workers=int(file_doc["workers"]))
+            cfg = replace(cfg, workers=_integer(file_doc["workers"], "workers"))
         if "log_level" in file_doc:
-            cfg = replace(cfg, log_level=str(file_doc["log_level"]))
+            if file_doc["log_level"] not in LOG_LEVELS:
+                raise ValueError(f"log_level must be one of {', '.join(LOG_LEVELS)}, "
+                                 f"got {file_doc['log_level']!r}")
+            cfg = replace(cfg, log_level=file_doc["log_level"])
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed config file {args.config}: {exc}") from exc
 
@@ -154,7 +167,7 @@ def _resolve_config(args) -> AppConfig:
     if getattr(args, "log_level", None):
         cfg = replace(cfg, log_level=args.log_level)
     # the config file may lower or raise verbosity; flags already applied
-    log.setLevel(getattr(logging, cfg.log_level.upper(), logging.INFO))
+    log.setLevel(getattr(logging, cfg.log_level.upper()))
     return cfg
 
 
@@ -402,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=_cmd_eval)
 
     for command in (p_build, p_harm, p_synth, p_inspect, p_eval):
-        command.add_argument("--log-level", choices=["debug", "info", "warning", "error"],
+        command.add_argument("--log-level", choices=LOG_LEVELS,
                              help="diagnostic verbosity (stderr)")
     return parser
 

@@ -19,7 +19,8 @@ from scipy.optimize import lsq_linear
 
 from .cdf import EmpiricalCdf, quantile
 from .errors import DegenerateCdf, Infeasible
-from .transform import MONOTONE_RATIO, DualScaleParams, PivotTriple, TailSpec, blend
+from .transform import (MONOTONE_RATIO, DualScaleParams, PivotTriple, TailSpec, blend,
+                        finite_interval)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .template import ControlPoints, TemplateCdf
@@ -51,13 +52,15 @@ class FitConfig:
     def __post_init__(self):
         grid = np.array(self.percentile_grid, dtype=np.float64)
         grid.flags.writeable = False
+        if not np.isfinite(grid).all():
+            raise ValueError("percentile_grid must hold finite numbers")
         if grid.size < 3 or (np.diff(grid) <= 0).any():
             raise ValueError("percentile_grid must be strictly increasing with >= 3 points")
         if grid[0] <= 0.0 or grid[-1] >= 1.0:
             raise ValueError("percentile_grid must lie strictly inside (0, 1)")
         object.__setattr__(self, "percentile_grid", grid)
-        lo, hi = (float(self.sigma_bounds[0]), float(self.sigma_bounds[1]))
-        if not 0.0 < lo < hi:
+        lo, hi = finite_interval(self.sigma_bounds, "sigma_bounds")
+        if lo <= 0.0:
             raise ValueError(f"sigma_bounds must satisfy 0 < lo < hi, got {self.sigma_bounds!r}")
         object.__setattr__(self, "sigma_bounds", (lo, hi))
         if not 1.0 < self.ratio_cap <= MONOTONE_RATIO:

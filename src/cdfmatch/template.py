@@ -20,7 +20,7 @@ from .cdf import (DEFAULT_GRID_SIZE, EmpiricalCdf, IntensityIndex, average_cdfs,
 from .errors import BadTailSpec, EmptyCohort, Infeasible, IoError, SchemaMismatch
 from .fit import FitConfig, fit_template_to_controls
 from .io import write_files
-from .transform import TailSpec, lut_ds
+from .transform import TailSpec, finite_interval, lut_ds
 
 TEMPLATE_SCHEMA_VERSION = 1
 
@@ -103,9 +103,7 @@ class TemplateCdf:
 
     def __post_init__(self):
         if self.clip is not None:
-            lo, hi = (float(self.clip[0]), float(self.clip[1]))
-            if not -np.inf < lo < hi < np.inf:
-                raise ValueError(f"clip range must be finite and increasing, got {self.clip!r}")
+            lo, hi = finite_interval(self.clip, "clip range")
             object.__setattr__(self, "clip", (lo, hi))
             if self.cdf.xs[0] < lo or self.cdf.xs[-1] > hi:
                 raise ValueError("template support extends beyond its clip range")
@@ -134,7 +132,6 @@ class TemplateCdf:
         cdf_doc = doc["cdf"]
         cdf = EmpiricalCdf(np.array(cdf_doc["xs"]), np.array(cdf_doc["ps"]),
                            n_samples=cdf_doc.get("n_samples", 0))
-        clip = tuple(doc["clip"]) if doc.get("clip") is not None else None
         provenance = dict(doc.get("provenance", {}))
         for key in ("tail_source_max", "tail_source_min"):  # null: not recorded
             value = provenance.get(key)
@@ -142,7 +139,7 @@ class TemplateCdf:
                                           and np.isfinite(value)):
                 raise SchemaMismatch(f"provenance {key} must be a finite number or null, "
                                      f"got {value!r}")
-        return cls(cdf, ControlPoints.from_dict(doc["controls"]), clip,
+        return cls(cdf, ControlPoints.from_dict(doc["controls"]), doc.get("clip"),
                    doc.get("channel", ""), provenance)
 
 
@@ -192,14 +189,15 @@ def build_template(cohort, controls: ControlPoints = DEFAULT_CONTROLS,
     foreground in the stored dtype), average them, fit the average to the
     control points, map the grid through the fitted
     dual-scaling, then shrink the tails toward the clip bounds when a clip
-    range is given.  Deterministic and invariant to cohort ordering.
+    range is given.  Deterministic and invariant to cohort ordering and to
+    the order of each member's voxels.
     """
     cohort = list(cohort)
     if not cohort:
         raise EmptyCohort("cannot build a template from an empty cohort")
     config = config or FitConfig()
     if clip is not None:
-        lo, hi = (float(clip[0]), float(clip[1]))
+        lo, hi = finite_interval(clip, "clip range")
         if not (lo < controls.t_B and controls.t_T < hi):
             raise BadTailSpec(
                 f"clip range {clip!r} must leave room outside the control "

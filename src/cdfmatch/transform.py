@@ -10,6 +10,7 @@ function of immutable parameter records.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -18,6 +19,18 @@ from scipy.special import erf
 
 from .cdf import IntensityIndex, Volume, _match_scalar
 from .errors import BadTailSpec, NonMonotone
+
+
+def finite_interval(value, name: str) -> tuple[float, float]:
+    """``value`` as ``(lo, hi)``: a list, tuple or array of exactly two finite
+    numbers with lo < hi (a bool or a string is no number); ValueError naming
+    ``name`` otherwise.  Every interval read from a file is checked here."""
+    pair = tuple(value) if isinstance(value, (list, tuple, np.ndarray)) else ()
+    if (len(pair) != 2 or any(isinstance(v, bool) or not isinstance(v, numbers.Real)
+                              for v in pair)
+            or not -math.inf < pair[0] < pair[1] < math.inf):
+        raise ValueError(f"{name} must be two finite, increasing numbers, got {value!r}")
+    return float(pair[0]), float(pair[1])
 
 
 def _ramp(t: float) -> float:
@@ -403,15 +416,9 @@ class IntensityLut:
     clip: tuple[float, float] | None = None
 
     def __post_init__(self):
-        lo, hi = (float(self.domain[0]), float(self.domain[1]))
-        if not -math.inf < lo < hi < math.inf:
-            raise ValueError(f"domain must be a finite, non-empty interval, got {self.domain!r}")
-        object.__setattr__(self, "domain", (lo, hi))
+        object.__setattr__(self, "domain", finite_interval(self.domain, "domain"))
         if self.clip is not None:
-            c_lo, c_hi = (float(self.clip[0]), float(self.clip[1]))
-            if not -math.inf < c_lo < c_hi < math.inf:
-                raise ValueError(f"clip range must be finite and increasing, got {self.clip!r}")
-            object.__setattr__(self, "clip", (c_lo, c_hi))
+            object.__setattr__(self, "clip", finite_interval(self.clip, "clip range"))
 
     def apply(self, x) -> "float | np.ndarray":
         """Map intensities through the composed transform (scalar or array).
@@ -535,11 +542,9 @@ class IntensityLut:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "IntensityLut":
-        clamp = doc.get("hard_clamp")
         return cls(DualScaleParams.from_dict(doc["params"]),
                    TailSpec.from_dict(doc["tails"]),
-                   tuple(doc["domain"]),
-                   clip=tuple(clamp) if clamp is not None else None)
+                   doc["domain"], clip=doc.get("hard_clamp"))
 
 
 def compose_lut(params: DualScaleParams, tails: TailSpec,

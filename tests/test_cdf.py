@@ -159,7 +159,7 @@ class TestIntensityIndex:
         assert index.inverse is None and index.counts is None
         assert index.to_volume().voxels.tobytes() == vol.voxels.tobytes()
 
-    def test_sorted_foreground_keeps_the_voxel_order_for_the_z_score(self):
+    def test_sorted_foreground_is_the_foreground_ascending(self):
         values = np.random.default_rng(6).normal(800.0, 200.0, self.N)
         values[::5] = 0.0
         vol = stored_volume(values, np.float32)
@@ -168,16 +168,17 @@ class TestIntensityIndex:
         kept = index.levels[index.levels != 0.0]
         assert fg.values.dtype == np.float32 and not fg.values.flags.writeable
         assert fg.values.tobytes() == np.sort(kept).tobytes()
-        assert fg.cum is None and fg.index is index and fg.n_voxels == kept.size
+        assert fg.cum is None and fg.n_voxels == kept.size
+        assert fg.background_value == vol.background_value
         # read as it is, the sorted foreground gives the volume's CDF
         for grid_size in (2, 1024):
             a, b = build_cdf(fg, grid_size=grid_size), build_cdf(index, grid_size=grid_size)
             assert a.xs.tobytes() == b.xs.tobytes() and a.ps.tobytes() == b.ps.tobytes()
             assert a.n_samples == b.n_samples == kept.size
-        # the z-score's statistics read the voxel order, so the sorted samples
-        # go through the same map as the voxels
+        # the z-score takes its statistics from the sorted samples, whichever
+        # form it is given, so the samples go through the same map as the voxels
         z, z_fg = zscore_standardize(vol), zscore_standardize(fg)
-        assert z_fg.index is index and z_fg.values is fg.values
+        assert z_fg.background_value == fg.background_value and z_fg.values is fg.values
         assert z_fg.store(z_fg.values).tobytes() == np.sort(z.foreground()).tobytes()
         # a level table keeps its used foreground levels, ascending, and counts
         counted = np.rint(values)
@@ -590,12 +591,12 @@ class TestRoundTripInvariants:
 
 
 def reference_zscore(vol: Volume) -> np.ndarray:
-    """zscore_standardize per voxel: ``(x - fg.mean()) / fg.std()`` on the
-    float64 foreground, every other voxel copied."""
+    """zscore_standardize per voxel: ``(x - fg.mean()) / fg.std()``, ``fg``
+    the float64 foreground sorted ascending, every other voxel copied."""
     out = vol.voxels.astype(np.float64)
     mask = out != np.float64(vol.background_value)
-    fg = out[mask]
-    out[mask] = (fg - fg.mean()) / fg.std()
+    fg = np.sort(out[mask])
+    out[mask] = (out[mask] - fg.mean()) / fg.std()
     return out
 
 
@@ -636,7 +637,8 @@ class TestZscore:
         expected = reference_zscore(vol)
         from_index = zscore_standardize(index.sorted_foreground())
         from_volume = zscore_standardize(vol)
-        assert isinstance(from_index, SortedForeground) and from_index.index is index
+        assert isinstance(from_index, SortedForeground)
+        assert from_index.background_value == vol.background_value
         got = from_volume.voxels
         # the sorted samples through the z-score are the z-scored foreground, sorted
         z = from_index.store(from_index.values)

@@ -538,23 +538,35 @@ class TestFlagsOnlyWhereRead:
 
 
 class TestMalformedFiles:
-    @pytest.mark.parametrize("kind", ["template-without-cdf", "template-decreasing-xs",
-                                      "lut-without-sigma"])
+    @pytest.mark.parametrize("kind, edit", [
+        ("template", lambda doc: doc.pop("cdf")),
+        ("template", lambda doc: doc.update(cdf={"xs": [2, 1], "ps": [0.5, 1.0]})),
+        ("template", lambda doc: doc.update(clip=[1.0])),
+        ("template", lambda doc: doc.update(clip=[1.0, 4095.0, 5000.0])),
+        ("lut", lambda doc: doc.update(params={})),
+        ("lut", lambda doc: doc.update(domain=[1.0])),
+        ("lut", lambda doc: doc.update(domain=[doc["domain"][0], doc["domain"][1], 1e9])),
+        ("lut", lambda doc: doc.update(hard_clamp=[1.0])),
+        ("lut", lambda doc: doc.update(hard_clamp=[1.0, 4095.0, 5000.0])),
+    ], ids=["template-without-cdf", "template-decreasing-xs", "template-clip-one-number",
+            "template-clip-three-numbers", "lut-without-sigma", "lut-domain-one-number",
+            "lut-domain-three-numbers", "lut-clamp-one-number", "lut-clamp-three-numbers"])
     def test_malformed_json_exits_1_naming_the_file(self, workspace, tmp_path, capsys,
-                                                     kind):
+                                                     kind, edit):
         bad = tmp_path / "bad.json"
-        if kind == "lut-without-sigma":
-            bad.write_text(json.dumps({"version": 1, "params": {}}))
+        if kind == "lut":
+            assert run(["harmonize", "--template", str(workspace / "t2.template.json"),
+                        "--in", str(workspace / "raw" / "vol0.raw"),
+                        "--out", str(tmp_path / "lut")]) == 0
+            doc = json.loads((tmp_path / "lut" / "vol0.lut.json").read_text())
             command = ["inspect", "--lut", str(bad), "--out", str(tmp_path / "m.csv")]
         else:
             doc = json.loads((workspace / "t2.template.json").read_text())
-            if kind == "template-without-cdf":
-                del doc["cdf"]
-            else:
-                doc["cdf"] = {"xs": [2, 1], "ps": [0.5, 1.0]}
-            bad.write_text(json.dumps(doc))
             command = ["harmonize", "--template", str(bad), "--in", str(workspace / "raw"),
                        "--out", str(tmp_path / "out")]
+        edit(doc)
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
         assert run(command) == 1
         err = capsys.readouterr().err
         assert str(bad) in err
@@ -636,6 +648,32 @@ class TestConfigPrecedence:
         assert "malformed config file" in err and key in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("config, field", [
+        ({"clip": [5]}, "clip"),
+        ({"clip": "1:4095"}, "clip"),
+        ({"clip": [1, "x"]}, "clip"),
+        ({"clip": [1.0, 4095.0, 5000.0]}, "clip"),
+        ({"fit": {"sigma_bounds": [1]}}, "sigma_bounds"),
+        ({"fit": {"sigma_bounds": [0.05, 20.0, 30.0]}}, "sigma_bounds"),
+        ({"fit": {"percentile_grid": [0.1, None, 0.9]}}, "percentile_grid"),
+        ({"grid_size": 2.9}, "grid_size"),
+        ({"workers": True}, "workers"),
+        ({"log_level": "verbose"}, "log_level"),
+    ], ids=["clip-one-number", "clip-string", "clip-not-a-number", "clip-three-numbers",
+            "sigma-bounds-one-number", "sigma-bounds-three-numbers", "grid-null-point",
+            "grid-size-fraction", "workers-bool", "log-level-unknown"])
+    def test_malformed_config_value_exits_64_naming_it(self, workspace, tmp_path, capsys,
+                                                       config, field):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "t.json"
+        assert run(["template", "build", "--channel", "T2", "--out", str(out),
+                    "--config", str(cfg), str(workspace / "raw" / "vol0.raw")]) == 64
+        err = capsys.readouterr().err
+        assert "malformed config file" in err and field in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_ratio_cap_above_rho_star_is_usage_error(self, workspace, tmp_path, capsys):
         # past rho* = 8.7577 the dual scaling descends, so no fit may return it
         cfg = tmp_path / "config.json"
@@ -700,7 +738,9 @@ class TestConfigPrecedence:
         assert doc["controls"]["pi_M"] == [0.5, 600.0]
         assert doc["clip"] == [1.0, 1300.0]
 
-    def test_bad_clip_flag(self, workspace, tmp_path):
+    @pytest.mark.parametrize("clip", ["nonsense", "1:inf", "4095:1"])
+    def test_bad_clip_flag(self, workspace, tmp_path, capsys, clip):
         inputs = [str(p) for p in sorted((workspace / "raw").glob("*.raw"))]
-        assert run(["template", "build", "--clip", "nonsense",
+        assert run(["template", "build", "--clip", clip,
                     "--out", str(tmp_path / "t.json")] + inputs) == 64
+        assert "clip must look like" in capsys.readouterr().err

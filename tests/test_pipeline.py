@@ -516,7 +516,7 @@ class TestTablePath:
         # is the stored output's, bit for bit
         (sorted_fg, pre), (mapped, post) = cdfs
         assert isinstance(sorted_fg, SortedForeground) and sorted_fg.store is None
-        assert sorted_fg.index.levels is vol.voxels
+        assert sorted_fg.background_value == vol.background_value
         assert isinstance(mapped, SortedForeground) and mapped.store is not None
         assert mapped.values is sorted_fg.values
         assert post.xs.tobytes() == post_cdf.xs.tobytes()

@@ -368,6 +368,20 @@ class TestComposeLut:
         out = np.asarray(lut.apply(np.linspace(-1000.0, 9000.0, 4096)))
         assert (np.sort(out) == out).all()
 
+    @pytest.mark.parametrize("interval", [[1.0], [1.0, 2.0, 3.0], "12", (True, 2.0),
+                                          ("1", 2.0), (1.0, math.inf), (2.0, 1.0), 5.0])
+    @pytest.mark.parametrize("field", ["domain", "clip"])
+    def test_intervals_are_two_finite_increasing_numbers(self, field, interval):
+        domain, clip = ((interval, None) if field == "domain" else ((0.0, 4000.0), interval))
+        with pytest.raises(ValueError, match="two finite, increasing numbers"):
+            compose_lut(_identity_params(), TailSpec.disabled(), domain, clip=clip)
+
+    def test_numpy_intervals_are_accepted(self):
+        lut = compose_lut(_identity_params(), TailSpec.disabled(), np.array([0.0, 4000.0]),
+                          clip=(np.float32(1.0), np.int64(4095)))
+        assert lut.domain == (0.0, 4000.0) and lut.clip == (1.0, 4095.0)
+        assert all(type(v) is float for v in lut.domain + lut.clip)
+
     @pytest.mark.parametrize("bottom_larger", [True, False])
     def test_non_monotone_parameters_fail_loudly(self, bottom_larger):
         # pivots 100/200/300 over the domain 0-400: 8.75 maps, 8.76 would
