@@ -27,6 +27,57 @@ DTYPES = {
 }
 
 
+def finite_number(value, name: str, error=ValueError) -> float:
+    """``value`` as a float: an int or a float, Python's or NumPy's, that a float
+    holds finitely; a bool (JSON ``true``), a string, None, NaN, +/-inf or an int
+    past the float range raises ``error`` (a type, or any callable from the message
+    to an exception).  Every number a record holds passes here or :func:`whole_number`."""
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer past the float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise error(f"{name} must be a finite number, got {value!r}")
+
+
+def whole_number(value, name: str, error=ValueError) -> int:
+    """``value`` as an int: a :func:`finite_number` that is an int, Python's
+    or NumPy's (a float, even 4.0, is none); ``error`` as there."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        finite_number(value, name, error)  # an int past the float range is none
+        return int(value)
+    raise error(f"{name} must be an integer, got {value!r}")
+
+
+def finite_interval(value, name: str) -> tuple[float, float]:
+    """``value`` as ``(lo, hi)``: a list, tuple or array of two
+    :func:`finite_number` values with lo < hi; ValueError otherwise."""
+    message = f"{name} must be two finite, increasing numbers, got {value!r}"
+    pair = tuple(value) if isinstance(value, (list, tuple, np.ndarray)) else ()
+    if len(pair) == 2:
+        lo, hi = (finite_number(v, name, lambda _: ValueError(message)) for v in pair)
+        if lo < hi:
+            return lo, hi
+    raise ValueError(message)
+
+
+def finite_array(values, name: str) -> np.ndarray:
+    """``values``, a sequence or an array, as a read-only 1-D float64 array
+    of :func:`finite_number` values, else ValueError: floats, and a float
+    array, in one vectorised pass, any other element one by one."""
+    if not (isinstance(values, np.ndarray) and values.dtype.kind == "f"):
+        values = list(values)
+        for value in values:
+            if type(value) is not float:
+                finite_number(value, name)
+    arr = _readonly(values)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite (no NaN/Inf)")
+    return arr
+
+
 def _readonly(values, dtype=np.float64) -> np.ndarray:
     arr = np.array(values, dtype=dtype).ravel()
     arr.flags.writeable = False
@@ -127,8 +178,8 @@ class Volume:
         return vol
 
     def _store(self, vox: np.ndarray) -> None:
-        dims = tuple(int(d) for d in self.dims)
-        if len(dims) != 3 or any(d < 1 for d in dims):
+        dims = tuple(whole_number(d, "dims") for d in self.dims)
+        if len(dims) != 3 or min(dims) < 1:
             raise ValueError(f"dims must be three positive integers, got {self.dims!r}")
         n = dims[0] * dims[1] * dims[2]
         if vox.size != n:
@@ -138,7 +189,8 @@ class Volume:
             raise ValueError("voxels must be finite (no NaN/Inf)")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "voxels", vox)
-        object.__setattr__(self, "background_value", float(self.background_value))
+        object.__setattr__(self, "background_value",
+                           finite_number(self.background_value, "background_value"))
 
     @property
     def n_voxels(self) -> int:
@@ -388,14 +440,12 @@ class EmpiricalCdf:
     n_samples: int = 0
 
     def __post_init__(self):
-        xs = _readonly(self.xs)
-        ps = _readonly(self.ps)
+        xs = finite_array(self.xs, "xs")
+        ps = finite_array(self.ps, "ps")
         if xs.size < 2:
             raise ValueError("a CDF needs at least two knots")
         if ps.shape != xs.shape:
             raise ValueError("xs and ps must have the same length")
-        if not (np.isfinite(xs).all() and np.isfinite(ps).all()):
-            raise ValueError("xs and ps must be finite (no NaN/Inf)")
         if not (np.diff(xs) > 0).all():
             raise ValueError("xs must be strictly increasing")
         if (np.diff(ps) < 0).any():
@@ -406,7 +456,7 @@ class EmpiricalCdf:
             raise ValueError(f"last probability must equal 1, got {ps[-1]!r}")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ps", ps)
-        object.__setattr__(self, "n_samples", int(self.n_samples))
+        object.__setattr__(self, "n_samples", whole_number(self.n_samples, "n_samples"))
 
     @property
     def support(self) -> tuple[float, float]:
@@ -443,7 +493,7 @@ def build_cdf(vol: "Volume | IntensityIndex | SortedForeground",
     Raises AllBackground when exclusion empties the volume and
     DegenerateConstant when fewer than two distinct intensities remain.
     """
-    if grid_size < 2:
+    if whole_number(grid_size, "grid_size") < 2:
         raise ValueError(f"grid_size must be at least 2, got {grid_size}")
     fg = (vol if isinstance(vol, SortedForeground)
           else IntensityIndex.of(vol).sorted_foreground(exclude_background))
@@ -586,7 +636,7 @@ def average_cdfs(cdfs, grid_size: int = DEFAULT_GRID_SIZE) -> EmpiricalCdf:
     cdfs = list(cdfs)
     if not cdfs:
         raise EmptyInput("average_cdfs needs at least one CDF")
-    if grid_size < 2:
+    if whole_number(grid_size, "grid_size") < 2:
         raise ValueError(f"grid_size must be at least 2, got {grid_size}")
     lo = min(float(c.xs[0]) for c in cdfs)
     hi = max(float(c.xs[-1]) for c in cdfs)

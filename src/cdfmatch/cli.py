@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import __version__
-from .cdf import DEFAULT_GRID_SIZE, build_cdf, check_fits
+from .cdf import DEFAULT_GRID_SIZE, build_cdf, check_fits, finite_interval, whole_number
 from .errors import CdfMatchError, Overflow, UsageError
 from .fit import FitConfig
 from .io import (SynthSpec, emit_cdf_plot, emit_lut_plot,
@@ -29,7 +29,6 @@ from .pipeline import (ALL_METHODS, METHOD_CDF_MATCH, METHOD_PERCENTILE_STRETCH,
                        harmonize, quantization_range)
 from .template import (DEFAULT_CLIP, DEFAULT_CONTROLS, ControlPoints,
                        build_template, load_template, save_template)
-from .transform import finite_interval
 
 
 CONFIG_SCHEMA_VERSION = 1
@@ -98,13 +97,6 @@ def _parse_clip(text: str) -> tuple[float, float] | None:
         raise UsageError(f"clip must look like 'LO:HI' or 'none', got {text!r}") from exc
 
 
-def _integer(value, name: str) -> int:
-    """A config file's integer ``value``, never truncated; a bool is no integer."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
 def _load_controls_file(path) -> ControlPoints:
     try:
         doc = json.loads(Path(path).read_text())
@@ -138,11 +130,11 @@ def _resolve_config(args) -> AppConfig:
             clip = file_doc["clip"]
             cfg = replace(cfg, clip=None if clip is None else finite_interval(clip, "clip"))
         if "grid_size" in file_doc:
-            cfg = replace(cfg, grid_size=_integer(file_doc["grid_size"], "grid_size"))
+            cfg = replace(cfg, grid_size=whole_number(file_doc["grid_size"], "grid_size"))
         if "fit" in file_doc:
             cfg = replace(cfg, fit=FitConfig.from_dict(file_doc["fit"]))
         if "workers" in file_doc:
-            cfg = replace(cfg, workers=_integer(file_doc["workers"], "workers"))
+            cfg = replace(cfg, workers=whole_number(file_doc["workers"], "workers"))
         if "log_level" in file_doc:
             if file_doc["log_level"] not in LOG_LEVELS:
                 raise ValueError(f"log_level must be one of {', '.join(LOG_LEVELS)}, "

@@ -17,10 +17,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy.optimize import lsq_linear
 
-from .cdf import EmpiricalCdf, quantile
+from .cdf import EmpiricalCdf, finite_array, finite_interval, finite_number, quantile
 from .errors import DegenerateCdf, Infeasible
-from .transform import (MONOTONE_RATIO, DualScaleParams, PivotTriple, TailSpec, blend,
-                        finite_interval)
+from .transform import MONOTONE_RATIO, DualScaleParams, PivotTriple, TailSpec, blend
 
 if TYPE_CHECKING:  # pragma: no cover
     from .template import ControlPoints, TemplateCdf
@@ -50,10 +49,7 @@ class FitConfig:
     ratio_cap: float = MONOTONE_RATIO
 
     def __post_init__(self):
-        grid = np.array(self.percentile_grid, dtype=np.float64)
-        grid.flags.writeable = False
-        if not np.isfinite(grid).all():
-            raise ValueError("percentile_grid must hold finite numbers")
+        grid = finite_array(self.percentile_grid, "percentile_grid")
         if grid.size < 3 or (np.diff(grid) <= 0).any():
             raise ValueError("percentile_grid must be strictly increasing with >= 3 points")
         if grid[0] <= 0.0 or grid[-1] >= 1.0:
@@ -63,9 +59,11 @@ class FitConfig:
         if lo <= 0.0:
             raise ValueError(f"sigma_bounds must satisfy 0 < lo < hi, got {self.sigma_bounds!r}")
         object.__setattr__(self, "sigma_bounds", (lo, hi))
-        if not 1.0 < self.ratio_cap <= MONOTONE_RATIO:
-            raise ValueError(f"ratio_cap must lie in (1, rho* = {MONOTONE_RATIO!r}], the "
+        outside = ValueError(f"ratio_cap must lie in (1, rho* = {MONOTONE_RATIO!r}], the "
                              f"largest monotone scale ratio; got {self.ratio_cap!r}")
+        cap = finite_number(self.ratio_cap, "ratio_cap", lambda _: outside)
+        if not 1.0 < cap <= MONOTONE_RATIO:
+            raise outside
 
     def to_dict(self) -> dict:
         return {"percentile_grid": [float(p) for p in self.percentile_grid],
@@ -86,13 +84,6 @@ class FitResult:
     residual: float
     iterations: int
     converged: bool
-
-    def __post_init__(self):
-        object.__setattr__(self, "residual", float(self.residual))
-        object.__setattr__(self, "iterations", int(self.iterations))
-        object.__setattr__(self, "converged", bool(self.converged))
-        if self.residual < 0.0:
-            raise ValueError("residual cannot be negative")
 
     def to_dict(self) -> dict:
         return {"params": self.params.to_dict(), "residual": self.residual,

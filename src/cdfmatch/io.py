@@ -11,9 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 import os
-import sys
 import threading
 from dataclasses import dataclass, field
 from io import StringIO
@@ -22,7 +20,7 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .cdf import DTYPES, EmpiricalCdf, Volume, store_as
+from .cdf import DTYPES, EmpiricalCdf, Volume, finite_number, store_as, whole_number
 from .errors import (BadSpec, BadTailSpec, EmptyInput, HeaderMismatch, IoError,
                      NonMonotone, SchemaMismatch)
 from .transform import IntensityLut
@@ -102,21 +100,19 @@ def read_volume(path) -> Volume:
         raise HeaderMismatch(f"volume header for {path} must be a JSON object")
 
     dims = header.get("dims")
-    # JSON true is a Python int: a bool is no dimension
-    if (not isinstance(dims, list) or len(dims) != 3
-            or any(isinstance(d, bool) or not isinstance(d, int) or d < 1 for d in dims)):
+    if not isinstance(dims, list) or len(dims) != 3:
+        raise HeaderMismatch(f"bad dims in header: {dims!r}")
+    dims = tuple(whole_number(d, "dims", HeaderMismatch) for d in dims)
+    if min(dims) < 1:
         raise HeaderMismatch(f"bad dims in header: {dims!r}")
     dtype = header.get("dtype")
     if dtype not in DTYPES:
         raise HeaderMismatch(f"unsupported dtype in header: {dtype!r}")
     if header.get("endianness") != "little":
         raise HeaderMismatch(f"unsupported endianness: {header.get('endianness')!r}")
-    background = header.get("background_value", 0.0)
-    # JSON true is a Python int, and json reads NaN, Infinity and integers
-    # past the float range, none of which is a background value
-    if (isinstance(background, bool) or not isinstance(background, (int, float))
-            or not abs(background) <= sys.float_info.max):
-        raise HeaderMismatch(f"bad background_value: {background!r}")
+    value = header.get("background_value", 0.0)
+    background = finite_number(value, "background_value",
+                               lambda _: HeaderMismatch(f"bad background_value: {value!r}"))
     channel = header.get("channel", "")
     if not isinstance(channel, str):
         raise HeaderMismatch(f"bad channel label: {channel!r}")
@@ -131,7 +127,7 @@ def read_volume(path) -> Volume:
         raise HeaderMismatch(
             f"payload is {actual} bytes but the header implies {expected}")
     data = np.fromfile(path, dtype=dt)
-    return Volume._owning(tuple(dims), data, channel, float(background))
+    return Volume._owning(dims, data, channel, background)
 
 
 # ---------------------------------------------------------------------------
@@ -187,21 +183,6 @@ class LesionSpec:
                 "volume_fraction": self.volume_fraction}
 
 
-def _is_integer(value) -> bool:
-    """Whether ``value`` is an integer; a bool is not one."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _require_finite(owner: str, spec, *names: str) -> None:
-    """Raise BadSpec naming the first of ``spec``'s fields ``names`` that
-    is not a finite number (a bool is not one)."""
-    for name in names:
-        value = getattr(spec, name)
-        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                or not -math.inf < value < math.inf):
-            raise BadSpec(f"{owner} {name} must be a finite number, got {value!r}")
-
-
 @dataclass(frozen=True)
 class SynthSpec:
     """Recipe for a reproducible synthetic volume."""
@@ -221,30 +202,34 @@ class SynthSpec:
         for c in comps:
             if c.kind not in ("lognormal", "gaussian"):
                 raise BadSpec(f"unknown component kind {c.kind!r}")
-            _require_finite("component", c, "weight", "loc", "scale")
+            for name in ("weight", "loc", "scale"):
+                finite_number(getattr(c, name), f"component {name}", BadSpec)
             if c.weight <= 0.0 or c.scale <= 0.0:
                 raise BadSpec("component weights and scales must be positive")
         if abs(sum(c.weight for c in comps) - 1.0) > 1e-9:
             raise BadSpec("component weights must sum to 1")
         object.__setattr__(self, "components", comps)
-        dims = tuple(self.dims)
-        if len(dims) != 3 or not all(_is_integer(d) and d >= 1 for d in dims):
+        dims = tuple(whole_number(d, "dims", BadSpec) for d in self.dims)
+        if len(dims) != 3 or min(dims) < 1:
             raise BadSpec(f"dims must be three positive integers, got {self.dims!r}")
-        object.__setattr__(self, "dims", tuple(int(d) for d in dims))
-        _require_finite("scanner", self.scanner, "gain", "offset", "gamma", "tail_weight")
+        object.__setattr__(self, "dims", dims)
+        for name in ("gain", "offset", "gamma", "tail_weight"):
+            finite_number(getattr(self.scanner, name), f"scanner {name}", BadSpec)
         if self.scanner.gain <= 0.0 or self.scanner.gamma <= 0.0:
             raise BadSpec("scanner gain and gamma must be positive")
         if self.scanner.tail_weight <= 0.0:
             raise BadSpec("tail_weight must be positive")
-        _require_finite("lesion", self.lesions, "boost")
-        if (not _is_integer(self.lesions.count) or self.lesions.count < 0
+        for name in ("boost", "volume_fraction"):
+            finite_number(getattr(self.lesions, name), f"lesion {name}", BadSpec)
+        if (whole_number(self.lesions.count, "lesion count", BadSpec) < 0
                 or self.lesions.boost <= 0.0):
             raise BadSpec("lesion count must be an integer >= 0 and boost positive")
         if not 0.0 <= self.lesions.volume_fraction < 1.0:
             raise BadSpec("lesion volume fraction must lie in [0, 1)")
-        if not 0.0 <= self.background_fraction < 1.0:
+        if not 0.0 <= finite_number(self.background_fraction, "background fraction",
+                                    BadSpec) < 1.0:
             raise BadSpec("background fraction must lie in [0, 1)")
-        if not _is_integer(self.seed) or self.seed < 0:
+        if whole_number(self.seed, "seed", BadSpec) < 0:
             raise BadSpec(f"seed must be a non-negative integer, got {self.seed!r}")
         object.__setattr__(self, "seed", int(self.seed))
 
@@ -341,13 +326,20 @@ def read_cdf_csv(path) -> EmpiricalCdf:
     if not lines or lines[0].strip() != _CDF_CSV_HEADER:
         raise SchemaMismatch(f"{path} is not a CDF CSV (bad header)")
     xs, ps = [], []
-    for line in lines[1:]:
+    for number, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        sx, sp = line.split(",")
-        xs.append(float(sx))
-        ps.append(float(sp))
-    return EmpiricalCdf(np.array(xs), np.array(ps), n_samples=0)
+        try:
+            x, p = (float(v) for v in line.split(","))
+        except ValueError as exc:
+            raise SchemaMismatch(f"{path} line {number}: expected two numbers, "
+                                 f"got {line!r}") from exc
+        xs.append(x)
+        ps.append(p)
+    try:
+        return EmpiricalCdf(xs, ps, n_samples=0)
+    except ValueError as exc:
+        raise SchemaMismatch(f"malformed CDF CSV {path}: {exc}") from exc
 
 
 def save_lut(lut: IntensityLut, path) -> Path:

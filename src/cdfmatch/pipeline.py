@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cdf import (DEFAULT_GRID_SIZE, DTYPES, IntensityIndex, Volume, build_cdf,
-                  ks_distance, zscore_standardize)
+                  ks_distance, whole_number, zscore_standardize)
 from .errors import AllBackground, DegenerateConstant, EmptyInput
 from .fit import FitConfig, FitResult, fit_cdf
 from .template import TemplateCdf, config_hash, template_tails
@@ -41,8 +41,10 @@ class HarmonizeOptions:
     dtype: str | None = None
 
     def __post_init__(self):
+        if whole_number(self.grid_size, "grid_size") < 2:
+            raise ValueError(f"grid_size must be at least 2, got {self.grid_size}")
         # the integer output dtypes are at most 16 bits wide
-        if self.bits is not None and not 1 <= self.bits <= 16:
+        if self.bits is not None and not 1 <= whole_number(self.bits, "bits") <= 16:
             raise ValueError(f"bits must lie in 1..16, got {self.bits}")
         if self.dtype is None:
             object.__setattr__(self, "dtype", "u16" if self.bits is not None else "f32")

@@ -16,11 +16,11 @@ from pathlib import Path
 import numpy as np
 
 from .cdf import (DEFAULT_GRID_SIZE, EmpiricalCdf, IntensityIndex, average_cdfs,
-                  build_cdf, quantile, zscore_standardize)
+                  build_cdf, finite_interval, finite_number, quantile, zscore_standardize)
 from .errors import BadTailSpec, EmptyCohort, Infeasible, IoError, SchemaMismatch
 from .fit import FitConfig, fit_template_to_controls
 from .io import write_files
-from .transform import TailSpec, finite_interval, lut_ds
+from .transform import TailSpec, lut_ds
 
 TEMPLATE_SCHEMA_VERSION = 1
 
@@ -38,14 +38,14 @@ class ControlPoints:
     def __post_init__(self):
         for name in ("pi_B", "pi_M", "pi_T"):
             p, t = getattr(self, name)
-            object.__setattr__(self, name, (float(p), float(t)))
+            object.__setattr__(self, name, (finite_number(p, name), finite_number(t, name)))
         if not (0.0 < self.p_B < self.p_M < self.p_T <= 1.0):
             raise ValueError(
                 f"percentiles must satisfy 0 < p_B < p_M < p_T <= 1, got "
                 f"({self.p_B}, {self.p_M}, {self.p_T})")
-        if not -np.inf < self.t_B < self.t_M < self.t_T < np.inf:
+        if not self.t_B < self.t_M < self.t_T:
             raise ValueError(
-                f"intensities must be finite with t_B < t_M < t_T, got "
+                f"intensities must satisfy t_B < t_M < t_T, got "
                 f"({self.t_B}, {self.t_M}, {self.t_T})")
 
     @property
@@ -82,7 +82,7 @@ class ControlPoints:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ControlPoints":
-        return cls(tuple(doc["pi_B"]), tuple(doc["pi_M"]), tuple(doc["pi_T"]))
+        return cls(doc["pi_B"], doc["pi_M"], doc["pi_T"])
 
 
 # intensities of the published 12-bit configuration; percentile first
@@ -102,6 +102,8 @@ class TemplateCdf:
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not isinstance(self.channel, str):
+            raise ValueError(f"channel must be a string, got {self.channel!r}")
         if self.clip is not None:
             lo, hi = finite_interval(self.clip, "clip range")
             object.__setattr__(self, "clip", (lo, hi))
@@ -130,15 +132,11 @@ class TemplateCdf:
                 f"expected template schema {TEMPLATE_SCHEMA_VERSION}, "
                 f"got {doc.get('version')!r}")
         cdf_doc = doc["cdf"]
-        cdf = EmpiricalCdf(np.array(cdf_doc["xs"]), np.array(cdf_doc["ps"]),
-                           n_samples=cdf_doc.get("n_samples", 0))
+        cdf = EmpiricalCdf(cdf_doc["xs"], cdf_doc["ps"], n_samples=cdf_doc.get("n_samples", 0))
         provenance = dict(doc.get("provenance", {}))
         for key in ("tail_source_max", "tail_source_min"):  # null: not recorded
-            value = provenance.get(key)
-            if value is not None and not (type(value) in (int, float)  # no bool subclass
-                                          and np.isfinite(value)):
-                raise SchemaMismatch(f"provenance {key} must be a finite number or null, "
-                                     f"got {value!r}")
+            if provenance.get(key) is not None:
+                finite_number(provenance[key], f"provenance {key}", SchemaMismatch)
         return cls(cdf, ControlPoints.from_dict(doc["controls"]), doc.get("clip"),
                    doc.get("channel", ""), provenance)
 

@@ -10,27 +10,14 @@ function of immutable parameter records.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 from scipy.special import erf
 
-from .cdf import IntensityIndex, Volume, _match_scalar
+from .cdf import IntensityIndex, Volume, _match_scalar, finite_interval, finite_number
 from .errors import BadTailSpec, NonMonotone
-
-
-def finite_interval(value, name: str) -> tuple[float, float]:
-    """``value`` as ``(lo, hi)``: a list, tuple or array of exactly two finite
-    numbers with lo < hi (a bool or a string is no number); ValueError naming
-    ``name`` otherwise.  Every interval read from a file is checked here."""
-    pair = tuple(value) if isinstance(value, (list, tuple, np.ndarray)) else ()
-    if (len(pair) != 2 or any(isinstance(v, bool) or not isinstance(v, numbers.Real)
-                              for v in pair)
-            or not -math.inf < pair[0] < pair[1] < math.inf):
-        raise ValueError(f"{name} must be two finite, increasing numbers, got {value!r}")
-    return float(pair[0]), float(pair[1])
 
 
 def _ramp(t: float) -> float:
@@ -62,13 +49,11 @@ class PivotTriple:
     v_T: float
 
     def __post_init__(self):
-        object.__setattr__(self, "v_B", float(self.v_B))
-        object.__setattr__(self, "v_M", float(self.v_M))
-        object.__setattr__(self, "v_T", float(self.v_T))
-        if not -math.inf < self.v_B < self.v_M < self.v_T < math.inf:
-            raise ValueError(
-                f"pivots must be finite with v_B < v_M < v_T, got "
-                f"({self.v_B}, {self.v_M}, {self.v_T})")
+        for name in ("v_B", "v_M", "v_T"):
+            object.__setattr__(self, name, finite_number(getattr(self, name), name))
+        if not self.v_B < self.v_M < self.v_T:
+            raise ValueError(f"pivots must satisfy v_B < v_M < v_T, got "
+                             f"({self.v_B}, {self.v_M}, {self.v_T})")
 
     def to_dict(self) -> dict:
         return {"v_B": self.v_B, "v_M": self.v_M, "v_T": self.v_T}
@@ -94,13 +79,10 @@ class DualScaleParams:
     pivots: PivotTriple
 
     def __post_init__(self):
-        object.__setattr__(self, "sigma_B", float(self.sigma_B))
-        object.__setattr__(self, "sigma_T", float(self.sigma_T))
-        object.__setattr__(self, "gamma", float(self.gamma))
-        if not (0.0 < self.sigma_B < math.inf and 0.0 < self.sigma_T < math.inf
-                and math.isfinite(self.gamma)):
-            raise ValueError(f"scale factors must be positive and finite and gamma finite, "
-                             f"got ({self.sigma_B}, {self.sigma_T}, {self.gamma})")
+        for name in ("sigma_B", "sigma_T", "gamma"):
+            object.__setattr__(self, name, finite_number(getattr(self, name), name))
+        if not min(self.sigma_B, self.sigma_T) > 0.0:
+            raise ValueError(f"scale factors must be positive, got {self.sigma_B}, {self.sigma_T}")
         ratio = max(self.sigma_B, self.sigma_T) / min(self.sigma_B, self.sigma_T)
         if not ratio <= MONOTONE_RATIO * (1.0 + 1e-12):  # slack: the fit's rounding
             raise NonMonotone(f"scale ratio {ratio:.6g} exceeds {MONOTONE_RATIO:.6g}, "
@@ -139,10 +121,7 @@ class TailSpec:
 
     def __post_init__(self):
         for name in ("v_T", "v_max", "v_clipT", "v_B", "v_min", "v_clipB"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise BadTailSpec(f"{name} must be finite, got {value}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, finite_number(getattr(self, name), name, BadTailSpec))
         for name in ("enabled_top", "enabled_bottom"):
             # a string such as "false" would be truthy: only real bools count
             flag = getattr(self, name)

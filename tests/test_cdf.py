@@ -462,10 +462,14 @@ class TestValueChecks:
          "grid_size must be at least 2"),
         (lambda: average_cdfs([build_cdf(_three_levels())], grid_size=1),
          "grid_size must be at least 2"),
+        (lambda: build_cdf(_three_levels(), grid_size=3.5), "grid_size must be an integer"),
+        (lambda: average_cdfs([build_cdf(_three_levels())], grid_size=True),
+         "grid_size must be an integer"),
         (lambda: EmpiricalCdf([1.0], [1.0]), "at least two knots"),
         (lambda: EmpiricalCdf([1.0, 2.0, 3.0], [0.5, 1.0]), "same length"),
         (lambda: EmpiricalCdf([1.0, 2.0], [-0.5, 1.0]), "non-negative"),
     ], ids=["build-cdf-grid", "build-cdf-through-grid", "average-cdfs-grid",
+            "build-cdf-fractional-grid", "average-cdfs-bool-grid",
             "one-knot", "unequal-lengths", "negative-probability"])
     def test_rejects_with_its_own_message(self, call, message):
         with pytest.raises(ValueError, match=message):

@@ -253,6 +253,20 @@ class TestCdfCsv:
         with pytest.raises(SchemaMismatch):
             read_cdf_csv(path)
 
+    @pytest.mark.parametrize("row", ["2.0", "abc,0.5", "2.0,0.5,7"],
+                             ids=["short-row", "not-a-number", "long-row"])
+    def test_bad_row_names_the_file_and_line(self, tmp_path, row):
+        path = tmp_path / "cdf.csv"
+        path.write_text(f"intensity,cumulative_probability\n1.0,0.2\n{row}\n3.0,1.0\n")
+        with pytest.raises(SchemaMismatch, match=r"cdf\.csv line 3"):
+            read_cdf_csv(path)
+
+    def test_descending_curve_names_the_file(self, tmp_path):
+        path = tmp_path / "cdf.csv"
+        path.write_text("intensity,cumulative_probability\n2.0,0.5\n1.0,1.0\n")
+        with pytest.raises(SchemaMismatch, match=r"cdf\.csv.*strictly increasing"):
+            read_cdf_csv(path)
+
 
 class TestLutJson:
     def _lut(self):

@@ -641,6 +641,17 @@ def test_bits_outside_1_to_16_rejected(bits):
         HarmonizeOptions(bits=bits)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("bits", 12.5), ("bits", True), ("bits", 12.0), ("bits", "12"),
+    ("grid_size", 1), ("grid_size", 0), ("grid_size", 256.0), ("grid_size", True),
+    ("grid_size", "256"),
+])
+def test_options_hold_integers_in_range(field, value):
+    # True would quantize to 1 bit; grid_size 1 would fail only inside build_cdf
+    with pytest.raises(ValueError, match=field):
+        HarmonizeOptions(**{field: value})
+
+
 def test_quantization_range_must_fit_the_bit_depth(template_12bit, template_unclipped):
     assert quantization_range(template_12bit, 12) == (1.0, 4095.0)
     assert quantization_range(template_unclipped, 8) == (0.0, 255.0)
