@@ -151,7 +151,8 @@ class Volume:
     """Scalar 2D/3D image with a reserved background value.
 
     Voxels are stored flat in x-fastest order; ``dims`` is (nx, ny, nz)
-    with nz = 1 for 2D images.  The constructor stores float64; a volume
+    with nz = 1 for 2D images.  The constructor takes integer or float
+    voxels (strings and bools raise ValueError) and stores float64; a volume
     read from a file keeps the file's dtype.  Instances are immutable and
     safe to share.
     """
@@ -162,7 +163,10 @@ class Volume:
     background_value: float = 0.0
 
     def __post_init__(self):
-        self._store(_readonly(self.voxels))
+        voxels = np.asarray(self.voxels)
+        if voxels.dtype.kind not in "uif":  # strings and bools are no intensities
+            raise ValueError(f"voxels must be integers or floats, got dtype {voxels.dtype}")
+        self._store(_readonly(voxels))
 
     @classmethod
     def _owning(cls, dims, voxels: np.ndarray, channel: str,
@@ -187,6 +191,8 @@ class Volume:
         if vox.dtype.kind == "f" and not all(np.isfinite(vox[start:start + _BLOCK]).all()
                                              for start in range(0, n, _BLOCK)):
             raise ValueError("voxels must be finite (no NaN/Inf)")
+        if not isinstance(self.channel, str):
+            raise ValueError(f"channel must be a string, got {self.channel!r}")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "voxels", vox)
         object.__setattr__(self, "background_value",

@@ -1,10 +1,14 @@
 """Command-line interface.
 
 Subcommands: ``template build``, ``harmonize``, ``synth``, ``inspect``,
-``eval``.  A shared JSON config file supplies defaults; command-line flags
-override file values which override built-in defaults, and the effective
-configuration is echoed into every report.  Diagnostics go to stderr;
-machine-readable outputs go to files only.
+``eval``.  The run configuration is one record, :class:`AppConfig`: the
+built-in defaults, replaced by a JSON config file's values, replaced by
+command-line flags.  The file holds exactly the keys ``AppConfig.to_dict``
+writes; the record checks every value, whichever source set it, and any
+fault in the config or a controls file is a usage error (exit 64).  The
+effective configuration is echoed into every report, and that echo is a
+valid config file.  Diagnostics go to stderr; machine-readable outputs go
+to files only.
 """
 
 from __future__ import annotations
@@ -19,11 +23,11 @@ from pathlib import Path
 
 from . import __version__
 from .cdf import DEFAULT_GRID_SIZE, build_cdf, check_fits, finite_interval, whole_number
-from .errors import CdfMatchError, Overflow, UsageError
+from .errors import CdfMatchError, IoError, Overflow, UsageError
 from .fit import FitConfig
-from .io import (SynthSpec, emit_cdf_plot, emit_lut_plot,
-                 generate_synthetic, load_lut, read_volume, save_lut,
-                 write_cdf_csv, write_files, write_lut_csv, write_volume)
+from .io import (SynthSpec, emit_cdf_plot, emit_lut_plot, generate_synthetic,
+                 load_lut, read_json, read_volume, save_lut, write_cdf_csv,
+                 write_files, write_lut_csv, write_volume)
 from .pipeline import (ALL_METHODS, METHOD_CDF_MATCH, METHOD_PERCENTILE_STRETCH,
                        METHOD_ZSCORE, HarmonizeOptions, evaluate_cohort,
                        harmonize, quantization_range)
@@ -77,6 +81,17 @@ class AppConfig:
     workers: int = 1
     log_level: str = "info"
 
+    def __post_init__(self):
+        if self.clip is not None:
+            object.__setattr__(self, "clip", finite_interval(self.clip, "clip"))
+        if whole_number(self.grid_size, "grid_size") < 2:
+            raise ValueError(f"grid_size must be at least 2, got {self.grid_size}")
+        if whole_number(self.workers, "workers") < 1:
+            raise ValueError(f"workers must be at least 1, got {self.workers}")
+        if self.log_level not in LOG_LEVELS:
+            raise ValueError(f"log_level must be one of {', '.join(LOG_LEVELS)}, "
+                             f"got {self.log_level!r}")
+
     def to_dict(self) -> dict:
         return {"version": CONFIG_SCHEMA_VERSION,
                 "controls": self.controls.to_dict(),
@@ -85,6 +100,18 @@ class AppConfig:
                 "fit": self.fit.to_dict(),
                 "workers": self.workers,
                 "log_level": self.log_level}
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "AppConfig":
+        fields = {**doc}
+        version = whole_number(fields.pop("version", CONFIG_SCHEMA_VERSION), "version")
+        if version != CONFIG_SCHEMA_VERSION:
+            raise ValueError(f"unsupported config schema version {version!r}")
+        if "controls" in fields:
+            fields["controls"] = ControlPoints.from_dict(fields["controls"])
+        if "fit" in fields:
+            fields["fit"] = FitConfig.from_dict(fields["fit"])
+        return cls(**fields)
 
 
 def _parse_clip(text: str) -> tuple[float, float] | None:
@@ -97,67 +124,31 @@ def _parse_clip(text: str) -> tuple[float, float] | None:
         raise UsageError(f"clip must look like 'LO:HI' or 'none', got {text!r}") from exc
 
 
-def _load_controls_file(path) -> ControlPoints:
+def _read_record(path, what: str, from_dict):
+    """``from_dict`` of the JSON object in the file at ``path``; any failure
+    is a UsageError naming the file."""
     try:
-        doc = json.loads(Path(path).read_text())
-        return ControlPoints.from_dict(doc)
-    except OSError as exc:
-        raise UsageError(f"cannot read control points from {path}: {exc}") from exc
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-        raise UsageError(f"malformed control-points file {path}: {exc}") from exc
+        return from_dict(read_json(path, what, UsageError))
+    except IoError as exc:
+        raise UsageError(str(exc)) from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise UsageError(f"malformed {what} {path}: {exc}") from exc
 
 
 def _resolve_config(args) -> AppConfig:
-    cfg = AppConfig()
-    file_doc = {}
-    if getattr(args, "config", None):
-        try:
-            file_doc = json.loads(Path(args.config).read_text())
-        except OSError as exc:
-            raise UsageError(f"cannot read config file {args.config}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"config file {args.config} is not valid JSON: {exc}") from exc
-        if not isinstance(file_doc, dict):
-            raise UsageError(f"config file {args.config} must hold a JSON object")
-        version = file_doc.get("version", CONFIG_SCHEMA_VERSION)
-        if version != CONFIG_SCHEMA_VERSION:
-            raise UsageError(f"unsupported config schema version {version!r}")
-
-    try:
-        if "controls" in file_doc:
-            cfg = replace(cfg, controls=ControlPoints.from_dict(file_doc["controls"]))
-        if "clip" in file_doc:
-            clip = file_doc["clip"]
-            cfg = replace(cfg, clip=None if clip is None else finite_interval(clip, "clip"))
-        if "grid_size" in file_doc:
-            cfg = replace(cfg, grid_size=whole_number(file_doc["grid_size"], "grid_size"))
-        if "fit" in file_doc:
-            cfg = replace(cfg, fit=FitConfig.from_dict(file_doc["fit"]))
-        if "workers" in file_doc:
-            cfg = replace(cfg, workers=whole_number(file_doc["workers"], "workers"))
-        if "log_level" in file_doc:
-            if file_doc["log_level"] not in LOG_LEVELS:
-                raise ValueError(f"log_level must be one of {', '.join(LOG_LEVELS)}, "
-                                 f"got {file_doc['log_level']!r}")
-            cfg = replace(cfg, log_level=file_doc["log_level"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"malformed config file {args.config}: {exc}") from exc
-
-    # flags win over file values
+    config = getattr(args, "config", None)
+    cfg = _read_record(config, "config file", AppConfig.from_dict) if config else AppConfig()
+    flags = {name: getattr(args, name) for name in ("grid_size", "workers", "log_level")
+             if getattr(args, name, None) is not None}
     if getattr(args, "controls", None):
-        cfg = replace(cfg, controls=_load_controls_file(args.controls))
+        flags["controls"] = _read_record(args.controls, "control-points file",
+                                         ControlPoints.from_dict)
     if getattr(args, "clip", None):
-        cfg = replace(cfg, clip=_parse_clip(args.clip))
-    if getattr(args, "grid_size", None) is not None:
-        cfg = replace(cfg, grid_size=args.grid_size)
-    if getattr(args, "workers", None) is not None:
-        cfg = replace(cfg, workers=args.workers)
-    if cfg.grid_size < 2:
-        raise UsageError(f"grid_size must be at least 2, got {cfg.grid_size}")
-    if cfg.workers < 1:
-        raise UsageError(f"workers must be at least 1, got {cfg.workers}")
-    if getattr(args, "log_level", None):
-        cfg = replace(cfg, log_level=args.log_level)
+        flags["clip"] = _parse_clip(args.clip)
+    try:
+        cfg = replace(cfg, **flags)  # flags win over file values
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     # the config file may lower or raise verbosity; flags already applied
     log.setLevel(getattr(logging, cfg.log_level.upper()))
     return cfg
@@ -260,13 +251,8 @@ def _cmd_harmonize(args) -> int:
 
 def _cmd_synth(args) -> int:
     _check_output_files(args.out)
-    try:
-        doc = json.loads(Path(args.spec).read_text())
-    except OSError as exc:
-        raise UsageError(f"cannot read synth spec {args.spec}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"synth spec {args.spec} is not valid JSON: {exc}") from exc
-    spec = SynthSpec.from_dict(doc)
+    # a spec that is no JSON object is a usage error, a bad field BadSpec
+    spec = SynthSpec.from_dict(_read_record(args.spec, "synth spec", dict))
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
     vol = generate_synthetic(spec)

@@ -29,6 +29,10 @@ LUT_SCHEMA_VERSION = 1
 
 _CDF_CSV_HEADER = "intensity,cumulative_probability"
 
+# the keys write_volume writes into a header; channel and background_value
+# may be absent
+_HEADER_KEYS = {"dims", "dtype", "channel", "background_value", "endianness"}
+
 
 def _header_path(path) -> Path:
     return Path(str(path) + ".json")
@@ -80,6 +84,25 @@ def write_volume(vol: Volume, path, dtype: str = "f32") -> Path:
                        (_header_path(path), json.dumps(header, sort_keys=True) + "\n"))
 
 
+def read_json(path, what: str, error) -> dict:
+    """The JSON object in the file at ``path``, the one decoder of every JSON
+    file the program reads.  Raises IoError when the file cannot be read and
+    ``error`` when it is not valid JSON or holds no JSON object; each message
+    names ``what`` and the file."""
+    path = Path(path)
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise IoError(f"cannot read {what} {path}: {exc}") from exc
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise error(f"{what} {path} must hold a JSON object")
+    return doc
+
+
 def read_volume(path) -> Volume:
     """Read a volume written by :func:`write_volume`.
 
@@ -88,16 +111,10 @@ def read_volume(path) -> Volume:
     disagrees with the header raises HeaderMismatch.
     """
     path = Path(path)
-    try:
-        text = _header_path(path).read_text()
-    except OSError as exc:
-        raise IoError(f"cannot read volume header for {path}: {exc}") from exc
-    try:
-        header = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise HeaderMismatch(f"volume header for {path} is not valid JSON: {exc}") from exc
-    if not isinstance(header, dict):
-        raise HeaderMismatch(f"volume header for {path} must be a JSON object")
+    header = read_json(_header_path(path), "volume header", HeaderMismatch)
+    unknown = set(header) - _HEADER_KEYS
+    if unknown:
+        raise HeaderMismatch(f"volume header for {path} holds unknown keys {sorted(unknown)}")
 
     dims = header.get("dims")
     if not isinstance(dims, list) or len(dims) != 3:
@@ -232,6 +249,8 @@ class SynthSpec:
         if whole_number(self.seed, "seed", BadSpec) < 0:
             raise BadSpec(f"seed must be a non-negative integer, got {self.seed!r}")
         object.__setattr__(self, "seed", int(self.seed))
+        if not isinstance(self.channel, str):
+            raise BadSpec(f"channel must be a string, got {self.channel!r}")
 
     def to_dict(self) -> dict:
         return {"components": [c.to_dict() for c in self.components],
@@ -245,14 +264,13 @@ class SynthSpec:
     @classmethod
     def from_dict(cls, doc: dict) -> "SynthSpec":
         try:
-            comps = tuple(MixtureComponent(**c) for c in doc["components"])
-            return cls(components=comps,
-                       dims=tuple(doc.get("dims", (24, 24, 24))),
-                       scanner=ScannerEffect(**doc.get("scanner", {})),
-                       lesions=LesionSpec(**doc.get("lesions", {})),
-                       background_fraction=doc.get("background_fraction", 0.0),
-                       channel=doc.get("channel", "synthetic"),
-                       seed=doc.get("seed", 0))
+            fields = {**doc, "components": tuple(MixtureComponent(**c)
+                                                 for c in doc["components"])}
+            if "scanner" in doc:
+                fields["scanner"] = ScannerEffect(**doc["scanner"])
+            if "lesions" in doc:
+                fields["lesions"] = LesionSpec(**doc["lesions"])
+            return cls(**fields)
         except (KeyError, TypeError, ValueError) as exc:
             raise BadSpec(f"malformed synthetic spec: {exc}") from exc
 
@@ -350,16 +368,11 @@ def save_lut(lut: IntensityLut, path) -> Path:
 
 def load_lut(path) -> IntensityLut:
     """Read a mapping written by :func:`save_lut`."""
-    path = Path(path)
+    doc = read_json(path, "LUT", SchemaMismatch)
     try:
-        doc = json.loads(path.read_text())
-    except OSError as exc:
-        raise IoError(f"cannot read LUT from {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SchemaMismatch(f"{path} is not a LUT JSON file: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("version") != LUT_SCHEMA_VERSION:
-        raise SchemaMismatch(f"unsupported LUT schema in {path}")
-    try:
+        version = whole_number(doc.pop("version", None), "LUT version")
+        if version != LUT_SCHEMA_VERSION:
+            raise SchemaMismatch(f"unsupported LUT schema in {path}")
         return IntensityLut.from_dict(doc)
     except (KeyError, TypeError, ValueError, BadTailSpec, NonMonotone) as exc:
         raise SchemaMismatch(f"malformed LUT file {path}: {exc!r}") from exc

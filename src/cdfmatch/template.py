@@ -16,10 +16,11 @@ from pathlib import Path
 import numpy as np
 
 from .cdf import (DEFAULT_GRID_SIZE, EmpiricalCdf, IntensityIndex, average_cdfs,
-                  build_cdf, finite_interval, finite_number, quantile, zscore_standardize)
-from .errors import BadTailSpec, EmptyCohort, Infeasible, IoError, SchemaMismatch
+                  build_cdf, finite_interval, finite_number, quantile, whole_number,
+                  zscore_standardize)
+from .errors import BadTailSpec, EmptyCohort, Infeasible, SchemaMismatch
 from .fit import FitConfig, fit_template_to_controls
-from .io import write_files
+from .io import read_json, write_files
 from .transform import TailSpec, lut_ds
 
 TEMPLATE_SCHEMA_VERSION = 1
@@ -82,7 +83,7 @@ class ControlPoints:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ControlPoints":
-        return cls(doc["pi_B"], doc["pi_M"], doc["pi_T"])
+        return cls(**doc)
 
 
 # intensities of the published 12-bit configuration; percentile first
@@ -127,18 +128,18 @@ class TemplateCdf:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TemplateCdf":
-        if doc.get("version") != TEMPLATE_SCHEMA_VERSION:
+        fields = {**doc}
+        version = whole_number(fields.pop("version", None), "template version", SchemaMismatch)
+        if version != TEMPLATE_SCHEMA_VERSION:
             raise SchemaMismatch(
-                f"expected template schema {TEMPLATE_SCHEMA_VERSION}, "
-                f"got {doc.get('version')!r}")
-        cdf_doc = doc["cdf"]
-        cdf = EmpiricalCdf(cdf_doc["xs"], cdf_doc["ps"], n_samples=cdf_doc.get("n_samples", 0))
-        provenance = dict(doc.get("provenance", {}))
+                f"expected template schema {TEMPLATE_SCHEMA_VERSION}, got {version!r}")
+        provenance = dict(fields.get("provenance", {}))
         for key in ("tail_source_max", "tail_source_min"):  # null: not recorded
             if provenance.get(key) is not None:
                 finite_number(provenance[key], f"provenance {key}", SchemaMismatch)
-        return cls(cdf, ControlPoints.from_dict(doc["controls"]), doc.get("clip"),
-                   doc.get("channel", ""), provenance)
+        return cls(**dict(fields, cdf=EmpiricalCdf(**doc["cdf"]),
+                          controls=ControlPoints.from_dict(doc["controls"]),
+                          provenance=provenance))
 
 
 def config_hash(payload: dict) -> str:
@@ -241,18 +242,8 @@ def save_template(template: TemplateCdf, path) -> Path:
 
 def load_template(path) -> TemplateCdf:
     """Read a template written by :func:`save_template`."""
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise IoError(f"cannot read template from {path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaMismatch(f"{path} is not a template JSON file: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise SchemaMismatch(f"{path} is not a template JSON object")
+    doc = read_json(path, "template", SchemaMismatch)
     try:
         return TemplateCdf.from_dict(doc)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, SchemaMismatch) as exc:
         raise SchemaMismatch(f"malformed template file {path}: {exc!r}") from exc

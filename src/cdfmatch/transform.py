@@ -60,7 +60,7 @@ class PivotTriple:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PivotTriple":
-        return cls(doc["v_B"], doc["v_M"], doc["v_T"])
+        return cls(**doc)
 
 
 @dataclass(frozen=True)
@@ -94,8 +94,11 @@ class DualScaleParams:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "DualScaleParams":
-        return cls(doc["sigma_B"], doc["sigma_T"], doc["gamma"],
-                   PivotTriple.from_dict(doc["pivots"]))
+        fields = {**doc, "pivots": PivotTriple.from_dict(doc["pivots"])}
+        # LUT files written before the ratio cap became global carry a
+        # per-LUT "ratio_cap", which no longer means anything
+        fields.pop("ratio_cap", None)
+        return cls(**fields)
 
 
 @dataclass(frozen=True)
@@ -521,9 +524,10 @@ class IntensityLut:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "IntensityLut":
-        return cls(DualScaleParams.from_dict(doc["params"]),
-                   TailSpec.from_dict(doc["tails"]),
-                   doc["domain"], clip=doc.get("hard_clamp"))
+        fields = {**doc}  # the file calls the clip "hard_clamp"
+        return cls(DualScaleParams.from_dict(fields.pop("params")),
+                   TailSpec.from_dict(fields.pop("tails")),
+                   clip=fields.pop("hard_clamp", None), **fields)
 
 
 def compose_lut(params: DualScaleParams, tails: TailSpec,
