@@ -8,8 +8,10 @@ closed-form, monotone, and mutually inverse on the knots.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, replace
+import typing
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -76,6 +78,56 @@ def finite_array(values, name: str) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite (no NaN/Inf)")
     return arr
+
+
+class Record:
+    """The JSON codec of every frozen dataclass the program writes or reads.
+
+    A record's JSON object is its fields by name: a nested record becomes its
+    own object, a tuple or list a list, an array its ``tolist()``.
+    :meth:`from_dict` is the exact inverse: it builds each nested record (and
+    each record in a ``tuple[R, ...]`` field) from its field type, then calls
+    ``cls(**doc)``, so an unknown key raises TypeError naming the key.  A
+    record whose file differs from its fields overrides the pair.
+    """
+
+    def to_dict(self) -> dict:
+        return {name: _json(getattr(self, name)) for name in _fields(type(self))[0]}
+
+    @classmethod
+    def from_dict(cls, doc: dict):
+        doc = dict(doc)
+        for name, (record, many) in _fields(cls)[1].items():
+            if name in doc:
+                doc[name] = (tuple(map(record.from_dict, doc[name])) if many
+                             else record.from_dict(doc[name]))
+        return cls(**doc)
+
+
+def _json(value):
+    if isinstance(value, Record):
+        return value.to_dict()
+    if isinstance(value, (tuple, list)):
+        return [_json(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {key: _json(v) for key, v in value.items()}
+    return value
+
+
+@functools.cache
+def _fields(cls) -> tuple:
+    """The names of a record type's fields, and ``{field: (record type,
+    whether a tuple of them)}`` of those that hold records, from its type
+    hints: resolved once per class."""
+    nested = {}
+    for name, hint in typing.get_type_hints(cls).items():
+        many = typing.get_origin(hint) is tuple
+        kind = typing.get_args(hint)[0] if many else hint
+        if isinstance(kind, type) and issubclass(kind, Record):
+            nested[name] = (kind, many)
+    return tuple(f.name for f in fields(cls)), nested
 
 
 def _readonly(values, dtype=np.float64) -> np.ndarray:
@@ -163,6 +215,9 @@ class Volume:
     background_value: float = 0.0
 
     def __post_init__(self):
+        if isinstance(self.voxels, (list, tuple)) and any(  # NumPy makes [1, True] ints
+                isinstance(v, (bool, np.bool_)) for v in np.array(self.voxels, dtype=object).flat):
+            raise ValueError("voxels must be integers or floats, got a bool")
         voxels = np.asarray(self.voxels)
         if voxels.dtype.kind not in "uif":  # strings and bools are no intensities
             raise ValueError(f"voxels must be integers or floats, got dtype {voxels.dtype}")
@@ -433,7 +488,7 @@ class SortedForeground:
 
 
 @dataclass(frozen=True)
-class EmpiricalCdf:
+class EmpiricalCdf(Record):
     """Monotone piecewise-linear CDF of one image or channel.
 
     ``xs`` is strictly increasing, ``ps`` is non-decreasing with the last

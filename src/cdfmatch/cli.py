@@ -14,7 +14,6 @@ to files only.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -22,12 +21,13 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import __version__
-from .cdf import DEFAULT_GRID_SIZE, build_cdf, check_fits, finite_interval, whole_number
+from .cdf import (DEFAULT_GRID_SIZE, Record, build_cdf, check_fits, finite_interval,
+                  whole_number)
 from .errors import CdfMatchError, IoError, Overflow, UsageError
 from .fit import FitConfig
 from .io import (SynthSpec, emit_cdf_plot, emit_lut_plot, generate_synthetic,
                  load_lut, read_json, read_volume, save_lut, write_cdf_csv,
-                 write_files, write_lut_csv, write_volume)
+                 write_files, write_json, write_lut_csv, write_volume)
 from .pipeline import (ALL_METHODS, METHOD_CDF_MATCH, METHOD_PERCENTILE_STRETCH,
                        METHOD_ZSCORE, HarmonizeOptions, evaluate_cohort,
                        harmonize, quantization_range)
@@ -71,7 +71,7 @@ def _capture(fn, path):
 
 
 @dataclass(frozen=True)
-class AppConfig:
+class AppConfig(Record):
     """Effective run configuration (defaults < config file < flags)."""
 
     controls: ControlPoints = DEFAULT_CONTROLS
@@ -84,22 +84,17 @@ class AppConfig:
     def __post_init__(self):
         if self.clip is not None:
             object.__setattr__(self, "clip", finite_interval(self.clip, "clip"))
-        if whole_number(self.grid_size, "grid_size") < 2:
-            raise ValueError(f"grid_size must be at least 2, got {self.grid_size}")
-        if whole_number(self.workers, "workers") < 1:
-            raise ValueError(f"workers must be at least 1, got {self.workers}")
+            self.controls.check_clip(self.clip, ValueError)
+        for name, least in (("grid_size", 2), ("workers", 1)):
+            object.__setattr__(self, name, whole_number(getattr(self, name), name))
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
         if self.log_level not in LOG_LEVELS:
             raise ValueError(f"log_level must be one of {', '.join(LOG_LEVELS)}, "
                              f"got {self.log_level!r}")
 
     def to_dict(self) -> dict:
-        return {"version": CONFIG_SCHEMA_VERSION,
-                "controls": self.controls.to_dict(),
-                "clip": list(self.clip) if self.clip is not None else None,
-                "grid_size": self.grid_size,
-                "fit": self.fit.to_dict(),
-                "workers": self.workers,
-                "log_level": self.log_level}
+        return {"version": CONFIG_SCHEMA_VERSION, **super().to_dict()}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "AppConfig":
@@ -107,11 +102,7 @@ class AppConfig:
         version = whole_number(fields.pop("version", CONFIG_SCHEMA_VERSION), "version")
         if version != CONFIG_SCHEMA_VERSION:
             raise ValueError(f"unsupported config schema version {version!r}")
-        if "controls" in fields:
-            fields["controls"] = ControlPoints.from_dict(fields["controls"])
-        if "fit" in fields:
-            fields["fit"] = FitConfig.from_dict(fields["fit"])
-        return cls(**fields)
+        return super().from_dict(fields)
 
 
 def _parse_clip(text: str) -> tuple[float, float] | None:
@@ -220,8 +211,7 @@ def _cmd_harmonize(args) -> int:
         item = {"input": path.name, "output": out_path.name,
                 "lut_file": lut_path.name}
         item.update(entry.to_dict())
-        write_files("metadata", (out_dir / (path.stem + ".meta.json"),
-                                 json.dumps(item, sort_keys=True, indent=1) + "\n"))
+        write_json(out_dir / (path.stem + ".meta.json"), "metadata", item)
         if not entry.fit.converged:
             raise NoConvergence(f"fit did not converge for {path.name}", item)
         return item
@@ -245,7 +235,7 @@ def _cmd_harmonize(args) -> int:
         report = {"version": 1, "config": cfg.to_dict(),
                   "config_hash": options.hash(), "items": items,
                   "failures": failures}
-        write_files("report", (args.report, json.dumps(report, sort_keys=True, indent=1) + "\n"))
+        write_json(args.report, "report", report)
     return EXIT_PARTIAL if failures else EXIT_OK
 
 

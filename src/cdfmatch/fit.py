@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy.optimize import lsq_linear
 
-from .cdf import EmpiricalCdf, finite_array, finite_interval, finite_number, quantile
+from .cdf import EmpiricalCdf, Record, finite_array, finite_interval, finite_number, quantile
 from .errors import DegenerateCdf, Infeasible
 from .transform import MONOTONE_RATIO, DualScaleParams, PivotTriple, TailSpec, blend
 
@@ -39,7 +39,7 @@ def _default_percentile_grid() -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class FitConfig:
+class FitConfig(Record):
     """Knobs for the quantile-domain fit: the percentile grid the quantiles
     are compared on, bounds on the normalized scale factors, and the cap on
     their ratio, in (1, ``MONOTONE_RATIO``], past which the map decreases."""
@@ -64,30 +64,17 @@ class FitConfig:
         cap = finite_number(self.ratio_cap, "ratio_cap", lambda _: outside)
         if not 1.0 < cap <= MONOTONE_RATIO:
             raise outside
-
-    def to_dict(self) -> dict:
-        return {"percentile_grid": [float(p) for p in self.percentile_grid],
-                "sigma_bounds": list(self.sigma_bounds),
-                "ratio_cap": float(self.ratio_cap)}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "FitConfig":
-        # __post_init__ turns the JSON lists into the array and the tuple
-        return cls(**doc)
+        object.__setattr__(self, "ratio_cap", cap)
 
 
 @dataclass(frozen=True)
-class FitResult:
+class FitResult(Record):
     """Outcome of one fit: parameters, RMS quantile mismatch, bookkeeping."""
 
     params: DualScaleParams
     residual: float
     iterations: int
     converged: bool
-
-    def to_dict(self) -> dict:
-        return {"params": self.params.to_dict(), "residual": self.residual,
-                "iterations": self.iterations, "converged": self.converged}
 
 
 def _control_percentiles(controls: "ControlPoints") -> np.ndarray:

@@ -20,7 +20,7 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .cdf import DTYPES, EmpiricalCdf, Volume, finite_number, store_as, whole_number
+from .cdf import DTYPES, EmpiricalCdf, Record, Volume, finite_number, store_as, whole_number
 from .errors import (BadSpec, BadTailSpec, EmptyInput, HeaderMismatch, IoError,
                      NonMonotone, SchemaMismatch)
 from .transform import IntensityLut
@@ -82,6 +82,12 @@ def write_volume(vol: Volume, path, dtype: str = "f32") -> Path:
               "background_value": vol.background_value, "endianness": "little"}
     return write_files("volume", (path, memoryview(payload)),
                        (_header_path(path), json.dumps(header, sort_keys=True) + "\n"))
+
+
+def write_json(path, label: str, doc: dict) -> Path:
+    """Write ``doc`` as indented JSON with sorted keys, the one writer of every
+    JSON artifact but the volume header (:func:`write_files`, ``label``)."""
+    return write_files(label, (path, json.dumps(doc, sort_keys=True, indent=1) + "\n"))
 
 
 def read_json(path, what: str, error) -> dict:
@@ -151,8 +157,16 @@ def read_volume(path) -> Volume:
 # synthetic volumes
 
 
+def _spec_numbers(record, label: str, names) -> None:
+    """Store each named field of a synthetic-spec record as the plain number
+    :func:`finite_number` returns, BadSpec otherwise."""
+    for name in names:
+        object.__setattr__(record, name, finite_number(getattr(record, name),
+                                                       f"{label} {name}", BadSpec))
+
+
 @dataclass(frozen=True)
-class MixtureComponent:
+class MixtureComponent(Record):
     """One base-distribution component.
 
     For ``lognormal`` the parameters are the mean/std of the underlying
@@ -164,13 +178,16 @@ class MixtureComponent:
     loc: float
     scale: float
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "weight": self.weight,
-                "loc": self.loc, "scale": self.scale}
+    def __post_init__(self):
+        if self.kind not in ("lognormal", "gaussian"):
+            raise BadSpec(f"unknown component kind {self.kind!r}")
+        _spec_numbers(self, "component", ("weight", "loc", "scale"))
+        if self.weight <= 0.0 or self.scale <= 0.0:
+            raise BadSpec("component weights and scales must be positive")
 
 
 @dataclass(frozen=True)
-class ScannerEffect:
+class ScannerEffect(Record):
     """Per-scanner distortion: x -> gain * x**gamma + offset.
 
     ``tail_weight`` multiplies the weight of the last mixture component
@@ -182,29 +199,36 @@ class ScannerEffect:
     gamma: float = 1.0
     tail_weight: float = 1.0
 
-    def to_dict(self) -> dict:
-        return {"gain": self.gain, "offset": self.offset,
-                "gamma": self.gamma, "tail_weight": self.tail_weight}
+    def __post_init__(self):
+        _spec_numbers(self, "scanner", ("gain", "offset", "gamma", "tail_weight"))
+        if self.gain <= 0.0 or self.gamma <= 0.0:
+            raise BadSpec("scanner gain and gamma must be positive")
+        if self.tail_weight <= 0.0:
+            raise BadSpec("tail_weight must be positive")
 
 
 @dataclass(frozen=True)
-class LesionSpec:
+class LesionSpec(Record):
     """Spherical high-intensity blobs: how many, how bright, how big."""
 
     count: int = 0
     boost: float = 1.0
     volume_fraction: float = 0.0
 
-    def to_dict(self) -> dict:
-        return {"count": self.count, "boost": self.boost,
-                "volume_fraction": self.volume_fraction}
+    def __post_init__(self):
+        _spec_numbers(self, "lesion", ("boost", "volume_fraction"))
+        object.__setattr__(self, "count", whole_number(self.count, "lesion count", BadSpec))
+        if self.count < 0 or self.boost <= 0.0:
+            raise BadSpec("lesion count must be an integer >= 0 and boost positive")
+        if not 0.0 <= self.volume_fraction < 1.0:
+            raise BadSpec("lesion volume fraction must lie in [0, 1)")
 
 
 @dataclass(frozen=True)
-class SynthSpec:
+class SynthSpec(Record):
     """Recipe for a reproducible synthetic volume."""
 
-    components: tuple
+    components: tuple[MixtureComponent, ...]
     dims: tuple[int, int, int] = (24, 24, 24)
     scanner: ScannerEffect = field(default_factory=ScannerEffect)
     lesions: LesionSpec = field(default_factory=LesionSpec)
@@ -216,13 +240,6 @@ class SynthSpec:
         comps = tuple(self.components)
         if not comps:
             raise BadSpec("at least one mixture component is required")
-        for c in comps:
-            if c.kind not in ("lognormal", "gaussian"):
-                raise BadSpec(f"unknown component kind {c.kind!r}")
-            for name in ("weight", "loc", "scale"):
-                finite_number(getattr(c, name), f"component {name}", BadSpec)
-            if c.weight <= 0.0 or c.scale <= 0.0:
-                raise BadSpec("component weights and scales must be positive")
         if abs(sum(c.weight for c in comps) - 1.0) > 1e-9:
             raise BadSpec("component weights must sum to 1")
         object.__setattr__(self, "components", comps)
@@ -230,47 +247,20 @@ class SynthSpec:
         if len(dims) != 3 or min(dims) < 1:
             raise BadSpec(f"dims must be three positive integers, got {self.dims!r}")
         object.__setattr__(self, "dims", dims)
-        for name in ("gain", "offset", "gamma", "tail_weight"):
-            finite_number(getattr(self.scanner, name), f"scanner {name}", BadSpec)
-        if self.scanner.gain <= 0.0 or self.scanner.gamma <= 0.0:
-            raise BadSpec("scanner gain and gamma must be positive")
-        if self.scanner.tail_weight <= 0.0:
-            raise BadSpec("tail_weight must be positive")
-        for name in ("boost", "volume_fraction"):
-            finite_number(getattr(self.lesions, name), f"lesion {name}", BadSpec)
-        if (whole_number(self.lesions.count, "lesion count", BadSpec) < 0
-                or self.lesions.boost <= 0.0):
-            raise BadSpec("lesion count must be an integer >= 0 and boost positive")
-        if not 0.0 <= self.lesions.volume_fraction < 1.0:
-            raise BadSpec("lesion volume fraction must lie in [0, 1)")
-        if not 0.0 <= finite_number(self.background_fraction, "background fraction",
-                                    BadSpec) < 1.0:
+        object.__setattr__(self, "background_fraction", finite_number(
+            self.background_fraction, "background fraction", BadSpec))
+        if not 0.0 <= self.background_fraction < 1.0:
             raise BadSpec("background fraction must lie in [0, 1)")
-        if whole_number(self.seed, "seed", BadSpec) < 0:
+        object.__setattr__(self, "seed", whole_number(self.seed, "seed", BadSpec))
+        if self.seed < 0:
             raise BadSpec(f"seed must be a non-negative integer, got {self.seed!r}")
-        object.__setattr__(self, "seed", int(self.seed))
         if not isinstance(self.channel, str):
             raise BadSpec(f"channel must be a string, got {self.channel!r}")
-
-    def to_dict(self) -> dict:
-        return {"components": [c.to_dict() for c in self.components],
-                "dims": list(self.dims),
-                "scanner": self.scanner.to_dict(),
-                "lesions": self.lesions.to_dict(),
-                "background_fraction": self.background_fraction,
-                "channel": self.channel,
-                "seed": self.seed}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SynthSpec":
         try:
-            fields = {**doc, "components": tuple(MixtureComponent(**c)
-                                                 for c in doc["components"])}
-            if "scanner" in doc:
-                fields["scanner"] = ScannerEffect(**doc["scanner"])
-            if "lesions" in doc:
-                fields["lesions"] = LesionSpec(**doc["lesions"])
-            return cls(**fields)
+            return super().from_dict(doc)
         except (KeyError, TypeError, ValueError) as exc:
             raise BadSpec(f"malformed synthetic spec: {exc}") from exc
 
@@ -362,8 +352,7 @@ def read_cdf_csv(path) -> EmpiricalCdf:
 
 def save_lut(lut: IntensityLut, path) -> Path:
     """Write a composed mapping as JSON for audit and later inspection."""
-    doc = {"version": LUT_SCHEMA_VERSION, **lut.to_dict()}
-    return write_files("LUT", (path, json.dumps(doc, sort_keys=True, indent=1) + "\n"))
+    return write_json(path, "LUT", {"version": LUT_SCHEMA_VERSION, **lut.to_dict()})
 
 
 def load_lut(path) -> IntensityLut:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cdf import (DEFAULT_GRID_SIZE, DTYPES, IntensityIndex, Volume, build_cdf,
+from .cdf import (DEFAULT_GRID_SIZE, DTYPES, IntensityIndex, Record, Volume, build_cdf,
                   ks_distance, whole_number, zscore_standardize)
 from .errors import AllBackground, DegenerateConstant, EmptyInput
 from .fit import FitConfig, FitResult, fit_cdf
@@ -28,7 +28,7 @@ ALL_METHODS = (METHOD_PERCENTILE_STRETCH, METHOD_ZSCORE, METHOD_CDF_MATCH)
 
 
 @dataclass(frozen=True)
-class HarmonizeOptions:
+class HarmonizeOptions(Record):
     """Per-run knobs for the harmonization pipeline.
 
     ``dtype`` is the output dtype (u8, u16, i16 or f32) harmonized volumes
@@ -41,28 +41,24 @@ class HarmonizeOptions:
     dtype: str | None = None
 
     def __post_init__(self):
-        if whole_number(self.grid_size, "grid_size") < 2:
+        object.__setattr__(self, "grid_size", whole_number(self.grid_size, "grid_size"))
+        if self.grid_size < 2:
             raise ValueError(f"grid_size must be at least 2, got {self.grid_size}")
-        # the integer output dtypes are at most 16 bits wide
-        if self.bits is not None and not 1 <= whole_number(self.bits, "bits") <= 16:
-            raise ValueError(f"bits must lie in 1..16, got {self.bits}")
+        if self.bits is not None:
+            object.__setattr__(self, "bits", whole_number(self.bits, "bits"))
+            if not 1 <= self.bits <= 16:  # the integer output dtypes are at most 16 bits wide
+                raise ValueError(f"bits must lie in 1..16, got {self.bits}")
         if self.dtype is None:
             object.__setattr__(self, "dtype", "u16" if self.bits is not None else "f32")
         if self.dtype not in DTYPES:
             raise ValueError(f"unknown dtype {self.dtype!r}, expected one of {sorted(DTYPES)}")
-
-    def to_dict(self) -> dict:
-        return {"fit": self.fit.to_dict(),
-                "grid_size": int(self.grid_size),
-                "bits": self.bits,
-                "dtype": self.dtype}
 
     def hash(self) -> str:
         return config_hash(self.to_dict())
 
 
 @dataclass(frozen=True)
-class ChannelReport:
+class ChannelReport(Record):
     """Per-channel outcome: fit, KS distances, composed mapping, timing."""
 
     channel: str
@@ -74,11 +70,9 @@ class ChannelReport:
 
     def to_dict(self, include_timing: bool = False) -> dict:
         # timing stays out of serialized artifacts so reruns compare bitwise
-        doc = {"channel": self.channel, "fit": self.fit.to_dict(),
-               "pre_ks": self.pre_ks, "post_ks": self.post_ks,
-               "lut": self.lut.to_dict()}
-        if include_timing:
-            doc["wall_time_s"] = self.wall_time_s
+        doc = super().to_dict()
+        if not include_timing:
+            del doc["wall_time_s"]
         return doc
 
 
@@ -184,19 +178,13 @@ def percentile_stretch(vol: Volume, target: tuple[float, float],
 
 
 @dataclass(frozen=True)
-class MethodMetrics:
+class MethodMetrics(Record):
     """One row of the comparison table."""
 
     method: str
     mean_pairwise_ks: float
     mean_ks_to_template: float | None
     mean_range_utilization: float
-
-    def to_dict(self) -> dict:
-        return {"method": self.method,
-                "mean_pairwise_ks": self.mean_pairwise_ks,
-                "mean_ks_to_template": self.mean_ks_to_template,
-                "mean_range_utilization": self.mean_range_utilization}
 
 
 def _stretch_target(template: TemplateCdf) -> tuple[float, float]:

@@ -15,21 +15,25 @@ from pathlib import Path
 
 import numpy as np
 
-from .cdf import (DEFAULT_GRID_SIZE, EmpiricalCdf, IntensityIndex, average_cdfs,
-                  build_cdf, finite_interval, finite_number, quantile, whole_number,
-                  zscore_standardize)
+from .cdf import (DEFAULT_GRID_SIZE, EmpiricalCdf, IntensityIndex, Record, _json,
+                  average_cdfs, build_cdf, finite_interval, finite_number, quantile,
+                  whole_number, zscore_standardize)
 from .errors import BadTailSpec, EmptyCohort, Infeasible, SchemaMismatch
 from .fit import FitConfig, fit_template_to_controls
-from .io import read_json, write_files
+from .io import read_json, write_json
 from .transform import TailSpec, lut_ds
 
 TEMPLATE_SCHEMA_VERSION = 1
+
+# the keys a template's provenance may hold; a tail key is absent when that
+# tail did not fire
+PROVENANCE_KEYS = frozenset({"cohort_size", "config_hash", "tail_source_max", "tail_source_min"})
 
 CONTROL_FIDELITY_FRACTION = 0.005
 
 
 @dataclass(frozen=True)
-class ControlPoints:
+class ControlPoints(Record):
     """Three (percentile, intensity) anchors the template must pass through."""
 
     pi_B: tuple[float, float]
@@ -77,13 +81,12 @@ class ControlPoints:
     def span(self) -> float:
         return self.t_T - self.t_B
 
-    def to_dict(self) -> dict:
-        return {"pi_B": list(self.pi_B), "pi_M": list(self.pi_M),
-                "pi_T": list(self.pi_T)}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ControlPoints":
-        return cls(**doc)
+    def check_clip(self, clip: tuple[float, float], error=BadTailSpec) -> None:
+        """Raise ``error`` unless the clip range (lo, hi) leaves room outside
+        the control intensities, lo < t_B and t_T < hi, for the tails."""
+        if not (clip[0] < self.t_B and self.t_T < clip[1]):
+            raise error(f"clip range {clip!r} must leave room outside the control "
+                        f"intensities ({self.t_B}, {self.t_T})")
 
 
 # intensities of the published 12-bit configuration; percentile first
@@ -93,7 +96,7 @@ DEFAULT_CLIP = (1.0, 4095.0)
 
 
 @dataclass(frozen=True)
-class TemplateCdf:
+class TemplateCdf(Record):
     """Target CDF with its anchors, optional clip range, and provenance."""
 
     cdf: EmpiricalCdf
@@ -118,13 +121,7 @@ class TemplateCdf:
                     f"template misses control point ({p}, {t}): quantile is {got:.6g}")
 
     def to_dict(self) -> dict:
-        return {"version": TEMPLATE_SCHEMA_VERSION,
-                "channel": self.channel,
-                "controls": self.controls.to_dict(),
-                "clip": list(self.clip) if self.clip is not None else None,
-                "cdf": {"xs": self.cdf.xs.tolist(), "ps": self.cdf.ps.tolist(),
-                        "n_samples": self.cdf.n_samples},
-                "provenance": dict(self.provenance)}
+        return {"version": TEMPLATE_SCHEMA_VERSION, **super().to_dict()}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TemplateCdf":
@@ -134,17 +131,19 @@ class TemplateCdf:
             raise SchemaMismatch(
                 f"expected template schema {TEMPLATE_SCHEMA_VERSION}, got {version!r}")
         provenance = dict(fields.get("provenance", {}))
+        unknown = sorted(set(provenance) - PROVENANCE_KEYS)
+        if unknown:
+            raise SchemaMismatch(f"template provenance holds unknown keys {unknown}")
         for key in ("tail_source_max", "tail_source_min"):  # null: not recorded
             if provenance.get(key) is not None:
                 finite_number(provenance[key], f"provenance {key}", SchemaMismatch)
-        return cls(**dict(fields, cdf=EmpiricalCdf(**doc["cdf"]),
-                          controls=ControlPoints.from_dict(doc["controls"]),
-                          provenance=provenance))
+        return super().from_dict(fields)
 
 
 def config_hash(payload: dict) -> str:
-    """Short stable digest of a JSON-able configuration, for provenance."""
-    blob = json.dumps(payload, sort_keys=True).encode()
+    """Short stable digest of a configuration, its values JSON values or
+    records (in their JSON form), for provenance."""
+    blob = json.dumps(_json(payload), sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
@@ -196,12 +195,8 @@ def build_template(cohort, controls: ControlPoints = DEFAULT_CONTROLS,
         raise EmptyCohort("cannot build a template from an empty cohort")
     config = config or FitConfig()
     if clip is not None:
-        lo, hi = finite_interval(clip, "clip range")
-        if not (lo < controls.t_B and controls.t_T < hi):
-            raise BadTailSpec(
-                f"clip range {clip!r} must leave room outside the control "
-                f"intensities ({controls.t_B}, {controls.t_T})")
-        clip = (lo, hi)
+        clip = finite_interval(clip, "clip range")
+        controls.check_clip(clip)
 
     cdfs = [_member_cdf(v, grid_size) for v in cohort]
     avg = average_cdfs(cdfs, grid_size=grid_size)
@@ -210,10 +205,8 @@ def build_template(cohort, controls: ControlPoints = DEFAULT_CONTROLS,
     xs = np.asarray(lut_ds(avg.xs, fit.params))
     provenance = {
         "cohort_size": len(cohort),
-        "config_hash": config_hash({"controls": controls.to_dict(),
-                                    "clip": list(clip) if clip else None,
-                                    "grid_size": grid_size,
-                                    "fit": config.to_dict()}),
+        "config_hash": config_hash({"controls": controls, "clip": clip,
+                                    "grid_size": grid_size, "fit": config}),
     }
     # squeeze a tail whenever the fitted support overshoots its bound (gate
     # 0); the pre-squeeze extremes are recorded so harmonized images are
@@ -236,8 +229,7 @@ def build_template(cohort, controls: ControlPoints = DEFAULT_CONTROLS,
 
 def save_template(template: TemplateCdf, path) -> Path:
     """Write a template as schema-v1 JSON; floats round-trip exactly."""
-    return write_files("template",
-                       (path, json.dumps(template.to_dict(), sort_keys=True, indent=1) + "\n"))
+    return write_json(path, "template", template.to_dict())
 
 
 def load_template(path) -> TemplateCdf:

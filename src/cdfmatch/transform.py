@@ -16,7 +16,8 @@ from functools import cached_property
 import numpy as np
 from scipy.special import erf
 
-from .cdf import IntensityIndex, Volume, _match_scalar, finite_interval, finite_number
+from .cdf import (IntensityIndex, Record, Volume, _match_scalar, finite_interval,
+                  finite_number)
 from .errors import BadTailSpec, NonMonotone
 
 
@@ -41,7 +42,7 @@ ERF_CURVATURE = 2.0 * math.sqrt(2.0) * math.exp(-0.5) / math.sqrt(math.pi)
 
 
 @dataclass(frozen=True)
-class PivotTriple:
+class PivotTriple(Record):
     """Finite intensities (v_B < v_M < v_T) anchoring the blending ramp."""
 
     v_B: float
@@ -55,16 +56,9 @@ class PivotTriple:
             raise ValueError(f"pivots must satisfy v_B < v_M < v_T, got "
                              f"({self.v_B}, {self.v_M}, {self.v_T})")
 
-    def to_dict(self) -> dict:
-        return {"v_B": self.v_B, "v_M": self.v_M, "v_T": self.v_T}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "PivotTriple":
-        return cls(**doc)
-
 
 @dataclass(frozen=True)
-class DualScaleParams:
+class DualScaleParams(Record):
     """Fitted dual-scaling parameters: two scale factors and a shift.
 
     ``sigma_B`` acts on the bottom half of the intensity range, ``sigma_T``
@@ -88,21 +82,15 @@ class DualScaleParams:
             raise NonMonotone(f"scale ratio {ratio:.6g} exceeds {MONOTONE_RATIO:.6g}, "
                               f"past which the dual scaling decreases")
 
-    def to_dict(self) -> dict:
-        return {"sigma_B": self.sigma_B, "sigma_T": self.sigma_T,
-                "gamma": self.gamma, "pivots": self.pivots.to_dict()}
-
     @classmethod
     def from_dict(cls, doc: dict) -> "DualScaleParams":
-        fields = {**doc, "pivots": PivotTriple.from_dict(doc["pivots"])}
         # LUT files written before the ratio cap became global carry a
         # per-LUT "ratio_cap", which no longer means anything
-        fields.pop("ratio_cap", None)
-        return cls(**fields)
+        return super().from_dict({k: v for k, v in doc.items() if k != "ratio_cap"})
 
 
 @dataclass(frozen=True)
-class TailSpec:
+class TailSpec(Record):
     """Where each tail starts, the observed extremes, and the clip targets.
 
     Intensities here live in post-dual-scaling coordinates: tail shrinking
@@ -146,16 +134,6 @@ class TailSpec:
     @classmethod
     def disabled(cls) -> "TailSpec":
         return cls()
-
-    def to_dict(self) -> dict:
-        return {"v_T": self.v_T, "v_max": self.v_max, "v_clipT": self.v_clipT,
-                "v_B": self.v_B, "v_min": self.v_min, "v_clipB": self.v_clipB,
-                "enabled_top": self.enabled_top,
-                "enabled_bottom": self.enabled_bottom}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "TailSpec":
-        return cls(**doc)
 
     def _ranges(self) -> list:
         """(start, r_S, r_T) of each enabled side, ranges signed away from
@@ -382,7 +360,7 @@ def lut_bottom_tail(x, v_B: float, v_min: float, v_clipB: float) -> "float | np.
 
 
 @dataclass(frozen=True)
-class IntensityLut:
+class IntensityLut(Record):
     """Composed mapping, monotone by construction (each step is): tail
     shrinking after dual scaling.
 
@@ -517,17 +495,19 @@ class IntensityLut:
         table = self._squeeze(_offset_scale(offsets, self.params))
         return LutTable(anchor - first * h, 1.0 / h, self.domain, table, _accumulate(table))
 
+    # the file calls the clip "hard_clamp"
     def to_dict(self) -> dict:
-        return {"params": self.params.to_dict(), "tails": self.tails.to_dict(),
-                "domain": list(self.domain),
-                "hard_clamp": list(self.clip) if self.clip is not None else None}
+        doc = super().to_dict()
+        doc["hard_clamp"] = doc.pop("clip")
+        return doc
 
     @classmethod
     def from_dict(cls, doc: dict) -> "IntensityLut":
-        fields = {**doc}  # the file calls the clip "hard_clamp"
-        return cls(DualScaleParams.from_dict(fields.pop("params")),
-                   TailSpec.from_dict(fields.pop("tails")),
-                   clip=fields.pop("hard_clamp", None), **fields)
+        if "clip" in doc:
+            raise TypeError("unexpected key 'clip': a LUT file calls its clip 'hard_clamp'")
+        fields = {**doc}
+        fields["clip"] = fields.pop("hard_clamp", None)
+        return super().from_dict(fields)
 
 
 def compose_lut(params: DualScaleParams, tails: TailSpec,

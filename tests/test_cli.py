@@ -744,3 +744,22 @@ class TestConfigPrecedence:
         assert run(["template", "build", "--clip", clip,
                     "--out", str(tmp_path / "t.json")] + inputs) == 64
         assert "clip must look like" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [["--clip", "0:2000"],
+                                      ["--clip", "600:4095"]], ids=["top", "bottom"])
+    def test_clip_without_room_exits_64_before_reading_a_volume(self, tmp_path, capsys,
+                                                                 args):
+        # the volume does not exist: reading it first would exit 1, not 64
+        out = tmp_path / "t.json"
+        assert run(["template", "build", "--out", str(out), *args,
+                    str(tmp_path / "absent.raw")]) == 64
+        assert "must leave room outside the control intensities" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_clip_without_room_exits_64(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"clip": [1.0, 1023.0]}))  # the default t_T is 3300
+        assert run(["template", "build", "--config", str(cfg), "--out",
+                    str(tmp_path / "t.json"), str(tmp_path / "absent.raw")]) == 64
+        err = capsys.readouterr().err
+        assert "malformed config file" in err and "must leave room" in err

@@ -5,7 +5,7 @@ synthetic-spec or volume-header file) goes through ``io.read_json``: a file
 that cannot be read, is not valid JSON or holds no JSON object is refused
 with that reader's error, naming the file.  Each record's ``from_dict`` is
 the inverse of its ``to_dict``: it takes the keys ``to_dict`` writes, and an
-unknown key is refused, naming the key.
+unknown key is refused, naming the key, also in a template's provenance.
 """
 
 import dataclasses
@@ -177,9 +177,12 @@ _specs = st.builds(
               st.floats(0.5, 2.0), st.floats(0.1, 3.0)),
     st.builds(LesionSpec, st.integers(0, 5), st.floats(0.5, 4.0), st.floats(0.0, 0.5)),
     st.floats(0.0, 0.9), st.text(max_size=8), st.integers(0, 2 ** 32))
-_app_configs = st.builds(AppConfig, _controls, st.none() | _intervals,
-                         st.integers(2, 4096), _fit_configs, st.integers(1, 16),
-                         st.sampled_from(LOG_LEVELS))
+# the clip range leaves room outside the control intensities
+_app_configs = st.builds(
+    lambda controls, room, *rest: AppConfig(
+        controls, room and (controls.t_B - room[0], controls.t_T + room[1]), *rest),
+    _controls, st.none() | st.tuples(_spans, _spans), st.integers(2, 4096), _fit_configs,
+    st.integers(1, 16), st.sampled_from(LOG_LEVELS))
 
 RECORDS = {"ControlPoints": _controls, "PivotTriple": _pivots, "DualScaleParams": _params,
            "TailSpec": _tails, "IntensityLut": _luts, "FitConfig": _fit_configs,
@@ -187,12 +190,12 @@ RECORDS = {"ControlPoints": _controls, "PivotTriple": _pivots, "DualScaleParams"
 
 
 def _blocks(doc, path=()):
-    """Path to each JSON object in ``doc`` that a record reads key by key:
-    the document, its nested objects and the objects in its lists, but not a
-    template's free-form provenance."""
+    """Path to each JSON object in ``doc`` that is read key by key: the
+    document, its nested objects (a template's provenance among them) and
+    the objects in its lists."""
     if isinstance(doc, dict):
         yield path
-        items = [(key, value) for key, value in doc.items() if key != "provenance"]
+        items = doc.items()
     else:
         items = enumerate(doc) if isinstance(doc, list) else ()
     for key, value in items:
@@ -211,7 +214,7 @@ def test_from_dict_inverts_to_dict_and_refuses_any_other_key(name, data):
         for key in path:
             target = target[key]
         target["bogus"] = 1
-        with pytest.raises((TypeError, BadSpec), match="bogus"):
+        with pytest.raises((TypeError, BadSpec, SchemaMismatch), match="bogus"):
             type(record).from_dict(edited)
 
 
@@ -347,3 +350,37 @@ def test_a_volume_header_holds_exactly_the_keys_written(files, tmp_path):
         doc = {key: value for key, value in header.items() if key != optional}
         (tmp_path / "v.raw.json").write_text(json.dumps(doc))
         read_volume(tmp_path / "v.raw")
+
+
+def test_template_provenance_refuses_an_unknown_key(files, tmp_path):
+    doc = json.loads((files / "t.template.json").read_text())
+    path = tmp_path / "t.template.json"
+    for key in ("tail_source_mx", "bogus"):
+        path.write_text(json.dumps({**doc, "provenance": {**doc["provenance"], key: 1.0}}))
+        with pytest.raises(SchemaMismatch, match=key):
+            load_template(path)
+
+
+def test_numpy_numbers_become_plain_json_numbers():
+    doc = json.loads(json.dumps(AppConfig(grid_size=np.int64(64),
+                                          workers=np.int64(2)).to_dict()))
+    assert (doc["grid_size"], doc["workers"]) == (64, 2)
+    components = (MixtureComponent("gaussian", np.float32(0.5), np.float64(1.0), 2),
+                  MixtureComponent("lognormal", 0.5, np.float32(1.5), np.float32(0.25)))
+    spec = SynthSpec(components, dims=np.array([2, 3, 4]), seed=np.uint8(7),
+                     lesions=LesionSpec(np.int64(1), np.float32(2.0), 0.125))
+    doc = json.loads(json.dumps(spec.to_dict()))
+    assert doc["components"][0] == {"kind": "gaussian", "weight": 0.5, "loc": 1.0,
+                                    "scale": 2.0}
+    assert doc["components"][1]["scale"] == 0.25
+    assert (doc["dims"], doc["seed"], doc["lesions"]["count"]) == ([2, 3, 4], 7, 1)
+    numbers = [c[k] for c in doc["components"] for k in ("weight", "loc", "scale")]
+    assert all(type(v) is float for v in numbers)
+    assert type(doc["seed"]) is int and all(type(d) is int for d in doc["dims"])
+
+
+@pytest.mark.parametrize("voxels", [[1, True], (2.0, False), [[1, 2], [3, np.True_]]],
+                         ids=["list", "tuple", "nested"])
+def test_volume_refuses_a_bool_inside_a_list_or_tuple(voxels):
+    with pytest.raises(ValueError, match="bool"):
+        Volume((np.size(voxels), 1, 1), voxels)
