@@ -21,7 +21,7 @@ from .pipeline import (ALL_METHODS, METHOD_CDF_MATCH,
                        ChannelReport, HarmonizeOptions, MethodMetrics,
                        evaluate_cohort, harmonize, percentile_stretch)
 from .template import (DEFAULT_CLIP, DEFAULT_CONTROLS, ControlPoints,
-                       TemplateCdf, build_template, load_template,
+                       Provenance, TemplateCdf, build_template, load_template,
                        save_template)
 from .transform import (DualScaleParams, IntensityLut, PivotTriple, TailSpec,
                         apply_lut, blend, compose_lut, lut_bottom_tail,
@@ -36,7 +36,7 @@ __all__ = [
     "blend", "sigma_blend", "lut_ds", "lut_top_tail", "lut_bottom_tail",
     "compose_lut", "apply_lut",
     "FitConfig", "FitResult", "fit_cdf", "fit_template_to_controls",
-    "ControlPoints", "TemplateCdf", "build_template", "save_template",
+    "ControlPoints", "Provenance", "TemplateCdf", "build_template", "save_template",
     "load_template", "DEFAULT_CONTROLS", "DEFAULT_CLIP",
     "HarmonizeOptions", "ChannelReport", "MethodMetrics", "harmonize",
     "evaluate_cohort", "percentile_stretch",

@@ -17,7 +17,7 @@ import argparse
 import logging
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from . import __version__
@@ -25,11 +25,11 @@ from .cdf import (DEFAULT_GRID_SIZE, Record, build_cdf, check_fits, finite_inter
                   whole_number)
 from .errors import CdfMatchError, IoError, Overflow, UsageError
 from .fit import FitConfig
-from .io import (SynthSpec, emit_cdf_plot, emit_lut_plot, generate_synthetic,
+from .io import (SynthSpec, csv_text, emit_cdf_plot, emit_lut_plot, generate_synthetic,
                  load_lut, read_json, read_volume, save_lut, write_cdf_csv,
                  write_files, write_json, write_lut_csv, write_volume)
 from .pipeline import (ALL_METHODS, METHOD_CDF_MATCH, METHOD_PERCENTILE_STRETCH,
-                       METHOD_ZSCORE, HarmonizeOptions, evaluate_cohort,
+                       METHOD_ZSCORE, HarmonizeOptions, MethodMetrics, evaluate_cohort,
                        harmonize, quantization_range)
 from .template import (DEFAULT_CLIP, DEFAULT_CONTROLS, ControlPoints,
                        build_template, load_template, save_template)
@@ -51,21 +51,11 @@ _METHOD_ALIASES = {"stretch": METHOD_PERCENTILE_STRETCH,
 log = logging.getLogger("cdfmatch")
 
 
-class NoConvergence(CdfMatchError):
-    """Fit hit the iteration cap; the produced item is still attached."""
-
-    def __init__(self, message: str, item: dict | None = None):
-        super().__init__(message)
-        self.item = item
-
-
 def _capture(fn, path):
-    """Run one item, returning (item, error_message); item survives a
-    convergence failure because the output was still written."""
+    """Run one item: ``fn(path)``, its ``(item, error)``, or ``(None, message)``
+    when a fault stops the item before its files are all written."""
     try:
-        return fn(path), None
-    except NoConvergence as exc:
-        return exc.item, str(exc)
+        return fn(path)
     except (CdfMatchError, OSError) as exc:
         return None, str(exc)
 
@@ -199,7 +189,7 @@ def _cmd_harmonize(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    def process(path: Path) -> dict:
+    def process(path: Path) -> tuple[dict, str | None]:
         vol = read_volume(path)
         out_vol, entry = harmonize(vol, template, options)
         out_path = out_dir / path.name
@@ -212,9 +202,8 @@ def _cmd_harmonize(args) -> int:
                 "lut_file": lut_path.name}
         item.update(entry.to_dict())
         write_json(out_dir / (path.stem + ".meta.json"), "metadata", item)
-        if not entry.fit.converged:
-            raise NoConvergence(f"fit did not converge for {path.name}", item)
-        return item
+        error = None if entry.fit.converged else f"fit did not converge for {path.name}"
+        return item, error
 
     items, failures = [], []
     # one worker is the serial case; results merge in input order
@@ -289,12 +278,9 @@ def _cmd_eval(args) -> int:
         methods.append(_METHOD_ALIASES.get(name, name))
     volumes = [read_volume(p) for p in _discover_inputs(args.input)]
     rows = evaluate_cohort(volumes, template, methods=methods, options=options)
-    lines = ["method,mean_pairwise_ks,mean_ks_to_template,mean_range_utilization"]
-    for row in rows:
-        tpl = "" if row.mean_ks_to_template is None else repr(row.mean_ks_to_template)
-        lines.append(f"{row.method},{row.mean_pairwise_ks!r},{tpl},"
-                     f"{row.mean_range_utilization!r}")
-    write_files("metrics CSV", (args.out, "\n".join(lines) + "\n"))
+    header = [f.name for f in fields(MethodMetrics)]
+    table = csv_text(header, ([getattr(row, name) for name in header] for row in rows))
+    write_files("metrics CSV", (args.out, table))
     log.info("wrote metrics for %d methods to %s", len(rows), args.out)
     return EXIT_OK
 
@@ -392,9 +378,6 @@ def run(argv=None) -> int:
     """Entry point returning a process exit code."""
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
-    if not argv:
-        parser.print_usage(sys.stderr)
-        return EXIT_USAGE
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

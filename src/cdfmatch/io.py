@@ -27,7 +27,7 @@ from .transform import IntensityLut
 
 LUT_SCHEMA_VERSION = 1
 
-_CDF_CSV_HEADER = "intensity,cumulative_probability"
+_CDF_CSV_HEADER = ("intensity", "cumulative_probability")
 
 # the keys write_volume writes into a header; channel and background_value
 # may be absent
@@ -114,7 +114,8 @@ def read_volume(path) -> Volume:
 
     The voxels keep the stored dtype (u8, u16, i16 or f32).  The header is
     validated before any payload byte is interpreted; a payload whose length
-    disagrees with the header raises HeaderMismatch.
+    disagrees with the header raises HeaderMismatch, and one that cannot be
+    read or holds a NaN or +/-inf voxel IoError naming the file.
     """
     path = Path(path)
     header = read_json(_header_path(path), "volume header", HeaderMismatch)
@@ -144,13 +145,12 @@ def read_volume(path) -> Volume:
     expected = dims[0] * dims[1] * dims[2] * dt.itemsize
     try:
         actual = os.path.getsize(path)
-    except OSError as exc:
+        if actual != expected:
+            raise HeaderMismatch(
+                f"payload is {actual} bytes but the header implies {expected}")
+        return Volume._owning(dims, np.fromfile(path, dtype=dt), channel, background)
+    except (OSError, ValueError) as exc:
         raise IoError(f"cannot read volume payload {path}: {exc}") from exc
-    if actual != expected:
-        raise HeaderMismatch(
-            f"payload is {actual} bytes but the header implies {expected}")
-    data = np.fromfile(path, dtype=dt)
-    return Volume._owning(dims, data, channel, background)
 
 
 # ---------------------------------------------------------------------------
@@ -317,11 +317,21 @@ def generate_synthetic(spec: SynthSpec) -> Volume:
 # CSV and JSON artifacts
 
 
+def csv_text(header, rows) -> str:
+    """The one CSV form of every table the program writes: a header row, then
+    ``rows``, each number the ``repr`` of its float, None an empty field and
+    a label quoted by the ``csv`` module where it needs quotes."""
+    table = StringIO()
+    writer = csv.writer(table, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([value if value is None or isinstance(value, str) else repr(float(value))
+                      for value in row] for row in rows)
+    return table.getvalue()
+
+
 def write_cdf_csv(cdf: EmpiricalCdf, path) -> Path:
     """Write a CDF as two-column CSV (intensity, cumulative_probability)."""
-    lines = [_CDF_CSV_HEADER]
-    lines.extend(f"{float(x)!r},{float(p)!r}" for x, p in zip(cdf.xs, cdf.ps))
-    return write_files("CDF CSV", (path, "\n".join(lines) + "\n"))
+    return write_files("CDF CSV", (path, csv_text(_CDF_CSV_HEADER, zip(cdf.xs, cdf.ps))))
 
 
 def read_cdf_csv(path) -> EmpiricalCdf:
@@ -331,7 +341,7 @@ def read_cdf_csv(path) -> EmpiricalCdf:
         lines = path.read_text().splitlines()
     except OSError as exc:
         raise IoError(f"cannot read CDF CSV from {path}: {exc}") from exc
-    if not lines or lines[0].strip() != _CDF_CSV_HEADER:
+    if not lines or lines[0].strip() != ",".join(_CDF_CSV_HEADER):
         raise SchemaMismatch(f"{path} is not a CDF CSV (bad header)")
     xs, ps = [], []
     for number, line in enumerate(lines[1:], start=2):
@@ -367,23 +377,19 @@ def load_lut(path) -> IntensityLut:
         raise SchemaMismatch(f"malformed LUT file {path}: {exc!r}") from exc
 
 
-def _sample_lut(lut: IntensityLut, points: int) -> tuple[np.ndarray, np.ndarray]:
+def _sample_lut(lut: IntensityLut, points: int) -> tuple[np.ndarray, np.ndarray, str]:
+    """The mapping at ``points`` even steps over its domain, also as CSV."""
     if points < 2:
         raise ValueError("need at least two sample points")
     xs = np.linspace(lut.domain[0], lut.domain[1], points)
-    return xs, np.asarray(lut.apply(xs))
-
-
-def _lut_csv(xs: np.ndarray, ys: np.ndarray) -> str:
-    lines = ["input,output"]
-    lines.extend(f"{float(x)!r},{float(y)!r}" for x, y in zip(xs, ys))
-    return "\n".join(lines) + "\n"
+    ys = np.asarray(lut.apply(xs))
+    return xs, ys, csv_text(("input", "output"), zip(xs, ys))
 
 
 def write_lut_csv(lut: IntensityLut, path, points: int = 512) -> Path:
     """Write a mapping at ``points`` evenly spaced inputs across its domain
     as two-column CSV (input, output)."""
-    return write_files("LUT CSV", (path, _lut_csv(*_sample_lut(lut, points))))
+    return write_files("LUT CSV", (path, _sample_lut(lut, points)[2]))
 
 
 # ---------------------------------------------------------------------------
@@ -493,20 +499,16 @@ def emit_cdf_plot(cdfs, path, style: dict | None = None, markers=()) -> Path:
         raise EmptyInput("no curves to plot")
     series = [(label, cdf.xs, cdf.ps) for label, cdf in cdfs]
     svg = _render_line_svg(series, style or {}, markers=markers)
-    table = StringIO()
-    writer = csv.writer(table, lineterminator="\n")
-    writer.writerow(["label", "intensity", "cumulative_probability"])
-    for label, cdf in cdfs:
-        for x, p in zip(cdf.xs, cdf.ps):
-            writer.writerow([label, repr(float(x)), repr(float(p))])
-    return write_files("plot", (path, svg), (_companion_csv_path(path), table.getvalue()))
+    table = csv_text(("label",) + _CDF_CSV_HEADER,
+                     ((str(label), x, p) for label, xs, ps in series for x, p in zip(xs, ps)))
+    return write_files("plot", (path, svg), (_companion_csv_path(path), table))
 
 
 def emit_lut_plot(lut: IntensityLut, path, points: int = 512,
                   style: dict | None = None) -> Path:
     """Write a LUT mapping as an SVG line plot plus an (input, output) CSV."""
-    xs, ys = _sample_lut(lut, points)
+    xs, ys, table = _sample_lut(lut, points)
     s = {"y_label": "mapped intensity", "x_label": "input intensity"}
     s.update(style or {})
     svg = _render_line_svg([("mapping", xs, ys)], s)
-    return write_files("LUT plot", (path, svg), (_companion_csv_path(path), _lut_csv(xs, ys)))
+    return write_files("LUT plot", (path, svg), (_companion_csv_path(path), table))

@@ -25,10 +25,6 @@ from .transform import TailSpec, lut_ds
 
 TEMPLATE_SCHEMA_VERSION = 1
 
-# the keys a template's provenance may hold; a tail key is absent when that
-# tail did not fire
-PROVENANCE_KEYS = frozenset({"cohort_size", "config_hash", "tail_source_max", "tail_source_min"})
-
 CONTROL_FIDELITY_FRACTION = 0.005
 
 
@@ -96,6 +92,32 @@ DEFAULT_CLIP = (1.0, 4095.0)
 
 
 @dataclass(frozen=True)
+class Provenance(Record):
+    """Where a template came from: the cohort size, the digest of the build
+    configuration, and the dual-scaled extreme each fired tail bends over.
+    A field is None when it was not recorded (a tail that did not fire), and
+    its key is then left out of the file."""
+
+    cohort_size: int | None = None
+    config_hash: str | None = None
+    tail_source_max: float | None = None
+    tail_source_min: float | None = None
+
+    def __post_init__(self):
+        if not isinstance(self.config_hash, (str, type(None))):
+            raise SchemaMismatch(
+                f"provenance config_hash must be a string, got {self.config_hash!r}")
+        for name, number in (("cohort_size", whole_number), ("tail_source_max", finite_number),
+                             ("tail_source_min", finite_number)):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, number(getattr(self, name),
+                                                      f"provenance {name}", SchemaMismatch))
+
+    def to_dict(self) -> dict:
+        return {key: value for key, value in super().to_dict().items() if value is not None}
+
+
+@dataclass(frozen=True)
 class TemplateCdf(Record):
     """Target CDF with its anchors, optional clip range, and provenance."""
 
@@ -103,7 +125,7 @@ class TemplateCdf(Record):
     controls: ControlPoints
     clip: tuple[float, float] | None = None
     channel: str = ""
-    provenance: dict = field(default_factory=dict)
+    provenance: Provenance = field(default_factory=Provenance)
 
     def __post_init__(self):
         if not isinstance(self.channel, str):
@@ -130,13 +152,6 @@ class TemplateCdf(Record):
         if version != TEMPLATE_SCHEMA_VERSION:
             raise SchemaMismatch(
                 f"expected template schema {TEMPLATE_SCHEMA_VERSION}, got {version!r}")
-        provenance = dict(fields.get("provenance", {}))
-        unknown = sorted(set(provenance) - PROVENANCE_KEYS)
-        if unknown:
-            raise SchemaMismatch(f"template provenance holds unknown keys {unknown}")
-        for key in ("tail_source_max", "tail_source_min"):  # null: not recorded
-            if provenance.get(key) is not None:
-                finite_number(provenance[key], f"provenance {key}", SchemaMismatch)
         return super().from_dict(fields)
 
 
@@ -149,18 +164,17 @@ def config_hash(payload: dict) -> str:
 
 def template_tails(controls: ControlPoints, clip: tuple[float, float] | None,
                    v_min: float, v_max: float, gate: float,
-                   provenance: dict) -> TailSpec:
+                   provenance: Provenance) -> TailSpec:
     """Tails squeezing a dual-scaled support [v_min, v_max] into ``clip``: the
     one firing rule for the template and every image.  A tail fires when the
     support overshoots its clip bound by more than ``gate`` times the room
     between that bound and its control intensity, and bends over the source
-    extreme recorded in ``provenance`` or, when none is (absent or None),
-    over the support's own."""
+    extreme recorded in ``provenance`` or, when none is, over the support's
+    own."""
     if clip is None:
         return TailSpec.disabled()
     lo, hi = clip
-    src_max = provenance.get("tail_source_max")
-    src_min = provenance.get("tail_source_min")
+    src_max, src_min = provenance.tail_source_max, provenance.tail_source_min
     return TailSpec(v_T=controls.t_T, v_max=v_max if src_max is None else src_max, v_clipT=hi,
                     v_B=controls.t_B, v_min=v_min if src_min is None else src_min, v_clipB=lo,
                     enabled_top=v_max - hi > gate * (hi - controls.t_T),
@@ -185,11 +199,15 @@ def build_template(cohort, controls: ControlPoints = DEFAULT_CONTROLS,
 
     Pipeline: z-score each volume and estimate its CDF (one sort of its
     foreground in the stored dtype), average them, fit the average to the
-    control points, map the grid through the fitted
-    dual-scaling, then shrink the tails toward the clip bounds when a clip
-    range is given.  Deterministic and invariant to cohort ordering and to
-    the order of each member's voxels.
+    control points, map the grid through the fitted dual-scaling, then shrink
+    the tails toward the clip bounds when a clip range is given.  Deterministic
+    and invariant to cohort ordering and to the order of each member's voxels.
     """
+    grid_size = whole_number(grid_size, "grid_size")
+    if grid_size < 2:
+        raise ValueError(f"grid_size must be at least 2, got {grid_size}")
+    if channel is not None and not isinstance(channel, str):
+        raise ValueError(f"channel must be a string, got {channel!r}")
     cohort = list(cohort)
     if not cohort:
         raise EmptyCohort("cannot build a template from an empty cohort")
@@ -203,23 +221,19 @@ def build_template(cohort, controls: ControlPoints = DEFAULT_CONTROLS,
     fit = fit_template_to_controls(avg, controls, config)
 
     xs = np.asarray(lut_ds(avg.xs, fit.params))
-    provenance = {
-        "cohort_size": len(cohort),
-        "config_hash": config_hash({"controls": controls, "clip": clip,
-                                    "grid_size": grid_size, "fit": config}),
-    }
     # squeeze a tail whenever the fitted support overshoots its bound (gate
     # 0); the pre-squeeze extremes are recorded so harmonized images are
     # bent by the same TailSpec
-    tails = template_tails(controls, clip, float(xs[0]), float(xs[-1]), 0.0, {})
-    if tails.enabled_top:
-        provenance["tail_source_max"] = tails.v_max
-    if tails.enabled_bottom:
-        provenance["tail_source_min"] = tails.v_min
+    tails = template_tails(controls, clip, float(xs[0]), float(xs[-1]), 0.0, Provenance())
+    provenance = Provenance(
+        cohort_size=len(cohort),
+        config_hash=config_hash({"controls": controls, "clip": clip,
+                                 "grid_size": grid_size, "fit": config}),
+        tail_source_max=tails.v_max if tails.enabled_top else None,
+        tail_source_min=tails.v_min if tails.enabled_bottom else None)
     xs = tails.apply(xs)
 
-    if channel is None:
-        channel = cohort[0].channel
+    channel = cohort[0].channel if channel is None else channel
     try:
         return TemplateCdf(EmpiricalCdf(xs, avg.ps, n_samples=avg.n_samples),
                            controls, clip, channel, provenance)

@@ -63,6 +63,17 @@ class TestUsage:
         out = capsys.readouterr().out
         assert "cdfmatch" in out and "config schema" in out
 
+    @pytest.mark.parametrize("make_dir", [True, False], ids=["empty-directory", "missing"])
+    def test_harmonize_input_without_volumes(self, workspace, tmp_path, capsys, make_dir):
+        src = tmp_path / "inputs"
+        if make_dir:
+            src.mkdir()
+        assert run(["harmonize", "--template", str(workspace / "t2.template.json"),
+                    "--in", str(src), "--out", str(tmp_path / "out")]) == 64
+        err = capsys.readouterr().err
+        assert str(src) in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_input_file(self, tmp_path):
         assert run(["harmonize", "--template", str(tmp_path / "no.json"),
                     "--in", str(tmp_path), "--out", str(tmp_path / "o")]) in (1, 64)
@@ -393,6 +404,55 @@ class TestHarmonizeCommand:
         assert not out_dir.exists() and not report.exists()
 
 
+class TestNonFiniteVoxels:
+    """An f32 input holding a NaN or +/-inf voxel fails as its own item,
+    named in the message, and never ends a run with a traceback."""
+
+    @staticmethod
+    def _inputs(workspace, root, value):
+        # vol0 as it is, and vol1 with one voxel replaced by ``value``
+        root.mkdir()
+        for src in (workspace / "raw").glob("vol0.raw*"):
+            (root / src.name).write_bytes(src.read_bytes())
+        voxels = read_volume(workspace / "raw" / "vol1.raw").voxels.copy()
+        voxels[100] = value
+        (root / "bad.raw").write_bytes(voxels.astype("<f4").tobytes())
+        (root / "bad.raw.json").write_bytes((workspace / "raw" / "vol1.raw.json").read_bytes())
+        return root
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_best_effort_writes_the_good_item_and_lists_the_bad_one(
+            self, workspace, tmp_path, capsys, value):
+        raw = self._inputs(workspace, tmp_path / "raw", value)
+        out_dir, report = tmp_path / "out", tmp_path / "rep.json"
+        assert run(["harmonize", "--template", str(workspace / "t2.template.json"),
+                    "--in", str(raw), "--out", str(out_dir), "--report", str(report),
+                    "--best-effort"]) == 2
+        doc = json.loads(report.read_text())
+        assert [item["input"] for item in doc["items"]] == ["vol0.raw"]
+        assert [f["input"] for f in doc["failures"]] == ["bad.raw"]
+        assert "bad.raw" in doc["failures"][0]["error"]
+        assert "finite" in doc["failures"][0]["error"]
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "vol0.lut.json", "vol0.meta.json", "vol0.raw", "vol0.raw.json"]
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_each_command_exits_1_naming_the_file(self, workspace, tmp_path, capsys):
+        raw = self._inputs(workspace, tmp_path / "raw", np.nan)
+        bad = str(raw / "bad.raw")
+        runs = [["harmonize", "--template", str(workspace / "t2.template.json"),
+                 "--in", str(raw), "--out", str(tmp_path / "out")],
+                ["inspect", "--cdf", bad, "--out", str(tmp_path / "cdf.csv")],
+                ["template", "build", "--out", str(tmp_path / "t.json"),
+                 str(raw / "vol0.raw"), bad]]
+        for argv in runs:
+            assert run(argv) == 1, argv
+            err = capsys.readouterr().err
+            assert "bad.raw" in err and "finite" in err
+            assert "Traceback" not in err
+        assert not (tmp_path / "cdf.csv").exists() and not (tmp_path / "t.json").exists()
+
+
 class TestInspect:
     def test_cdf_csv_and_plot(self, workspace, tmp_path):
         out = tmp_path / "cdf.csv"
@@ -655,12 +715,15 @@ class TestConfigPrecedence:
         ({"clip": [1.0, 4095.0, 5000.0]}, "clip"),
         ({"fit": {"sigma_bounds": [1]}}, "sigma_bounds"),
         ({"fit": {"sigma_bounds": [0.05, 20.0, 30.0]}}, "sigma_bounds"),
+        ({"fit": {"sigma_bounds": [0.0, 20.0]}}, "sigma_bounds"),
+        ({"fit": {"sigma_bounds": [-1.0, 20.0]}}, "sigma_bounds"),
         ({"fit": {"percentile_grid": [0.1, None, 0.9]}}, "percentile_grid"),
         ({"grid_size": 2.9}, "grid_size"),
         ({"workers": True}, "workers"),
         ({"log_level": "verbose"}, "log_level"),
     ], ids=["clip-one-number", "clip-string", "clip-not-a-number", "clip-three-numbers",
-            "sigma-bounds-one-number", "sigma-bounds-three-numbers", "grid-null-point",
+            "sigma-bounds-one-number", "sigma-bounds-three-numbers", "sigma-bounds-lo-zero",
+            "sigma-bounds-lo-negative", "grid-null-point",
             "grid-size-fraction", "workers-bool", "log-level-unknown"])
     def test_malformed_config_value_exits_64_naming_it(self, workspace, tmp_path, capsys,
                                                        config, field):

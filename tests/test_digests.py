@@ -3,11 +3,14 @@
 Small templates are built from synthetic cohorts (f32 members; u16 members
 with one hot voxel), and f32, i16 and u16 inputs are harmonized against
 each, one f32 input large enough that its voxels map through the
-interpolated table.  The sha256 of every file the commands write (payloads,
-headers, templates, LUTs, metadata sidecars and reports) must equal the list
-in ``digests.json``.  Floating-point results may differ between NumPy or
-SciPy releases, so the list records the versions it was made with, and the
-test is skipped under any other.  A change that moves an artifact on purpose
+interpolated table.  ``inspect`` then dumps a CDF (of a volume whose channel
+label holds a comma and quotes) and a LUT, each with its plot, and ``eval``
+compares the methods on a cohort.  The sha256 of every file the commands
+write (payloads, headers, templates, LUTs, metadata sidecars, reports, CSVs,
+SVGs and their companion CSVs) must equal the list in ``digests.json``.
+Floating-point results may differ between NumPy or SciPy releases, so the
+list records the versions it was made with, and the test is skipped under
+any other.  A change that moves an artifact on purpose
 regenerates the list with ``PYTHONPATH=src python tests/test_digests.py``
 and says which digests moved and why.
 """
@@ -33,14 +36,15 @@ from conftest import T2_COMPONENTS, scanner_effect
 DIGESTS = Path(__file__).with_name("digests.json")
 
 
-def _spec(seed: int, dims=(16, 16, 16)) -> dict:
+def _spec(seed: int, dims=(16, 16, 16), channel="T2") -> dict:
     return {"components": [c.to_dict() for c in T2_COMPONENTS], "dims": list(dims),
-            "scanner": scanner_effect(seed % 9).to_dict(), "channel": "T2", "seed": seed}
+            "scanner": scanner_effect(seed % 9).to_dict(), "channel": channel, "seed": seed}
 
 
-def _synth(root: Path, out: Path, seed: int, dtype: str, dims=(16, 16, 16)) -> None:
+def _synth(root: Path, out: Path, seed: int, dtype: str, dims=(16, 16, 16),
+           channel="T2") -> None:
     spec = root / f"spec{seed}.json"
-    spec.write_text(json.dumps(_spec(seed, dims)))
+    spec.write_text(json.dumps(_spec(seed, dims, channel)))
     assert run(["synth", "--spec", str(spec), "--dtype", dtype, "--out", str(out)]) == 0
 
 
@@ -72,6 +76,16 @@ def build_artifacts(root: Path) -> dict[str, str]:
             assert run(["harmonize", "--template", str(template), "--in", str(src),
                         "--out", str(out), "--report", str(root / f"{out.name}.report.json")]
                        + flags) == 0
+
+    tables = root / "tables"
+    tables.mkdir()
+    _synth(root, tables / "label.raw", 34, "f32", channel='T2, "fast"')
+    assert run(["inspect", "--cdf", str(tables / "label.raw"), "--out", str(tables / "cdf.csv"),
+                "--plot", str(tables / "cdf.svg")]) == 0
+    assert run(["inspect", "--lut", str(root / "f32-in" / "small_f32.lut.json"),
+                "--out", str(tables / "lut.csv"), "--plot", str(tables / "lut.svg")]) == 0
+    assert run(["eval", "--template", str(root / "f32.template.json"), "--in", str(f32),
+                "--out", str(tables / "metrics.csv")]) == 0
     return {path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
             for path in sorted(root.rglob("*")) if path.is_file()}
 

@@ -16,6 +16,7 @@ from cdfmatch import (LesionSpec, MixtureComponent, ScannerEffect, SynthSpec,
                       write_lut_csv, write_volume)
 from cdfmatch.errors import (BadSpec, EmptyInput, HeaderMismatch, IoError,
                              Overflow, SchemaMismatch)
+from cdfmatch.io import csv_text
 from cdfmatch.transform import DualScaleParams, PivotTriple, TailSpec, compose_lut
 
 from conftest import cdf_from_samples, t2_spec, volume_from_values
@@ -101,6 +102,40 @@ class TestVolumeFiles:
         with pytest.raises(HeaderMismatch, match=field):
             read_volume(path)
 
+    @pytest.mark.parametrize("field, value, match", [
+        ("dtype", "f64", "unsupported dtype"),
+        ("endianness", "big", "unsupported endianness"),
+        ("dims", [2, 1], "bad dims"),
+        ("channel", 5, "bad channel"),
+    ])
+    def test_header_outside_the_format_rejected(self, tmp_path, field, value, match):
+        path = tmp_path / "vol.raw"
+        write_volume(volume_from_values([1.0, 2.0]), path, dtype="f32")
+        header = json.loads((tmp_path / "vol.raw.json").read_text())
+        header[field] = value
+        (tmp_path / "vol.raw.json").write_text(json.dumps(header))
+        with pytest.raises(HeaderMismatch, match=match):
+            read_volume(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_voxel_is_io_error_naming_the_file(self, tmp_path, value):
+        path = tmp_path / "vol.raw"
+        write_volume(volume_from_values([1.0, 2.0, 3.0]), path, dtype="f32")
+        path.write_bytes(np.array([1.0, value, 3.0], dtype="<f4").tobytes())
+        with pytest.raises(IoError, match="vol.raw.*finite"):
+            read_volume(path)
+
+    def test_unreadable_payload_is_io_error_naming_the_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "vol.raw"
+        write_volume(volume_from_values([1.0, 2.0, 3.0]), path, dtype="f32")
+
+        def fail(*args, **kwargs):
+            raise OSError(errno.EIO, "Input/output error")
+
+        monkeypatch.setattr(np, "fromfile", fail)
+        with pytest.raises(IoError, match="vol.raw.*Input/output error"):
+            read_volume(path)
+
     def test_interrupted_payload_write_keeps_previous_pair(self, tmp_path, monkeypatch):
         path = tmp_path / "vol.raw"
         write_volume(volume_from_values(np.arange(1.0, 61.0), channel="T2"),
@@ -151,6 +186,21 @@ class TestSynthSpec:
     def test_lesion_fraction_bounded(self):
         with pytest.raises(BadSpec):
             t2_spec(1, lesions=LesionSpec(count=1, boost=2.0, volume_fraction=1.5))
+
+    @pytest.mark.parametrize("make, match", [
+        (lambda: MixtureComponent("gaussian", 0.0, 1.0, 1.0), "weights and scales"),
+        (lambda: MixtureComponent("gaussian", -0.5, 1.0, 1.0), "weights and scales"),
+        (lambda: ScannerEffect(tail_weight=0.0), "tail_weight"),
+        (lambda: LesionSpec(count=-1), "lesion count"),
+        (lambda: LesionSpec(boost=0.0), "boost"),
+        (lambda: SynthSpec(components=()), "at least one"),
+        (lambda: replace(t2_spec(1), background_fraction=1.0), "background fraction"),
+        (lambda: replace(t2_spec(1), background_fraction=-0.1), "background fraction"),
+    ], ids=["weight-zero", "weight-negative", "tail-weight-zero", "lesion-count-negative",
+            "lesion-boost-zero", "no-components", "background-one", "background-negative"])
+    def test_each_range_check(self, make, match):
+        with pytest.raises(BadSpec, match=match):
+            make()
 
     def test_dict_round_trip(self):
         spec = t2_spec(9, scanner=ScannerEffect(gain=1.5, offset=2.0, gamma=1.1,
@@ -268,6 +318,18 @@ class TestCdfCsv:
             read_cdf_csv(path)
 
 
+class TestCsvText:
+    def test_numbers_none_and_labels(self):
+        rows = [("plain", np.float32(0.1), None, 3), ('a, "b"', 1e-300, 2.5, np.int64(7))]
+        assert csv_text(("label", "x", "y", "n"), rows) == (
+            'label,x,y,n\n'
+            'plain,0.10000000149011612,,3.0\n'
+            '"a, ""b""",1e-300,2.5,7.0\n')
+
+    def test_no_rows_is_the_header(self):
+        assert csv_text(("input", "output"), []) == "input,output\n"
+
+
 class TestLutJson:
     def _lut(self):
         params = DualScaleParams(1.2, 0.8, 1650.0, PivotTriple(500.0, 1650.0, 3300.0))
@@ -323,6 +385,15 @@ class TestLutJson:
             doc[key] = {**doc[key], **fields} if isinstance(fields, dict) else fields
         path.write_text(json.dumps(doc))
         with pytest.raises(SchemaMismatch, match="map.lut.json"):
+            load_lut(path)
+
+    def test_clip_key_is_refused_naming_hard_clamp(self, tmp_path):
+        path = tmp_path / "map.lut.json"
+        save_lut(self._lut(), path)
+        doc = json.loads(path.read_text())
+        doc["clip"] = doc.pop("hard_clamp")
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaMismatch, match="map.lut.json.*hard_clamp"):
             load_lut(path)
 
     def test_version_check(self, tmp_path):

@@ -23,7 +23,7 @@ from cdfmatch import (ControlPoints, DualScaleParams, EmpiricalCdf, FitConfig,
                       load_lut, read_volume, save_lut, write_volume)
 from cdfmatch.cli import LOG_LEVELS, AppConfig, run
 from cdfmatch.errors import BadSpec, HeaderMismatch, IoError, SchemaMismatch
-from cdfmatch.template import load_template, save_template
+from cdfmatch.template import Provenance, load_template, save_template
 from cdfmatch.transform import MONOTONE_RATIO
 
 from conftest import T2_COMPONENTS, scanner_cohort, volume_from_values
@@ -159,8 +159,8 @@ def _templates(draw):
     cdf = EmpiricalCdf(xs, [0.0, controls.p_B, controls.p_M, controls.p_T, 1.0],
                        n_samples=draw(st.integers(0, 10 ** 6)))
     clip = draw(st.none() | st.just((xs[0] - 1.0, xs[-1] + 1.0)))
-    provenance = {"cohort_size": draw(st.integers(1, 50)),
-                  "tail_source_max": draw(st.none() | st.floats(-1e4, 1e4))}
+    provenance = Provenance(cohort_size=draw(st.integers(1, 50)),
+                            tail_source_max=draw(st.none() | st.floats(-1e4, 1e4)))
     return TemplateCdf(cdf, controls, clip, draw(st.text(max_size=8)), provenance)
 
 

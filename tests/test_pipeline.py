@@ -320,6 +320,20 @@ class TestIntensityIndexIsExact:
         post_cdf = build_cdf(out, grid_size=options.grid_size)
         assert entry.post_ks == ks_distance(post_cdf, template.cdf)
 
+    def test_integer_voxels_past_two_to_the_53_map_voxel_by_voxel(self, template_12bit):
+        # float64 no longer holds every integer there, so no level table is
+        # built: the index keeps one level per voxel and still maps exactly
+        values = np.rint(_INDEX_BASE)
+        values[[17, 4000]] = (2.0 ** 54, -(2.0 ** 53) - 2.0)
+        vol = volume_from_values(values)
+        index = IntensityIndex.of(vol)
+        assert index.inverse is None and index.counts is None
+        lut = harmonize(volume_from_values(_INDEX_BASE), template_12bit)[1].lut
+        out = apply_lut(vol, lut)
+        assert out.voxels.tobytes() == _per_voxel_reference(vol, lut, template_12bit,
+                                                            None).tobytes()
+        assert out.voxels[17] == lut.apply(lut.domain[1])
+
     @pytest.mark.parametrize("values, error", [
         ([3.0] * 40, AllBackground),
         ([3.0] * 20 + [-7.0] * 20, DegenerateConstant),

@@ -16,7 +16,7 @@ from cdfmatch import template as template_module
 from cdfmatch.cdf import DTYPES, IntensityIndex, SortedForeground
 from cdfmatch.errors import BadTailSpec, EmptyCohort, Infeasible, SchemaMismatch
 from cdfmatch.pipeline import TAIL_SQUEEZE_GATE
-from cdfmatch.template import DEFAULT_CONTROLS, template_tails
+from cdfmatch.template import DEFAULT_CONTROLS, Provenance, template_tails
 
 from conftest import scanner_cohort, stored_volume, t2_spec
 
@@ -196,7 +196,7 @@ class TestBuildTemplate:
     def test_single_volume_cohort(self):
         vol = generate_synthetic(t2_spec(400))
         t = build_template([vol])
-        assert t.provenance["cohort_size"] == 1
+        assert t.provenance.cohort_size == 1
         lo, hi = t.cdf.support
         assert lo >= 1.0 and hi <= 4095.0
 
@@ -232,8 +232,8 @@ class TestBuildTemplate:
         tails = template_tails(t.controls, t.clip, v_min, v_max, TAIL_SQUEEZE_GATE,
                                t.provenance)
         assert tails.enabled_top and tails.enabled_bottom
-        assert (tails.v_max, tails.v_min) == (t.provenance["tail_source_max"],
-                                              t.provenance["tail_source_min"])
+        assert (tails.v_max, tails.v_min) == (t.provenance.tail_source_max,
+                                              t.provenance.tail_source_min)
         assert t.cdf.xs.tobytes() == tails.apply(lut_ds(avg.xs, params)).tobytes()
 
     def test_empty_cohort(self):
@@ -249,7 +249,7 @@ class TestBuildTemplate:
         cohort = scanner_cohort(3, seed0=430)
         t = build_template(cohort, clip=None)
         assert t.clip is None
-        assert "tail_source_max" not in t.provenance
+        assert t.provenance.tail_source_max is None
 
     def test_hot_pixel_cohort_fails_as_infeasible(self):
         # Each member's own CDF follows its bulk (rank knots), but two
@@ -286,6 +286,22 @@ class TestBuildTemplate:
             assert fg.cum is not None
             assert fg.n_voxels == member.foreground().size
             assert fg.values.size == np.unique(member.foreground()).size
+
+    @pytest.mark.parametrize("kwargs", [{"grid_size": 1}, {"grid_size": 64.0},
+                                        {"grid_size": True}, {"channel": 5}],
+                             ids=["grid-size-1", "grid-size-float", "grid-size-bool",
+                                  "channel-int"])
+    def test_arguments_are_checked_before_any_member_is_read(self, kwargs):
+        # a member that is no volume fails only once it is read
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            build_template([object()], **kwargs)
+
+    def test_numpy_grid_size_builds_the_plain_int_template(self):
+        cohort = scanner_cohort(2, seed0=470)
+        plain = build_template(cohort, grid_size=256)
+        assert type(plain.provenance.cohort_size) is int
+        numpy = build_template(cohort, grid_size=np.int64(256))
+        assert json.dumps(numpy.to_dict()) == json.dumps(plain.to_dict())
 
     def test_channel_label_priority(self):
         vol = generate_synthetic(t2_spec(403, channel="FLAIR"))
@@ -348,6 +364,23 @@ class TestPersistence:
         doc["provenance"]["tail_source_min"] = value
         with pytest.raises(SchemaMismatch, match="tail_source_min"):
             TemplateCdf.from_dict(doc)
+
+    @pytest.mark.parametrize("key, value", [("cohort_size", "many"), ("cohort_size", 2.0),
+                                            ("cohort_size", True), ("config_hash", 5)])
+    def test_provenance_field_of_the_wrong_kind_names_the_file(self, template_12bit,
+                                                               tmp_path, key, value):
+        doc = template_12bit.to_dict()
+        doc["provenance"][key] = value
+        path = tmp_path / "odd.template.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaMismatch, match=f"odd.template.json.*{key}"):
+            load_template(path)
+
+    def test_provenance_leaves_out_what_was_not_recorded(self, template_12bit):
+        assert Provenance().to_dict() == {}
+        recorded = template_12bit.provenance
+        assert Provenance.from_dict(recorded.to_dict()) == recorded
+        assert Provenance(cohort_size=3).to_dict() == {"cohort_size": 3}
 
     def test_missing_file_is_io_error(self, tmp_path):
         from cdfmatch.errors import IoError
