@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -205,26 +206,38 @@ def _cmd_harmonize(args) -> int:
         error = None if entry.fit.converged else f"fit did not converge for {path.name}"
         return item, error
 
+    stop = threading.Event()
+
+    def attempt(path: Path) -> tuple[dict | None, str | None]:
+        if stop.is_set():
+            return None, None  # a strict run starts no item after a failure
+        item, error = _capture(process, path)
+        if error is not None and not args.best_effort:
+            stop.set()
+        return item, error
+
     items, failures = [], []
     # one worker is the serial case; results merge in input order
     with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        outcomes = list(pool.map(lambda p: _capture(process, p), inputs))
+        outcomes = list(pool.map(attempt, inputs))
 
     for path, (item, error) in zip(inputs, outcomes):
         if item is not None:
             items.append(item)
         if error is not None:
             failures.append({"input": path.name, "error": error})
-            if not args.best_effort:
+            if args.best_effort:
+                log.warning("continuing past %s: %s", path.name, error)
+            else:
                 log.error("failed on %s: %s", path.name, error)
-                return EXIT_FAILURE
-            log.warning("continuing past %s: %s", path.name, error)
 
     if args.report:
         report = {"version": 1, "config": cfg.to_dict(),
                   "config_hash": options.hash(), "items": items,
                   "failures": failures}
         write_json(args.report, "report", report)
+    if failures and not args.best_effort:
+        return EXIT_FAILURE
     return EXIT_PARTIAL if failures else EXIT_OK
 
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.optimize import lsq_linear
 
 from .cdf import EmpiricalCdf, Record, finite_array, finite_interval, finite_number, quantile
 from .errors import DegenerateCdf, Infeasible
@@ -106,24 +105,25 @@ def _solve(m: np.ndarray, rhs: np.ndarray, config: FitConfig) -> np.ndarray:
     ``config.sigma_bounds`` with their ratio at most ``config.ratio_cap``, and
     ``x[2:]`` (the columns ``m[:, 2:]``, possibly none) are free.
 
-    The problem is convex, so when the box optimum breaks the cap the
-    optimum lies on a cap face, u_B = cap * u_T or u_T = cap * u_B; each face
-    is a bounded solve in the u on the small side and the free columns.
+    The problem is convex: when the unconstrained optimum leaves the feasible
+    polygon, the box cut by the cap faces u_B = cap * u_T and u_T = cap * u_B,
+    an optimum lies on one of its six edges, taken in order, each one solve in
+    the position t along it (clamped to the edge) and the free columns.
     """
     (lo, hi), cap = config.sigma_bounds, config.ratio_cap
-    free = m.shape[1] - 2
-    x = lsq_linear(m, rhs, method="bvls",
-                   bounds=([lo, lo] + [-np.inf] * free, [hi, hi] + [np.inf] * free)).x
-    if max(x[0], x[1]) <= cap * min(x[0], x[1]):
+    x = np.linalg.lstsq(m, rhs, rcond=None)[0]
+    if lo <= min(x[0], x[1]) and max(x[0], x[1]) <= min(hi, cap * min(x[0], x[1])):
         return x
+    far, near = min(cap * lo, hi), max(hi / cap, lo)  # a cap face that misses the box is a point
+    corners = np.array([(lo, lo), (far, lo), (hi, near), (hi, hi), (near, hi), (lo, far)])
     points = []
-    for big, small in ((0, 1), (1, 0)):
-        face = np.column_stack([cap * m[:, big] + m[:, small], m[:, 2:]])
-        z = lsq_linear(face, rhs, method="bvls",
-                       bounds=([lo] + [-np.inf] * free, [hi / cap] + [np.inf] * free)).x
-        point = np.concatenate(([0.0, 0.0], z[1:]))
-        point[[big, small]] = min(cap * z[0], hi), z[0]
-        points.append(point)
+    for a, b in zip(corners, np.roll(corners, -1, axis=0)):
+        edge = np.column_stack([m[:, :2] @ (b - a), m[:, 2:]])
+        t, *z = np.linalg.lstsq(edge, rhs - m[:, :2] @ a, rcond=None)[0]
+        u = np.clip(a + min(max(t, 0.0), 1.0) * (b - a), lo, hi)
+        if not 0.0 <= t <= 1.0:
+            z = np.linalg.lstsq(m[:, 2:], rhs - m[:, :2] @ u, rcond=None)[0]
+        points.append(np.concatenate((u, z)))
     return min(points, key=lambda p: float(np.sum((m @ p - rhs) ** 2)))
 
 

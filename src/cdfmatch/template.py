@@ -112,6 +112,9 @@ class Provenance(Record):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, number(getattr(self, name),
                                                       f"provenance {name}", SchemaMismatch))
+        if self.cohort_size is not None and self.cohort_size < 1:
+            raise SchemaMismatch(
+                f"provenance cohort_size must be at least 1, got {self.cohort_size}")
 
     def to_dict(self) -> dict:
         return {key: value for key, value in super().to_dict().items() if value is not None}

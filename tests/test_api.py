@@ -2,6 +2,8 @@
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import cdfmatch
@@ -27,3 +29,14 @@ def test_benchmark_hooks_resolve():
     missing = [(module, attr) for module, attr in lookups
                if not hasattr(importlib.import_module(module), attr)]
     assert missing == []
+
+
+def test_command_line_import_loads_no_scipy_optimize():
+    """The fit solves with NumPy alone, so starting the command line loads
+    none of ``scipy.optimize``, which took a third of its start-up time."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import cdfmatch.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
+    src = str(Path(cdfmatch.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert run.stdout.strip() == "[]"

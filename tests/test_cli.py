@@ -230,8 +230,13 @@ class TestHarmonizeCommand:
         report = tmp_path / "rep.json"
         tpl = str(workspace / "t2.template.json")
         strict = run(["harmonize", "--template", tpl, "--in", str(raw),
-                      "--out", str(out_dir)])
+                      "--out", str(out_dir), "--report", str(report)])
         assert strict == 1
+        # bad.raw comes first, so a strict run starts no later input
+        assert not list(out_dir.glob("vol0.*"))
+        doc = json.loads(report.read_text())
+        assert doc["items"] == []
+        assert [f["input"] for f in doc["failures"]] == ["bad.raw"]
         code = run(["harmonize", "--template", tpl, "--in", str(raw),
                     "--out", str(out_dir), "--report", str(report),
                     "--best-effort"])
@@ -295,20 +300,18 @@ class TestHarmonizeCommand:
         code = run(["harmonize", "--template", str(workspace / "t2.template.json"),
                     "--in", str(raw), "--out", str(out_dir), "--report", str(report)]
                    + ["--best-effort"] * best_effort)
+        # a strict run starts no item after its first failure, vol0
+        written = names if best_effort else names[:1]
         for name in names:
             stem = name[:-len(".raw")]
-            for written in (name, f"{name}.json", f"{stem}.lut.json", f"{stem}.meta.json"):
-                assert (out_dir / written).is_file()
-        if not best_effort:
-            assert code == 1
-            assert not report.exists()
-            return
-        assert code == 2
+            for output in (name, f"{name}.json", f"{stem}.lut.json", f"{stem}.meta.json"):
+                assert (out_dir / output).is_file() == (name in written)
+        assert code == (2 if best_effort else 1)
         doc = json.loads(report.read_text())
-        assert [item["input"] for item in doc["items"]] == names
+        assert [item["input"] for item in doc["items"]] == written
         assert not any(item["fit"]["converged"] for item in doc["items"])
         assert doc["failures"] == [{"input": name, "error": f"fit did not converge for {name}"}
-                                   for name in names]
+                                   for name in written]
 
     def test_missing_report_directory_is_usage_error(self, workspace, tmp_path,
                                                      capsys):

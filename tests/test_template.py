@@ -366,7 +366,8 @@ class TestPersistence:
             TemplateCdf.from_dict(doc)
 
     @pytest.mark.parametrize("key, value", [("cohort_size", "many"), ("cohort_size", 2.0),
-                                            ("cohort_size", True), ("config_hash", 5)])
+                                            ("cohort_size", True), ("cohort_size", 0),
+                                            ("cohort_size", -3), ("config_hash", 5)])
     def test_provenance_field_of_the_wrong_kind_names_the_file(self, template_12bit,
                                                                tmp_path, key, value):
         doc = template_12bit.to_dict()
