@@ -135,7 +135,7 @@ def harmonize(vol: Volume, template: TemplateCdf,
         # already-matched quantiles away from the template
         fit = fit_cdf(image_cdf, template, options.fit, tails=tails)
     lut = compose_lut(fit.params, tails, domain, clip=template.clip)
-    table = voxel_table(lut, index)
+    table = voxel_table(lut, index, options.dtype, q_range)
     post_cdf = None
     if table is not None:
         post_cdf = build_cdf(fg.through(table, options.dtype, q_range),

@@ -16,8 +16,8 @@ from functools import cached_property
 import numpy as np
 from scipy.special import erf
 
-from .cdf import (IntensityIndex, Record, Volume, _match_scalar, finite_interval,
-                  finite_number)
+from .cdf import (IntensityIndex, Record, Volume, _dtype, _match_scalar,
+                  finite_interval, finite_number)
 from .errors import BadTailSpec, NonMonotone
 
 
@@ -30,11 +30,12 @@ def _ramp(t: float) -> float:
 MONOTONE_RATIO = 1.0 - 1.0 / _ramp(1.0)
 # the interpolated table's error target, as a share of the output span
 TABLE_TOLERANCE = 2.0 ** -28
-# a table node costs ~45-50 ns to build and a foreground voxel mapped through
-# the table saves ~20 ns (2^18 nodes, float32 voxels, a shared 2-core VM), so
-# a volume takes the table only with at least this many voxels per node
+# a table node costs ~60-80 ns to build and a foreground voxel mapped through
+# the float32 read saves ~28-38 ns (2^17-2^18 nodes, float32 voxels, a shared
+# 2-core VM), so a volume takes the table only with at least this many
+# voxels per node
 TABLE_VOXELS_PER_NODE = 4
-# volumes under 2^20 voxels, where the table would save ~10 ms at most, keep
+# volumes under 2^20 voxels, where the table would save ~20 ms at most, keep
 # the exact map and its output bit for bit
 TABLE_MIN_VOXELS = 1 << 20
 # max |erf''(t)|, at t = 1/sqrt(2)
@@ -194,9 +195,11 @@ def _shaped(out: np.ndarray, like) -> "float | np.ndarray":
 
 def _accumulate(table: np.ndarray) -> np.ndarray:
     """Rebuild ``table`` in place from its first node and its rises, the
-    last 0, and return them: ``table[i + 1]`` is exactly ``table[i] +
-    rise[i]``.  A node below one before it (erf's rounding, or a scale ratio
-    near ``MONOTONE_RATIO``) takes the larger value: a running maximum."""
+    last 0, and return them, all in ``table``'s dtype: ``table[i + 1]`` is
+    ``table[i] + rise[i]`` rounded to it, so ``table[i] + f * rise[i]``
+    never passes ``table[i + 1]`` for ``f < 1``.  A node below one before it
+    (erf's rounding, or a scale ratio near ``MONOTONE_RATIO``) takes the
+    larger value: a running maximum."""
     np.maximum.accumulate(table, out=table)
     rise = np.diff(table, append=table[-1])
     table[1:] = rise[:-1]
@@ -242,11 +245,35 @@ def _ds_extremes(params: "DualScaleParams", a: float, b: float) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class LutTable:
-    """:meth:`IntensityLut.apply` read from its table: each value clamps to
-    ``domain``, splits into its cell ``i`` of the nodes ``1 / scale`` apart
-    from ``origin`` and its exact fraction ``f``, and maps to ``table[i] + f
-    * rise[i]``; ``table[i + 1]`` is exactly ``table[i] + rise[i]``, so it
-    never descends, bit for bit, also across cells."""
+    """:meth:`IntensityLut.apply` read from its table, every step in the
+    table's dtype: each value clamps to ``domain``, splits into its cell
+    ``i`` of the nodes ``1 / scale`` apart from ``origin`` and its exact
+    fraction ``f``, and maps to ``table[i] + f * rise[i]``; ``table[i + 1]``
+    is ``table[i] + rise[i]`` rounded to the dtype (:func:`_accumulate`),
+    so it never descends, bit for bit, also across cells.
+
+    A float64 table reads within :meth:`IntensityLut.table_bound` of
+    ``apply``, and a few float64 ulps.  A float32 table, read on float32
+    values with float32 domain ends (an f32 volume's own support), is within::
+
+        table_bound + ulp(M) + E + 2^-24 D + 4.001 2^-24 max_i (i + 2) rise[i]
+
+    of it, ``M`` the largest |value| the table holds, ``D`` its largest
+    rise and ``ulp`` the float32 spacing.  Each node rounds once to float32
+    (ulp(M) / 2), and the multiply-add rounds by ulp(M) / 2 and 2^-24 D.
+    ``E`` is what the running sum drifts from the nodes.  A rise is exact,
+    and so the sum keeps every node, wherever neighbouring nodes lie within
+    2x of each other (Sterbenz's lemma), which holds in every cell when no
+    node is under D in size: then E = 0.  Else it fails in the cell where
+    the output crosses 0 and in cells where it more than doubles (or
+    halves), by ulp(2 D) / 2 or less each and geometrically less from one
+    to the next, 2.5 ulp(2 D) in all, and the drift then rounds onto each
+    coarser binade the sum climbs into, which adds at most 1.5 ulp(M): E
+    <= 1.5 ulp(M) + 2.5 ulp(2 D).  Last, the offset from the start, the
+    scale, their product and the shift (:attr:`_frame`) each round by at
+    most 2^-24 of the cell position, which stays under i + 2 while a read
+    touches cell ``i``, where the table rises by ``rise[i]`` per cell.
+    """
 
     origin: float
     scale: float
@@ -254,12 +281,32 @@ class LutTable:
     table: np.ndarray
     rise: np.ndarray
 
+    @cached_property
+    def _frame(self) -> tuple:
+        """``(start, clamp, scale, shift)`` in the table's dtype: a value's
+        offset from ``start``, clamped to ``clamp`` and scaled, less
+        ``shift`` is its cell position.  ``start`` is the origin when the
+        dtype holds it (``shift`` 0), else the domain's low end as the dtype
+        holds it, and ``shift`` the origin's offset from that end in cells:
+        under one when the dtype holds the end, and else at most half the
+        cells between the end and the next value of the dtype, so that only
+        the end itself reads before cell 0."""
+        dt = self.table.dtype.type
+        lo, hi = dt(self.domain[0]), dt(self.domain[1])
+        start = dt(self.origin) if float(dt(self.origin)) == self.origin else lo
+        return (start, (lo - start, hi - start), dt(self.scale),
+                dt((self.origin - float(start)) * self.scale))
+
     def __call__(self, x) -> "float | np.ndarray":
-        u = np.subtract(x, self.origin, dtype=np.float64).reshape(-1)
-        np.clip(u, self.domain[0] - self.origin, self.domain[1] - self.origin, out=u)
-        u *= self.scale
-        cell = u.astype(np.intp)  # u >= 0: truncation is the floor
+        start, clamp, scale, shift = self._frame
+        u = np.subtract(x, start, dtype=self.table.dtype).reshape(-1)
+        np.clip(u, *clamp, out=u)
+        u *= scale
+        if shift:
+            u -= shift
+        cell = np.trunc(u)  # the floor, or 0 just below cell 0 (:attr:`_frame`)
         u -= cell
+        cell = cell.astype(np.intp)
         y = np.take(self.rise, cell, mode="clip")  # the last rise is 0
         y *= u
         y += np.take(self.table, cell, out=u, mode="clip")
@@ -480,19 +527,20 @@ class IntensityLut(Record):
             nodes *= 2
         return nodes if nodes <= limit else None
 
-    def interpolant(self, nodes: int) -> LutTable:
+    def interpolant(self, nodes: int, dtype=np.float64) -> LutTable:
         """:meth:`apply` read from one table of the whole composed map
-        (:class:`LutTable`), within :meth:`table_bound` of it: the nodes of
-        :meth:`_grid` hold :meth:`apply` without the domain clamp (nodes
-        past the domain keep the smooth extension), accumulated from their
-        rises (:func:`_accumulate`)."""
+        (:class:`LutTable`, in ``dtype``), within :meth:`table_bound` of it
+        and the rounding the table states: the nodes of :meth:`_grid` hold
+        :meth:`apply` without the domain clamp (nodes past the domain keep
+        the smooth extension), evaluated in float64 and accumulated in
+        ``dtype`` from their rises (:func:`_accumulate`)."""
         anchor, first, h, count = self._grid(nodes)
         # positions as offsets from v_M, built from the anchor: its node is
         # exact, and each rounds at the scale of the domain, not of 0
         offsets = np.arange(-first, count - first, dtype=np.float64)
         offsets *= h
         offsets += anchor - self.params.pivots.v_M
-        table = self._squeeze(_offset_scale(offsets, self.params))
+        table = self._squeeze(_offset_scale(offsets, self.params)).astype(dtype, copy=False)
         return LutTable(anchor - first * h, 1.0 / h, self.domain, table, _accumulate(table))
 
     # the file calls the clip "hard_clamp"
@@ -522,15 +570,23 @@ def compose_lut(params: DualScaleParams, tails: TailSpec,
     return IntensityLut(params, tails, domain, clip=clip)
 
 
-def voxel_table(lut: IntensityLut, index: IntensityIndex) -> "LutTable | None":
+def voxel_table(lut: IntensityLut, index: IntensityIndex, dtype: str = "float64",
+                q_range: tuple[float, float] | None = None) -> "LutTable | None":
     """The :meth:`IntensityLut.interpolant` that ``index``'s voxels map
-    through, or None for the exact map: a float volume (a per-voxel index)
-    of ``TABLE_MIN_VOXELS`` or more takes it, when it has
-    ``TABLE_VOXELS_PER_NODE`` voxels per node; a level table maps exactly."""
+    through into ``dtype``, rounded into ``q_range`` when set, or None for
+    the exact map: a float volume (a per-voxel index) of
+    ``TABLE_MIN_VOXELS`` or more takes it, when it has
+    ``TABLE_VOXELS_PER_NODE`` voxels per node; a level table maps exactly.
+    The table is float32 when f32 voxels go to an f32 output unrounded,
+    which stores no more than float32 holds, else float64: rounding to
+    integers would turn its ulps into level flips."""
     if index.counts is not None or index.n_voxels < TABLE_MIN_VOXELS:
         return None
     nodes = lut.table_nodes(index.n_voxels // TABLE_VOXELS_PER_NODE)
-    return None if nodes is None else lut.interpolant(nodes)
+    if nodes is None:
+        return None
+    f32 = q_range is None and index.levels.dtype == np.float32 and _dtype(dtype) == np.float32
+    return lut.interpolant(nodes, np.float32 if f32 else np.float64)
 
 
 def apply_lut(vol: "Volume | IntensityIndex", lut: IntensityLut, dtype: str = "float64",
@@ -545,10 +601,11 @@ def apply_lut(vol: "Volume | IntensityIndex", lut: IntensityLut, dtype: str = "f
     gather builds the output; given an index, returns it mapped, ungathered.
 
     ``fn`` is the element-wise map: :meth:`IntensityLut.apply` or the
-    :func:`voxel_table` of this volume, within ``TABLE_TOLERANCE`` of the
-    output span of it; None takes that table, else ``apply``.
+    :func:`voxel_table` of this volume, ``dtype`` and ``q_range``, within
+    ``TABLE_TOLERANCE`` of the output span of it and the rounding it
+    states; None takes that table, else ``apply``.
     """
     index = IntensityIndex.of(vol)
-    fn = fn or voxel_table(lut, index) or lut.apply
+    fn = fn or voxel_table(lut, index, dtype, q_range) or lut.apply
     out = index.map_foreground(fn, dtype, q_range)
     return out if isinstance(vol, IntensityIndex) else out.to_volume()

@@ -69,6 +69,22 @@ def stored_volume(values, dtype, background: float = 0.0) -> Volume:
     return Volume._owning((values.size, 1, 1), values, "", float(background))
 
 
+def float32_read_rounding(table) -> float:
+    """The rounding a float32 ``LutTable``'s read adds to the table bound,
+    as its docstring derives it."""
+    values, rise = np.abs(table.table.astype(np.float64)), table.rise.astype(np.float64)
+    largest, steepest = values.max(), rise.max()
+
+    def ulp(v):
+        return float(np.spacing(np.float32(v)))
+
+    drift = 0.0
+    if (values < steepest).any():
+        drift = 1.5 * ulp(largest) + 2.5 * ulp(2.0 * steepest)
+    position = 4.001 * 2.0 ** -24 * ((np.arange(rise.size) + 2.0) * rise).max()
+    return ulp(largest) + drift + 2.0 ** -24 * steepest + position
+
+
 def cdf_from_samples(samples, grid_size: int = 1024) -> EmpiricalCdf:
     return build_cdf(volume_from_values(samples), exclude_background=False,
                      grid_size=grid_size)

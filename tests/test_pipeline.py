@@ -20,8 +20,8 @@ from cdfmatch.pipeline import quantization_range
 from cdfmatch.template import ControlPoints, build_template
 from cdfmatch.transform import TABLE_TOLERANCE, TABLE_VOXELS_PER_NODE, voxel_table
 
-from conftest import (sample_from_cdf, scanner_cohort, scanner_effect,
-                      stored_volume, t2_spec, volume_from_values)
+from conftest import (float32_read_rounding, sample_from_cdf, scanner_cohort,
+                      scanner_effect, stored_volume, t2_spec, volume_from_values)
 
 
 class TestHarmonize:
@@ -512,13 +512,18 @@ class TestTablePath:
         lut = entry.lut
         nodes = lut.table_nodes(vol.n_voxels // TABLE_VOXELS_PER_NODE)
         assert nodes is not None
+        table = voxel_table(lut, IntensityIndex.of(vol), "f32")
+        assert table.table.dtype == np.float32 and table.table.size <= nodes
         expected = _stored_reference(vol, lut, template, None, "f32")
         fg = vol.voxels != np.float32(vol.background_value)
-        # the table moves a value by at most its bound, which the float32
-        # payload may round one ulp further
+        # f32 voxels read a float32 table: a value moves by at most the
+        # table's bound and the rounding the float32 read states, from the
+        # exact map, which the reference rounds half an ulp to float32
         gap = np.abs(out.voxels.astype(np.float64) - expected.astype(np.float64))
-        assert (gap <= lut.table_bound(nodes) + np.spacing(np.abs(expected))).all()
-        assert 0 < np.count_nonzero(out.voxels != expected) < 0.05 * fg.sum()
+        bound = (lut.table_bound(nodes) + float32_read_rounding(table)
+                 + 8 * np.spacing(np.abs(expected.astype(np.float64)).max()))
+        assert (gap <= bound + 0.5 * np.spacing(np.abs(expected))).all()
+        assert np.count_nonzero(out.voxels != expected) > 0
         # background untouched, foreground off it and non-decreasing in the input
         assert (~fg).any() and (out.voxels[~fg] == np.float32(vol.background_value)).all()
         assert (out.voxels[fg] != np.float32(vol.background_value)).all()
@@ -540,7 +545,7 @@ class TestTablePath:
         again, _ = harmonize(vol, template)
         assert again.voxels.tobytes() == out.voxels.tobytes()
 
-    @pytest.mark.parametrize("clipped, parent_peak", [(True, 2.27), (False, 2.20)])
+    @pytest.mark.parametrize("clipped, parent_peak", [(True, 1.77), (False, 1.55)])
     def test_the_table_takes_the_nodes_its_bound_needs(self, template_12bit,
                                                        template_unclipped, large_f32,
                                                        clipped, parent_peak):
@@ -565,8 +570,9 @@ class TestTablePath:
         assert nodes == (1 << 17 if clipped else 1 << 16)
         assert entry.lut.table_bound(nodes // 2) > TABLE_TOLERANCE * (
             4094.0 if clipped else np.ptp(entry.lut.apply(np.array(entry.lut.domain))))
-        # measured 1.77 and 1.55 payloads; with 2^18 nodes and per-tail
-        # tables the peak was 2.27 and 2.20
+        # measured 1.49 and 1.35 payloads with a float32 table and read; 1.77
+        # and 1.55 with a float64 one, 2.27 and 2.20 with 2^18 nodes and
+        # per-tail tables
         assert peak <= parent_peak * out.voxels.nbytes
 
     @pytest.mark.parametrize("dtype, bits", [("u16", 12), ("f32", None)])
@@ -589,6 +595,28 @@ class TestTablePath:
         if bits is not None:
             landing = np.rint(np.clip(table(large_f32.voxels[fg]), *q_range)) == 0.0
             assert landing.sum() > 10_000 and (out[fg][landing] == 1).all()
+
+    def test_integer_output_keeps_the_float64_read(self, template_unclipped, large_f32):
+        # under --bits a float32 ulp could flip a level: the table stays
+        # float64 and reads as it did before the float32 read, byte for byte
+        q_range = quantization_range(template_unclipped, 12)
+        out, entry = harmonize(large_f32, template_unclipped, HarmonizeOptions(bits=12))
+        index = IntensityIndex.of(large_f32)
+        table = voxel_table(entry.lut, index, "u16", q_range)
+        assert table.table.dtype == table.rise.dtype == np.float64
+
+        def float64_read(x):
+            u = np.subtract(x, table.origin, dtype=np.float64)
+            np.clip(u, table.domain[0] - table.origin, table.domain[1] - table.origin, out=u)
+            u *= table.scale
+            cell = u.astype(np.intp)
+            u -= cell
+            return np.take(table.rise, cell, mode="clip") * u + np.take(table.table, cell,
+                                                                        mode="clip")
+
+        assert table(large_f32.voxels).tobytes() == float64_read(large_f32.voxels).tobytes()
+        reference = apply_lut(index, entry.lut, "u16", q_range, fn=float64_read).to_volume()
+        assert out.voxels.tobytes() == reference.voxels.tobytes()
 
     @pytest.mark.parametrize("clipped", [True, False])
     def test_a_table_past_the_output_dtype_raises_overflow(self, template_12bit,
@@ -619,7 +647,7 @@ class TestTablePath:
         finally:
             if not tracing:
                 tracemalloc.stop()
-        # measured 1.38 payloads: the output, the table and one block's
+        # measured 1.14 payloads: the output, the table and one block's
         # temporaries; sorting the output for the post-CDF took 2.05
         assert peak <= 1.7 * out.voxels.nbytes
 

@@ -18,7 +18,7 @@ from cdfmatch.errors import BadTailSpec, NonMonotone
 from cdfmatch import transform
 from cdfmatch.transform import MONOTONE_RATIO, TABLE_TOLERANCE, IntensityLut
 
-from conftest import stored_volume, volume_from_values
+from conftest import float32_read_rounding, stored_volume, volume_from_values
 
 PIVOTS = PivotTriple(0.0, 50.0, 100.0)
 
@@ -718,8 +718,9 @@ def _table_luts(draw):
     pivots = PivotTriple(v_B, v_B + gap_lo, v_B + gap_lo + gap_hi)
     sigma_T = draw(st.floats(0.05, 20.0))
     ratio = draw(st.floats(1.0 / MONOTONE_RATIO, MONOTONE_RATIO))
-    params = DualScaleParams(sigma_T * ratio, sigma_T, draw(st.floats(-1000.0, 1000.0)),
-                             pivots)
+    # gamma 0 puts an output zero crossing at v_M, inside every domain drawn
+    gamma = draw(st.one_of(st.just(0.0), st.floats(-1000.0, 1000.0)))
+    params = DualScaleParams(sigma_T * ratio, sigma_T, gamma, pivots)
     # a domain many pivot gaps wide needs more than the fewest nodes
     reach = draw(st.sampled_from((3.0, 3000.0)))
     domain = (pivots.v_B - draw(st.floats(-0.9, reach)) * gap_lo,
@@ -759,13 +760,13 @@ def _preimage(lut, y):
     return lo
 
 
-def _neighbours(x, k=3):
-    """Each of ``x`` and its ``k`` float64 neighbours on each side."""
-    out = [np.asarray(x, dtype=np.float64)]
+def _neighbours(x, k=3, dtype=np.float64):
+    """Each of ``x`` in ``dtype`` and its ``k`` neighbours there on each side."""
+    out = [np.asarray(x, dtype=dtype)]
     for direction in (-np.inf, np.inf):
         step = out[0]
         for _ in range(k):
-            step = np.nextafter(step, direction)
+            step = np.nextafter(step, out[0].dtype.type(direction))
             out.append(step)
     return np.concatenate([o.reshape(-1) for o in out])
 
@@ -816,6 +817,45 @@ class TestTableInterpolant:
         # tails on or off, sorted inputs map to sorted outputs bit for bit
         assert (np.diff(got[np.argsort(x, kind="stable")]) >= 0.0).all()
         # and no value passes the least and greatest the table reads
+        low, high = interpolate.bounds
+        assert low == got.min() and high == got.max()
+
+    @given(data=st.data())
+    @settings(max_examples=60)
+    def test_the_float32_read_within_its_bound_and_never_descending(self, data):
+        lut, starts = data.draw(_table_luts())
+        # an f32 volume's own support: domain ends that float32 holds; the
+        # bound is stated for those, the order and the bounds for any
+        held = data.draw(st.booleans())
+        if held:
+            lo, hi = (float(np.float32(v)) for v in lut.domain)
+            assume(lo < hi)
+            lut = replace(lut, domain=(lo, hi))
+        lo, hi = lut.domain
+        nodes = lut.table_nodes(1 << 20)
+        assume(nodes is not None)
+        interpolate = lut.interpolant(nodes, np.float32)
+        assert interpolate.table.dtype == interpolate.rise.dtype == np.float32
+        h = 1.0 / interpolate.scale
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        cells = rng.integers(0, nodes - 1, 200)
+        kinks = [x for x, *_ in lut._kinks]
+        x = np.concatenate([
+            _neighbours([lo, hi, lut.params.pivots.v_M] + kinks
+                        + [_preimage(lut, s) for s in starts], dtype=np.float32),
+            _neighbours(interpolate.origin + cells * h, dtype=np.float32),  # cell boundaries
+            rng.uniform(lo, hi, 2000).astype(np.float32),
+            np.array([lo - 1.0, lo - 1e6, hi + 1.0, hi + 1e6, -3e38, 3e38],
+                     dtype=np.float32),  # clamped
+        ])
+        got, exact = interpolate(x), np.asarray(lut.apply(x))
+        assert got.dtype == np.float32
+        rounding = _TABLE_ROUNDING_ULPS * np.spacing(np.abs(exact).max())
+        bound = lut.table_bound(nodes) + rounding + float32_read_rounding(interpolate)
+        assert not held or np.abs(got - exact).max() <= bound
+        # sorted inputs map to sorted outputs bit for bit, also where the
+        # output crosses 0, and no value passes the least and greatest it reads
+        assert (np.diff(got[np.argsort(x, kind="stable")]) >= 0.0).all()
         low, high = interpolate.bounds
         assert low == got.min() and high == got.max()
 
