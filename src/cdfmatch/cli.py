@@ -165,13 +165,14 @@ def _cmd_template(args) -> int:
         raise UsageError("usage: cdfmatch template build ...")
     _check_output_files(args.out)
     cfg = _resolve_config(args)
-    cohort = [read_volume(p) for p in args.inputs]
+    # a generator: each member is read just before a thread can map it
+    cohort = (read_volume(p) for p in args.inputs)
     template = build_template(cohort, controls=cfg.controls, clip=cfg.clip,
                               config=cfg.fit, grid_size=cfg.grid_size,
                               channel=args.channel)
     save_template(template, args.out)
     log.info("wrote template for channel %r from %d volumes to %s",
-             template.channel, len(cohort), args.out)
+             template.channel, template.provenance.cohort_size, args.out)
     return EXIT_OK
 
 

@@ -47,7 +47,7 @@ def write_files(label: str, *files) -> Path:
     files in place and no temporary file behind.  An ``OSError`` becomes
     ``IoError`` naming ``label`` and the file that failed.
     """
-    staged = []
+    staged, moved = [], 0
     try:
         for path, data in files:
             path = Path(path)
@@ -59,10 +59,11 @@ def write_files(label: str, *files) -> Path:
                 tmp.write_bytes(data)
         for tmp, path in staged:
             os.replace(tmp, path)
+            moved += 1
     except OSError as exc:
         raise IoError(f"cannot write {label} to {path}: {exc}") from exc
     finally:
-        for tmp, _ in staged:
+        for tmp, _ in staged[moved:]:
             tmp.unlink(missing_ok=True)
     return Path(files[0][0])
 

@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -193,33 +196,74 @@ def _member_cdf(vol, grid_size: int) -> EmpiricalCdf:
                      grid_size=grid_size)
 
 
+def _pool_size() -> int:
+    """Threads for the cohort: one per CPU this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _member_cdfs(cohort, grid_size: int) -> tuple[list[EmpiricalCdf], str]:
+    """Each member's CDF, in cohort order, and the first member's channel.
+
+    Members are taken from ``cohort`` on this thread, one more only when
+    at most one waits beyond the running ones, so a generator reads each
+    just before a thread can take it, and no member is held once its CDF is
+    made.  Results are read in cohort order: the error raised is the first
+    failure in that order, whichever thread failed first."""
+    threads = _pool_size()
+    cdfs, pending, channel = [], deque(), None
+    members = iter(cohort)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        while True:
+            try:
+                vol = next(members)
+            except StopIteration:
+                break
+            except Exception:
+                for future in pending:  # a member before the unreadable one fails first
+                    future.result()
+                raise
+            channel = vol.channel if channel is None else channel
+            pending.append(pool.submit(_member_cdf, vol, grid_size))
+            del vol  # its work item holds it until its CDF is made
+            if len(pending) > threads:
+                cdfs.append(pending.popleft().result())
+        cdfs.extend(future.result() for future in pending)
+    if not cdfs:
+        raise EmptyCohort("cannot build a template from an empty cohort")
+    return cdfs, channel
+
+
 def build_template(cohort, controls: ControlPoints = DEFAULT_CONTROLS,
                    clip: tuple[float, float] | None = DEFAULT_CLIP,
                    config: FitConfig | None = None,
                    grid_size: int = DEFAULT_GRID_SIZE,
                    channel: str | None = None) -> TemplateCdf:
-    """Build a TemplateCdf from a training cohort.
+    """Build a TemplateCdf from a training cohort, any iterable of volumes.
 
     Pipeline: z-score each volume and estimate its CDF (one sort of its
     foreground in the stored dtype), average them, fit the average to the
     control points, map the grid through the fitted dual-scaling, then shrink
-    the tails toward the clip bounds when a clip range is given.  Deterministic
-    and invariant to cohort ordering and to the order of each member's voxels.
+    the tails toward the clip bounds when a clip range is given.  Members
+    are mapped on a thread pool, one thread per CPU the process may run on,
+    and taken from ``cohort`` only as a thread nears free, so a generator
+    that reads them (``(read_volume(p) for p in paths)``) holds a few at a
+    time, never the whole cohort.  Deterministic and invariant to cohort
+    ordering, to the order of each member's voxels and to the thread count.
     """
     grid_size = whole_number(grid_size, "grid_size")
     if grid_size < 2:
         raise ValueError(f"grid_size must be at least 2, got {grid_size}")
     if channel is not None and not isinstance(channel, str):
         raise ValueError(f"channel must be a string, got {channel!r}")
-    cohort = list(cohort)
-    if not cohort:
-        raise EmptyCohort("cannot build a template from an empty cohort")
     config = config or FitConfig()
     if clip is not None:
         clip = finite_interval(clip, "clip range")
         controls.check_clip(clip)
 
-    cdfs = [_member_cdf(v, grid_size) for v in cohort]
+    cdfs, first_channel = _member_cdfs(cohort, grid_size)
     avg = average_cdfs(cdfs, grid_size=grid_size)
     fit = fit_template_to_controls(avg, controls, config)
 
@@ -229,14 +273,14 @@ def build_template(cohort, controls: ControlPoints = DEFAULT_CONTROLS,
     # bent by the same TailSpec
     tails = template_tails(controls, clip, float(xs[0]), float(xs[-1]), 0.0, Provenance())
     provenance = Provenance(
-        cohort_size=len(cohort),
+        cohort_size=len(cdfs),
         config_hash=config_hash({"controls": controls, "clip": clip,
                                  "grid_size": grid_size, "fit": config}),
         tail_source_max=tails.v_max if tails.enabled_top else None,
         tail_source_min=tails.v_min if tails.enabled_bottom else None)
     xs = tails.apply(xs)
 
-    channel = cohort[0].channel if channel is None else channel
+    channel = first_channel if channel is None else channel
     try:
         return TemplateCdf(EmpiricalCdf(xs, avg.ps, n_samples=avg.n_samples),
                            controls, clip, channel, provenance)

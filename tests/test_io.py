@@ -154,6 +154,22 @@ class TestVolumeFiles:
         # the old payload and header are intact and no temporary file is left
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
+    def test_written_pair_removes_nothing(self, tmp_path, monkeypatch):
+        # both temporaries were moved in, so there is nothing to clean up
+        unlinked = []
+        monkeypatch.setattr(Path, "unlink", lambda self, **kw: unlinked.append(self))
+        write_volume(volume_from_values(np.arange(1.0, 61.0)), tmp_path / "vol.raw")
+        assert unlinked == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["vol.raw", "vol.raw.json"]
+
+    def test_failed_second_replace_leaves_no_temporary(self, tmp_path):
+        # the payload is moved in, then the header cannot replace a directory
+        (tmp_path / "vol.raw.json").mkdir()
+        with pytest.raises(IoError, match="cannot write volume to .*vol.raw.json"):
+            write_volume(volume_from_values(np.arange(1.0, 61.0)), tmp_path / "vol.raw")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["vol.raw", "vol.raw.json"]
+        assert (tmp_path / "vol.raw.json").is_dir()
+
     def test_overflow_raises_without_clamp(self, tmp_path):
         vol = volume_from_values([10.0, 70_000.0])
         with pytest.raises(Overflow):

@@ -2,6 +2,8 @@
 
 import itertools
 import json
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -14,7 +16,8 @@ from cdfmatch import (ControlPoints, TemplateCdf, Volume, average_cdfs, build_cd
                       zscore_standardize)
 from cdfmatch import template as template_module
 from cdfmatch.cdf import DTYPES, IntensityIndex, SortedForeground
-from cdfmatch.errors import BadTailSpec, EmptyCohort, Infeasible, SchemaMismatch
+from cdfmatch.errors import (BadTailSpec, EmptyCohort, EmptyInput, Infeasible, IoError,
+                             SchemaMismatch)
 from cdfmatch.pipeline import TAIL_SQUEEZE_GATE
 from cdfmatch.template import DEFAULT_CONTROLS, Provenance, template_tails
 
@@ -239,6 +242,66 @@ class TestBuildTemplate:
     def test_empty_cohort(self):
         with pytest.raises(EmptyCohort):
             build_template([])
+        with pytest.raises(EmptyCohort):
+            build_template(vol for vol in [])
+
+    def test_thread_count_never_changes_the_template(self, monkeypatch):
+        cohort = scanner_cohort(5, seed0=480)
+        cohort += [v.with_voxels(np.rint(v.voxels)) for v in scanner_cohort(2, seed0=485)]
+        docs = set()
+        for threads in (1, 4):
+            monkeypatch.setattr(template_module, "_pool_size", lambda: threads)
+            docs.add(json.dumps(build_template(cohort).to_dict(), sort_keys=True))
+        assert len(docs) == 1
+
+    def test_members_are_read_as_threads_take_them(self, monkeypatch):
+        # a generator's members are read one at a time and dropped once
+        # mapped: beyond the running and the one waiting, at most one just
+        # mapped and one just read are alive
+        threads = 2
+        monkeypatch.setattr(template_module, "_pool_size", lambda: threads)
+        sources = scanner_cohort(8, seed0=490)
+        refs, seen = [], []
+
+        def fresh(vol):
+            member = vol.with_voxels(vol.voxels.copy())
+            refs.append(weakref.ref(member))
+            seen.append(sum(ref() is not None for ref in refs))
+            return member
+
+        streamed = build_template(fresh(vol) for vol in sources)
+        assert len(seen) == len(sources)
+        assert max(seen) <= threads + 2
+        assert streamed.to_dict() == build_template(sources).to_dict()
+
+    @pytest.mark.parametrize("later", ["map", "read"])
+    def test_first_failure_in_cohort_order_is_raised(self, monkeypatch, later):
+        # the third member fails only after a later member has failed to be
+        # mapped or read, and its error is still the one raised
+        monkeypatch.setattr(template_module, "_pool_size", lambda: 4)
+        original = template_module._member_cdf
+        later_failed = threading.Event()
+
+        def member_cdf(vol, grid_size):
+            if not isinstance(vol, str):
+                return original(vol, grid_size)
+            if vol == "first failure":
+                assert later_failed.wait(timeout=10)
+            later_failed.set()
+            raise EmptyInput(vol)
+
+        def cohort():
+            yield from scanner_cohort(2, seed0=500)
+            yield "first failure"
+            if later == "read":
+                later_failed.set()
+                raise IoError("later failure")
+            yield "later failure"
+            yield from scanner_cohort(1, seed0=502)
+
+        monkeypatch.setattr(template_module, "_member_cdf", member_cdf)
+        with pytest.raises(EmptyInput, match="first failure"):
+            build_template(cohort())
 
     def test_clip_must_leave_room_for_tails(self):
         vol = generate_synthetic(t2_spec(402))
