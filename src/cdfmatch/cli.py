@@ -22,8 +22,8 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from . import __version__
-from .cdf import (DEFAULT_GRID_SIZE, Record, build_cdf, check_fits, finite_interval,
-                  whole_number)
+from .cdf import (DEFAULT_GRID_SIZE, DTYPES, Record, build_cdf, check_fits,
+                  finite_interval, whole_number)
 from .errors import CdfMatchError, IoError, Overflow, UsageError
 from .fit import FitConfig
 from .io import (SynthSpec, csv_text, emit_cdf_plot, emit_lut_plot, generate_synthetic,
@@ -32,8 +32,8 @@ from .io import (SynthSpec, csv_text, emit_cdf_plot, emit_lut_plot, generate_syn
 from .pipeline import (ALL_METHODS, METHOD_CDF_MATCH, METHOD_PERCENTILE_STRETCH,
                        METHOD_ZSCORE, HarmonizeOptions, MethodMetrics, evaluate_cohort,
                        harmonize, quantization_range)
-from .template import (DEFAULT_CLIP, DEFAULT_CONTROLS, ControlPoints,
-                       build_template, load_template, save_template)
+from .template import (DEFAULT_CLIP, DEFAULT_CONTROLS, TEMPLATE_SCHEMA_VERSION,
+                       ControlPoints, build_template, load_template, save_template)
 
 
 CONFIG_SCHEMA_VERSION = 1
@@ -322,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--version", action="version",
         version=f"cdfmatch {__version__} (config schema {CONFIG_SCHEMA_VERSION}, "
-                f"template schema 1)")
+                f"template schema {TEMPLATE_SCHEMA_VERSION})")
     sub = parser.add_subparsers(dest="command")
 
     p_template = sub.add_parser("template", help="template CDF operations")
@@ -346,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_harm.add_argument("--bits", type=int, help="quantize outputs to this bit depth (1-16)")
     p_harm.add_argument("--best-effort", action="store_true",
                         help="continue past per-item failures (exit 2)")
-    p_harm.add_argument("--dtype", choices=["u8", "u16", "i16", "f32"],
+    p_harm.add_argument("--dtype", choices=list(DTYPES),
                         help="output dtype (default: u16 with --bits, else f32)")
     p_harm.add_argument("--workers", type=int, help="worker threads for batches (at least 1)")
     _add_config_flags(p_harm)
@@ -356,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--spec", required=True, help="synthetic spec JSON")
     p_synth.add_argument("--seed", type=int, help="override the spec seed")
     p_synth.add_argument("--out", required=True, help="output volume path")
-    p_synth.add_argument("--dtype", default="f32", choices=["u8", "u16", "i16", "f32"])
+    p_synth.add_argument("--dtype", default="f32", choices=list(DTYPES))
     p_synth.set_defaults(func=_cmd_synth)
 
     p_inspect = sub.add_parser("inspect", help="dump a CDF or LUT as CSV/SVG")

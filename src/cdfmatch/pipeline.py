@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cdf import (DEFAULT_GRID_SIZE, DTYPES, IntensityIndex, Record, Volume, build_cdf,
-                  ks_distance, whole_number, zscore_standardize)
-from .errors import AllBackground, DegenerateConstant, EmptyInput
+from .cdf import (DEFAULT_GRID_SIZE, DTYPES, EmpiricalCdf, IntensityIndex, Record, Volume,
+                  build_cdf, ks_distance, quantile, whole_number, zscore_standardize)
+from .errors import EmptyInput
 from .fit import FitConfig, FitResult, fit_cdf
 from .template import TemplateCdf, config_hash, template_tails
 from .transform import IntensityLut, apply_lut, compose_lut, lut_ds, voxel_table
@@ -160,19 +160,17 @@ def percentile_stretch(vol: Volume, target: tuple[float, float],
                        lo_p: float = 0.01, hi_p: float = 0.99) -> Volume:
     """Affine map of the [Q(lo_p), Q(hi_p)] foreground span onto ``target``.
 
-    Values beyond the anchor percentiles clamp to the target ends; background
-    voxels pass through unchanged.  Raises AllBackground when there is no
-    foreground.
+    The anchors are :func:`quantile` of the foreground's rank-knot CDF at
+    ``DEFAULT_GRID_SIZE``, the percentiles every stage reads.  Values beyond
+    them clamp to the target ends; background voxels pass through unchanged.
+    Raises AllBackground when there is no foreground and DegenerateConstant
+    when it holds one intensity.
     """
-    fg = vol.foreground()
-    if fg.size == 0:
-        raise AllBackground("no foreground voxels to stretch")
-    q_lo, q_hi = np.quantile(fg, [lo_p, hi_p])
-    if q_hi <= q_lo:
-        raise DegenerateConstant("percentile anchors collapse")
+    index = IntensityIndex.of(vol)
+    q_lo, q_hi = quantile(build_cdf(index), [lo_p, hi_p])
     t_lo, t_hi = (float(target[0]), float(target[1]))
     scale = (t_hi - t_lo) / (q_hi - q_lo)
-    return IntensityIndex.of(vol).map_foreground(
+    return index.map_foreground(
         lambda x: np.clip(t_lo + (x.astype(np.float64) - q_lo) * scale,
                           t_lo, t_hi)).to_volume()
 
@@ -202,13 +200,10 @@ def _apply_method(vol: Volume, method: str, template: TemplateCdf,
     raise ValueError(f"unknown method {method!r}, expected one of {ALL_METHODS}")
 
 
-def _range_utilization(vol: Volume) -> float:
-    fg = vol.foreground()
-    full = float(fg.max() - fg.min())
-    if full == 0.0:
-        return 0.0
-    q_lo, q_hi = np.quantile(fg, [0.01, 0.99])
-    return float((q_hi - q_lo) / full)
+def _range_utilization(cdf: EmpiricalCdf) -> float:
+    """Q99 - Q01 over the foreground's span, its first and last knot."""
+    q_lo, q_hi = quantile(cdf, [0.01, 0.99])
+    return float((q_hi - q_lo) / (cdf.xs[-1] - cdf.xs[0]))
 
 
 def evaluate_cohort(volumes, template: TemplateCdf, methods=ALL_METHODS,
@@ -218,7 +213,9 @@ def evaluate_cohort(volumes, template: TemplateCdf, methods=ALL_METHODS,
     For each method: harmonize every volume, then report the mean pairwise KS
     distance between the harmonized CDFs, the mean KS distance to the
     template (CDF matching only), and the mean bulk range utilization
-    (Q99 - Q01 over the full output span).
+    (Q99 - Q01 over the full output span).  Every metric reads the rank-knot
+    CDF of each output, its percentiles included (:func:`quantile`); an
+    output is dropped once its CDF is built.
     """
     volumes = list(volumes)
     if len(volumes) < 2:
@@ -226,8 +223,8 @@ def evaluate_cohort(volumes, template: TemplateCdf, methods=ALL_METHODS,
     options = options or HarmonizeOptions()
     rows = []
     for method in methods:
-        outs = [_apply_method(v, method, template, options) for v in volumes]
-        cdfs = [build_cdf(o, grid_size=options.grid_size) for o in outs]
+        cdfs = [build_cdf(_apply_method(v, method, template, options),
+                          grid_size=options.grid_size) for v in volumes]
         pairs = [ks_distance(cdfs[i], cdfs[j])
                  for i in range(len(cdfs)) for j in range(i + 1, len(cdfs))]
         ks_to_template = None
@@ -238,6 +235,6 @@ def evaluate_cohort(volumes, template: TemplateCdf, methods=ALL_METHODS,
             method=method,
             mean_pairwise_ks=float(np.mean(pairs)),
             mean_ks_to_template=ks_to_template,
-            mean_range_utilization=float(np.mean([_range_utilization(o)
-                                                  for o in outs]))))
+            mean_range_utilization=float(np.mean([_range_utilization(c)
+                                                  for c in cdfs]))))
     return rows

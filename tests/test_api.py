@@ -9,6 +9,7 @@ from pathlib import Path
 import cdfmatch
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PACKAGE = Path(cdfmatch.__file__).resolve().parent
 
 
 def test_every_public_name_resolves():
@@ -40,3 +41,18 @@ def test_command_line_import_loads_no_scipy_optimize():
     run = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
                          text=True, timeout=60, check=True)
     assert run.stdout.strip() == "[]"
+
+
+def test_no_second_percentile_definition():
+    """Every percentile the package reads is ``quantile`` of a rank-knot CDF,
+    so no module calls NumPy's own percentile, quantile or median."""
+    banned = {"quantile", "percentile", "nanquantile", "median"}
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert modules
+    calls = [f"{path.name}:{node.lineno} np.{node.func.attr}"
+             for path in modules
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in banned and isinstance(node.func.value, ast.Name)
+             and node.func.value.id in ("np", "numpy")]
+    assert calls == []

@@ -9,6 +9,7 @@ import pytest
 from cdfmatch import (Volume, cli, generate_synthetic, load_lut, read_volume,
                       write_volume)
 from cdfmatch.cli import run
+from cdfmatch.template import TEMPLATE_SCHEMA_VERSION
 
 from conftest import T2_COMPONENTS, scanner_effect, t2_spec
 
@@ -62,6 +63,7 @@ class TestUsage:
         assert run(["--version"]) == 0
         out = capsys.readouterr().out
         assert "cdfmatch" in out and "config schema" in out
+        assert f"template schema {TEMPLATE_SCHEMA_VERSION}" in out
 
     @pytest.mark.parametrize("make_dir", [True, False], ids=["empty-directory", "missing"])
     def test_harmonize_input_without_volumes(self, workspace, tmp_path, capsys, make_dir):
@@ -543,7 +545,7 @@ class TestEval:
         assert run(["eval", "--template", str(workspace / "t2.template.json"),
                     "--in", str(in_dir), "--out", str(tmp_path / "m.csv")]) == 1
         err = capsys.readouterr().err
-        assert "no foreground" in err
+        assert "every voxel equals the background value" in err
         assert "Traceback" not in err
 
     def test_unknown_method(self, workspace, tmp_path):

@@ -147,14 +147,30 @@ class TestStoredDtypes:
 
 def reference_stretch(vol: Volume, target, lo_p=0.01, hi_p=0.99) -> np.ndarray:
     """percentile_stretch per voxel: the clipped affine map of the float64
-    foreground, every other voxel copied."""
+    foreground, anchored on the rank-knot CDF's quantiles, every other voxel
+    copied."""
     out = vol.voxels.astype(np.float64)
     mask = out != np.float64(vol.background_value)
     fg = out[mask]
-    q_lo, q_hi = np.quantile(fg, [lo_p, hi_p])
+    q_lo, q_hi = quantile(build_cdf(vol), [lo_p, hi_p])
     t_lo, t_hi = target
     out[mask] = np.clip(t_lo + (fg - q_lo) * ((t_hi - t_lo) / (q_hi - q_lo)), t_lo, t_hi)
     return out
+
+
+@st.composite
+def _stretch_inputs(draw):
+    """A u16 or f32 volume of 3 to 600 voxels, some of them background,
+    whose foreground holds at least two intensities."""
+    dtype = draw(st.sampled_from((np.uint16, np.float32)))
+    elements = (st.integers(1, 65535) if dtype is np.uint16
+                else st.floats(-1e6, 1e6, width=32).filter(lambda v: v != 0.0))
+    fg = draw(st.lists(elements, min_size=2, max_size=500).filter(
+        lambda values: len(set(values)) > 1))
+    n_bg = draw(st.integers(1, 100))
+    values = np.array(fg + [0] * n_bg, dtype=np.float64)
+    order = draw(st.permutations(range(values.size)))
+    return stored_volume(values[order], dtype)
 
 
 class TestPercentileStretch:
@@ -176,6 +192,23 @@ class TestPercentileStretch:
         assert (IntensityIndex.of(vol).counts is None) == (kind == "f32")
         out = percentile_stretch(vol, (1.0, 4095.0))
         assert out.voxels.tobytes() == reference_stretch(vol, (1.0, 4095.0)).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(vol=_stretch_inputs(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_monotone_background_kept_in_target_and_order_free(self, vol, seed):
+        target = (1.0, 4095.0)
+        out = percentile_stretch(vol, target)
+        x, y = vol.voxels.astype(np.float64), out.voxels
+        background = x == 0.0
+        assert (y[background] == 0.0).all()
+        fg_in, fg_out = x[~background], y[~background]
+        assert fg_out.min() >= target[0] and fg_out.max() <= target[1]
+        order = np.argsort(fg_in, kind="stable")
+        assert np.diff(fg_out[order]).min() >= 0.0
+        perm = np.random.default_rng(seed).permutation(vol.n_voxels)
+        shuffled = percentile_stretch(stored_volume(vol.voxels[perm], vol.voxels.dtype),
+                                      target)
+        assert shuffled.voxels.tobytes() == y[perm].tobytes()
 
 
 class TestClipModes:
