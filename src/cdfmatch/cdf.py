@@ -262,10 +262,6 @@ class Volume:
         fg = self.voxels[_foreground_mask(self.voxels, self.background_value)]
         return fg.astype(np.float64, copy=False)
 
-    def with_voxels(self, voxels) -> "Volume":
-        """Copy of this volume with the same geometry but new voxel values."""
-        return Volume(self.dims, voxels, self.channel, self.background_value)
-
 
 # floats hold every integer up to 2**53 exactly
 _EXACT_INTEGER = 2.0 ** 53

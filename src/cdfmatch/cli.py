@@ -5,10 +5,9 @@ Subcommands: ``template build``, ``harmonize``, ``synth``, ``inspect``,
 built-in defaults, replaced by a JSON config file's values, replaced by
 command-line flags.  The file holds exactly the keys ``AppConfig.to_dict``
 writes; the record checks every value, whichever source set it, and any
-fault in the config or a controls file is a usage error (exit 64).  The
-effective configuration is echoed into every report, and that echo is a
-valid config file.  Diagnostics go to stderr; machine-readable outputs go
-to files only.
+fault in the config file is a usage error (exit 64).  The effective
+configuration is echoed into every report, and that echo is a valid config
+file.  Diagnostics go to stderr; machine-readable outputs go to files only.
 """
 
 from __future__ import annotations
@@ -29,8 +28,7 @@ from .fit import FitConfig
 from .io import (SynthSpec, csv_text, emit_cdf_plot, emit_lut_plot, generate_synthetic,
                  load_lut, read_json, read_volume, save_lut, write_cdf_csv,
                  write_files, write_json, write_lut_csv, write_volume)
-from .pipeline import (ALL_METHODS, METHOD_CDF_MATCH, METHOD_PERCENTILE_STRETCH,
-                       METHOD_ZSCORE, HarmonizeOptions, MethodMetrics, evaluate_cohort,
+from .pipeline import (ALL_METHODS, HarmonizeOptions, MethodMetrics, evaluate_cohort,
                        harmonize, quantization_range)
 from .template import (DEFAULT_CLIP, DEFAULT_CONTROLS, TEMPLATE_SCHEMA_VERSION,
                        ControlPoints, build_template, load_template, save_template)
@@ -44,10 +42,6 @@ EXIT_PARTIAL = 2
 EXIT_USAGE = 64
 
 LOG_LEVELS = ("debug", "info", "warning", "error")
-
-_METHOD_ALIASES = {"stretch": METHOD_PERCENTILE_STRETCH,
-                   "zscore": METHOD_ZSCORE,
-                   "cdf": METHOD_CDF_MATCH}
 
 log = logging.getLogger("cdfmatch")
 
@@ -122,9 +116,6 @@ def _resolve_config(args) -> AppConfig:
     cfg = _read_record(config, "config file", AppConfig.from_dict) if config else AppConfig()
     flags = {name: getattr(args, name) for name in ("grid_size", "workers", "log_level")
              if getattr(args, name, None) is not None}
-    if getattr(args, "controls", None):
-        flags["controls"] = _read_record(args.controls, "control-points file",
-                                         ControlPoints.from_dict)
     if getattr(args, "clip", None):
         flags["clip"] = _parse_clip(args.clip)
     try:
@@ -265,8 +256,7 @@ def _cmd_inspect(args) -> int:
         write_cdf_csv(cdf, args.out)
         if args.plot:
             label = vol.channel or Path(args.cdf).stem
-            emit_cdf_plot([(label, cdf)], args.plot,
-                          style={"title": f"CDF of {Path(args.cdf).name}"})
+            emit_cdf_plot([(label, cdf)], args.plot, title=f"CDF of {Path(args.cdf).name}")
     else:
         if args.points < 2:
             raise UsageError(f"--points must be at least 2, got {args.points}")
@@ -274,7 +264,7 @@ def _cmd_inspect(args) -> int:
         write_lut_csv(lut, args.out, args.points)
         if args.plot:
             emit_lut_plot(lut, args.plot, points=args.points,
-                          style={"title": f"Mapping {Path(args.lut).name}"})
+                          title=f"Mapping {Path(args.lut).name}")
     return EXIT_OK
 
 
@@ -283,13 +273,10 @@ def _cmd_eval(args) -> int:
     cfg = _resolve_config(args)
     template = load_template(args.template)
     options = HarmonizeOptions(fit=cfg.fit, grid_size=cfg.grid_size)
-    methods = []
-    for name in args.methods.split(","):
-        name = name.strip()
-        if name not in _METHOD_ALIASES and name not in ALL_METHODS:
-            raise UsageError(f"unknown method {name!r}; choose from "
-                             f"{sorted(_METHOD_ALIASES)}")
-        methods.append(_METHOD_ALIASES.get(name, name))
+    methods = [name.strip() for name in args.methods.split(",")]
+    for name in methods:
+        if name not in ALL_METHODS:
+            raise UsageError(f"unknown method {name!r}; choose from {', '.join(ALL_METHODS)}")
     volumes = [read_volume(p) for p in _discover_inputs(args.input)]
     rows = evaluate_cohort(volumes, template, methods=methods, options=options)
     header = [f.name for f in fields(MethodMetrics)]
@@ -329,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     tsub = p_template.add_subparsers(dest="template_cmd")
     p_build = tsub.add_parser("build", help="build a template from a cohort")
     p_build.add_argument("--channel", help="channel label for the template")
-    p_build.add_argument("--controls", help="JSON file with the three control points")
     p_build.add_argument("--clip", help="clip range 'LO:HI' or 'none'")
     p_build.add_argument("--out", required=True, help="output template JSON")
     p_build.add_argument("inputs", nargs="+", help="training volumes (.raw)")
@@ -376,8 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--template", required=True)
     p_eval.add_argument("--in", dest="input", required=True,
                         help="directory of .raw volumes (or one file)")
-    p_eval.add_argument("--methods", default="stretch,zscore,cdf",
-                        help="comma-separated subset of stretch,zscore,cdf")
+    p_eval.add_argument("--methods", default=",".join(ALL_METHODS),
+                        help=f"comma-separated subset of {','.join(ALL_METHODS)}")
     p_eval.add_argument("--out", required=True, help="output metrics CSV")
     _add_config_flags(p_eval)
     p_eval.set_defaults(func=_cmd_eval)

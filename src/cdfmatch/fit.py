@@ -178,8 +178,6 @@ def fit_cdf(image_cdf: EmpiricalCdf, template: "TemplateCdf",
     pivots = _image_pivots(image_cdf, ctrl_ps)
     anchors = np.asarray(quantile(template.cdf, ctrl_ps))
     span = float(anchors[2] - anchors[0])
-    if span <= 0.0:
-        raise DegenerateCdf("template quantiles at the control percentiles collapse")
 
     grid = config.percentile_grid
     qi = np.asarray(quantile(image_cdf, grid))

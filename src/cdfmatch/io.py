@@ -399,19 +399,14 @@ def write_lut_csv(lut: IntensityLut, path, points: int = 512) -> Path:
 _PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b",
             "#e377c2", "#7f7f7f", "#bcbd22", "#17becf", "#aec7e8", "#ffbb78")
 
-_DEFAULT_STYLE = {"width": 720, "height": 480, "title": "",
-                  "x_label": "intensity", "y_label": "cumulative probability"}
-
 
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
 
 
-def _render_line_svg(series, style: dict, markers=()) -> str:
+def _render_line_svg(series, title: str, x_label: str, y_label: str, markers=()) -> str:
     """Render labeled (xs, ys) series as a standalone SVG line chart."""
-    s = dict(_DEFAULT_STYLE)
-    s.update(style or {})
-    width, height = int(s["width"]), int(s["height"])
+    width, height = 720, 480
     ml, mr, mt, mb = 72, 16, 40, 48
     pw, ph = width - ml - mr, height - mt - mb
 
@@ -441,9 +436,9 @@ def _render_line_svg(series, style: dict, markers=()) -> str:
         f'height="{height}" viewBox="0 0 {width} {height}">',
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
     ]
-    if s["title"]:
+    if title:
         parts.append(f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" '
-                     f'font-family="sans-serif" font-size="15">{escape(str(s["title"]))}</text>')
+                     f'font-family="sans-serif" font-size="15">{escape(title)}</text>')
     parts.append(f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" '
                  f'fill="none" stroke="#333333" stroke-width="1"/>')
     for tx in _ticks(x_lo, x_hi):
@@ -457,10 +452,10 @@ def _render_line_svg(series, style: dict, markers=()) -> str:
         parts.append(f'<text x="{ml - 8}" y="{py(ty) + 4:.2f}" text-anchor="end" '
                      f'font-family="sans-serif" font-size="11">{ty:.6g}</text>')
     parts.append(f'<text x="{ml + pw / 2:.1f}" y="{height - 10}" text-anchor="middle" '
-                 f'font-family="sans-serif" font-size="12">{escape(str(s["x_label"]))}</text>')
+                 f'font-family="sans-serif" font-size="12">{escape(x_label)}</text>')
     parts.append(f'<text x="16" y="{mt + ph / 2:.1f}" text-anchor="middle" '
                  f'font-family="sans-serif" font-size="12" '
-                 f'transform="rotate(-90 16 {mt + ph / 2:.1f})">{escape(str(s["y_label"]))}</text>')
+                 f'transform="rotate(-90 16 {mt + ph / 2:.1f})">{escape(y_label)}</text>')
 
     for i, (label, xs, ys) in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
@@ -488,7 +483,7 @@ def _companion_csv_path(path) -> Path:
     return Path(str(path) + ".csv")
 
 
-def emit_cdf_plot(cdfs, path, style: dict | None = None, markers=()) -> Path:
+def emit_cdf_plot(cdfs, path, title: str = "", markers=()) -> Path:
     """Write labeled CDF curves as a standalone SVG plus a companion CSV.
 
     ``cdfs`` is a sequence of (label, EmpiricalCdf); ``markers`` is an
@@ -499,17 +494,14 @@ def emit_cdf_plot(cdfs, path, style: dict | None = None, markers=()) -> Path:
     if not cdfs:
         raise EmptyInput("no curves to plot")
     series = [(label, cdf.xs, cdf.ps) for label, cdf in cdfs]
-    svg = _render_line_svg(series, style or {}, markers=markers)
+    svg = _render_line_svg(series, title, "intensity", "cumulative probability", markers)
     table = csv_text(("label",) + _CDF_CSV_HEADER,
                      ((str(label), x, p) for label, xs, ps in series for x, p in zip(xs, ps)))
     return write_files("plot", (path, svg), (_companion_csv_path(path), table))
 
 
-def emit_lut_plot(lut: IntensityLut, path, points: int = 512,
-                  style: dict | None = None) -> Path:
+def emit_lut_plot(lut: IntensityLut, path, points: int = 512, title: str = "") -> Path:
     """Write a LUT mapping as an SVG line plot plus an (input, output) CSV."""
     xs, ys, table = _sample_lut(lut, points)
-    s = {"y_label": "mapped intensity", "x_label": "input intensity"}
-    s.update(style or {})
-    svg = _render_line_svg([("mapping", xs, ys)], s)
+    svg = _render_line_svg([("mapping", xs, ys)], title, "input intensity", "mapped intensity")
     return write_files("LUT plot", (path, svg), (_companion_csv_path(path), table))

@@ -156,9 +156,8 @@ def harmonize(vol: Volume, template: TemplateCdf,
 # baseline methods and the comparison harness
 
 
-def percentile_stretch(vol: Volume, target: tuple[float, float],
-                       lo_p: float = 0.01, hi_p: float = 0.99) -> Volume:
-    """Affine map of the [Q(lo_p), Q(hi_p)] foreground span onto ``target``.
+def percentile_stretch(vol: Volume, target: tuple[float, float]) -> Volume:
+    """Affine map of the [Q(0.01), Q(0.99)] foreground span onto ``target``.
 
     The anchors are :func:`quantile` of the foreground's rank-knot CDF at
     ``DEFAULT_GRID_SIZE``, the percentiles every stage reads.  Values beyond
@@ -167,7 +166,7 @@ def percentile_stretch(vol: Volume, target: tuple[float, float],
     when it holds one intensity.
     """
     index = IntensityIndex.of(vol)
-    q_lo, q_hi = quantile(build_cdf(index), [lo_p, hi_p])
+    q_lo, q_hi = quantile(build_cdf(index), [0.01, 0.99])
     t_lo, t_hi = (float(target[0]), float(target[1]))
     scale = (t_hi - t_lo) / (q_hi - q_lo)
     return index.map_foreground(

@@ -178,7 +178,7 @@ def template_tails(controls: ControlPoints, clip: tuple[float, float] | None,
     extreme recorded in ``provenance`` or, when none is, over the support's
     own."""
     if clip is None:
-        return TailSpec.disabled()
+        return TailSpec()
     lo, hi = clip
     src_max, src_min = provenance.tail_source_max, provenance.tail_source_min
     return TailSpec(v_T=controls.t_T, v_max=v_max if src_max is None else src_max, v_clipT=hi,

@@ -83,12 +83,6 @@ class DualScaleParams(Record):
             raise NonMonotone(f"scale ratio {ratio:.6g} exceeds {MONOTONE_RATIO:.6g}, "
                               f"past which the dual scaling decreases")
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "DualScaleParams":
-        # LUT files written before the ratio cap became global carry a
-        # per-LUT "ratio_cap", which no longer means anything
-        return super().from_dict({k: v for k, v in doc.items() if k != "ratio_cap"})
-
 
 @dataclass(frozen=True)
 class TailSpec(Record):
@@ -131,10 +125,6 @@ class TailSpec(Record):
         if self.enabled_top and self.enabled_bottom and not self.v_B < self.v_T:
             raise BadTailSpec(
                 f"two tails need v_B < v_T, got v_B={self.v_B}, v_T={self.v_T}")
-
-    @classmethod
-    def disabled(cls) -> "TailSpec":
-        return cls()
 
     def _ranges(self) -> list:
         """(start, r_S, r_T) of each enabled side, ranges signed away from
@@ -412,20 +402,19 @@ class IntensityLut(Record):
     shrinking after dual scaling.
 
     Inputs are clamped to the finite ``domain`` before mapping; enabled tails
-    squeeze the mapped extremes, and a final hard clamp to the finite
-    ``clip`` (when set) keeps every output inside the clip range as belt and
-    braces.
+    squeeze the mapped extremes, and a final ``hard_clamp`` to a finite clip
+    range (when set) keeps every output inside it as belt and braces.
     """
 
     params: DualScaleParams
     tails: TailSpec
     domain: tuple[float, float]
-    clip: tuple[float, float] | None = None
+    hard_clamp: tuple[float, float] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "domain", finite_interval(self.domain, "domain"))
-        if self.clip is not None:
-            object.__setattr__(self, "clip", finite_interval(self.clip, "clip range"))
+        if self.hard_clamp is not None:
+            object.__setattr__(self, "hard_clamp", finite_interval(self.hard_clamp, "clip range"))
 
     def apply(self, x) -> "float | np.ndarray":
         """Map intensities through the composed transform (scalar or array).
@@ -440,8 +429,8 @@ class IntensityLut(Record):
     def _squeeze(self, y: np.ndarray) -> np.ndarray:
         """The tails, then the clip, on the caller's dual-scaled ``y``, in place."""
         self.tails._squeeze(y)
-        if self.clip is not None:
-            np.clip(y, self.clip[0], self.clip[1], out=y)
+        if self.hard_clamp is not None:
+            np.clip(y, *self.hard_clamp, out=y)
         return y
 
     @cached_property
@@ -454,9 +443,9 @@ class IntensityLut(Record):
         kinks = []
         for start, r_S, r_T in self.tails._ranges():
             x = _crossing(lambda v: _dual_scale(v, self.params), start, a, b)
-            free = self.clip is None or self.clip[0] < start < self.clip[1]
+            free = self.hard_clamp is None or self.hard_clamp[0] < start < self.hard_clamp[1]
             kinks.append((x, free * abs(4.0 / math.sqrt(math.pi) * r_T / r_S - 1.0), (r_S, r_T)))
-        for end in self.clip or ():
+        for end in self.hard_clamp or ():
             x = _crossing(lambda v: self.tails.apply(_dual_scale(v, self.params)), end, a, b)
             kinks.append((x, float(self.tails.slope(lut_ds(x, self.params))), None))
         return tuple(sorted(((x, _ds_extremes(self.params, x, x)[0] * step, tail)
@@ -517,8 +506,8 @@ class IntensityLut(Record):
         :meth:`table_bound` is at most ``TABLE_TOLERANCE`` of the output
         span (the clip span, else ``apply(hi) - apply(lo)``); None when no
         such count is."""
-        if self.clip is not None:
-            span = self.clip[1] - self.clip[0]
+        if self.hard_clamp is not None:
+            span = self.hard_clamp[1] - self.hard_clamp[0]
         else:
             bottom, top = self.apply(np.array(self.domain))
             span = top - bottom
@@ -543,20 +532,6 @@ class IntensityLut(Record):
         table = self._squeeze(_offset_scale(offsets, self.params)).astype(dtype, copy=False)
         return LutTable(anchor - first * h, 1.0 / h, self.domain, table, _accumulate(table))
 
-    # the file calls the clip "hard_clamp"
-    def to_dict(self) -> dict:
-        doc = super().to_dict()
-        doc["hard_clamp"] = doc.pop("clip")
-        return doc
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "IntensityLut":
-        if "clip" in doc:
-            raise TypeError("unexpected key 'clip': a LUT file calls its clip 'hard_clamp'")
-        fields = {**doc}
-        fields["clip"] = fields.pop("hard_clamp", None)
-        return super().from_dict(fields)
-
 
 def compose_lut(params: DualScaleParams, tails: TailSpec,
                 domain: tuple[float, float],
@@ -567,7 +542,7 @@ def compose_lut(params: DualScaleParams, tails: TailSpec,
     ratio and orderings when made.  Raises ValueError for a domain or clip
     range that is not a finite, increasing interval.
     """
-    return IntensityLut(params, tails, domain, clip=clip)
+    return IntensityLut(params, tails, domain, hard_clamp=clip)
 
 
 def voxel_table(lut: IntensityLut, index: IntensityIndex, dtype: str = "float64",

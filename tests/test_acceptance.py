@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from cdfmatch import (DualScaleParams, EmpiricalCdf, PivotTriple, TailSpec,
-                      blend, build_cdf, compose_lut, emit_cdf_plot, fit_cdf,
+                      Volume, blend, build_cdf, compose_lut, emit_cdf_plot, fit_cdf,
                       generate_synthetic, harmonize, ks_distance,
                       lut_bottom_tail, lut_ds, lut_top_tail, quantile,
                       zscore_standardize)
@@ -123,17 +123,17 @@ def test_criterion_06_workflow_reproduction(template_12bit, tmp_path):
 
     c = template_12bit.controls
     emit_cdf_plot(raw_cdfs, tmp_path / "panel_a_raw.svg",
-                  style={"title": "raw CDFs"})
+                  title="raw CDFs")
     emit_cdf_plot(z_cdfs, tmp_path / "panel_b_zscore.svg",
-                  style={"title": "z-scored CDFs"})
+                  title="z-scored CDFs")
     emit_cdf_plot([("template", template_12bit.cdf)],
                   tmp_path / "panel_c_template.svg",
-                  style={"title": "fitted template"},
+                  title="fitted template",
                   markers=[(c.t_B, c.p_B, "bottom"), (c.t_M, c.p_M, "middle"),
                            (c.t_T, c.p_T, "top")])
     emit_cdf_plot(harm_cdfs + [("template", template_12bit.cdf)],
                   tmp_path / "panel_d_harmonized.svg",
-                  style={"title": "harmonized CDFs"})
+                  title="harmonized CDFs")
     panels = ["panel_a_raw", "panel_b_zscore", "panel_c_template",
               "panel_d_harmonized"]
     files_ok = all((tmp_path / f"{p}.svg").exists()
@@ -186,7 +186,8 @@ def test_criterion_08_end_to_end_invariances(template_12bit):
     q0 = np.asarray(quantile(build_cdf(out0), grid))
     worst = 0.0
     for a, c in ((0.25, 0.0), (4.0, 0.0), (1.0, -1000.0), (1.0, 1000.0)):
-        out, _ = harmonize(base.with_voxels(a * base.voxels + c), template_12bit)
+        scaled = Volume(base.dims, a * base.voxels + c, base.channel, base.background_value)
+        out, _ = harmonize(scaled, template_12bit)
         q = np.asarray(quantile(build_cdf(out), grid))
         worst = max(worst, float(np.abs(q - q0).max()))
     invariant = worst < 0.01 * clip_span

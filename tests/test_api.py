@@ -56,3 +56,20 @@ def test_no_second_percentile_definition():
              and node.func.attr in banned and isinstance(node.func.value, ast.Name)
              and node.func.value.id in ("np", "numpy")]
     assert calls == []
+
+
+def test_few_records_write_a_file_unlike_their_fields():
+    """Every other record's JSON object is its fields by name, as ``Record``
+    writes and reads it.  These five differ: a version key (the config and
+    the template), unset fields left out (provenance), an option (a report
+    entry's timing) or an error of its own (the synthetic spec)."""
+    importlib.import_module("cdfmatch.cli")
+    records, todo = [], [cdfmatch.cdf.Record]
+    while todo:
+        kinds = todo.pop().__subclasses__()
+        records += kinds
+        todo += kinds
+    assert len(records) > 5
+    own = {kind.__name__ for kind in records
+           if "to_dict" in vars(kind) or "from_dict" in vars(kind)}
+    assert own == {"AppConfig", "TemplateCdf", "Provenance", "ChannelReport", "SynthSpec"}

@@ -21,6 +21,11 @@ class TestVolume:
         with pytest.raises(ValueError):
             Volume((2, 2, 2), np.zeros(7))
 
+    @pytest.mark.parametrize("dims", [(4, 1), (4, 0, 1), (4, 1, 1, 1), (-4, -1, 1)])
+    def test_dims_must_be_three_positive_integers(self, dims):
+        with pytest.raises(ValueError, match="dims must be three positive integers"):
+            Volume(dims, np.zeros(4))
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             volume_from_values([1.0, np.nan, 2.0])

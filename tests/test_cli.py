@@ -90,7 +90,8 @@ class TestTemplateCommand:
             voxels = np.rint(vol.voxels)
             voxels[0] = 65535.0
             path = tmp_path / f"hot{i}.raw"
-            write_volume(vol.with_voxels(voxels), path, dtype="u16")
+            write_volume(Volume(vol.dims, voxels, vol.channel, vol.background_value), path,
+                         dtype="u16")
             inputs.append(str(path))
         out = tmp_path / "t.json"
         assert run(["template", "build", "--out", str(out)] + inputs) == 1
@@ -370,12 +371,12 @@ class TestHarmonizeCommand:
             self, workspace, tmp_path):
         # unclipped low controls map the darkest voxels around 0, which an
         # i16 output used to round onto the background
-        controls = tmp_path / "controls.json"
-        controls.write_text(json.dumps({"pi_B": [0.1, 20.0], "pi_M": [0.5, 60.0],
-                                        "pi_T": [0.99, 140.0]}))
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"controls": {"pi_B": [0.1, 20.0], "pi_M": [0.5, 60.0],
+                                                "pi_T": [0.99, 140.0]}}))
         template = tmp_path / "low.template.json"
         inputs = [str(p) for p in sorted((workspace / "raw").glob("*.raw"))]
-        assert run(["template", "build", "--clip", "none", "--controls", str(controls),
+        assert run(["template", "build", "--clip", "none", "--config", str(cfg),
                     "--out", str(template)] + inputs) == 0
         out_dir = tmp_path / "out"
         assert run(["harmonize", "--template", str(template), "--in", str(workspace / "raw"),
@@ -502,7 +503,7 @@ class TestInspect:
         values = vol.voxels.astype(np.float64)
         values[::7] = 0.0
         path = tmp_path / "with_background.raw"
-        write_volume(vol.with_voxels(values), path, "f32")
+        write_volume(Volume(vol.dims, values, vol.channel, vol.background_value), path, "f32")
         first = {}
         for flag in ("--exclude-background", "--no-exclude-background"):
             out = tmp_path / f"{flag}.csv"
@@ -524,7 +525,7 @@ class TestEval:
         out = tmp_path / "metrics.csv"
         code = run(["eval", "--template", str(workspace / "t2.template.json"),
                     "--in", str(workspace / "raw"), "--methods",
-                    "stretch,zscore,cdf", "--out", str(out)])
+                    "percentile_stretch,zscore,cdf_match", "--out", str(out)])
         assert code == 0
         lines = out.read_text().splitlines()
         assert lines[0] == ("method,mean_pairwise_ks,mean_ks_to_template,"
@@ -552,6 +553,17 @@ class TestEval:
         assert run(["eval", "--template", str(workspace / "t2.template.json"),
                     "--in", str(workspace / "raw"), "--methods", "magic",
                     "--out", str(tmp_path / "m.csv")]) == 64
+
+    @pytest.mark.parametrize("name", ["stretch", "cdf"])
+    def test_a_method_takes_only_the_name_the_table_prints(self, workspace, tmp_path,
+                                                           capsys, name):
+        out = tmp_path / "m.csv"
+        assert run(["eval", "--template", str(workspace / "t2.template.json"),
+                    "--in", str(workspace / "raw"), "--methods", f"zscore,{name}",
+                    "--out", str(out)]) == 64
+        err = capsys.readouterr().err
+        assert "percentile_stretch, zscore, cdf_match" in err
+        assert not out.exists()
 
 
 class TestOutputPaths:
@@ -591,8 +603,11 @@ class TestFlagsOnlyWhereRead:
           "--config", "{tmp}/config.json"], 64),
         (["harmonize", "--template", "{template}", "--in", "{raw}", "--out", "{tmp}/h",
           "--workers", "2"], 0),
+        # the control points come from the config file only
+        (["template", "build", "--controls", "{tmp}/config.json", "--out", "{tmp}/t.json",
+          "{raw}/vol0.raw"], 64),
     ], ids=["template-workers", "inspect-workers", "eval-workers", "synth-workers",
-            "synth-grid-size", "synth-config", "harmonize-workers"])
+            "synth-grid-size", "synth-config", "harmonize-workers", "template-controls"])
     def test_flag_accepted_only_by_commands_that_read_it(self, workspace, tmp_path,
                                                          command, code):
         (tmp_path / "spec.json").write_text(json.dumps(synth_spec_doc(7)))
@@ -787,23 +802,19 @@ class TestConfigPrecedence:
         assert doc["controls"]["pi_M"] == [0.5, 500.0]
         assert doc["clip"] == [1.0, 1023.0]
 
-    def test_controls_flag_beats_config_file(self, workspace, tmp_path):
+    def test_clip_flag_beats_config_file(self, workspace, tmp_path):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({
             "controls": {"pi_B": [0.1, 200.0], "pi_M": [0.5, 500.0],
-                         "pi_T": [0.99, 900.0]}}))
-        controls = tmp_path / "controls.json"
-        controls.write_text(json.dumps({"pi_B": [0.1, 300.0],
-                                        "pi_M": [0.5, 600.0],
-                                        "pi_T": [0.99, 1000.0]}))
+                         "pi_T": [0.99, 900.0]},
+            "clip": [1.0, 1023.0]}))
         out = tmp_path / "t.template.json"
         inputs = [str(p) for p in sorted((workspace / "raw").glob("*.raw"))]
-        code = run(["template", "build", "--config", str(cfg),
-                    "--controls", str(controls), "--clip", "1:1300",
+        code = run(["template", "build", "--config", str(cfg), "--clip", "1:1300",
                     "--out", str(out)] + inputs)
         assert code == 0
         doc = json.loads(out.read_text())
-        assert doc["controls"]["pi_M"] == [0.5, 600.0]
+        assert doc["controls"]["pi_M"] == [0.5, 500.0]
         assert doc["clip"] == [1.0, 1300.0]
 
     @pytest.mark.parametrize("clip", ["nonsense", "1:inf", "4095:1"])

@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 import scipy
 
-from cdfmatch import read_volume, write_volume
+from cdfmatch import Volume, read_volume, write_volume
 from cdfmatch.cli import run
 from cdfmatch.transform import TABLE_MIN_VOXELS
 
@@ -60,7 +60,8 @@ def build_artifacts(root: Path) -> dict[str, str]:
     hot = read_volume(u16 / "m0.raw")
     voxels = hot.voxels.copy()
     voxels[0] = 65535
-    write_volume(hot.with_voxels(voxels), u16 / "m0.raw", dtype="u16")
+    write_volume(Volume(hot.dims, voxels, hot.channel, hot.background_value), u16 / "m0.raw",
+                 dtype="u16")
     _synth(root, inputs / "small_f32.raw", 30, "f32")
     _synth(root, inputs / "large_f32.raw", 31, "f32", dims=(128, 128, 64))
     assert read_volume(inputs / "large_f32.raw").n_voxels >= TABLE_MIN_VOXELS

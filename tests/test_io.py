@@ -212,8 +212,11 @@ class TestSynthSpec:
         (lambda: SynthSpec(components=()), "at least one"),
         (lambda: replace(t2_spec(1), background_fraction=1.0), "background fraction"),
         (lambda: replace(t2_spec(1), background_fraction=-0.1), "background fraction"),
+        (lambda: replace(t2_spec(1), dims=(4, 1)), "dims must be three positive integers"),
+        (lambda: replace(t2_spec(1), dims=(4, 0, 1)), "dims must be three positive integers"),
     ], ids=["weight-zero", "weight-negative", "tail-weight-zero", "lesion-count-negative",
-            "lesion-boost-zero", "no-components", "background-one", "background-negative"])
+            "lesion-boost-zero", "no-components", "background-one", "background-negative",
+            "dims-two", "dims-zero"])
     def test_each_range_check(self, make, match):
         with pytest.raises(BadSpec, match=match):
             make()
@@ -376,15 +379,14 @@ class TestLutJson:
         monkeypatch.setattr(Path, "write_text", fail_partway)
         params = DualScaleParams(1.0, 1.0, 1650.0, PivotTriple(500.0, 1650.0, 3300.0))
         with pytest.raises(IoError):
-            save_lut(compose_lut(params, TailSpec.disabled(), (0.0, 4000.0)), path)
+            save_lut(compose_lut(params, TailSpec(), (0.0, 4000.0)), path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
     @pytest.mark.parametrize("edit", [
         {"tails": {"v_B": 3400.0}},                        # BadTailSpec: v_B > v_T
         {"tails": {"enabled_top": "false"}},               # BadTailSpec: not a bool
-        {"params": {"sigma_B": 20.0, "sigma_T": 0.05,      # NonMonotone; the old
-                    "ratio_cap": 500.0}},                  # per-LUT cap is ignored
+        {"params": {"sigma_B": 20.0, "sigma_T": 0.05}},    # NonMonotone: 400 > rho*
         {"params": {"sigma_B": 9.0, "sigma_T": 1.0}},      # NonMonotone: 9 > rho*
         {"params": {"sigma_B": math.nan}},                 # non-finite fields
         {"params": {"gamma": math.inf}},
@@ -392,6 +394,7 @@ class TestLutJson:
         {"tails": {"v_clipT": math.inf}},
         {"domain": [-400.0, math.inf]},
         {"hard_clamp": [1.0, math.nan]},
+        {"params": {"ratio_cap": 500.0}},                  # the old per-LUT cap: unknown key
     ])
     def test_lut_failing_its_own_checks_names_the_file(self, tmp_path, edit):
         path = tmp_path / "map.lut.json"
@@ -409,7 +412,9 @@ class TestLutJson:
         doc = json.loads(path.read_text())
         doc["clip"] = doc.pop("hard_clamp")
         path.write_text(json.dumps(doc))
-        with pytest.raises(SchemaMismatch, match="map.lut.json.*hard_clamp"):
+        # the record's field is hard_clamp, so "clip" is an unknown key
+        with pytest.raises(SchemaMismatch,
+                           match="map.lut.json.*unexpected keyword argument 'clip'"):
             load_lut(path)
 
     def test_version_check(self, tmp_path):
@@ -474,14 +479,14 @@ class TestPlots:
         cdf = cdf_from_samples(np.random.default_rng(7).normal(0, 1, 1000),
                                grid_size=90)
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"
-        emit_cdf_plot([("x", cdf)], a, style={"title": "t"})
-        emit_cdf_plot([("x", cdf)], b, style={"title": "t"})
+        emit_cdf_plot([("x", cdf)], a, title="t")
+        emit_cdf_plot([("x", cdf)], b, title="t")
         assert a.read_bytes() == b.read_bytes()
         assert (tmp_path / "a.svg.csv").read_bytes() == (tmp_path / "b.svg.csv").read_bytes()
 
     def test_lut_plot_and_csv(self, tmp_path):
         params = DualScaleParams(1.0, 1.0, 1650.0, PivotTriple(500.0, 1650.0, 3300.0))
-        lut = compose_lut(params, TailSpec.disabled(), (0.0, 4000.0))
+        lut = compose_lut(params, TailSpec(), (0.0, 4000.0))
         path = tmp_path / "map.svg"
         emit_lut_plot(lut, path, points=128)
         assert path.read_text().count("<polyline") == 1
@@ -508,7 +513,7 @@ class TestPlots:
 
 def _lut_k(k):
     params = DualScaleParams(1.0 + k, 1.0, 1650.0, PivotTriple(500.0, 1650.0, 3300.0))
-    return compose_lut(params, TailSpec.disabled(), (0.0, 4000.0))
+    return compose_lut(params, TailSpec(), (0.0, 4000.0))
 
 
 def _cdf_k(k):

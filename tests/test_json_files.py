@@ -1,10 +1,10 @@
 """One reader for every JSON file, and records that take exactly their keys.
 
-Every JSON file the program reads (a config, controls, template, LUT,
-synthetic-spec or volume-header file) goes through ``io.read_json``: a file
-that cannot be read, is not valid JSON or holds no JSON object is refused
-with that reader's error, naming the file.  Each record's ``from_dict`` is
-the inverse of its ``to_dict``: it takes the keys ``to_dict`` writes, and an
+Every JSON file the program reads (a config, template, LUT, synthetic-spec
+or volume-header file) goes through ``io.read_json``: a file that cannot be
+read, is not valid JSON or holds no JSON object is refused with that
+reader's error, naming the file.  Each record's ``from_dict`` is the
+inverse of its ``to_dict``: it takes the keys ``to_dict`` writes, and an
 unknown key is refused, naming the key, also in a template's provenance.
 """
 
@@ -35,7 +35,7 @@ SPEC = {"components": [c.to_dict() for c in T2_COMPONENTS], "dims": [8, 8, 8],
 def _lut() -> IntensityLut:
     params = DualScaleParams(2.0, 0.5, 1650.0, PivotTriple(500.0, 1650.0, 3300.0))
     tails = TailSpec(v_T=3300.0, v_max=5418.0, v_clipT=4095.0, enabled_top=True)
-    return IntensityLut(params, tails, (0.0, 6000.0), clip=(1.0, 4095.0))
+    return IntensityLut(params, tails, (0.0, 6000.0), hard_clamp=(1.0, 4095.0))
 
 
 @pytest.fixture(scope="module")
@@ -47,17 +47,13 @@ def files(tmp_path_factory, template_12bit):
     save_template(template_12bit, root / "t.template.json")
     save_lut(_lut(), root / "m.lut.json")
     (root / "config.json").write_text(json.dumps({"grid_size": 256}))
-    (root / "controls.json").write_text(json.dumps(ControlPoints(
-        (0.1, 500.0), (0.5, 1650.0), (0.99, 3300.0)).to_dict()))
     (root / "spec.json").write_text(json.dumps(SPEC))
     return root
 
 
-def _template_build(flag):
-    def read(path, files):
-        return run(["template", "build", "--channel", "T2", flag, str(path),
-                    "--out", str(path.parent / "out.template.json"), str(files / "vol0.raw")])
-    return read
+def _template_build(path, files):
+    return run(["template", "build", "--channel", "T2", "--config", str(path),
+                "--out", str(path.parent / "out.template.json"), str(files / "vol0.raw")])
 
 
 def _synth(path, files):
@@ -77,8 +73,7 @@ READERS = {
             (IoError, SchemaMismatch, SchemaMismatch)),
     "template": ("t.template.json", lambda path, files: load_template(path),
                  (IoError, SchemaMismatch, SchemaMismatch)),
-    "config": ("config.json", _template_build("--config"), (64, 64, 64)),
-    "controls": ("controls.json", _template_build("--controls"), (64, 64, 64)),
+    "config": ("config.json", _template_build, (64, 64, 64)),
     "spec": ("spec.json", _synth, (64, 64, 1)),  # a bad field is BadSpec, exit 1
 }
 CASES = {"missing": 0, "invalid-json": 1, "json-list": 1, "unknown-key": 2}

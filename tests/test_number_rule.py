@@ -1,10 +1,11 @@
 """One number rule at every reader.
 
-A number in a config, controls, template, LUT, synthetic-spec or volume
-header file is an int or a float that a float holds finitely: a string, a
-bool, NaN, +/-Infinity or an integer past the float range is refused, each
-reader with its own error type or exit code.  A valid file of each kind
-loads to a record that holds exactly what the file says.
+A number in a config (its control points too), template, LUT,
+synthetic-spec or volume header file is an int or a float that a float
+holds finitely: a string, a bool, NaN, +/-Infinity or an integer past the
+float range is refused, each reader with its own error type or exit code.
+A valid file of each kind loads to a record that holds exactly what the
+file says.
 """
 
 import copy
@@ -57,13 +58,13 @@ def _as_json(doc) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
-def _template_build(tmp_path, flag: str, doc: dict) -> int:
-    """Exit code of ``template build`` given a config or controls file; both
-    are read before any volume, so the cohort need not exist."""
+def _template_build(tmp_path, doc: dict) -> int:
+    """Exit code of ``template build`` given a config file, which is read
+    before any volume, so the cohort need not exist."""
     path = tmp_path / "in.json"
     path.write_text(json.dumps(doc))
     return run(["template", "build", "--channel", "T2", "--out", str(tmp_path / "t.json"),
-                flag, str(path), str(tmp_path / "absent.raw")])
+                "--config", str(path), str(tmp_path / "absent.raw")])
 
 
 def _load_json(tmp_path, reader, doc: dict):
@@ -90,8 +91,9 @@ def valid_docs(template_12bit):
 
 # each file kind: how its reader runs on a document and what it refuses with
 READERS = {
-    "config": (lambda tmp, doc: _template_build(tmp, "--config", doc), 64),
-    "controls": (lambda tmp, doc: _template_build(tmp, "--controls", doc), 64),
+    "config": (_template_build, 64),
+    # the control points, read from a config file's "controls" key
+    "controls": (lambda tmp, doc: _template_build(tmp, {"controls": doc}), 64),
     "template": (lambda tmp, doc: _load_json(tmp, load_template, doc), SchemaMismatch),
     "lut": (lambda tmp, doc: _load_json(tmp, load_lut, doc), SchemaMismatch),
     "spec": (lambda tmp, doc: SynthSpec.from_dict(doc), BadSpec),
@@ -219,9 +221,9 @@ def test_integers_where_floats_belong_load_as_floats(tmp_path, valid_docs):
     # a JSON integer is a number: 500 is 500.0
     doc = _edited(CONTROLS, ("pi_B", 1), 500)
     path = tmp_path / "c.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps({"controls": doc}))
     args = build_parser().parse_args(["template", "build", "--out", "t.json",
-                                      "--controls", str(path), "v.raw"])
+                                      "--config", str(path), "v.raw"])
     controls = _resolve_config(args).controls
     assert controls.pi_B == (0.1, 500.0) and type(controls.t_B) is float
     lut = _load_json(tmp_path, load_lut, _edited(valid_docs["lut"], ("domain", 0), 0))

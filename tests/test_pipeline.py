@@ -217,7 +217,7 @@ class TestClipModes:
         out, entry = harmonize(vol, template_unclipped)
         assert not entry.lut.tails.enabled_top
         assert not entry.lut.tails.enabled_bottom
-        assert entry.lut.clip is None
+        assert entry.lut.hard_clamp is None
         assert entry.post_ks < 0.05
 
     def test_quantized_foreground_never_becomes_background(self, template_unclipped):
@@ -704,7 +704,7 @@ class TestStagesStayVisible:
             monkeypatch.setattr(pipeline, name, counting(name))
         vol = generate_synthetic(t2_spec(980))
         if integer:
-            vol = vol.with_voxels(np.rint(vol.voxels))
+            vol = Volume(vol.dims, np.rint(vol.voxels), vol.channel, vol.background_value)
         assert (IntensityIndex.of(vol).inverse is not None) == integer
         harmonize(vol, template_12bit, HarmonizeOptions(bits=12))
         assert calls == {"build_cdf": 2, "apply_lut": 1}
@@ -779,7 +779,7 @@ class TestInvariances:
         out0, _ = harmonize(base, template_12bit)
         q0 = np.asarray(quantile(build_cdf(out0), grid))
         for a, c in ((0.25, 0.0), (4.0, 0.0), (1.0, -1000.0), (1.0, 1000.0)):
-            perturbed = base.with_voxels(a * base.voxels + c)
+            perturbed = Volume(base.dims, a * base.voxels + c, base.channel, base.background_value)
             out, _ = harmonize(perturbed, template_12bit)
             q = np.asarray(quantile(build_cdf(out), grid))
             assert np.abs(q - q0).max() < 0.01 * clip_span

@@ -247,7 +247,8 @@ class TestBuildTemplate:
 
     def test_thread_count_never_changes_the_template(self, monkeypatch):
         cohort = scanner_cohort(5, seed0=480)
-        cohort += [v.with_voxels(np.rint(v.voxels)) for v in scanner_cohort(2, seed0=485)]
+        cohort += [Volume(v.dims, np.rint(v.voxels), v.channel, v.background_value)
+                   for v in scanner_cohort(2, seed0=485)]
         docs = set()
         for threads in (1, 4):
             monkeypatch.setattr(template_module, "_pool_size", lambda: threads)
@@ -264,7 +265,7 @@ class TestBuildTemplate:
         refs, seen = [], []
 
         def fresh(vol):
-            member = vol.with_voxels(vol.voxels.copy())
+            member = Volume(vol.dims, vol.voxels.copy(), vol.channel, vol.background_value)
             refs.append(weakref.ref(member))
             seen.append(sum(ref() is not None for ref in refs))
             return member
@@ -327,7 +328,7 @@ class TestBuildTemplate:
             vol = generate_synthetic(t2_spec(440 + i))
             voxels = np.rint(vol.voxels)
             voxels[0] = 65535.0
-            cohort.append(vol.with_voxels(voxels))
+            cohort.append(Volume(vol.dims, voxels, vol.channel, vol.background_value))
         with pytest.raises(Infeasible, match="misses control point"):
             build_template(cohort)
 
@@ -340,7 +341,8 @@ class TestBuildTemplate:
             return original(vol, *args, **kwargs)
 
         monkeypatch.setattr(template_module, "build_cdf", spy)
-        cohort = [v.with_voxels(np.rint(v.voxels)) for v in scanner_cohort(3, seed0=450)]
+        cohort = [Volume(v.dims, np.rint(v.voxels), v.channel, v.background_value)
+                  for v in scanner_cohort(3, seed0=450)]
         build_template(cohort)
         assert len(seen) == len(cohort)
         for fg, member in zip(seen, cohort):

@@ -75,10 +75,11 @@ class TestDualScaleParams:
             with pytest.raises(NonMonotone, match="scale ratio"):
                 DualScaleParams(big, small, 0.0, PIVOTS)
 
-    def test_a_per_lut_cap_in_a_file_is_ignored(self):
+    def test_a_per_lut_cap_in_a_file_is_refused(self):
         params = DualScaleParams(1.7, 0.3, 123.456, PIVOTS)
         assert "ratio_cap" not in params.to_dict()
-        assert DualScaleParams.from_dict({**params.to_dict(), "ratio_cap": 20.0}) == params
+        with pytest.raises(TypeError, match="ratio_cap"):
+            DualScaleParams.from_dict({**params.to_dict(), "ratio_cap": 20.0})
 
 
 def _dual_scaling(x, sigma_B, sigma_T, gamma, pivots):
@@ -347,7 +348,7 @@ def _twelve_bit_tails(v_min=5.0, v_max=5418.0):
 class TestComposeLut:
     def test_disabled_tails_match_lut_ds_pointwise(self):
         params = DualScaleParams(1.3, 0.8, 1650.0, PivotTriple(500.0, 1650.0, 3300.0))
-        lut = compose_lut(params, TailSpec.disabled(), (0.0, 4000.0))
+        lut = compose_lut(params, TailSpec(), (0.0, 4000.0))
         grid = np.linspace(0.0, 4000.0, 4096)
         assert np.array_equal(np.asarray(lut.apply(grid)),
                               np.asarray(lut_ds(grid, params)))
@@ -374,13 +375,13 @@ class TestComposeLut:
     def test_intervals_are_two_finite_increasing_numbers(self, field, interval):
         domain, clip = ((interval, None) if field == "domain" else ((0.0, 4000.0), interval))
         with pytest.raises(ValueError, match="two finite, increasing numbers"):
-            compose_lut(_identity_params(), TailSpec.disabled(), domain, clip=clip)
+            compose_lut(_identity_params(), TailSpec(), domain, clip=clip)
 
     def test_numpy_intervals_are_accepted(self):
-        lut = compose_lut(_identity_params(), TailSpec.disabled(), np.array([0.0, 4000.0]),
+        lut = compose_lut(_identity_params(), TailSpec(), np.array([0.0, 4000.0]),
                           clip=(np.float32(1.0), np.int64(4095)))
-        assert lut.domain == (0.0, 4000.0) and lut.clip == (1.0, 4095.0)
-        assert all(type(v) is float for v in lut.domain + lut.clip)
+        assert lut.domain == (0.0, 4000.0) and lut.hard_clamp == (1.0, 4095.0)
+        assert all(type(v) is float for v in lut.domain + lut.hard_clamp)
 
     @pytest.mark.parametrize("bottom_larger", [True, False])
     def test_non_monotone_parameters_fail_loudly(self, bottom_larger):
@@ -390,7 +391,7 @@ class TestComposeLut:
 
         def lut(ratio):
             sigmas = (ratio, 1.0) if bottom_larger else (1.0, ratio)
-            return compose_lut(DualScaleParams(*sigmas, 0.0, pivots), TailSpec.disabled(),
+            return compose_lut(DualScaleParams(*sigmas, 0.0, pivots), TailSpec(),
                                (0.0, 400.0))
 
         out = lut(8.75).apply(np.linspace(0.0, 400.0, 1 << 20))
@@ -404,7 +405,7 @@ class TestComposeLut:
                                               ((0.0, 1.0), (0.0, math.nan))])
     def test_domain_and_clip_must_be_finite(self, domain, clip):
         with pytest.raises(ValueError):
-            compose_lut(_identity_params(), TailSpec.disabled(), domain, clip=clip)
+            compose_lut(_identity_params(), TailSpec(), domain, clip=clip)
 
     def test_tail_spec_orderings_validated(self):
         with pytest.raises(BadTailSpec):
@@ -453,14 +454,14 @@ class TestApplyLut:
     def test_identity_lut_preserves_values(self):
         rng = np.random.default_rng(21)
         vol = volume_from_values(rng.uniform(600.0, 3200.0, 500))
-        lut = compose_lut(_identity_params(), TailSpec.disabled(), (500.0, 3300.0))
+        lut = compose_lut(_identity_params(), TailSpec(), (500.0, 3300.0))
         out = apply_lut(vol, lut)
         assert np.abs(out.voxels - vol.voxels).max() < 1e-9
 
     def test_constant_foreground_maps_pointwise(self):
         vol = volume_from_values([0.0, 700.0, 700.0, 700.0])
         params = DualScaleParams(1.5, 0.9, 1650.0, PivotTriple(500.0, 1650.0, 3300.0))
-        lut = compose_lut(params, TailSpec.disabled(), (500.0, 3300.0))
+        lut = compose_lut(params, TailSpec(), (500.0, 3300.0))
         out = apply_lut(vol, lut)
         expected = lut.apply(700.0)
         assert (out.voxels[1:] == expected).all()
@@ -483,7 +484,7 @@ class TestApplyLut:
 
     def test_out_of_domain_values_clamp(self):
         vol = volume_from_values([100.0, 5000.0])
-        lut = compose_lut(_identity_params(), TailSpec.disabled(), (500.0, 3300.0))
+        lut = compose_lut(_identity_params(), TailSpec(), (500.0, 3300.0))
         out = apply_lut(vol, lut)
         assert out.voxels[0] == lut.apply(500.0)
         assert out.voxels[1] == lut.apply(3300.0)
@@ -577,7 +578,7 @@ def _ref_lut_apply(lut, x):
         y = _ref_top_tail(y, t.v_T, t.v_max, t.v_clipT)
     if t.enabled_bottom:
         y = _ref_bottom_tail(y, t.v_B, t.v_min, t.v_clipB)
-    return y if lut.clip is None else np.clip(y, lut.clip[0], lut.clip[1])
+    return y if lut.hard_clamp is None else np.clip(y, lut.hard_clamp[0], lut.hard_clamp[1])
 
 
 def _same_bits(got, ref, x):
@@ -654,7 +655,7 @@ _TRANSFORMS = {
     "lut_top_tail": lambda x: lut_top_tail(x, 3300.0, 8000.0, 4095.0),
     "lut_bottom_tail": lambda x: lut_bottom_tail(x, 500.0, -1500.0, 1.0),
     "TailSpec.apply": _twelve_bit_tails(-1500.0, 8000.0).apply,
-    "TailSpec.apply (disabled)": TailSpec.disabled().apply,
+    "TailSpec.apply (disabled)": TailSpec().apply,
     "TailSpec.slope": _twelve_bit_tails(-1500.0, 8000.0).slope,
     "IntensityLut.apply": _TWELVE_BIT_LUT.apply,
     "IntensityLut.interpolant": _TWELVE_BIT_LUT.interpolant(1024),
@@ -785,7 +786,7 @@ class TestTableInterpolant:
         # the node count is the smallest power of two that meets the target
         # share of the output span
         lo, hi = lut.domain
-        span = (lut.clip[1] - lut.clip[0] if lut.clip is not None
+        span = (lut.hard_clamp[1] - lut.hard_clamp[0] if lut.hard_clamp is not None
                 else lut.apply(hi) - lut.apply(lo))
         assert nodes & (nodes - 1) == 0
         assert lut.table_bound(nodes) <= TABLE_TOLERANCE * span
@@ -948,7 +949,7 @@ class TestTableInterpolant:
         assert np.abs(unanchored - lut.apply(x)).max() > 0.9 * jump * 0.3 * 0.7
 
     def test_bound_is_attained_at_the_middle_pivot(self):
-        lut = compose_lut(_UNEVEN, TailSpec.disabled(), (-1000.0, 6000.0))
+        lut = compose_lut(_UNEVEN, TailSpec(), (-1000.0, 6000.0))
         nodes = 1 << 12
         h = 7000.0 / (nodes - 1)
         x = 1650.0 + h * np.linspace(-1.0, 1.0, 2001)
@@ -1043,7 +1044,7 @@ class TestTableInterpolant:
         assert 0.99 * bound <= error <= bound + rounding
 
     def test_constant_scale_needs_the_fewest_nodes(self):
-        lut = compose_lut(DualScaleParams(1.2, 1.2, 10.0, PIVOTS), TailSpec.disabled(),
+        lut = compose_lut(DualScaleParams(1.2, 1.2, 10.0, PIVOTS), TailSpec(),
                           (-50.0, 150.0))
         assert lut.table_bound(2) == 0.0
         assert lut.table_nodes(1 << 30) == 2
@@ -1059,7 +1060,7 @@ class TestTableInterpolant:
         # by rounding in float64, which the table reads as flat
         pivots = PivotTriple(*((0.0, 1.0, 1003.0) if bottom_larger else (0.0, 1002.0, 1003.0)))
         sigmas = (MONOTONE_RATIO, 1.0) if bottom_larger else (1.0, MONOTONE_RATIO)
-        lut = compose_lut(DualScaleParams(*sigmas, 0.0, pivots), TailSpec.disabled(),
+        lut = compose_lut(DualScaleParams(*sigmas, 0.0, pivots), TailSpec(),
                           (0.0, 1003.0))
         nodes = 1 << 18
         flat = pivots.v_M + (501.0 if bottom_larger else -501.0)
