@@ -271,6 +271,9 @@ _PROBE = 4096
 # voxels per step of a blocked pass (the dense count, the LUT): small
 # enough that each step's temporaries stay in cache
 _BLOCK = 1 << 16
+# voxels per step of a sparse integer volume's row gather, whose int32
+# offsets are a temporary the size of the step
+_GATHER = 1 << 13
 
 
 def _integer_levels(vox: np.ndarray):
@@ -281,8 +284,10 @@ def _integer_levels(vox: np.ndarray):
     per integer from the minimum to the maximum, some of them unused, counted
     block by block.  u8 and u16 voxels below the voxel count are their own
     rows in a table that starts at 0, so no row array is built.  A wider
-    range (a hot pixel in a small volume) sorts instead, so the table never
-    outgrows the volume.
+    range (a hot pixel in a small volume) sorts instead, so the level table
+    never outgrows the volume.  Its rows come from a table over the range for
+    an integer dtype, whose range is at most 65,536 values, and from a binary
+    search for integer-valued floats, whose range no table bounds.
     """
     if vox.dtype.kind == "u" and vox.dtype.itemsize <= 2:
         size = int(vox.max()) + 1
@@ -302,10 +307,19 @@ def _integer_levels(vox: np.ndarray):
         levels, counts = np.unique(vox, return_counts=True)
         if (np.rint(levels) != levels).any():
             return None
-        # search in the stored dtype: float64 levels would convert every voxel
-        rows = np.searchsorted(levels, vox)
-        return (levels.astype(np.float64), counts,
-                rows.astype(np.min_scalar_type(levels.size - 1)))
+        row_type = np.min_scalar_type(levels.size - 1)
+        if vox.dtype.kind == "f":
+            # search in the stored dtype: float64 levels would convert every voxel
+            rows = np.searchsorted(levels, vox).astype(row_type)
+        else:  # u8, u16 or i16: each level's row at its offset from lo
+            table = np.zeros(int(hi - lo) + 1, dtype=row_type)
+            table[levels.astype(np.int32) - int(lo)] = np.arange(levels.size)
+            rows = np.empty(vox.size, dtype=row_type)
+            for start in range(0, vox.size, _GATHER):
+                offsets = vox[start:start + _GATHER].astype(np.int32)  # i16 - lo may pass 32767
+                offsets -= int(lo)
+                np.take(table, offsets, out=rows[start:start + _GATHER])
+        return levels.astype(np.float64), counts, rows
     size = int(hi - lo) + 1
     counts = np.zeros(size, dtype=np.int64)
     rows = np.empty(vox.size, dtype=np.min_scalar_type(size - 1))

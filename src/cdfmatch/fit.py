@@ -127,21 +127,23 @@ def _solve(m: np.ndarray, rhs: np.ndarray, config: FitConfig) -> np.ndarray:
     return min(points, key=lambda p: float(np.sum((m @ p - rhs) ** 2)))
 
 
-def _refine(x: np.ndarray, m: np.ndarray, target: np.ndarray, squeeze,
-            config: FitConfig) -> tuple[np.ndarray, int, bool]:
-    """Gauss-Newton from ``x`` on ``squeeze(m @ x)[0] ~ target``, where
-    ``squeeze`` returns the tailed values and their slope.  Each step is
-    :func:`_solve` on the slope-scaled rows of ``m``, halved until it lowers
-    the residual and then for as long as halving lowers it further.
-    Returns the point, the steps taken and whether they settled within
-    ``_REFINE_STEPS``."""
+def _refine(x: np.ndarray, m: np.ndarray, target: np.ndarray, tails: TailSpec, anchor: float,
+            span: float, config: FitConfig) -> tuple[np.ndarray, np.ndarray, int, bool]:
+    """Gauss-Newton from ``x`` on ``(tails.apply(y) - anchor) / span ~ target``,
+    where ``y = anchor + span * (m @ x)``.  A trial evaluates the tailed
+    values alone; each step is :func:`_solve` on the rows of ``m`` scaled by
+    the tails' slope at the point the last step accepted, halved until it
+    lowers the residual and then for as long as halving lowers it further.
+    Returns the point, its residual, the steps taken and whether they settled
+    within ``_REFINE_STEPS``."""
     def trial(x):
-        z, dz = squeeze(m @ x)
-        return float(np.sum((z - target) ** 2)), x, z - target, dz
+        y = anchor + span * (m @ x)
+        r = (tails.apply(y) - anchor) / span - target
+        return float(np.sum(r ** 2)), x, r, y
 
-    cost, x, r, dz = trial(x)
+    cost, x, r, y = trial(x)
     for taken in range(_REFINE_STEPS):
-        jac = dz[:, None] * m
+        jac = tails.slope(y)[:, None] * m
         step = _solve(jac, jac @ x - r, config) - x
         best = trial(x + step)
         for _ in range(_HALVINGS):
@@ -152,12 +154,12 @@ def _refine(x: np.ndarray, m: np.ndarray, target: np.ndarray, squeeze,
                 break
             best = half
         if best[0] >= cost:
-            return x, taken, True  # no step along this direction lowers the residual
+            return x, r, taken, True  # no step along this direction lowers the residual
         settled = cost - best[0] <= _REFINE_RTOL * cost
-        cost, x, r, dz = best
+        cost, x, r, y = best
         if settled:
-            return x, taken + 1, True
-    return x, _REFINE_STEPS, False
+            return x, r, taken + 1, True
+    return x, r, _REFINE_STEPS, False
 
 
 def fit_cdf(image_cdf: EmpiricalCdf, template: "TemplateCdf",
@@ -184,19 +186,14 @@ def fit_cdf(image_cdf: EmpiricalCdf, template: "TemplateCdf",
     target = (np.asarray(quantile(template.cdf, grid)) - anchors[1]) / span
     m = _design(qi, pivots)
     x = _solve(m, target, config)
-    fitted, steps, converged = m @ x, 0, True
+    r, steps, converged = m @ x - target, 0, True
     if tails is not None:
-        def squeeze(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            y = anchors[1] + span * z
-            return (tails.apply(y) - anchors[1]) / span, tails.slope(y)
-
-        x, steps, converged = _refine(x, m, target, squeeze, config)
-        fitted = squeeze(m @ x)[0]
+        x, r, steps, converged = _refine(x, m, target, tails, anchors[1], span, config)
 
     sigma_ref = span / (pivots.v_T - pivots.v_B)
     params = DualScaleParams(sigma_ref * x[0], sigma_ref * x[1],
                              anchors[1] + x[2] * span, pivots)
-    residual = span * float(np.sqrt(np.mean((fitted - target) ** 2)))
+    residual = span * float(np.sqrt(np.mean(r ** 2)))
     return FitResult(params, residual, iterations=steps, converged=converged)
 
 

@@ -103,6 +103,23 @@ class TestIntensityIndex:
             assert_cdf_is_reference(build_cdf(index, exclude, grid_size=257),
                                     vol.voxels, 5.0, exclude, grid_size=257)
 
+    @pytest.mark.parametrize("dtype, bulk, hot, size", [
+        (np.int16, (-500, 500), (-32768, 32767), 3 * 8192 + 5),  # the widest range, across 0
+        (np.uint16, (1000, 4000), (1000, 65535), 2 * 8192 + 1),
+        (np.uint8, (3, 200), (3, 255), 200)])
+    def test_sparse_integer_rows_are_each_voxels_level(self, dtype, bulk, hot, size):
+        # a range at least the voxel count keeps only the levels some voxel holds
+        values = np.random.default_rng(8).integers(*bulk, size)
+        values[[7, size - 2]] = hot
+        vol = stored_volume(values, dtype)
+        index = IntensityIndex.of(vol)
+        levels, counts = np.unique(vol.voxels, return_counts=True)
+        assert index.levels.tobytes() == levels.astype(np.float64).tobytes()
+        assert np.array_equal(index.counts, counts)
+        assert index.inverse.dtype == np.min_scalar_type(levels.size - 1)
+        assert np.array_equal(index.inverse, np.searchsorted(levels, vol.voxels))
+        assert index.to_volume().voxels.tobytes() == vol.voxels.astype(np.float64).tobytes()
+
     @settings(max_examples=20)
     @given(seed=st.integers(0, 2 ** 16), dtype=st.sampled_from((np.uint8, np.uint16)),
            size=st.integers(65536 + 1, 3 * 65536 + 7), low=st.integers(0, 3000),

@@ -234,6 +234,35 @@ class TestFitCdf:
         assert fit.converged
         assert fit.residual <= untailed_residual * (1.0 + 1e-12)
 
+    def test_tailed_fit_evaluates_each_point_once_and_one_slope_per_step(
+            self, template_12bit, monkeypatch):
+        # a trial evaluates the tailed values alone, and a step reads the slope
+        # at the point the last step accepted: one slope per step and one at
+        # the start, and no point is evaluated again once the refine settles
+        calls = []
+        for name in ("apply", "slope"):
+            def counted(self, y, method=getattr(TailSpec, name), name=name):
+                calls.append((name, np.array(y, dtype=np.float64).tobytes()))
+                return method(self, y)
+
+            monkeypatch.setattr(TailSpec, name, counted)
+        grid = FitConfig().percentile_grid
+        image = cdf_from_samples(np.random.default_rng(97).lognormal(0.5, 0.6, 20_000))
+        qt = np.asarray(quantile(template_12bit.cdf, grid))
+        tails = TailSpec(v_T=qt[70], v_max=qt[-1] + 2000.0, v_clipT=qt[78], v_B=qt[20],
+                         v_min=qt[0] - 500.0, v_clipB=qt[16],
+                         enabled_top=True, enabled_bottom=True)
+        fit = fit_cdf(image, template_12bit, tails=tails)
+        slopes = [y for name, y in calls if name == "slope"]
+        trials = [y for name, y in calls if name == "apply"]
+        assert fit.converged and fit.iterations >= 2
+        assert len(slopes) <= fit.iterations + 1
+        assert set(slopes) <= set(trials)
+        # the last call is a trial, and no trial repeats a point: the refined
+        # point is never scored again
+        assert calls[-1][0] == "apply"
+        assert len(set(trials)) == len(trials)
+
 
 def _reference_solve(m, rhs, lo, hi, cap):
     """SLSQP on the same problem with both cap faces as inequality
