@@ -44,13 +44,17 @@ def finite_number(value, name: str, error=ValueError) -> float:
     raise error(f"{name} must be a finite number, got {value!r}")
 
 
-def whole_number(value, name: str, error=ValueError) -> int:
+def whole_number(value, name: str, error=ValueError, least: int | None = None) -> int:
     """``value`` as an int: a :func:`finite_number` that is an int, Python's
-    or NumPy's (a float, even 4.0, is none); ``error`` as there."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        finite_number(value, name, error)  # an int past the float range is none
-        return int(value)
-    raise error(f"{name} must be an integer, got {value!r}")
+    or NumPy's (a float, even 4.0, is none), and at least ``least`` when
+    given; ``error`` as there.  Every count's floor is decided here."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise error(f"{name} must be an integer, got {value!r}")
+    finite_number(value, name, error)  # an int past the float range is none
+    number = int(value)
+    if least is not None and number < least:
+        raise error(f"{name} must be at least {least}, got {number!r}")
+    return number
 
 
 def finite_interval(value, name: str) -> tuple[float, float]:
@@ -527,7 +531,7 @@ class EmpiricalCdf(Record):
             raise ValueError(f"last probability must equal 1, got {ps[-1]!r}")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ps", ps)
-        object.__setattr__(self, "n_samples", whole_number(self.n_samples, "n_samples"))
+        object.__setattr__(self, "n_samples", whole_number(self.n_samples, "n_samples", least=0))
 
     @property
     def support(self) -> tuple[float, float]:
@@ -564,8 +568,7 @@ def build_cdf(vol: "Volume | IntensityIndex | SortedForeground",
     Raises AllBackground when exclusion empties the volume and
     DegenerateConstant when fewer than two distinct intensities remain.
     """
-    if whole_number(grid_size, "grid_size") < 2:
-        raise ValueError(f"grid_size must be at least 2, got {grid_size}")
+    whole_number(grid_size, "grid_size", least=2)
     fg = (vol if isinstance(vol, SortedForeground)
           else IntensityIndex.of(vol).sorted_foreground(exclude_background))
     _check_spread(fg.values)
@@ -707,8 +710,7 @@ def average_cdfs(cdfs, grid_size: int = DEFAULT_GRID_SIZE) -> EmpiricalCdf:
     cdfs = list(cdfs)
     if not cdfs:
         raise EmptyInput("average_cdfs needs at least one CDF")
-    if whole_number(grid_size, "grid_size") < 2:
-        raise ValueError(f"grid_size must be at least 2, got {grid_size}")
+    whole_number(grid_size, "grid_size", least=2)
     lo = min(float(c.xs[0]) for c in cdfs)
     hi = max(float(c.xs[-1]) for c in cdfs)
     xs = np.linspace(lo, hi, grid_size)

@@ -71,9 +71,7 @@ class AppConfig(Record):
             object.__setattr__(self, "clip", finite_interval(self.clip, "clip"))
             self.controls.check_clip(self.clip, ValueError)
         for name, least in (("grid_size", 2), ("workers", 1)):
-            object.__setattr__(self, name, whole_number(getattr(self, name), name))
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
+            object.__setattr__(self, name, whole_number(getattr(self, name), name, least=least))
         if self.log_level not in LOG_LEVELS:
             raise ValueError(f"log_level must be one of {', '.join(LOG_LEVELS)}, "
                              f"got {self.log_level!r}")
@@ -258,8 +256,7 @@ def _cmd_inspect(args) -> int:
             label = vol.channel or Path(args.cdf).stem
             emit_cdf_plot([(label, cdf)], args.plot, title=f"CDF of {Path(args.cdf).name}")
     else:
-        if args.points < 2:
-            raise UsageError(f"--points must be at least 2, got {args.points}")
+        whole_number(args.points, "--points", UsageError, least=2)
         lut = load_lut(args.lut)
         write_lut_csv(lut, args.out, args.points)
         if args.plot:

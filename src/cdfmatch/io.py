@@ -218,9 +218,10 @@ class LesionSpec(Record):
 
     def __post_init__(self):
         _spec_numbers(self, "lesion", ("boost", "volume_fraction"))
-        object.__setattr__(self, "count", whole_number(self.count, "lesion count", BadSpec))
-        if self.count < 0 or self.boost <= 0.0:
-            raise BadSpec("lesion count must be an integer >= 0 and boost positive")
+        object.__setattr__(self, "count", whole_number(self.count, "lesion count", BadSpec,
+                                                         least=0))
+        if self.boost <= 0.0:
+            raise BadSpec("lesion boost must be positive")
         if not 0.0 <= self.volume_fraction < 1.0:
             raise BadSpec("lesion volume fraction must lie in [0, 1)")
 
@@ -252,9 +253,7 @@ class SynthSpec(Record):
             self.background_fraction, "background fraction", BadSpec))
         if not 0.0 <= self.background_fraction < 1.0:
             raise BadSpec("background fraction must lie in [0, 1)")
-        object.__setattr__(self, "seed", whole_number(self.seed, "seed", BadSpec))
-        if self.seed < 0:
-            raise BadSpec(f"seed must be a non-negative integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", whole_number(self.seed, "seed", BadSpec, least=0))
         if not isinstance(self.channel, str):
             raise BadSpec(f"channel must be a string, got {self.channel!r}")
 
@@ -380,9 +379,7 @@ def load_lut(path) -> IntensityLut:
 
 def _sample_lut(lut: IntensityLut, points: int) -> tuple[np.ndarray, np.ndarray, str]:
     """The mapping at ``points`` even steps over its domain, also as CSV."""
-    if points < 2:
-        raise ValueError("need at least two sample points")
-    xs = np.linspace(lut.domain[0], lut.domain[1], points)
+    xs = np.linspace(lut.domain[0], lut.domain[1], whole_number(points, "points", least=2))
     ys = np.asarray(lut.apply(xs))
     return xs, ys, csv_text(("input", "output"), zip(xs, ys))
 
@@ -419,8 +416,6 @@ def _render_line_svg(series, title: str, x_label: str, y_label: str, markers=())
         x_hi = max([x_hi] + [m[0] for m in markers])
         y_lo = min([y_lo] + [m[1] for m in markers])
         y_hi = max([y_hi] + [m[1] for m in markers])
-    if x_hi <= x_lo:
-        x_hi = x_lo + 1.0
     if y_hi <= y_lo:
         y_hi = y_lo + 1.0
 

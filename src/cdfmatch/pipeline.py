@@ -41,9 +41,7 @@ class HarmonizeOptions(Record):
     dtype: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "grid_size", whole_number(self.grid_size, "grid_size"))
-        if self.grid_size < 2:
-            raise ValueError(f"grid_size must be at least 2, got {self.grid_size}")
+        object.__setattr__(self, "grid_size", whole_number(self.grid_size, "grid_size", least=2))
         if self.bits is not None:
             object.__setattr__(self, "bits", whole_number(self.bits, "bits"))
             if not 1 <= self.bits <= 16:  # the integer output dtypes are at most 16 bits wide

@@ -14,6 +14,7 @@ import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -110,14 +111,12 @@ class Provenance(Record):
         if not isinstance(self.config_hash, (str, type(None))):
             raise SchemaMismatch(
                 f"provenance config_hash must be a string, got {self.config_hash!r}")
-        for name, number in (("cohort_size", whole_number), ("tail_source_max", finite_number),
+        for name, number in (("cohort_size", partial(whole_number, least=1)),
+                             ("tail_source_max", finite_number),
                              ("tail_source_min", finite_number)):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, number(getattr(self, name),
                                                       f"provenance {name}", SchemaMismatch))
-        if self.cohort_size is not None and self.cohort_size < 1:
-            raise SchemaMismatch(
-                f"provenance cohort_size must be at least 1, got {self.cohort_size}")
 
     def to_dict(self) -> dict:
         return {key: value for key, value in super().to_dict().items() if value is not None}
@@ -253,9 +252,7 @@ def build_template(cohort, controls: ControlPoints = DEFAULT_CONTROLS,
     time, never the whole cohort.  Deterministic and invariant to cohort
     ordering, to the order of each member's voxels and to the thread count.
     """
-    grid_size = whole_number(grid_size, "grid_size")
-    if grid_size < 2:
-        raise ValueError(f"grid_size must be at least 2, got {grid_size}")
+    grid_size = whole_number(grid_size, "grid_size", least=2)
     if channel is not None and not isinstance(channel, str):
         raise ValueError(f"channel must be a string, got {channel!r}")
     config = config or FitConfig()

@@ -332,13 +332,6 @@ def _sigma(d: np.ndarray, params: "DualScaleParams") -> np.ndarray:
     return out
 
 
-def _dual_scale(xv: np.ndarray, params: "DualScaleParams",
-                out: np.ndarray | None = None) -> np.ndarray:
-    """:func:`lut_ds` of the 1-D float64 ``xv`` into ``out``: a new buffer
-    when None, else one the caller owns, which may be ``xv`` itself."""
-    return _offset_scale(np.subtract(xv, params.pivots.v_M, out=out), params)
-
-
 def _offset_scale(d: np.ndarray, params: "DualScaleParams") -> np.ndarray:
     """:func:`lut_ds` at ``v_M + d``, for the 1-D float64 offsets ``d`` from
     the middle pivot, in place."""
@@ -370,7 +363,7 @@ def sigma_blend(x, params: DualScaleParams) -> "float | np.ndarray":
 
 def lut_ds(x, params: DualScaleParams) -> "float | np.ndarray":
     """Dual-scaling intensity map: ``(x - v_M) * sigma(x) + gamma``."""
-    return _shaped(_dual_scale(_flat(x), params), x)
+    return _shaped(_offset_scale(np.subtract(_flat(x), params.pivots.v_M), params), x)
 
 
 def lut_top_tail(x, v_T: float, v_max: float, v_clipT: float) -> "float | np.ndarray":
@@ -424,7 +417,8 @@ class IntensityLut(Record):
         :meth:`interpolant` never does)."""
         y = np.array(x, dtype=np.float64).reshape(-1)  # a copy: x is never written
         np.clip(y, self.domain[0], self.domain[1], out=y)
-        return _shaped(self._squeeze(_dual_scale(y, self.params, out=y)), x)
+        y -= self.params.pivots.v_M
+        return _shaped(self._squeeze(_offset_scale(y, self.params)), x)
 
     def _squeeze(self, y: np.ndarray) -> np.ndarray:
         """The tails, then the clip, on the caller's dual-scaled ``y``, in place."""
@@ -442,11 +436,11 @@ class IntensityLut(Record):
         a, b = 2.0 * self.domain[0] - self.domain[1], 2.0 * self.domain[1] - self.domain[0]
         kinks = []
         for start, r_S, r_T in self.tails._ranges():
-            x = _crossing(lambda v: _dual_scale(v, self.params), start, a, b)
+            x = _crossing(lambda v: lut_ds(v, self.params), start, a, b)
             free = self.hard_clamp is None or self.hard_clamp[0] < start < self.hard_clamp[1]
             kinks.append((x, free * abs(4.0 / math.sqrt(math.pi) * r_T / r_S - 1.0), (r_S, r_T)))
         for end in self.hard_clamp or ():
-            x = _crossing(lambda v: self.tails.apply(_dual_scale(v, self.params)), end, a, b)
+            x = _crossing(lambda v: self.tails.apply(lut_ds(v, self.params)), end, a, b)
             kinks.append((x, float(self.tails.slope(lut_ds(x, self.params))), None))
         return tuple(sorted(((x, _ds_extremes(self.params, x, x)[0] * step, tail)
                              for x, step, tail in kinks if x is not None), key=lambda k: k[0]))

@@ -58,6 +58,21 @@ def test_no_second_percentile_definition():
     assert calls == []
 
 
+def test_no_second_count_floor():
+    """Every count's floor is ``whole_number``'s ``least``, so no raise outside
+    it says a value "must be at least" some bound."""
+    raises = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        rule = {id(node) for fn in ast.walk(tree)
+                if isinstance(fn, ast.FunctionDef) and fn.name == "whole_number"
+                and path.name == "cdf.py" for node in ast.walk(fn)}
+        raises += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                   if isinstance(node, ast.Raise) and id(node) not in rule
+                   and "must be at least" in ast.unparse(node)]
+    assert raises == []
+
+
 def test_few_records_write_a_file_unlike_their_fields():
     """Every other record's JSON object is its fields by name, as ``Record``
     writes and reads it.  These five differ: a version key (the config and

@@ -685,6 +685,18 @@ class TestMalformedFiles:
         assert "tail_source_max" in err
         assert "Traceback" not in err
 
+    def test_negative_template_sample_count_exits_1(self, workspace, tmp_path, capsys):
+        doc = json.loads((workspace / "t2.template.json").read_text())
+        doc["cdf"]["n_samples"] = -1
+        bad = tmp_path / "bad.template.json"
+        bad.write_text(json.dumps(doc))
+        assert run(["harmonize", "--template", str(bad), "--in", str(workspace / "raw"),
+                    "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "bad.template.json" in err and "n_samples must be at least 0" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_crossed_tails_in_a_lut_exit_1(self, workspace, tmp_path, capsys):
         run(["harmonize", "--template", str(workspace / "t2.template.json"),
              "--in", str(workspace / "raw"), "--out", str(tmp_path / "out")])

@@ -9,8 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cdfmatch import (LesionSpec, MixtureComponent, ScannerEffect, SynthSpec,
-                      Volume, build_cdf, emit_cdf_plot, emit_lut_plot,
+from cdfmatch import (EmpiricalCdf, LesionSpec, MixtureComponent, ScannerEffect,
+                      SynthSpec, Volume, build_cdf, emit_cdf_plot, emit_lut_plot,
                       generate_synthetic, ks_distance, load_lut, read_cdf_csv,
                       read_volume, save_lut, save_template, write_cdf_csv,
                       write_lut_csv, write_volume)
@@ -207,8 +207,8 @@ class TestSynthSpec:
         (lambda: MixtureComponent("gaussian", 0.0, 1.0, 1.0), "weights and scales"),
         (lambda: MixtureComponent("gaussian", -0.5, 1.0, 1.0), "weights and scales"),
         (lambda: ScannerEffect(tail_weight=0.0), "tail_weight"),
-        (lambda: LesionSpec(count=-1), "lesion count"),
-        (lambda: LesionSpec(boost=0.0), "boost"),
+        (lambda: LesionSpec(count=-1), "lesion count must be at least 0, got -1"),
+        (lambda: LesionSpec(boost=0.0), "lesion boost must be positive"),
         (lambda: SynthSpec(components=()), "at least one"),
         (lambda: replace(t2_spec(1), background_fraction=1.0), "background fraction"),
         (lambda: replace(t2_spec(1), background_fraction=-0.1), "background fraction"),
@@ -329,6 +329,16 @@ class TestCdfCsv:
         path.write_text(f"intensity,cumulative_probability\n1.0,0.2\n{row}\n3.0,1.0\n")
         with pytest.raises(SchemaMismatch, match=r"cdf\.csv line 3"):
             read_cdf_csv(path)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "cdf.csv"
+        path.write_text("intensity,cumulative_probability\n1.0,0.25\n\n  \n2.0,1.0\n\n")
+        cdf = read_cdf_csv(path)
+        assert cdf.xs.tolist() == [1.0, 2.0] and cdf.ps.tolist() == [0.25, 1.0]
+
+    def test_unreadable_path_is_an_io_error(self, tmp_path):
+        with pytest.raises(IoError, match="cannot read CDF CSV"):
+            read_cdf_csv(tmp_path)  # a directory
 
     def test_descending_curve_names_the_file(self, tmp_path):
         path = tmp_path / "cdf.csv"
@@ -467,6 +477,13 @@ class TestPlots:
                       markers=[(c.t_B, c.p_B, "bottom"), (c.t_M, c.p_M, "middle"),
                                (c.t_T, c.p_T, "top")])
         assert path.read_text().count("<circle") == 3
+
+    def test_flat_curve_plots_at_the_bottom_edge(self, tmp_path):
+        # every probability is 1, so the y range is widened to one unit
+        path = tmp_path / "flat.svg"
+        emit_cdf_plot([("flat", EmpiricalCdf([1.0, 2.0], [1.0, 1.0]))], path)
+        points = path.read_text().split('points="')[1].split('"')[0].split()
+        assert points == ["72.00,432.00", "704.00,432.00"]
 
     def test_empty_list_writes_nothing(self, tmp_path):
         path = tmp_path / "none.svg"

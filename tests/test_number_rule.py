@@ -4,6 +4,7 @@ A number in a config (its control points too), template, LUT,
 synthetic-spec or volume header file is an int or a float that a float
 holds finitely: a string, a bool, NaN, +/-Infinity or an integer past the
 float range is refused, each reader with its own error type or exit code.
+A count is an integer at least its floor, and one rule says so for all.
 A valid file of each kind loads to a record that holds exactly what the
 file says.
 """
@@ -15,8 +16,10 @@ import math
 import numpy as np
 import pytest
 
-from cdfmatch import (DualScaleParams, PivotTriple, SynthSpec, TailSpec, Volume,
-                      compose_lut, load_lut, read_volume, save_lut, write_volume)
+from cdfmatch import (DualScaleParams, EmpiricalCdf, PivotTriple, SynthSpec, TailSpec,
+                      Volume, compose_lut, load_lut, read_volume, save_lut, write_lut_csv,
+                      write_volume)
+from cdfmatch.cdf import whole_number
 from cdfmatch.cli import _resolve_config, build_parser, run
 from cdfmatch.errors import BadSpec, HeaderMismatch, SchemaMismatch
 from cdfmatch.template import load_template, save_template
@@ -177,6 +180,59 @@ def test_a_template_curve_of_strings_or_bools_is_refused(tmp_path, valid_docs, f
     doc["cdf"][field] = ([str(v) for v in knots] if value == "strings"
                          else [v > knots[0] for v in knots])
     _refuses(tmp_path, "template", doc)
+
+
+# each count a file holds, one below its floor
+BELOW_FLOOR = [
+    ("config", ("grid_size",), 1),
+    ("config", ("workers",), 0),
+    ("template", ("cdf", "n_samples"), -1),
+    ("template", ("provenance", "cohort_size"), 0),
+    ("spec", ("lesions", "count"), -1),
+    ("spec", ("seed",), -1),
+]
+
+
+@pytest.mark.parametrize("kind, path, value", BELOW_FLOOR,
+                         ids=[f"{kind}-{'.'.join(path)}" for kind, path, _ in BELOW_FLOOR])
+def test_every_reader_refuses_a_count_below_its_floor(tmp_path, valid_docs, capsys,
+                                                      kind, path, value):
+    read, refusal = READERS[kind]
+    doc = _edited(valid_docs[kind], path, value)
+    if isinstance(refusal, int):
+        assert read(tmp_path, doc) == refusal
+        message = capsys.readouterr().err
+    else:
+        with pytest.raises(refusal) as caught:
+            read(tmp_path, doc)
+        message = str(caught.value)
+    assert f"{path[-1]} must be at least {value + 1}, got {value}" in message
+
+
+def test_whole_number_decides_the_floor():
+    assert whole_number(np.int64(2), "k", least=2) == 2
+    assert type(whole_number(np.int64(2), "k", least=2)) is int
+    assert whole_number(-5, "k") == -5  # no floor unless one is given
+    with pytest.raises(BadSpec, match=r"^k must be at least 2, got 1$"):
+        whole_number(np.int64(1), "k", BadSpec, least=2)
+    with pytest.raises(ValueError, match="k must be an integer"):
+        whole_number(3.0, "k", least=2)  # the integer check comes first
+
+
+def test_a_curve_with_a_negative_sample_count_is_refused():
+    assert EmpiricalCdf([1.0, 2.0], [0.5, 1.0], n_samples=0).n_samples == 0
+    with pytest.raises(ValueError, match="n_samples must be at least 0, got -1"):
+        EmpiricalCdf([1.0, 2.0], [0.5, 1.0], n_samples=-1)
+
+
+@pytest.mark.parametrize("points, message", [(3.0, "points must be an integer"),
+                                             (True, "points must be an integer"),
+                                             (1, "points must be at least 2, got 1")])
+def test_a_lut_sample_count_follows_the_count_rule(tmp_path, valid_docs, points, message):
+    lut = _load_json(tmp_path, load_lut, valid_docs["lut"])
+    with pytest.raises(ValueError, match=message):
+        write_lut_csv(lut, tmp_path / "m.csv", points=points)
+    assert not (tmp_path / "m.csv").exists()
 
 
 @pytest.mark.parametrize("args", [

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import os
 import threading
 import weakref
 
@@ -244,6 +245,14 @@ class TestBuildTemplate:
             build_template([])
         with pytest.raises(EmptyCohort):
             build_template(vol for vol in [])
+
+    def test_pool_size_falls_back_to_the_cpu_count(self, monkeypatch):
+        # a platform without an affinity call sizes the pool by its CPUs
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert template_module._pool_size() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert template_module._pool_size() == 1
 
     def test_thread_count_never_changes_the_template(self, monkeypatch):
         cohort = scanner_cohort(5, seed0=480)
