@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from . import __version__
-from .cdf import (DEFAULT_GRID_SIZE, DTYPES, Record, build_cdf, check_fits,
+from .cdf import (DEFAULT_GRID_SIZE, DTYPES, Record, _cpu_threads, build_cdf, check_fits,
                   finite_interval, whole_number)
 from .errors import CdfMatchError, IoError, Overflow, UsageError
 from .fit import FitConfig
@@ -179,10 +179,12 @@ def _cmd_harmonize(args) -> int:
     inputs = _discover_inputs(args.input)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # the workers share the CPUs: each item splits its large passes over its share
+    threads = max(1, _cpu_threads() // cfg.workers)
 
     def process(path: Path) -> tuple[dict, str | None]:
         vol = read_volume(path)
-        out_vol, entry = harmonize(vol, template, options)
+        out_vol, entry = harmonize(vol, template, options, threads=threads)
         out_path = out_dir / path.name
         write_volume(out_vol, out_path, dtype=options.dtype)
         lut_path = out_dir / (path.stem + ".lut.json")

@@ -127,9 +127,7 @@ def read_volume(path) -> Volume:
     dims = header.get("dims")
     if not isinstance(dims, list) or len(dims) != 3:
         raise HeaderMismatch(f"bad dims in header: {dims!r}")
-    dims = tuple(whole_number(d, "dims", HeaderMismatch) for d in dims)
-    if min(dims) < 1:
-        raise HeaderMismatch(f"bad dims in header: {dims!r}")
+    dims = tuple(whole_number(d, "dims", HeaderMismatch, least=1) for d in dims)
     dtype = header.get("dtype")
     if dtype not in DTYPES:
         raise HeaderMismatch(f"unsupported dtype in header: {dtype!r}")
@@ -245,10 +243,10 @@ class SynthSpec(Record):
         if abs(sum(c.weight for c in comps) - 1.0) > 1e-9:
             raise BadSpec("component weights must sum to 1")
         object.__setattr__(self, "components", comps)
-        dims = tuple(whole_number(d, "dims", BadSpec) for d in self.dims)
-        if len(dims) != 3 or min(dims) < 1:
+        if len(self.dims) != 3:
             raise BadSpec(f"dims must be three positive integers, got {self.dims!r}")
-        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "dims", tuple(whole_number(d, "dims", BadSpec, least=1)
+                                               for d in self.dims))
         object.__setattr__(self, "background_fraction", finite_number(
             self.background_fraction, "background fraction", BadSpec))
         if not 0.0 <= self.background_fraction < 1.0:

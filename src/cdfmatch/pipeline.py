@@ -91,8 +91,8 @@ def quantization_range(template: TemplateCdf, bits: int) -> tuple[float, float]:
     return lo, hi
 
 
-def harmonize(vol: Volume, template: TemplateCdf,
-              options: HarmonizeOptions | None = None) -> tuple[Volume, ChannelReport]:
+def harmonize(vol: Volume, template: TemplateCdf, options: HarmonizeOptions | None = None,
+              *, threads: int | None = None) -> tuple[Volume, ChannelReport]:
     """Harmonize one volume against a template.
 
     Steps: foreground CDF -> parameter fit -> composed monotone LUT (tails
@@ -111,13 +111,18 @@ def harmonize(vol: Volume, template: TemplateCdf,
     its post-CDF off those samples through the stored map, at their rank
     knots, and drops them before the mapping.  Any other volume takes it
     from the output: the exact map's erf may step down by one ulp.
+
+    A large integer volume counts its levels and gathers its output on
+    ``threads`` threads, by default one per CPU the process may run on; a
+    caller that runs several volumes at once shares the CPUs out.  The
+    output does not depend on it.
     """
     options = options or HarmonizeOptions()
     started = time.perf_counter()
     q_range = None
     if options.bits is not None:
         q_range = quantization_range(template, options.bits)
-    index = IntensityIndex.of(vol)
+    index = IntensityIndex.of(vol, threads)
     fg = index.sorted_foreground()
     image_cdf = build_cdf(fg, grid_size=options.grid_size)
     pre_ks = ks_distance(image_cdf, template.cdf)
@@ -144,7 +149,7 @@ def harmonize(vol: Volume, template: TemplateCdf,
     if post_cdf is None:
         post_cdf = build_cdf(mapped, grid_size=options.grid_size)
     post_ks = ks_distance(post_cdf, template.cdf)
-    out = mapped.to_volume()
+    out = mapped.to_volume(threads)
     entry = ChannelReport(vol.channel, fit, pre_ks, post_ks, lut,
                           wall_time_s=time.perf_counter() - started)
     return out, entry

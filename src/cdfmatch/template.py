@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -19,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .cdf import (DEFAULT_GRID_SIZE, EmpiricalCdf, IntensityIndex, Record, _json,
-                  average_cdfs, build_cdf, finite_interval, finite_number, quantile,
+from .cdf import (DEFAULT_GRID_SIZE, EmpiricalCdf, IntensityIndex, Record, _cpu_threads,
+                  _json, average_cdfs, build_cdf, finite_interval, finite_number, quantile,
                   whole_number, zscore_standardize)
 from .errors import BadTailSpec, EmptyCohort, Infeasible, SchemaMismatch
 from .fit import FitConfig, fit_template_to_controls
@@ -190,17 +189,10 @@ def _member_cdf(vol, grid_size: int) -> EmpiricalCdf:
     """The CDF of one z-scored cohort member, from one sort of its foreground
     in the stored dtype: the z-score never descends, so the curve reads the
     sorted foreground through it at the rank knots (a level table maps its
-    levels), and the member is never z-scored voxel by voxel."""
-    return build_cdf(zscore_standardize(IntensityIndex.of(vol).sorted_foreground()),
+    levels), and the member is never z-scored voxel by voxel.  It is indexed
+    on one thread: the pool already maps one member per CPU."""
+    return build_cdf(zscore_standardize(IntensityIndex.of(vol, threads=1).sorted_foreground()),
                      grid_size=grid_size)
-
-
-def _pool_size() -> int:
-    """Threads for the cohort: one per CPU this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def _member_cdfs(cohort, grid_size: int) -> tuple[list[EmpiricalCdf], str]:
@@ -211,7 +203,7 @@ def _member_cdfs(cohort, grid_size: int) -> tuple[list[EmpiricalCdf], str]:
     just before a thread can take it, and no member is held once its CDF is
     made.  Results are read in cohort order: the error raised is the first
     failure in that order, whichever thread failed first."""
-    threads = _pool_size()
+    threads = _cpu_threads()
     cdfs, pending, channel = [], deque(), None
     members = iter(cohort)
     with ThreadPoolExecutor(max_workers=threads) as pool:

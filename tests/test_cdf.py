@@ -1,5 +1,8 @@
 """Tests for empirical CDF estimation, queries, standardization, averaging."""
 
+import os
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +12,8 @@ from hypothesis import strategies as st
 
 from cdfmatch import (EmpiricalCdf, Volume, average_cdfs, build_cdf,
                       cdf_value, ks_distance, quantile, zscore_standardize)
-from cdfmatch.cdf import IntensityIndex, SortedForeground
+from cdfmatch import cdf as cdf_module
+from cdfmatch.cdf import IntensityIndex, SortedForeground, _cpu_threads, _in_ranges, _parts
 from cdfmatch.errors import (AllBackground, DegenerateConstant, EmptyInput,
                              OutOfRange)
 
@@ -23,7 +27,10 @@ class TestVolume:
 
     @pytest.mark.parametrize("dims", [(4, 1), (4, 0, 1), (4, 1, 1, 1), (-4, -1, 1)])
     def test_dims_must_be_three_positive_integers(self, dims):
-        with pytest.raises(ValueError, match="dims must be three positive integers"):
+        # the length first, then each entry's floor, by the count rule
+        message = ("dims must be three positive integers" if len(dims) != 3
+                   else f"dims must be at least 1, got {next(d for d in dims if d < 1)}")
+        with pytest.raises(ValueError, match=message):
             Volume(dims, np.zeros(4))
 
     def test_rejects_non_finite(self):
@@ -216,6 +223,76 @@ class TestIntensityIndex:
         index = IntensityIndex.of(volume_from_values([0.0, 1.0, 2.0, 3.0, 4.0]))
         mapped = index.map_foreground(lambda x: x - 2.0)
         assert mapped.to_volume().voxels.tolist() == [0.0, -1.0, 5e-324, 1.0, 2.0]
+
+
+class TestSplitPasses:
+    """A large volume counts its levels and gathers its output in one range
+    per thread; lowering the floor and the block makes a small volume split."""
+
+    def test_cpu_threads_fall_back_to_the_cpu_count(self, monkeypatch):
+        # a platform without an affinity call counts its CPUs
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert _cpu_threads() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _cpu_threads() == 1
+
+    def test_only_a_volume_past_the_floor_splits(self, monkeypatch):
+        monkeypatch.setattr(cdf_module, "_cpu_threads", lambda: 3)
+        floor = cdf_module._SPLIT
+        assert floor == 1 << 20
+        assert _parts(floor - 1, 4) == _parts(floor - 1, None) == 1
+        assert _parts(floor, 4) == 4 and _parts(floor, None) == 3
+        for threads, message in ((0, "threads must be at least 1, got 0"),
+                                 (2.0, "threads must be an integer")):
+            with pytest.raises(ValueError, match=message):
+                _parts(floor - 1, threads)
+
+    def test_ranges_are_whole_steps_in_order_the_first_on_this_thread(self):
+        seen = _in_ranges(lambda start, stop: (start, stop, threading.get_ident()), 73, 7, 4)
+        assert [(start, stop) for start, stop, _ in seen] == [(0, 21), (21, 42), (42, 63),
+                                                              (63, 73)]
+        idents = [ident for _, _, ident in seen]
+        assert idents[0] == threading.get_ident() and threading.get_ident() not in idents[1:]
+        assert _in_ranges(lambda start, stop: (start, stop), 73, 7, 1) == [(0, 73)]
+        assert _in_ranges(lambda start, stop: (start, stop), 7, 7, 4) == [(0, 7)]
+
+    def test_an_exception_in_a_later_range_reaches_the_caller(self):
+        def work(start, stop):
+            if start == 20:
+                raise OSError("the third range failed")
+            return stop - start
+
+        with pytest.raises(OSError, match="the third range failed"):
+            _in_ranges(work, 40, 10, 4)
+        assert _in_ranges(work, 20, 10, 4) == [10, 10]
+
+    @settings(max_examples=40)
+    @given(seed=st.integers(0, 2 ** 16), dtype=st.sampled_from((np.uint8, np.uint16, np.int16)),
+           size=st.integers(1, 400), span=st.integers(1, 40))
+    def test_counts_and_voxels_do_not_depend_on_the_thread_count(self, seed, dtype,
+                                                                 size, span):
+        # u8 and u16 split the count and the gather, i16 the gather alone;
+        # up to 5 ranges on 16-voxel blocks, more ranges than CPUs, with the
+        # interpreter switching threads as often as it can
+        low = -20 if dtype is np.int16 else 0
+        vol = stored_volume(np.random.default_rng(seed).integers(low, low + span, size), dtype)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(cdf_module, "_SPLIT", 0)
+                patch.setattr(cdf_module, "_BLOCK", 16)
+                serial = IntensityIndex.of(vol, threads=1)
+                voxels = serial.to_volume(threads=1).voxels
+                for threads in range(2, 6):
+                    index = IntensityIndex.of(vol, threads=threads)
+                    assert index.levels.tobytes() == serial.levels.tobytes()
+                    assert np.array_equal(index.counts, serial.counts)
+                    assert index.to_volume(threads).voxels.tobytes() == voxels.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+        assert voxels.tobytes() == vol.voxels.astype(voxels.dtype).tobytes()
 
 
 @st.composite

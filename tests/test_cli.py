@@ -218,6 +218,23 @@ class TestHarmonizeCommand:
         assert rep4.count('"workers": 4') == 1
         assert rep4.replace('"workers": 4', '"workers": 1') == rep1
 
+    @pytest.mark.parametrize("workers, threads", [(1, 6), (2, 3), (4, 1), (8, 1)])
+    def test_workers_share_the_cpus(self, workspace, tmp_path, monkeypatch, workers,
+                                    threads):
+        # each item splits its large passes over its worker's share of the CPUs
+        monkeypatch.setattr(cli, "_cpu_threads", lambda: 6)
+        seen, harmonize = [], cli.harmonize
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["threads"])
+            return harmonize(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "harmonize", spy)
+        assert run(["harmonize", "--template", str(workspace / "t2.template.json"),
+                    "--in", str(workspace / "raw"), "--out", str(tmp_path / "out"),
+                    "--workers", str(workers)]) == 0
+        assert seen == [threads] * 9
+
     def test_best_effort_continues_past_bad_volume(self, workspace, tmp_path):
         raw = tmp_path / "mixed"
         raw.mkdir()

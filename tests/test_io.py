@@ -213,7 +213,7 @@ class TestSynthSpec:
         (lambda: replace(t2_spec(1), background_fraction=1.0), "background fraction"),
         (lambda: replace(t2_spec(1), background_fraction=-0.1), "background fraction"),
         (lambda: replace(t2_spec(1), dims=(4, 1)), "dims must be three positive integers"),
-        (lambda: replace(t2_spec(1), dims=(4, 0, 1)), "dims must be three positive integers"),
+        (lambda: replace(t2_spec(1), dims=(4, 0, 1)), "dims must be at least 1, got 0"),
     ], ids=["weight-zero", "weight-negative", "tail-weight-zero", "lesion-count-negative",
             "lesion-boost-zero", "no-components", "background-one", "background-negative",
             "dims-two", "dims-zero"])

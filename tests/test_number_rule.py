@@ -190,11 +190,14 @@ BELOW_FLOOR = [
     ("template", ("provenance", "cohort_size"), 0),
     ("spec", ("lesions", "count"), -1),
     ("spec", ("seed",), -1),
+    ("spec", ("dims", 1), 0),
+    ("header", ("dims", 1), 0),
 ]
 
 
 @pytest.mark.parametrize("kind, path, value", BELOW_FLOOR,
-                         ids=[f"{kind}-{'.'.join(path)}" for kind, path, _ in BELOW_FLOOR])
+                         ids=[f"{kind}-{'.'.join(map(str, path))}"
+                              for kind, path, _ in BELOW_FLOOR])
 def test_every_reader_refuses_a_count_below_its_floor(tmp_path, valid_docs, capsys,
                                                       kind, path, value):
     read, refusal = READERS[kind]
@@ -206,7 +209,8 @@ def test_every_reader_refuses_a_count_below_its_floor(tmp_path, valid_docs, caps
         with pytest.raises(refusal) as caught:
             read(tmp_path, doc)
         message = str(caught.value)
-    assert f"{path[-1]} must be at least {value + 1}, got {value}" in message
+    name = [key for key in path if isinstance(key, str)][-1]  # a list entry: its list's name
+    assert f"{name} must be at least {value + 1}, got {value}" in message
 
 
 def test_whole_number_decides_the_floor():

@@ -2,7 +2,6 @@
 
 import itertools
 import json
-import os
 import threading
 import weakref
 
@@ -15,6 +14,7 @@ from cdfmatch import (ControlPoints, TemplateCdf, Volume, average_cdfs, build_cd
                       build_template, fit_template_to_controls, generate_synthetic,
                       harmonize, load_template, lut_ds, quantile, save_template,
                       zscore_standardize)
+from cdfmatch import cdf as cdf_module
 from cdfmatch import template as template_module
 from cdfmatch.cdf import DTYPES, IntensityIndex, SortedForeground
 from cdfmatch.errors import (BadTailSpec, EmptyCohort, EmptyInput, Infeasible, IoError,
@@ -246,30 +246,39 @@ class TestBuildTemplate:
         with pytest.raises(EmptyCohort):
             build_template(vol for vol in [])
 
-    def test_pool_size_falls_back_to_the_cpu_count(self, monkeypatch):
-        # a platform without an affinity call sizes the pool by its CPUs
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert template_module._pool_size() == 3
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert template_module._pool_size() == 1
-
     def test_thread_count_never_changes_the_template(self, monkeypatch):
         cohort = scanner_cohort(5, seed0=480)
         cohort += [Volume(v.dims, np.rint(v.voxels), v.channel, v.background_value)
                    for v in scanner_cohort(2, seed0=485)]
         docs = set()
         for threads in (1, 4):
-            monkeypatch.setattr(template_module, "_pool_size", lambda: threads)
+            monkeypatch.setattr(template_module, "_cpu_threads", lambda: threads)
             docs.add(json.dumps(build_template(cohort).to_dict(), sort_keys=True))
         assert len(docs) == 1
+
+    def test_members_index_on_one_thread(self, monkeypatch):
+        # the pool runs one member per CPU, so a member never splits its
+        # count, even one past the split floor on a machine of many CPUs
+        monkeypatch.setattr(cdf_module, "_SPLIT", 0)
+        monkeypatch.setattr(cdf_module, "_cpu_threads", lambda: 4)
+        monkeypatch.setattr(template_module, "_cpu_threads", lambda: 2)
+        parts, in_ranges = [], cdf_module._in_ranges
+
+        def spy(work, size, step, n):
+            parts.append(n)
+            return in_ranges(work, size, step, n)
+
+        monkeypatch.setattr(cdf_module, "_in_ranges", spy)
+        cohort = [stored_volume(np.rint(v.voxels), np.uint16) for v in scanner_cohort(3)]
+        build_template(cohort)
+        assert len(parts) == len(cohort) and set(parts) == {1}
 
     def test_members_are_read_as_threads_take_them(self, monkeypatch):
         # a generator's members are read one at a time and dropped once
         # mapped: beyond the running and the one waiting, at most one just
         # mapped and one just read are alive
         threads = 2
-        monkeypatch.setattr(template_module, "_pool_size", lambda: threads)
+        monkeypatch.setattr(template_module, "_cpu_threads", lambda: threads)
         sources = scanner_cohort(8, seed0=490)
         refs, seen = [], []
 
@@ -288,7 +297,7 @@ class TestBuildTemplate:
     def test_first_failure_in_cohort_order_is_raised(self, monkeypatch, later):
         # the third member fails only after a later member has failed to be
         # mapped or read, and its error is still the one raised
-        monkeypatch.setattr(template_module, "_pool_size", lambda: 4)
+        monkeypatch.setattr(template_module, "_cpu_threads", lambda: 4)
         original = template_module._member_cdf
         later_failed = threading.Event()
 
